@@ -8,7 +8,7 @@ findings -- every run is replayable.
 """
 
 from vecuforge.executor import StateTransport
-from vecuforge.frames import format_line, parse_line
+from vecuforge.frames import parse_line
 from vecuforge.fuzz_engine import FuzzConfig, minimize, run_campaign
 from vecuforge.simulator import EcuState, SimConfig
 
@@ -34,10 +34,10 @@ def main() -> None:
     for finding in result.findings[:3]:
         shrunk = minimize(finding, transport)
         print(f"finding at campaign position {shrunk.position}:")
-        print(f"  mutated from: {format_line(shrunk.source_input)}")
-        print(f"  trigger:      {format_line(shrunk.trigger_input)} "
+        print(f"  mutated from: {shrunk.source_input.to_line()}")
+        print(f"  trigger:      {shrunk.trigger_input.to_line()} "
               f"(reproduced: {shrunk.reproduced})")
-        print(f"  minimized:    {format_line(shrunk.minimized_input)}")
+        print(f"  minimized:    {shrunk.minimized_input.to_line()}")
         declared = shrunk.trigger_input.data[0]
         actual = len(shrunk.trigger_input.data) - 1
         print(f"  shape: declared length {declared} > {actual} actual "
@@ -47,8 +47,8 @@ def main() -> None:
 
     # replay determinism: an identical campaign finds identical triggers
     again = run_campaign(config, StateTransport(EcuState(config=SimConfig())))
-    same = [format_line(f.trigger_input) for f in result.findings] == [
-        format_line(f.trigger_input) for f in again.findings
+    same = [f.trigger_input for f in result.findings] == [
+        f.trigger_input for f in again.findings
     ]
     print(f"re-run with the same seed reproduces the trigger list: {same}")
 

@@ -42,7 +42,6 @@ from .executor import (
 )
 from .item_model import (
     Exposure,
-    FingerprintError,
     InterfaceKind,
     ItemError,
     ProbeConfig,
@@ -190,23 +189,26 @@ def _sim_process(vulns: str):
     """Spawn a simulator subprocess and guarantee its teardown."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "vecuforge.simulator", "--vulns", vulns],
+        stdin=subprocess.DEVNULL,
         stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
         text=True,
     )
+    line = proc.stdout.readline()
+    match = re.match(r"LISTENING data=(\d+) mgmt=(\d+)", line)
+    if not match:
+        proc.kill()
+        _, err = proc.communicate()
+        raise InfraError(f"simulator did not come up (got {line!r}): {err.strip()}")
     try:
-        line = proc.stdout.readline() if proc.stdout else ""
-        match = re.match(r"LISTENING data=(\d+) mgmt=(\d+)", line or "")
-        if not match:
-            raise InfraError(f"simulator did not come up (got {line!r})")
         yield "127.0.0.1", int(match.group(1)), int(match.group(2))
     finally:
         proc.terminate()
         try:
-            proc.wait(timeout=5)
+            proc.communicate(timeout=5)
         except subprocess.TimeoutExpired:
             proc.kill()
-            proc.wait()
+            proc.communicate()
 
 
 # -- stages ------------------------------------------------------------------
@@ -467,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InfraError, ExecutorError, FingerprintError) as exc:
+    except (InfraError, ExecutorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFRA
 

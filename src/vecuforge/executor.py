@@ -12,13 +12,12 @@ faults and never encodes an oracle outcome.
 
 from __future__ import annotations
 
-import socket
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__
-from .frames import Frame, FrameError, parse_line
+from .frames import ExecutorError, Frame, FrameError, LineClient, parse_line
 from .fuzz_engine import PRNG_NAME, FuzzConfig, minimize, run_campaign
 from .item_model import Exposure, Interface, InterfaceKind, ProbeConfig, fingerprint_sut
 from .script_registry import RegistryError, ScriptRegistry, render_command
@@ -34,13 +33,11 @@ from .tcg import SutDatabase, TestCase
 from .vuln_scanner import VulnDbEntry, scan
 
 DEFAULT_DEADLINE_MS = 500
+RESPONSE_WAIT = 0.25
+IDLE_GAP = 0.03
 VERDICTS = ("pass", "fail", "error", "inconclusive")
 
 _TESTER_PRESENT = bytes([0x01, 0x3E])
-
-
-class ExecutorError(RuntimeError):
-    """Infrastructure fault: connectivity, configuration or protocol."""
 
 
 def _now() -> str:
@@ -136,56 +133,11 @@ def build_env_template(
 # -- line-framed TCP channels -------------------------------------------
 
 
-class _LineClient:
-    """Newline-framed TCP client with per-read deadlines."""
-
-    def __init__(self, host: str, port: int, connect_timeout: float = 2.0):
-        try:
-            self.sock = socket.create_connection((host, port), timeout=connect_timeout)
-        except OSError as exc:
-            raise ExecutorError(f"cannot connect to {host}:{port}: {exc}") from None
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.buf = b""
-
-    def send_line(self, line: str) -> None:
-        try:
-            self.sock.settimeout(2.0)
-            self.sock.sendall(line.encode() + b"\n")
-        except OSError as exc:
-            raise ExecutorError(f"connection lost while sending: {exc}") from None
-
-    def recv_line(self, timeout: float) -> str | None:
-        """Next line within ``timeout``; zero sweeps already-delivered bytes."""
-        deadline = time.monotonic() + timeout
-        while b"\n" not in self.buf:
-            remaining = deadline - time.monotonic()
-            try:
-                self.sock.settimeout(max(remaining, 0.0))
-                chunk = self.sock.recv(4096)
-            except (BlockingIOError, socket.timeout):
-                if remaining <= 0:
-                    return None
-                continue
-            except OSError as exc:
-                raise ExecutorError(f"connection lost while reading: {exc}") from None
-            if not chunk:
-                raise ExecutorError("peer closed the connection")
-            self.buf += chunk
-        line, self.buf = self.buf.split(b"\n", 1)
-        return line.decode()
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-
 class DataChannel:
     """Frame traffic for one bus."""
 
     def __init__(self, host: str, port: int):
-        self.client = _LineClient(host, port)
+        self.client = LineClient(host, port)
 
     def send(self, frame: Frame) -> None:
         self.client.send_line(frame.to_line())
@@ -215,7 +167,7 @@ class MgmtChannel:
     """State management: dump and load opaque snapshots."""
 
     def __init__(self, host: str, port: int):
-        self.client = _LineClient(host, port)
+        self.client = LineClient(host, port)
 
     def _command(self, line: str, timeout: float = 2.0) -> str:
         self.client.send_line(line)
@@ -312,7 +264,7 @@ def prepare_env(template: EnvTemplate, sutdb: SutDatabase) -> Session:
         if pre == "env_ready":
             continue
         if pre == "sut_alive":
-            if not session.probe_alive(session.default_channel(), 0.25):
+            if not session.probe_alive(session.default_channel(), RESPONSE_WAIT):
                 session.close()
                 raise ExecutorError("precondition sut_alive failed: no probe response")
             continue
@@ -362,13 +314,11 @@ class StateTransport:
 
 @dataclass
 class Resources:
-    """Shared lookups and timing knobs for the tool handlers."""
+    """Shared lookups and the fingerprint probe settings for the tool handlers."""
 
     sutdb: SutDatabase
     vulndb: list[VulnDbEntry] = field(default_factory=list)
     probe_cfg: ProbeConfig = ProbeConfig()
-    response_wait: float = 0.25
-    idle_gap: float = 0.03
 
 
 @dataclass
@@ -485,7 +435,7 @@ class _CaseRun:
             raise ExecutorError(f"cansend: bad frame {line!r}: {exc}") from None
         started = time.monotonic()
         channel.send(frame)
-        rx = channel.collect(self.res.response_wait, self.res.idle_gap)
+        rx = channel.collect(RESPONSE_WAIT, IDLE_GAP)
         record.latency_ms = (time.monotonic() - started) * 1000.0
         record.tx.append(frame.to_line())
         record.rx.extend(f.to_line() for f in rx)
@@ -498,7 +448,7 @@ class _CaseRun:
         frame = Frame(self.session.func_id, _TESTER_PRESENT)
         started = time.monotonic()
         channel.send(frame)
-        rx = channel.collect(self.res.response_wait, self.res.idle_gap)
+        rx = channel.collect(RESPONSE_WAIT, IDLE_GAP)
         record.latency_ms = (time.monotonic() - started) * 1000.0
         record.tx.append(frame.to_line())
         record.rx.extend(f.to_line() for f in rx)
@@ -524,7 +474,7 @@ class _CaseRun:
         started = time.monotonic()
         request = Frame(phys, bytes([0x02, 0x27, 0x01]))
         channel.send(request)
-        rx = channel.collect(self.res.response_wait, self.res.idle_gap)
+        rx = channel.collect(RESPONSE_WAIT, IDLE_GAP)
         record.tx.append(request.to_line())
         record.rx.extend(f.to_line() for f in rx)
         seed = None
@@ -540,7 +490,7 @@ class _CaseRun:
         key = derivations[algorithm](seed, const)
         submit = Frame(phys, bytes([0x04, 0x27, 0x02, key[0], key[1]]))
         channel.send(submit)
-        rx2 = channel.collect(self.res.response_wait, self.res.idle_gap)
+        rx2 = channel.collect(RESPONSE_WAIT, IDLE_GAP)
         record.latency_ms = (time.monotonic() - started) * 1000.0
         record.tx.append(submit.to_line())
         record.rx.extend(f.to_line() for f in rx2)
@@ -592,7 +542,7 @@ class _CaseRun:
             channel.drain()
             channel.send(finding.trigger_input)
             record.tx.append(finding.trigger_input.to_line())
-            alive = self.session.probe_alive(channel, self.res.response_wait)
+            alive = self.session.probe_alive(channel, RESPONSE_WAIT)
             confirmations.append(not alive)
             self.session.mgmt.load(campaign_start)
         record.latency_ms = (time.monotonic() - started) * 1000.0
@@ -820,7 +770,7 @@ def execute_case(
         return finish("error", f"interface module missing for {missing}")
 
     try:
-        if not session.probe_alive(session.default_channel(), resources.response_wait):
+        if not session.probe_alive(session.default_channel(), RESPONSE_WAIT):
             return finish(
                 "error", "precondition sut_alive failed before the first activity"
             )
@@ -831,9 +781,7 @@ def execute_case(
                 run.run_expect(step)
             else:
                 raise ExecutorError(f"unknown activity kind {step.kind!r}")
-        final_alive = session.probe_alive(
-            session.default_channel(), resources.response_wait
-        )
+        final_alive = session.probe_alive(session.default_channel(), RESPONSE_WAIT)
     except ExecutorError as exc:
         return finish("error", str(exc))
     facts = run.facts(final_alive)

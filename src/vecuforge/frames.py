@@ -1,12 +1,16 @@
-"""CAN-like frame type and the line-oriented wire codec.
+"""CAN-like frame type, the line-oriented wire codec and its TCP client.
 
 One frame per line, lowercase hex: ``<id-3-hex>#<data-hex-pairs>``,
-e.g. ``7df#02010d``. Ids are 11 bit, payloads are 0-8 bytes.
+e.g. ``7df#02010d``. Ids are 11 bit, payloads are 0-8 bytes. The
+management channel uses the same newline framing for its commands, so
+every connection to the SUT goes through ``LineClient``.
 """
 
 from __future__ import annotations
 
 import re
+import socket
+import time
 from dataclasses import dataclass
 
 MAX_FRAME_ID = 0x7FF
@@ -53,5 +57,53 @@ def parse_line(line: str) -> Frame:
     return Frame(frame_id, data)
 
 
-def format_line(frame: Frame) -> str:
-    return frame.to_line()
+# -- line-framed TCP client ----------------------------------------------
+
+
+class ExecutorError(RuntimeError):
+    """Infrastructure fault: connectivity, configuration or protocol."""
+
+
+class LineClient:
+    """Newline-framed TCP client with per-read deadlines."""
+
+    def __init__(self, host: str, port: int):
+        try:
+            self.sock = socket.create_connection((host, port), timeout=2.0)
+        except OSError as exc:
+            raise ExecutorError(
+                f"SUT unreachable: cannot connect to {host}:{port}: {exc}"
+            ) from None
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.buf = b""
+
+    def send_line(self, line: str) -> None:
+        try:
+            self.sock.settimeout(2.0)
+            self.sock.sendall(line.encode() + b"\n")
+        except OSError as exc:
+            raise ExecutorError(f"connection lost while sending: {exc}") from None
+
+    def recv_line(self, timeout: float) -> str | None:
+        """Next line within ``timeout``; zero sweeps already-delivered bytes."""
+        deadline = time.monotonic() + timeout
+        while b"\n" not in self.buf:
+            remaining = deadline - time.monotonic()
+            try:
+                self.sock.settimeout(max(remaining, 0.0))
+                chunk = self.sock.recv(4096)
+            except (BlockingIOError, socket.timeout):
+                return None
+            except OSError as exc:
+                raise ExecutorError(f"connection lost while reading: {exc}") from None
+            if not chunk:
+                raise ExecutorError("peer closed the connection")
+            self.buf += chunk
+        line, self.buf = self.buf.split(b"\n", 1)
+        return line.decode()
+
+    def close(self) -> None:
+        try:
+            self.sock.close()
+        except OSError:
+            pass

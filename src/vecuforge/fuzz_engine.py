@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Protocol
 
-from .frames import MAX_DATA_LEN, Frame, format_line, parse_line
+from .frames import MAX_DATA_LEN, Frame, parse_line
 
 MUTATION_OPS = ("bit_flip", "byte_random", "extend", "length_field_corrupt", "truncate")
 PRNG_NAME = "stdlib-mersenne-twister"
@@ -64,7 +64,7 @@ class FuzzConfig:
         return {
             "seed": self.seed,
             "budget": self.budget,
-            "corpus": [format_line(f) for f in self.corpus],
+            "corpus": [f.to_line() for f in self.corpus],
             "mutation_ops": sorted(self.mutation_ops),
             "probe_every": self.probe_every,
             "prng": PRNG_NAME,
@@ -92,13 +92,13 @@ class FuzzFinding:
 
     def to_dict(self) -> dict:
         return {
-            "trigger_input": format_line(self.trigger_input),
-            "source_input": format_line(self.source_input),
+            "trigger_input": self.trigger_input.to_line(),
+            "source_input": self.source_input.to_line(),
             "position": self.position,
             "verdict_evidence": self.verdict_evidence,
             "reproduced": self.reproduced,
             "minimized_input": (
-                None if self.minimized_input is None else format_line(self.minimized_input)
+                None if self.minimized_input is None else self.minimized_input.to_line()
             ),
         }
 

@@ -16,21 +16,16 @@ surface, which reconcile() will flag against the declaration.
 from __future__ import annotations
 
 import json
-import socket
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 
-from .frames import Frame, FrameError, parse_line
+from .frames import ExecutorError, Frame, FrameError, LineClient, parse_line
 
 
 class ItemError(ValueError):
     """Malformed item file or violated model invariant."""
-
-
-class FingerprintError(RuntimeError):
-    """SUT unreachable or probe budget exhausted."""
 
 
 class InterfaceKind(str, Enum):
@@ -304,45 +299,6 @@ class FingerprintReport:
         )
 
 
-class _ProbeChannel:
-    """Line-framed probe connection with per-read timeouts."""
-
-    def __init__(self, host: str, port: int):
-        try:
-            self.sock = socket.create_connection((host, port), timeout=2.0)
-        except OSError as exc:
-            raise FingerprintError(f"SUT unreachable at {host}:{port}: {exc}") from None
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.buf = b""
-
-    def probe(self, frame: Frame, timeout: float) -> Frame | None:
-        """Send one frame, return the first response line within timeout."""
-        self.sock.sendall(frame.to_line().encode() + b"\n")
-        deadline = time.monotonic() + timeout
-        while b"\n" not in self.buf:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
-            self.sock.settimeout(remaining)
-            try:
-                chunk = self.sock.recv(4096)
-            except socket.timeout:
-                return None
-            except OSError as exc:
-                raise FingerprintError(f"connection lost during probe: {exc}") from None
-            if not chunk:
-                raise FingerprintError("SUT closed the connection during probing")
-            self.buf += chunk
-        line, self.buf = self.buf.split(b"\n", 1)
-        try:
-            return parse_line(line.decode())
-        except FrameError:
-            return None
-
-    def close(self) -> None:
-        self.sock.close()
-
-
 def fingerprint_sut(
     interface: Interface,
     probe_cfg: ProbeConfig = ProbeConfig(),
@@ -356,24 +312,36 @@ def fingerprint_sut(
     addr = interface.address_map
     if endpoint is None:
         if "host" not in addr or "port" not in addr:
-            raise FingerprintError(f"interface {interface.id!r} has no host/port address")
+            raise ExecutorError(f"interface {interface.id!r} has no host/port address")
         endpoint = (addr["host"], int(addr["port"]))
 
     started = time.monotonic()
 
     def check_budget() -> None:
         if probe_cfg.budget is not None and time.monotonic() - started > probe_cfg.budget:
-            raise FingerprintError(
+            raise ExecutorError(
                 f"timeout budget exceeded ({probe_cfg.budget}s) while fingerprinting {interface.id}"
             )
 
-    chan = _ProbeChannel(*endpoint)
+    client = LineClient(*endpoint)
+
+    def probe(frame: Frame) -> Frame | None:
+        """Send one frame; the first reply line within the timeout, if it parses."""
+        client.send_line(frame.to_line())
+        line = client.recv_line(probe_cfg.probe_timeout)
+        if line is None:
+            return None
+        try:
+            return parse_line(line)
+        except FrameError:
+            return None
+
     try:
         responding: list[int] = []
         lo, hi = probe_cfg.id_range
         for frame_id in range(lo, hi + 1):
             check_budget()
-            if chan.probe(Frame(frame_id, bytes([0x01, 0x3E])), probe_cfg.probe_timeout):
+            if probe(Frame(frame_id, bytes([0x01, 0x3E]))):
                 responding.append(frame_id)
 
         services: set[int] = set()
@@ -382,12 +350,12 @@ def fingerprint_sut(
         for frame_id in responding:
             for svc in range(s_lo, s_hi + 1):
                 check_budget()
-                resp = chan.probe(Frame(frame_id, bytes([0x01, svc])), probe_cfg.probe_timeout)
+                resp = probe(Frame(frame_id, bytes([0x01, svc])))
                 if resp is not None:
                     services.add(svc)
                     banners.setdefault(svc, resp.data)
     finally:
-        chan.close()
+        client.close()
 
     return FingerprintReport(
         probed_interface=interface.id,

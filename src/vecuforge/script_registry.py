@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from pathlib import Path
 
 from .scenario_dsl import PatternStep
@@ -41,9 +40,7 @@ class TestScript:
     implements: str
     command_template: str
     param_schema: tuple[tuple[str, ParamSpec], ...] = ()
-    tools: tuple[str, ...] = ()
     sut_slots: tuple[str, ...] = ()
-    oracle_hooks: tuple[str, ...] = ()
 
     @property
     def params(self) -> dict[str, ParamSpec]:
@@ -74,9 +71,7 @@ class TestScript:
                 name: {"type": spec.type, "required": spec.required}
                 for name, spec in self.param_schema
             },
-            "tools": list(self.tools),
             "sut_slots": list(self.sut_slots),
-            "oracle_hooks": list(self.oracle_hooks),
         }
 
     @classmethod
@@ -91,9 +86,7 @@ class TestScript:
                     for name, spec in doc.get("param_schema", {}).items()
                 )
             ),
-            tools=tuple(doc.get("tools", [])),
             sut_slots=tuple(doc.get("sut_slots", [])),
-            oracle_hooks=tuple(doc.get("oracle_hooks", [])),
         )
 
 
@@ -148,45 +141,3 @@ def render_command(script: TestScript, bound_args: dict[str, str], slot_values: 
     if leftover:
         raise RegistryError(f"script {script.id!r}: unbound slots {leftover} in {out!r}")
     return out
-
-
-# -- validation against SUT configurations -------------------------------
-
-
-class ValidationStatus(str, Enum):
-    VALID = "valid"
-    INVALID = "invalid"
-    UNTESTED = "untested"
-
-
-@dataclass
-class ValidationRecord:
-    script_ref: str
-    outcomes: list[tuple[str, str]] = field(default_factory=list)
-    status: ValidationStatus = ValidationStatus.UNTESTED
-    cause: str = ""
-
-
-def validate_script(script, positive_cfg, negative_cfg, edge_cfgs, attack_runner) -> ValidationRecord:
-    """Confirm a script succeeds where it must and fails where it must.
-
-    ``attack_runner(label, config) -> bool`` executes the script against a
-    SUT launched with ``config`` and reports attack success. Status is
-    valid exactly when the positive config succeeds and the negative one
-    does not; edge configs are recorded without affecting status.
-    """
-    record = ValidationRecord(script_ref=script.id)
-    try:
-        pos = attack_runner("positive", positive_cfg)
-        record.outcomes.append(("positive", "attack-success" if pos else "attack-failure"))
-        neg = attack_runner("negative", negative_cfg)
-        record.outcomes.append(("negative", "attack-success" if neg else "attack-failure"))
-        for i, cfg in enumerate(edge_cfgs):
-            edge = attack_runner(f"edge-{i}", cfg)
-            record.outcomes.append((f"edge-{i}", "attack-success" if edge else "attack-failure"))
-    except Exception as exc:
-        record.status = ValidationStatus.UNTESTED
-        record.cause = str(exc)
-        return record
-    record.status = ValidationStatus.VALID if (pos and not neg) else ValidationStatus.INVALID
-    return record

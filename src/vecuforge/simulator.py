@@ -469,15 +469,11 @@ class SimServer:
                 new_cfg = _parse_config_value(self.state, k.strip(), v.strip())
             except ValueError as exc:
                 return f"ERR {exc}\n"
-            self.state = replace_config(self.state, new_cfg)
+            nxt = self.state.clone()
+            nxt.config = new_cfg
+            self.state = nxt
             return "OK\n"
         return "ERR unknown command\n"
-
-
-def replace_config(state: EcuState, config: SimConfig) -> EcuState:
-    nxt = state.clone()
-    nxt.config = config
-    return nxt
 
 
 def main(argv: list[str] | None = None) -> int:

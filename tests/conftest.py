@@ -6,41 +6,9 @@ from pathlib import Path
 import pytest
 
 import vecuforge
-from vecuforge.frames import Frame
-from vecuforge.simulator import EcuState, SimConfig, SimServer, dump_state, handle_frame, load_state
+from vecuforge.simulator import SimConfig, SimServer
 
 SAMPLES = Path(vecuforge.__file__).parent / "samples"
-
-_TESTER_PRESENT = Frame(0x7DF, bytes([0x01, 0x3E]))
-
-
-class LocalTransport:
-    """In-process fuzz transport over the pure frame handler.
-
-    Same observable behaviour as the socket path, without the sockets;
-    lets fuzz campaigns run at memory speed in tests.
-    """
-
-    def __init__(self, config: SimConfig | None = None):
-        self._state = EcuState(config=config or SimConfig())
-        self._snapshot = dump_state(self._state)
-        self._pending = 0
-
-    def send(self, frame: Frame) -> None:
-        self._state, responses = handle_frame(self._state, frame)
-        self._pending += len(responses)
-
-    def drain(self) -> int:
-        count, self._pending = self._pending, 0
-        return count
-
-    def alive(self) -> bool:
-        self._state, responses = handle_frame(self._state, _TESTER_PRESENT)
-        return bool(responses)
-
-    def restore(self) -> None:
-        self._state = load_state(self._snapshot)
-        self._pending = 0
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,10 @@ from vecuforge.cli import (
     EXIT_OK,
     EXIT_USAGE,
     RUN_DIR_ENV,
+    InfraError,
     RunStore,
     UsageError,
+    _sim_process,
     main,
 )
 from vecuforge.simulator import SimConfig
@@ -236,3 +238,8 @@ class TestDemo:
         assert report["dashboard"]["fail"] == 4
         assert (tmp_path / "cleanup.json").exists()
         assert (tmp_path / "fingerprint.json").exists()
+
+    def test_simulator_start_failure_carries_its_stderr(self):
+        with pytest.raises(InfraError, match="invalid choice"):
+            with _sim_process("maybe"):
+                pass

@@ -497,6 +497,25 @@ class TestErrorVerdicts:
         assert result.verdict == "error"
         assert "hammer" in result.error
 
+    def test_exhausted_scan_budget_is_infrastructure(self, sim_factory, sutdb,
+                                                     registry, pipeline_cases,
+                                                     samples_dir):
+        resources = Resources(
+            sutdb=sutdb,
+            vulndb=load_vulndb(samples_dir / "vulndb.json"),
+            probe_cfg=ProbeConfig(id_range=(0x7DD, 0x7E2), probe_timeout=0.005,
+                                  budget=1e-9),
+        )
+        server = sim_factory(SimConfig())
+        case = pipeline_cases["vulnscan-item-demo-ecu"][0]
+        session = make_session(server, sutdb, [case])
+        try:
+            result = execute_case(case, session, resources, registry)
+        finally:
+            session.close()
+        assert result.verdict == "error"
+        assert "budget" in result.error
+
 
 # -- restore ---------------------------------------------------------------
 

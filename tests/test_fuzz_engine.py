@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LocalTransport
+from vecuforge.executor import StateTransport
 from vecuforge.frames import Frame, parse_line
 from vecuforge.fuzz_engine import (
     MUTATION_OPS,
@@ -19,7 +19,7 @@ from vecuforge.fuzz_engine import (
     mutate,
     run_campaign,
 )
-from vecuforge.simulator import SimConfig
+from vecuforge.simulator import EcuState, SimConfig
 from vecuforge.tcg import load_sutdb
 
 ALL_OPS = frozenset(MUTATION_OPS)
@@ -113,7 +113,7 @@ class TestConfig:
 class TestCampaign:
     def test_finds_length_crash_with_seed_one(self, corpus):
         config = FuzzConfig(seed=1, budget=10_000, corpus=corpus, probe_every=50)
-        result = run_campaign(config, LocalTransport(SimConfig()))
+        result = run_campaign(config, StateTransport(EcuState(config=SimConfig())))
         assert result.findings, "seeded length-field defect not found"
         for finding in result.findings:
             assert finding.reproduced
@@ -124,7 +124,7 @@ class TestCampaign:
     def test_control_run_finds_nothing(self, corpus):
         config = FuzzConfig(seed=1, budget=10_000, corpus=corpus, probe_every=50)
         sim = SimConfig(v3_length_crash=False)
-        result = run_campaign(config, LocalTransport(sim))
+        result = run_campaign(config, StateTransport(EcuState(config=sim)))
         assert result.findings == []
         assert result.stats["frames_sent"] == 10_000
 
@@ -132,7 +132,7 @@ class TestCampaign:
         config = FuzzConfig(
             seed=1, budget=10, corpus=corpus, mutation_ops=frozenset(), probe_every=5
         )
-        result = run_campaign(config, LocalTransport(SimConfig()))
+        result = run_campaign(config, StateTransport(EcuState(config=SimConfig())))
         assert result.findings == []
         assert result.stats["frames_sent"] == 10
         assert result.stats["responses"] > 0
@@ -140,19 +140,19 @@ class TestCampaign:
 
     def test_deterministic(self, corpus):
         config = FuzzConfig(seed=77, budget=2_000, corpus=corpus, probe_every=25)
-        one = run_campaign(config, LocalTransport(SimConfig())).to_dict()
-        two = run_campaign(config, LocalTransport(SimConfig())).to_dict()
+        one = run_campaign(config, StateTransport(EcuState(config=SimConfig()))).to_dict()
+        two = run_campaign(config, StateTransport(EcuState(config=SimConfig()))).to_dict()
         assert one == two
 
     @pytest.mark.parametrize("budget", [1, 7, 49, 50, 51, 500])
     def test_budget_respected(self, corpus, budget):
         config = FuzzConfig(seed=5, budget=budget, corpus=corpus, probe_every=50)
-        result = run_campaign(config, LocalTransport(SimConfig()))
+        result = run_campaign(config, StateTransport(EcuState(config=SimConfig())))
         assert result.stats["frames_sent"] == budget
 
     def test_findings_deduplicated_and_ordered(self, corpus):
         config = FuzzConfig(seed=11, budget=5_000, corpus=corpus, probe_every=20)
-        result = run_campaign(config, LocalTransport(SimConfig()))
+        result = run_campaign(config, StateTransport(EcuState(config=SimConfig())))
         triggers = [(f.trigger_input.id, f.trigger_input.data) for f in result.findings]
         assert len(triggers) == len(set(triggers))
         positions = [f.position for f in result.findings]
@@ -160,7 +160,7 @@ class TestCampaign:
 
     def test_finding_serialization_round_trip_fields(self, corpus):
         config = FuzzConfig(seed=1, budget=2_000, corpus=corpus, probe_every=50)
-        result = run_campaign(config, LocalTransport(SimConfig()))
+        result = run_campaign(config, StateTransport(EcuState(config=SimConfig())))
         doc = result.to_dict()
         assert doc["stats"]["frames_sent"] == 2_000
         for entry in doc["findings"]:
@@ -175,7 +175,7 @@ class TestCampaign:
             assert "#" in entry["trigger_input"]
 
 
-def kills(transport: LocalTransport, frame: Frame) -> bool:
+def kills(transport: StateTransport, frame: Frame) -> bool:
     transport.restore()
     transport.send(frame)
     transport.drain()
@@ -189,7 +189,7 @@ def campaign_finding(samples_dir) -> FuzzFinding:
     config = FuzzConfig(
         seed=1, budget=2_000, corpus=bundled_corpus(samples_dir), probe_every=50
     )
-    result = run_campaign(config, LocalTransport(SimConfig()))
+    result = run_campaign(config, StateTransport(EcuState(config=SimConfig())))
     assert result.findings
     return result.findings[0]
 
@@ -197,14 +197,14 @@ def campaign_finding(samples_dir) -> FuzzFinding:
 class TestMinimize:
 
     def test_minimized_still_reproduces(self, campaign_finding):
-        minimized = minimize(campaign_finding, LocalTransport(SimConfig()))
+        minimized = minimize(campaign_finding, StateTransport(EcuState(config=SimConfig())))
         assert minimized.minimized_input is not None
-        assert kills(LocalTransport(SimConfig()), minimized.minimized_input)
+        assert kills(StateTransport(EcuState(config=SimConfig())), minimized.minimized_input)
 
     def test_one_minimality(self, campaign_finding):
-        minimized = minimize(campaign_finding, LocalTransport(SimConfig()))
+        minimized = minimize(campaign_finding, StateTransport(EcuState(config=SimConfig())))
         trigger = minimized.minimized_input
-        checker = LocalTransport(SimConfig())
+        checker = StateTransport(EcuState(config=SimConfig()))
         for ix in range(len(trigger.data)):
             dropped = Frame(trigger.id, trigger.data[:ix] + trigger.data[ix + 1 :])
             assert not kills(checker, dropped), f"dropping byte {ix} still crashes"
@@ -227,7 +227,7 @@ class TestMinimize:
             verdict_evidence={},
             reproduced=True,
         )
-        minimized = minimize(finding, LocalTransport(SimConfig()))
+        minimized = minimize(finding, StateTransport(EcuState(config=SimConfig())))
         assert minimized.minimized_input == trigger
 
     def test_flaky_trigger_flagged(self, corpus):
@@ -239,6 +239,6 @@ class TestMinimize:
             verdict_evidence={},
             reproduced=True,
         )
-        out = minimize(finding, LocalTransport(SimConfig()))
+        out = minimize(finding, StateTransport(EcuState(config=SimConfig())))
         assert out.reproduced is False
         assert out.minimized_input is None

@@ -7,11 +7,11 @@ import socket
 
 import pytest
 
+from vecuforge.executor import ExecutorError
 from vecuforge.item_model import (
     Discrepancy,
     DiscrepancyKind,
     Exposure,
-    FingerprintError,
     FingerprintReport,
     Interface,
     InterfaceKind,
@@ -151,13 +151,13 @@ class TestFingerprint:
         port = probe.getsockname()[1]
         probe.close()
         iface = Interface("IF1", "C1", InterfaceKind.CANLIKE, Exposure.EXTERNAL)
-        with pytest.raises(FingerprintError, match="unreachable"):
+        with pytest.raises(ExecutorError, match="unreachable"):
             fingerprint_sut(iface, ProbeConfig(), endpoint=("127.0.0.1", port))
 
     def test_budget_exceeded(self, sim_factory):
         sim = sim_factory()
         iface = Interface("IF1", "C1", InterfaceKind.CANLIKE, Exposure.EXTERNAL)
-        with pytest.raises(FingerprintError, match="budget"):
+        with pytest.raises(ExecutorError, match="budget"):
             fingerprint_sut(
                 iface,
                 ProbeConfig(id_range=(0x700, 0x7FF), probe_timeout=0.005, budget=0.01),

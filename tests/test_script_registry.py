@@ -1,8 +1,6 @@
-"""Script matching, registration, rendering and SUT-config validation."""
+"""Script matching, registration and rendering."""
 
 from __future__ import annotations
-
-import itertools
 
 import pytest
 
@@ -12,9 +10,7 @@ from vecuforge.script_registry import (
     ParamSpec,
     RegistryError,
     ScriptRegistry,
-    ValidationStatus,
     render_command,
-    validate_script,
 )
 from vecuforge.vocabulary import PATTERNS
 
@@ -137,35 +133,3 @@ class TestRender:
         script = registry.scripts["cansend-frame"]
         with pytest.raises(RegistryError, match="unbound"):
             render_command(script, {"id": "7df"}, {})
-
-
-class TestValidateScript:
-    def script(self) -> TestScript:
-        return Script(id="s", implements="TESTER_PRESENT", command_template="probe {bus}",
-                          sut_slots=("bus",))
-
-    def test_truth_table(self):
-        for pos, neg in itertools.product([True, False], repeat=2):
-            outcomes = {"positive": pos, "negative": neg}
-            record = validate_script(
-                self.script(), "P", "N", [], lambda label, cfg: outcomes[label]
-            )
-            expected = ValidationStatus.VALID if (pos and not neg) else ValidationStatus.INVALID
-            assert record.status is expected, (pos, neg)
-
-    def test_edges_recorded_but_ignored(self):
-        def runner(label, cfg):
-            return {"positive": True, "negative": False, "edge-0": True, "edge-1": False}[label]
-
-        record = validate_script(self.script(), "P", "N", ["E0", "E1"], runner)
-        assert record.status is ValidationStatus.VALID
-        assert ("edge-0", "attack-success") in record.outcomes
-        assert ("edge-1", "attack-failure") in record.outcomes
-
-    def test_runner_failure_means_untested(self):
-        def runner(label, cfg):
-            raise ConnectionError("sim is down")
-
-        record = validate_script(self.script(), "P", "N", [], runner)
-        assert record.status is ValidationStatus.UNTESTED
-        assert "sim is down" in record.cause
