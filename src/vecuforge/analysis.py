@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .item_model import Interface, Item, SecurityGoal, declared_services
+from .item_model import Interface, Item, SecurityGoal, declared_services, service_byte
 
 
 class AnalysisError(ValueError):
@@ -77,18 +77,6 @@ class MatchPredicate:
         ):
             raise AnalysisError("match predicate needs at least one non-wildcard field")
 
-    def to_dict(self) -> dict:
-        out: dict = {}
-        if self.interface_kind is not None:
-            out["interface_kind"] = self.interface_kind
-        if self.exposure is not None:
-            out["exposure"] = self.exposure
-        if self.service is not None:
-            out["service"] = f"0x{self.service:02x}"
-        if self.goal_property is not None:
-            out["goal_property"] = self.goal_property
-        return out
-
 
 @dataclass(frozen=True)
 class ThreatCatalogEntry:
@@ -109,23 +97,6 @@ class Threat:
     catalog_ref: str
     target: str
     mapped_goal: str
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "catalog_ref": self.catalog_ref,
-            "target": self.target,
-            "mapped_goal": self.mapped_goal,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Threat":
-        return cls(
-            id=doc["id"],
-            catalog_ref=doc["catalog_ref"],
-            target=doc["target"],
-            mapped_goal=doc["mapped_goal"],
-        )
 
 
 @dataclass(frozen=True)
@@ -186,17 +157,6 @@ class SecurityRequirement:
         if not self.derived_from:
             raise AnalysisError(f"requirement {self.id!r} derives from no threat")
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "text": self.text,
-            "kind": self.kind.value,
-            "derived_from": list(self.derived_from),
-            "goal_ref": self.goal_ref,
-            "countermeasure_ref": self.countermeasure_ref,
-            "verification_hint": self.verification_hint.value,
-        }
-
     @classmethod
     def from_dict(cls, doc: dict) -> "SecurityRequirement":
         return cls(
@@ -238,11 +198,7 @@ def load_catalog(path: str) -> Catalog:
             match_predicate=MatchPredicate(
                 interface_kind=e["match_predicate"].get("interface_kind"),
                 exposure=e["match_predicate"].get("exposure"),
-                service=(
-                    int(str(e["match_predicate"]["service"]), 16)
-                    if "service" in e["match_predicate"]
-                    else None
-                ),
+                service=service_byte(e["match_predicate"].get("service")),
                 goal_property=e["match_predicate"].get("goal_property"),
             ),
             threat_class=e["threat_class"],
@@ -390,12 +346,6 @@ def derive_requirements(
 class ConsistencyReport:
     orphan_requirements: list[str]
     uncovered_goals: list[str]
-
-    def to_dict(self) -> dict:
-        return {
-            "orphan_requirements": self.orphan_requirements,
-            "uncovered_goals": self.uncovered_goals,
-        }
 
 
 def check_consistency(

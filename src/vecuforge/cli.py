@@ -21,6 +21,7 @@ import shutil
 import subprocess
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 from .analysis import (
@@ -256,7 +257,7 @@ def stage_analyze(store: RunStore, args) -> int:
     store.write_json(
         "threats.json",
         {
-            "threats": [t.to_dict() for t in analysis.threats],
+            "threats": [asdict(t) for t in analysis.threats],
             "threat_class_by_id": analysis.threat_class_by_id,
             "regulation_refs_by_threat": {
                 k: list(v) for k, v in analysis.regulation_refs_by_threat.items()
@@ -273,10 +274,10 @@ def stage_concept(store: RunStore, args) -> int:
     analysis = _analysis_from_inputs(store, args)
     store.write_json(
         "requirements.json",
-        {"requirements": [r.to_dict() for r in analysis.requirements]},
+        {"requirements": [asdict(r) for r in analysis.requirements]},
     )
-    store.write_json("consistency.json", analysis.consistency.to_dict())
-    store.write_json("trace_index.json", TraceIndex.from_analysis(analysis).to_dict())
+    store.write_json("consistency.json", asdict(analysis.consistency))
+    store.write_json("trace_index.json", asdict(TraceIndex.from_analysis(analysis)))
     return EXIT_OK
 
 
@@ -297,7 +298,7 @@ def stage_plan(store: RunStore, args) -> int:
         seed=args.seed,
         fuzz_budget=args.budget,
     )
-    store.write_json("plan.json", plan.to_dict())
+    store.write_json("plan.json", asdict(plan))
     store.reset_dir("scenarios")
     for scenario in scenarios:
         store.write_bytes(f"scenarios/{scenario.id}.scn", serialize(scenario).encode())
@@ -318,7 +319,7 @@ def stage_tcg(store: RunStore, args) -> int:
         cases.extend(generate_cases(scenario, sutdb, registry, t=args.strength))
     store.reset_dir("cases")
     for case in cases:
-        store.write_json(f"cases/{case.id}.case.json", case.to_dict())
+        store.write_json(f"cases/{case.id}.case.json", asdict(case))
     return EXIT_OK
 
 
@@ -348,7 +349,7 @@ def stage_execute(store: RunStore, args) -> int:
             store.write_json(f"results/{case.id}.result.json", result.to_dict())
             any_fail = any_fail or result.verdict == "fail"
             cleanup = restore(session)
-            cleanups.append({"case_ref": case.id, **cleanup.to_dict()})
+            cleanups.append({"case_ref": case.id, **asdict(cleanup)})
             if not (cleanup.restored and cleanup.verified):
                 broken = cleanup
                 break
@@ -364,12 +365,12 @@ def stage_execute(store: RunStore, args) -> int:
 
 
 def stage_report(store: RunStore, args) -> int:
-    plan = TestPlan.from_dict(store.read_json("plan.json", "plan"))
+    plan = TestPlan(**store.read_json("plan.json", "plan"))
     cases = [
         TestCase.from_dict(doc)
         for doc in store.read_documents("cases", ".case.json", "tcg")
     ]
-    index = TraceIndex.from_dict(store.read_json("trace_index.json", "concept"))
+    index = TraceIndex(**store.read_json("trace_index.json", "concept"))
     results_dir = store.path("results")
     results = [
         TestResult.from_dict(json.loads(path.read_text(encoding="utf-8")))

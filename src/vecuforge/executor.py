@@ -13,7 +13,7 @@ faults and never encodes an oracle outcome.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__
@@ -35,6 +35,7 @@ from .vuln_scanner import VulnDbEntry, scan
 DEFAULT_DEADLINE_MS = 500
 RESPONSE_WAIT = 0.25
 IDLE_GAP = 0.03
+MGMT_TIMEOUT = 2.0
 VERDICTS = ("pass", "fail", "error", "inconclusive")
 
 _TESTER_PRESENT = bytes([0x01, 0x3E])
@@ -56,12 +57,12 @@ def _payload(frame: Frame) -> bytes:
 
 @dataclass
 class EnvTemplate:
-    """Serializable recipe for a test environment.
+    """Recipe for a test environment.
 
     ``configuration`` holds the SUT endpoint, applicable test
     categories and the preconditions that must hold before testing;
     ``interface_descriptions`` lists one record per logical interface
-    with its stimulation parameters and verification procedure.
+    with the SUT database bus it is reached on.
     """
 
     configuration: dict
@@ -73,16 +74,6 @@ class EnvTemplate:
                 "environment template needs both a configuration and "
                 "interface descriptions"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "configuration": self.configuration,
-            "interface_descriptions": self.interface_descriptions,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EnvTemplate":
-        return cls(doc["configuration"], doc["interface_descriptions"])
 
 
 def build_env_template(
@@ -101,8 +92,7 @@ def build_env_template(
     for case in cases:
         needs = case.environmental_needs
         for iface in needs.get("interfaces", []):
-            params = dict(iface.get("params", {}))
-            item_ref = params.get("item_ref", iface["logical"])
+            item_ref = iface.get("params", {}).get("item_ref", iface["logical"])
             endpoint = sutdb.endpoints.get(item_ref, {})
             interfaces.setdefault(
                 item_ref,
@@ -111,8 +101,6 @@ def build_env_template(
                     "kind": iface["kind"],
                     "item_ref": item_ref,
                     "bus": endpoint.get("bus", iface["logical"]),
-                    "stimulation": {"protocol": "frame-lines-over-tcp", "params": params},
-                    "verification": "read-response-frames",
                 },
             )
         for pre in needs.get("preconditions", []):
@@ -169,9 +157,9 @@ class MgmtChannel:
     def __init__(self, host: str, port: int):
         self.client = LineClient(host, port)
 
-    def _command(self, line: str, timeout: float = 2.0) -> str:
+    def _command(self, line: str) -> str:
         self.client.send_line(line)
-        reply = self.client.recv_line(timeout)
+        reply = self.client.recv_line(MGMT_TIMEOUT)
         if reply is None:
             raise ExecutorError(f"management channel timed out on {line.split()[0]}")
         if not reply.startswith("OK"):
@@ -598,7 +586,7 @@ class _CaseRun:
                             f"{s:02x}" for s in fp.supported_services
                         ],
                     },
-                    "findings": [f.to_dict() for f in report.findings],
+                    "findings": [asdict(f) for f in report.findings],
                     "followups": report.followups,
                 }
                 for fp, report in reports
@@ -617,7 +605,7 @@ class _CaseRun:
     # -- step execution ----------------------------------------------------
 
     def run_pattern(self, step) -> None:
-        record = StepRecord(step=step.to_dict())
+        record = StepRecord(step=asdict(step))
         if step.script_ref is None or step.script_ref not in self.registry.scripts:
             raise ExecutorError(
                 f"case {self.case.id!r}: no script registered as {step.script_ref!r}"
@@ -638,7 +626,7 @@ class _CaseRun:
         self.records.append(record)
 
     def run_expect(self, step) -> None:
-        record = StepRecord(step=step.to_dict())
+        record = StepRecord(step=asdict(step))
         if self.last_channel is None and self.last_rx == [] and not self.records:
             raise ExecutorError("expect step without a preceding stimulus")
         deadline_ms = step.within_ms if step.within_ms is not None else DEFAULT_DEADLINE_MS
@@ -810,14 +798,6 @@ class CleanupReport:
     restored: bool
     verified: bool
     detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "session_ref": self.session_ref,
-            "restored": self.restored,
-            "verified": self.verified,
-            "detail": self.detail,
-        }
 
 
 def restore(session: Session, *, close: bool = False) -> CleanupReport:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Protocol
 
-from .frames import MAX_DATA_LEN, Frame, parse_line
+from .frames import MAX_DATA_LEN, Frame
 
 MUTATION_OPS = ("bit_flip", "byte_random", "extend", "length_field_corrupt", "truncate")
 PRNG_NAME = "stdlib-mersenne-twister"
@@ -69,16 +69,6 @@ class FuzzConfig:
             "probe_every": self.probe_every,
             "prng": PRNG_NAME,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FuzzConfig":
-        return cls(
-            seed=doc["seed"],
-            budget=doc["budget"],
-            corpus=tuple(parse_line(line) for line in doc["corpus"]),
-            mutation_ops=frozenset(doc.get("mutation_ops", MUTATION_OPS)),
-            probe_every=doc.get("probe_every", 50),
-        )
 
 
 @dataclass(frozen=True)
@@ -142,9 +132,6 @@ def mutate(frame: Frame, rng: random.Random, ops: frozenset[str]) -> Frame:
 class CampaignResult:
     findings: list[FuzzFinding]
     stats: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"findings": [f.to_dict() for f in self.findings], "stats": self.stats}
 
 
 def _replay_prefix(transport: FuzzTransport, log: list[Frame], upto: int) -> bool:

@@ -211,46 +211,17 @@ def load_item(path: str) -> Item:
     return item_from_dict(doc)
 
 
-def serialize_item(item: Item) -> dict:
-    return {
-        "id": item.id,
-        "name": item.name,
-        "boundary": item.boundary,
-        "functions": [
-            {"id": f.id, "name": f.name, "description": f.description, "kind": f.kind}
-            for f in item.functions
-        ],
-        "components": [
-            {"id": c.id, "name": c.name, "description": c.description} for c in item.components
-        ],
-        "interfaces": [
-            {
-                "id": i.id,
-                "component_ref": i.component_ref,
-                "kind": i.kind.value,
-                "exposure": i.exposure.value,
-                "address": dict(i.address),
-            }
-            for i in item.interfaces
-        ],
-        "security_goals": [
-            {"id": g.id, "property": g.property.value, "target_ref": g.target_ref, "statement": g.statement}
-            for g in item.security_goals
-        ],
-        "config_params": item.config_params,
-    }
-
-
-def save_item(item: Item, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(serialize_item(item), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def service_byte(raw) -> int | None:
+    """A service byte as written in input files: a hex string or a JSON number."""
+    if raw is None:
+        return None
+    return int(str(raw), 16) if isinstance(raw, str) else int(raw)
 
 
 def declared_services(item: Item) -> set[int]:
     """Service bytes the item claims to expose (config key declared_services)."""
     raw = item.config_params.get("declared_services", [])
-    return {int(str(v), 16) for v in raw}
+    return {service_byte(v) for v in raw}
 
 
 # -- fingerprinting -----------------------------------------------------
@@ -287,16 +258,6 @@ class FingerprintReport:
             "banners": {f"{s:02x}": b.hex() for s, b in sorted(self.banners.items())},
             "timestamp": self.timestamp,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FingerprintReport":
-        return cls(
-            probed_interface=doc["probed_interface"],
-            responding_request_ids=[int(v, 16) for v in doc["responding_request_ids"]],
-            supported_services=[int(v, 16) for v in doc["supported_services"]],
-            banners={int(k, 16): bytes.fromhex(v) for k, v in doc["banners"].items()},
-            timestamp=doc["timestamp"],
-        )
 
 
 def fingerprint_sut(

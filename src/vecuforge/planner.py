@@ -439,22 +439,6 @@ class TestPlan:
             if not getattr(self, name):
                 raise PlannerError(f"test plan field {name!r} must be non-empty")
 
-    def to_dict(self) -> dict:
-        return {
-            "purpose": self.purpose,
-            "sut_overview": self.sut_overview,
-            "scope": self.scope,
-            "risk_ref": self.risk_ref,
-            "strategy": self.strategy,
-            "environment": self.environment,
-            "case_specs": self.case_specs,
-            "termination": self.termination,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TestPlan":
-        return cls(**doc)
-
 
 _RATIONALE = {
     "penetration": "attack-tree chains for high risks (value >= 8)",

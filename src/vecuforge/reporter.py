@@ -72,19 +72,6 @@ class TraceIndex:
             },
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "goal_by_requirement": self.goal_by_requirement,
-            "threats_by_requirement": self.threats_by_requirement,
-            "goal_by_threat": self.goal_by_threat,
-            "severity_by_threat": self.severity_by_threat,
-            "regulations_by_threat": self.regulations_by_threat,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TraceIndex":
-        return cls(**doc)
-
 
 # -- report type -----------------------------------------------------------
 
@@ -126,21 +113,6 @@ class TestReport:
                 "integrity_violations": self.integrity_violations,
             },
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TestReport":
-        rep, stamps = doc["report"], doc["timestamps"]
-        return cls(
-            management_summary=rep["management_summary"],
-            sut_description=rep["sut_description"],
-            start_time=stamps["start_time"],
-            duration_s=stamps["duration_s"],
-            dashboard=dict(rep["dashboard"]),
-            methods_used=list(rep["methods_used"]),
-            findings=list(rep["findings"]),
-            untested=list(rep["untested"]),
-            integrity_violations=list(rep["integrity_violations"]),
-        )
 
 
 # -- aggregation -------------------------------------------------------------
@@ -309,14 +281,6 @@ def render(report: TestReport, format: str) -> bytes:
     raise ReporterError(
         f"unknown report format {format!r}; expected one of {RENDER_FORMATS}"
     )
-
-
-def parse_machine(data: bytes) -> TestReport:
-    """Inverse of render(report, "machine")."""
-    try:
-        return TestReport.from_dict(json.loads(data.decode()))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ReporterError(f"not a machine report: {exc}") from None
 
 
 def _render_text(report: TestReport) -> str:

@@ -62,18 +62,6 @@ class TestScript:
                     f"schema param nor a sut_slot"
                 )
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "implements": self.implements,
-            "command_template": self.command_template,
-            "param_schema": {
-                name: {"type": spec.type, "required": spec.required}
-                for name, spec in self.param_schema
-            },
-            "sut_slots": list(self.sut_slots),
-        }
-
     @classmethod
     def from_dict(cls, doc: dict) -> "TestScript":
         return cls(
@@ -118,17 +106,6 @@ class ScriptRegistry:
             if required <= (supplied | set(script.sut_slots)):
                 return script
         return None
-
-    def register_script(self, script: TestScript) -> str:
-        script.check(self.known_patterns)
-        if script.id in self.scripts:
-            raise RegistryError(f"script id {script.id!r} already registered")
-        path = self.directory / f"{script.id}.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(script.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        self.scripts[script.id] = script
-        return script.id
 
 
 def render_command(script: TestScript, bound_args: dict[str, str], slot_values: dict[str, str]) -> str:

@@ -148,20 +148,6 @@ class BoundStep:
     bound_args: dict[str, str]
     within_ms: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "script_ref": self.script_ref,
-            "bound_args": self.bound_args,
-            "within_ms": self.within_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BoundStep":
-        return cls(doc["kind"], doc["name"], doc["script_ref"], dict(doc["bound_args"]),
-                   doc.get("within_ms"))
-
 
 @dataclass
 class TestCase:
@@ -182,26 +168,10 @@ class TestCase:
         if not (self.traceability.get("requirement_refs") or self.traceability.get("threat_refs")):
             raise TcgError(f"case {self.id!r} has empty traceability")
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "scenario_ref": self.scenario_ref,
-            "method": self.method,
-            "purpose": self.purpose,
-            "sut_description": self.sut_description,
-            "environmental_needs": self.environmental_needs,
-            "procedural_requirements": self.procedural_requirements,
-            "activities": [a.to_dict() for a in self.activities],
-            "input_data": self.input_data,
-            "expected_results": self.expected_results,
-            "traceability": self.traceability,
-            "variability": self.variability,
-        }
-
     @classmethod
     def from_dict(cls, doc: dict) -> "TestCase":
         doc = dict(doc)
-        doc["activities"] = [BoundStep.from_dict(a) for a in doc["activities"]]
+        doc["activities"] = [BoundStep(**a) for a in doc["activities"]]
         return cls(**doc)
 
 

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .item_model import FingerprintReport
+from .item_model import FingerprintReport, service_byte
 
 
 class ScanError(ValueError):
@@ -47,29 +47,6 @@ class VulnDbEntry:
             except re.error as exc:
                 raise ScanError(f"entry {self.id!r} banner regex invalid: {exc}") from exc
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "title": self.title,
-            "predicate": {
-                "requires_service": (
-                    None if self.requires_service is None else f"0x{self.requires_service:02x}"
-                ),
-                "requires_banner_regex": self.requires_banner_regex,
-                "requires_session": self.requires_session,
-            },
-            "severity": self.severity,
-            "description": self.description,
-            "followup": self.followup,
-            "regulation_refs": list(self.regulation_refs),
-        }
-
-
-def _service_from(raw) -> int | None:
-    if raw is None:
-        return None
-    return int(str(raw), 16) if isinstance(raw, str) else int(raw)
-
 
 def load_vulndb(path: str | Path) -> list[VulnDbEntry]:
     with open(path, encoding="utf-8") as fh:
@@ -81,7 +58,7 @@ def load_vulndb(path: str | Path) -> list[VulnDbEntry]:
             VulnDbEntry(
                 id=e["id"],
                 title=e.get("title", ""),
-                requires_service=_service_from(predicate.get("requires_service")),
+                requires_service=service_byte(predicate.get("requires_service")),
                 requires_banner_regex=predicate.get("requires_banner_regex"),
                 requires_session=predicate.get("requires_session"),
                 severity=int(e.get("severity", 0)),
@@ -101,32 +78,13 @@ class ScanFinding:
     followup_ref: str | None = None
     regulation_refs: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "entry_id": self.entry_id,
-            "severity": self.severity,
-            "evidence": self.evidence,
-            "followup_ref": self.followup_ref,
-            "regulation_refs": list(self.regulation_refs),
-        }
-
 
 @dataclass
 class ScanReport:
     target: str
-    fingerprint_ref: str
     session: str
     findings: list[ScanFinding] = field(default_factory=list)
     followups: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "fingerprint_ref": self.fingerprint_ref,
-            "session": self.session,
-            "findings": [f.to_dict() for f in self.findings],
-            "followups": self.followups,
-        }
 
 
 def _entry_matches(
@@ -165,11 +123,7 @@ def scan(
 ) -> ScanReport:
     """Pure predicate matching; the fingerprint is taken in the initial
     diagnostic session, so session predicates match against that."""
-    report = ScanReport(
-        target=fp.probed_interface,
-        fingerprint_ref=f"{fp.probed_interface}@{fp.timestamp}",
-        session=session,
-    )
+    report = ScanReport(target=fp.probed_interface, session=session)
     for entry in db:
         evidence = _entry_matches(entry, fp, session)
         if evidence is None:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+from vecuforge.analysis import RequirementKind, SecurityRequirement, VerificationHint
 from vecuforge.cli import (
     EXIT_FINDINGS,
     EXIT_INFRA,
@@ -49,6 +51,35 @@ class TestRunStore:
         first = store.path("x.json").read_bytes()
         store.write_json("x.json", {"a": [2, 3], "b": 1})
         assert store.path("x.json").read_bytes() == first
+
+    def test_dataclass_fields_encode_as_plain_json(self, tmp_path):
+        # Artifacts are written as asdict(record): str-valued enums must
+        # encode as their value and tuples as lists.
+        req = SecurityRequirement(
+            id="REQ-1",
+            text="IF-A shall not exhibit it.",
+            kind=RequirementKind.NEGATIVE,
+            derived_from=("T-1", "T-2"),
+            goal_ref="G1",
+            countermeasure_ref=None,
+            verification_hint=VerificationHint.FUZZ,
+        )
+        store = RunStore(tmp_path)
+        store.write_json("req.json", asdict(req))
+        assert store.path("req.json").read_bytes() == (
+            b'{\n'
+            b'  "countermeasure_ref": null,\n'
+            b'  "derived_from": [\n'
+            b'    "T-1",\n'
+            b'    "T-2"\n'
+            b'  ],\n'
+            b'  "goal_ref": "G1",\n'
+            b'  "id": "REQ-1",\n'
+            b'  "kind": "negative",\n'
+            b'  "text": "IF-A shall not exhibit it.",\n'
+            b'  "verification_hint": "fuzz"\n'
+            b'}\n'
+        )
 
     def test_reset_dir_clears_stale_files(self, tmp_path):
         store = RunStore(tmp_path)

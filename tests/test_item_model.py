@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import json
 import socket
 
 import pytest
 
+from vecuforge.analysis import load_catalog
 from vecuforge.executor import ExecutorError
 from vecuforge.item_model import (
     Discrepancy,
@@ -23,9 +25,9 @@ from vecuforge.item_model import (
     item_from_dict,
     load_item,
     reconcile,
-    serialize_item,
 )
 from vecuforge.simulator import SimConfig
+from vecuforge.vuln_scanner import load_vulndb
 
 
 def minimal_doc(**overrides) -> dict:
@@ -112,12 +114,23 @@ class TestLoadAndValidate:
         with pytest.raises(ItemError, match=r"line \d+ column \d+"):
             load_item(str(p))
 
-    def test_roundtrip_fixpoint(self, samples_dir):
-        item = load_item(str(samples_dir / "item.json"))
-        once = serialize_item(item)
-        twice = serialize_item(item_from_dict(once))
-        assert once == twice
-        assert item_from_dict(once) == item_from_dict(twice)
+
+class TestServiceByte:
+    @pytest.mark.parametrize("raw", [39, "0x27"])
+    def test_number_and_hex_string_read_alike_everywhere(self, tmp_path, raw):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps({"entries": [{
+            "id": "TC-1", "title": "t", "match_predicate": {"service": raw},
+            "threat_class": "c", "default_feasibility": 1,
+        }]}))
+        vulndb = tmp_path / "vulndb.json"
+        vulndb.write_text(json.dumps({"entries": [
+            {"id": "V-1", "predicate": {"requires_service": raw}},
+        ]}))
+        item = item_from_dict(minimal_doc(config_params={"declared_services": [raw]}))
+        assert load_catalog(str(catalog)).entries[0].match_predicate.service == 0x27
+        assert declared_services(item) == {0x27}
+        assert load_vulndb(vulndb)[0].requires_service == 0x27
 
 
 class TestFingerprint:
@@ -184,10 +197,6 @@ class TestFingerprint:
         )
         assert sim.state.session == 0x01
         assert sim.state.seed_counter == 0
-
-    def test_report_roundtrip(self):
-        report = FingerprintReport("IF1", [0x7DF], [0x3E], {0x3E: bytes.fromhex("017e")}, "t0")
-        assert FingerprintReport.from_dict(report.to_dict()) == report
 
     def test_banner_invariant(self):
         with pytest.raises(ItemError, match="banner"):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -407,7 +408,7 @@ class TestBuildPlan:
         assert plan.scope == ["IF-CAN", "IF-DEBUG"]
         assert plan.risk_ref == risk_snapshot_id(analysis.risks)
         assert plan.termination["max_duration_s"] > 0
-        assert Plan.from_dict(plan.to_dict()) == plan
+        assert Plan(**json.loads(json.dumps(asdict(plan)))) == plan
 
     def test_scenarios_carry_risk_ref(self, bundled_plan, analysis):
         _, scenarios = bundled_plan
@@ -431,7 +432,7 @@ class TestBuildPlan:
                 seed=1,
                 fuzz_budget=2000,
             )
-            return json.dumps(plan.to_dict()) + "".join(serialize(s) for s in scenarios)
+            return json.dumps(asdict(plan)) + "".join(serialize(s) for s in scenarios)
 
         assert run() == run()
 

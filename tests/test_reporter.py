@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given
@@ -18,7 +19,6 @@ from vecuforge.reporter import (
     ReporterError,
     TraceIndex,
     build_report,
-    parse_machine,
     render,
 )
 from vecuforge.reporter import TestReport as Report
@@ -109,7 +109,7 @@ class TestTraceIndex:
 
     def test_round_trip(self, pipeline):
         index = pipeline["index"]
-        assert TraceIndex.from_dict(index.to_dict()) == index
+        assert TraceIndex(**json.loads(json.dumps(asdict(index)))) == index
 
 
 class TestBuildReport:
@@ -237,7 +237,7 @@ class TestIntegrityViolations:
         assert "integrity violation" in report.management_summary
 
     def test_threat_without_risk_is_flagged(self, pipeline):
-        index = TraceIndex.from_dict(pipeline["index"].to_dict())
+        index = TraceIndex(**asdict(pipeline["index"]))
         del index.severity_by_threat["T-TC-SESSBYPASS-IF-CAN"]
         case = make_case("case-unrated")
         report = build_report(
@@ -291,10 +291,6 @@ class TestRendering:
         ]
         return build_report(pipeline["plan"], cases, results, pipeline["index"])
 
-    def test_machine_round_trip(self, report):
-        data = render(report, "machine")
-        assert parse_machine(data) == report
-
     def test_machine_is_canonical_with_isolated_timestamps(self, report):
         doc = json.loads(render(report, "machine"))
         assert set(doc) == {"timestamps", "report"}
@@ -332,10 +328,6 @@ class TestRendering:
     def test_unknown_format_rejected(self, report):
         with pytest.raises(ReporterError, match="format"):
             render(report, "pdf")
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ReporterError):
-            parse_machine(b"not a report")
 
     def test_dashboard_keys_validated(self):
         with pytest.raises(ReporterError, match="dashboard"):

@@ -1,11 +1,10 @@
-"""Script matching, registration and rendering."""
+"""Script matching, loading checks and rendering."""
 
 from __future__ import annotations
 
 import pytest
 
 from vecuforge.scenario_dsl import PatternStep, Value
-from vecuforge.script_registry import TestScript as Script
 from vecuforge.script_registry import (
     ParamSpec,
     RegistryError,
@@ -69,39 +68,21 @@ class TestMatch:
 
 
 class TestRegister:
-    def good_script(self, sid="probe-alt") -> TestScript:
-        return Script(
-            id=sid,
-            implements="TESTER_PRESENT",
-            command_template="probe {bus}",
-            sut_slots=("bus",),
-        )
-
-    def test_register_and_retrieve(self, tmp_path):
-        reg = ScriptRegistry(tmp_path, PATTERNS)
-        sid = reg.register_script(self.good_script())
-        assert sid == "probe-alt"
-        assert (tmp_path / "probe-alt.json").exists()
-        again = ScriptRegistry(tmp_path, PATTERNS)
-        assert again.match_script(pattern("TESTER_PRESENT")).id == "probe-alt"
+    """Scripts are checked as the registry loads them from its directory."""
 
     def test_unknown_slot_rejected(self, tmp_path):
-        reg = ScriptRegistry(tmp_path, PATTERNS)
-        bad = Script(id="x", implements="TESTER_PRESENT", command_template="probe {key}")
+        (tmp_path / "x.json").write_text(
+            '{"implements": "TESTER_PRESENT", "command_template": "probe {key}"}'
+        )
         with pytest.raises(RegistryError, match="key"):
-            reg.register_script(bad)
-
-    def test_duplicate_id_rejected(self, tmp_path):
-        reg = ScriptRegistry(tmp_path, PATTERNS)
-        reg.register_script(self.good_script())
-        with pytest.raises(RegistryError, match="already"):
-            reg.register_script(self.good_script())
+            ScriptRegistry(tmp_path, PATTERNS)
 
     def test_unknown_pattern_rejected(self, tmp_path):
-        reg = ScriptRegistry(tmp_path, PATTERNS)
-        bad = Script(id="x", implements="FROB_BUS", command_template="frob")
+        (tmp_path / "x.json").write_text(
+            '{"implements": "FROB_BUS", "command_template": "frob"}'
+        )
         with pytest.raises(RegistryError, match="FROB_BUS"):
-            reg.register_script(bad)
+            ScriptRegistry(tmp_path, PATTERNS)
 
     def test_id_must_match_filename(self, tmp_path):
         (tmp_path / "mismatch.json").write_text(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -349,8 +350,8 @@ class TestGenerateCases:
                 steps="    pattern WRITE_DATA(did=$DID, value=$VALUE)",
             )
         )
-        one = json.dumps([c.to_dict() for c in generate_cases(scenario, sutdb, registry)])
-        two = json.dumps([c.to_dict() for c in generate_cases(scenario, sutdb, registry)])
+        one = json.dumps([asdict(c) for c in generate_cases(scenario, sutdb, registry)])
+        two = json.dumps([asdict(c) for c in generate_cases(scenario, sutdb, registry)])
         assert one == two
 
     def test_case_round_trip(self, sutdb, registry):
@@ -364,4 +365,4 @@ class TestGenerateCases:
             )
         )
         for case in generate_cases(scenario, sutdb, registry):
-            assert Case.from_dict(case.to_dict()) == case
+            assert Case.from_dict(json.loads(json.dumps(asdict(case)))) == case

@@ -56,16 +56,6 @@ class TestDatabase:
         with pytest.raises(ScanError, match="regex"):
             VulnDbEntry(id="X", title="t", requires_banner_regex="(")
 
-    def test_entry_round_trip_dict(self, samples_dir):
-        for entry in load_vulndb(samples_dir / "vulndb.json"):
-            doc = entry.to_dict()
-            assert doc["id"] == entry.id
-            assert set(doc["predicate"]) == {
-                "requires_service",
-                "requires_banner_regex",
-                "requires_session",
-            }
-
 
 class TestScan:
     def test_bundled_db_flags_hidden_service(self, samples_dir):
@@ -111,15 +101,11 @@ class TestScan:
     def test_pure_and_order_stable(self, samples_dir):
         db = load_vulndb(samples_dir / "vulndb.json")
         again = list(reversed(db))
-        first = scan(DEFAULT_FP, db).to_dict()
-        assert scan(DEFAULT_FP, db).to_dict() == first
+        first = scan(DEFAULT_FP, db)
+        assert first.target == "IF-CAN"
+        assert scan(DEFAULT_FP, db) == first
         reversed_ids = [f.entry_id for f in scan(DEFAULT_FP, again).findings]
-        assert reversed_ids == [f["entry_id"] for f in reversed(first["findings"])]
-
-    def test_fingerprint_ref_recorded(self, samples_dir):
-        report = scan(DEFAULT_FP, load_vulndb(samples_dir / "vulndb.json"))
-        assert report.target == "IF-CAN"
-        assert report.fingerprint_ref == "IF-CAN@2026-01-01T00:00:00Z"
+        assert reversed_ids == [f.entry_id for f in reversed(first.findings)]
 
 
 def brute_force_matches(entry: VulnDbEntry, fp: FingerprintReport, session: str) -> bool:
