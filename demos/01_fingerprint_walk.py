@@ -35,7 +35,7 @@ def main() -> None:
               f"0x7d8..0x7e4, then service bytes on every responder...")
         fp = fingerprint_sut(
             iface,
-            ProbeConfig(id_range=(0x7D8, 0x7E4), probe_timeout=0.01),
+            ProbeConfig(id_range=(0x7D8, 0x7E4)),
             endpoint=server.data_endpoint,
         )
         print("responding request ids: "

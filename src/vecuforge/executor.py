@@ -4,10 +4,12 @@ A session owns the live connections to one SUT instance and a state
 snapshot taken before any test traffic. Cases run as their bound
 activity list, strictly in order; each pattern step renders its script
 command and is routed by the first word to an internal tool handler
-(cansend, probe, seedkey, fuzz, vulnscan). Expect steps examine the
-frames produced by the preceding stimulus. Verdicts partition into
-pass/fail/error/inconclusive; error is reserved for infrastructure
-faults and never encodes an oracle outcome.
+(cansend, probe, seedkey, fuzz, vulnscan). Every frame sent to the SUT
+ends on its own barrier (see ``frames``), so the frames a stimulus drew
+are known once its barrier returns; expect steps examine exactly those
+and never wait. Verdicts partition into pass/fail/error/inconclusive;
+error is reserved for infrastructure faults and never encodes an
+oracle outcome.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ from .simulator import (
 from .tcg import SutDatabase, TestCase
 from .vuln_scanner import VulnDbEntry, scan
 
-DEFAULT_DEADLINE_MS = 500
-RESPONSE_WAIT = 0.25
-IDLE_GAP = 0.03
 MGMT_TIMEOUT = 2.0
 VERDICTS = ("pass", "fail", "error", "inconclusive")
 
@@ -127,25 +126,16 @@ class DataChannel:
     def __init__(self, host: str, port: int):
         self.client = LineClient(host, port)
 
-    def send(self, frame: Frame) -> None:
-        self.client.send_line(frame.to_line())
-
-    def collect(self, first_wait: float, idle_gap: float) -> list[Frame]:
-        """Read frames until the line goes quiet for ``idle_gap``."""
+    def collect(self, frame: Frame) -> list[Frame]:
+        """Send one frame; the frames the SUT answered before its barrier."""
+        (lines,) = self.client.exchange([frame.to_line()])
         frames: list[Frame] = []
-        wait = first_wait
-        while True:
-            line = self.client.recv_line(wait)
-            if line is None:
-                return frames
+        for line in lines:
             try:
                 frames.append(parse_line(line))
             except FrameError:
                 pass
-            wait = idle_gap
-
-    def drain(self) -> list[Frame]:
-        return self.collect(0.0, 0.0)
+        return frames
 
     def close(self) -> None:
         self.client.close()
@@ -201,10 +191,8 @@ class Session:
     def default_channel(self) -> DataChannel:
         return self.channels[sorted(self.channels)[0]]
 
-    def probe_alive(self, channel: DataChannel, wait: float) -> bool:
-        channel.drain()
-        channel.send(Frame(self.func_id, _TESTER_PRESENT))
-        return bool(channel.collect(wait, 0.0))
+    def probe_alive(self, channel: DataChannel) -> bool:
+        return bool(channel.collect(Frame(self.func_id, _TESTER_PRESENT)))
 
     def close(self) -> None:
         for chan in self.channels.values():
@@ -252,7 +240,7 @@ def prepare_env(template: EnvTemplate, sutdb: SutDatabase) -> Session:
         if pre == "env_ready":
             continue
         if pre == "sut_alive":
-            if not session.probe_alive(session.default_channel(), RESPONSE_WAIT):
+            if not session.probe_alive(session.default_channel()):
                 session.close()
                 raise ExecutorError("precondition sut_alive failed: no probe response")
             continue
@@ -405,7 +393,6 @@ class _CaseRun:
         self.registry = registry
         self.records: list[StepRecord] = []
         self.last_rx: list[Frame] = []
-        self.last_channel: DataChannel | None = None
         self.fuzz_findings = 0
         self.scan_ran = False
         self.scan_findings = 0
@@ -422,12 +409,11 @@ class _CaseRun:
         except FrameError as exc:
             raise ExecutorError(f"cansend: bad frame {line!r}: {exc}") from None
         started = time.monotonic()
-        channel.send(frame)
-        rx = channel.collect(RESPONSE_WAIT, IDLE_GAP)
+        rx = channel.collect(frame)
         record.latency_ms = (time.monotonic() - started) * 1000.0
         record.tx.append(frame.to_line())
         record.rx.extend(f.to_line() for f in rx)
-        self.last_rx, self.last_channel = rx, channel
+        self.last_rx = rx
 
     def _tool_probe(self, argv: list[str], record: StepRecord) -> None:
         if len(argv) != 1:
@@ -435,13 +421,12 @@ class _CaseRun:
         channel = self.session.channel(argv[0])
         frame = Frame(self.session.func_id, _TESTER_PRESENT)
         started = time.monotonic()
-        channel.send(frame)
-        rx = channel.collect(RESPONSE_WAIT, IDLE_GAP)
+        rx = channel.collect(frame)
         record.latency_ms = (time.monotonic() - started) * 1000.0
         record.tx.append(frame.to_line())
         record.rx.extend(f.to_line() for f in rx)
         record.note = "alive" if rx else "silent"
-        self.last_rx, self.last_channel = rx, channel
+        self.last_rx = rx
 
     def _tool_seedkey(self, argv: list[str], record: StepRecord) -> None:
         if len(argv) != 4:
@@ -461,8 +446,7 @@ class _CaseRun:
 
         started = time.monotonic()
         request = Frame(phys, bytes([0x02, 0x27, 0x01]))
-        channel.send(request)
-        rx = channel.collect(RESPONSE_WAIT, IDLE_GAP)
+        rx = channel.collect(request)
         record.tx.append(request.to_line())
         record.rx.extend(f.to_line() for f in rx)
         seed = None
@@ -473,12 +457,11 @@ class _CaseRun:
         if seed is None:
             record.latency_ms = (time.monotonic() - started) * 1000.0
             record.note = "no seed granted"
-            self.last_rx, self.last_channel = rx, channel
+            self.last_rx = rx
             return
         key = derivations[algorithm](seed, const)
         submit = Frame(phys, bytes([0x04, 0x27, 0x02, key[0], key[1]]))
-        channel.send(submit)
-        rx2 = channel.collect(RESPONSE_WAIT, IDLE_GAP)
+        rx2 = channel.collect(submit)
         record.latency_ms = (time.monotonic() - started) * 1000.0
         record.tx.append(submit.to_line())
         record.rx.extend(f.to_line() for f in rx2)
@@ -491,7 +474,7 @@ class _CaseRun:
             "algorithm": algorithm,
             "unlocked": unlocked,
         }
-        self.last_rx, self.last_channel = rx + rx2, channel
+        self.last_rx = rx + rx2
 
     def _tool_fuzz(self, argv: list[str], record: StepRecord) -> None:
         if not argv:
@@ -527,10 +510,9 @@ class _CaseRun:
 
         confirmations = []
         for finding in findings:
-            channel.drain()
-            channel.send(finding.trigger_input)
+            channel.collect(finding.trigger_input)
             record.tx.append(finding.trigger_input.to_line())
-            alive = self.session.probe_alive(channel, RESPONSE_WAIT)
+            alive = self.session.probe_alive(channel)
             confirmations.append(not alive)
             self.session.mgmt.load(campaign_start)
         record.latency_ms = (time.monotonic() - started) * 1000.0
@@ -543,7 +525,7 @@ class _CaseRun:
             "findings": [f.to_dict() for f in findings],
             "confirmed_on_wire": confirmations,
         }
-        self.last_rx, self.last_channel = [], channel
+        self.last_rx = []
 
     def _tool_vulnscan(self, argv: list[str], record: StepRecord) -> None:
         if len(argv) != 1:
@@ -592,7 +574,7 @@ class _CaseRun:
                 for fp, report in reports
             ]
         }
-        self.last_rx, self.last_channel = [], None
+        self.last_rx = []
 
     _TOOLS = {
         "cansend": _tool_cansend,
@@ -626,11 +608,10 @@ class _CaseRun:
         self.records.append(record)
 
     def run_expect(self, step) -> None:
+        """Match the frames the preceding stimulus drew; they are final."""
         record = StepRecord(step=asdict(step))
-        if self.last_channel is None and self.last_rx == [] and not self.records:
+        if not self.records:
             raise ExecutorError("expect step without a preceding stimulus")
-        deadline_ms = step.within_ms if step.within_ms is not None else DEFAULT_DEADLINE_MS
-        deadline = time.monotonic() + deadline_ms / 1000.0
         matcher = step.name
         args = step.bound_args
 
@@ -646,26 +627,11 @@ class _CaseRun:
                 )
             raise ExecutorError(f"unknown matcher {matcher!r}")
 
-        examined = list(self.last_rx)
+        examined = self.last_rx
         if matcher == "NO_RESPONSE":
-            while time.monotonic() < deadline and self.last_channel is not None:
-                extra = self.last_channel.collect(
-                    max(0.0, deadline - time.monotonic()), 0.0
-                )
-                examined.extend(extra)
             met = not examined
         else:
             met = any(matches(f) for f in examined)
-            while not met and self.last_channel is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                extra = self.last_channel.collect(remaining, 0.0)
-                if not extra:
-                    break
-                examined.extend(extra)
-                self.last_rx.extend(extra)
-                met = any(matches(f) for f in extra)
         record.rx = [f.to_line() for f in examined]
         record.met = met
         record.note = "matched" if met else "not matched"
@@ -758,7 +724,7 @@ def execute_case(
         return finish("error", f"interface module missing for {missing}")
 
     try:
-        if not session.probe_alive(session.default_channel(), RESPONSE_WAIT):
+        if not session.probe_alive(session.default_channel()):
             return finish(
                 "error", "precondition sut_alive failed before the first activity"
             )
@@ -769,7 +735,7 @@ def execute_case(
                 run.run_expect(step)
             else:
                 raise ExecutorError(f"unknown activity kind {step.kind!r}")
-        final_alive = session.probe_alive(session.default_channel(), RESPONSE_WAIT)
+        final_alive = session.probe_alive(session.default_channel())
     except ExecutorError as exc:
         return finish("error", str(exc))
     facts = run.facts(final_alive)
@@ -804,8 +770,6 @@ def restore(session: Session, *, close: bool = False) -> CleanupReport:
     """Put the SUT back into the pre-attack snapshot and verify by re-dump."""
     ref = session.started_at
     try:
-        for chan in session.channels.values():
-            chan.drain()
         session.mgmt.load(session.pre_attack_snapshot)
         redump = session.mgmt.dump()
     except ExecutorError as exc:

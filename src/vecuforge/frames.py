@@ -4,6 +4,12 @@ One frame per line, lowercase hex: ``<id-3-hex>#<data-hex-pairs>``,
 e.g. ``7df#02010d``. Ids are 11 bit, payloads are 0-8 bytes. The
 management channel uses the same newline framing for its commands, so
 every connection to the SUT goes through ``LineClient``.
+
+The data port also takes a barrier line, ``SYNC <n>``, which the SUT
+answers with ``SYNCED <n>`` once it has answered every line sent before
+it. An exchange sends each frame line followed by its own barrier, so
+the reply lines before a ``SYNCED`` are all the replies to the frame
+before the matching ``SYNC``: no exchange ends on a guessed idle gap.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass
 
 MAX_FRAME_ID = 0x7FF
 MAX_DATA_LEN = 8
+BARRIER_TIMEOUT = 2.0
 
 _LINE_RE = re.compile(r"^([0-9a-fA-F]{1,3})#((?:[0-9a-fA-F]{2})*)$")
 
@@ -65,7 +72,7 @@ class ExecutorError(RuntimeError):
 
 
 class LineClient:
-    """Newline-framed TCP client with per-read deadlines."""
+    """Newline-framed TCP client with per-read deadlines and barrier exchanges."""
 
     def __init__(self, host: str, port: int):
         try:
@@ -76,6 +83,7 @@ class LineClient:
             ) from None
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.buf = b""
+        self.token = 0
 
     def send_line(self, line: str) -> None:
         try:
@@ -83,6 +91,42 @@ class LineClient:
             self.sock.sendall(line.encode() + b"\n")
         except OSError as exc:
             raise ExecutorError(f"connection lost while sending: {exc}") from None
+
+    def exchange(self, lines: list[str]) -> list[list[str]]:
+        """Send each line followed by its own barrier; the replies to each line.
+
+        Every line gets a fresh ``SYNC <token>``, all in one write. Reply
+        lines are gathered until the barrier of the last line returns. The
+        lines before an older barrier belong to an aborted exchange and are
+        dropped. Waiting longer than ``BARRIER_TIMEOUT`` for the next
+        barrier raises ``ExecutorError``.
+        """
+        if not lines:
+            return []
+        first = self.token + 1
+        self.token += len(lines)
+        self.send_line("\n".join(f"{line}\nSYNC {first + i}" for i, line in enumerate(lines)))
+        replies: list[list[str]] = [[] for _ in lines]
+        pending: list[str] = []
+        deadline = time.monotonic() + BARRIER_TIMEOUT
+        while True:
+            line = self.recv_line(deadline - time.monotonic())
+            if line is None:
+                raise ExecutorError(
+                    f"SUT did not answer the barrier SYNC {self.token} "
+                    f"within {BARRIER_TIMEOUT}s"
+                )
+            word, _, arg = line.partition(" ")
+            if word != "SYNCED":
+                pending.append(line)
+                continue
+            n = int(arg) if arg.isdigit() else 0
+            if first <= n <= self.token:
+                replies[n - first] = pending
+                if n == self.token:
+                    return replies
+                deadline = time.monotonic() + BARRIER_TIMEOUT
+            pending = []
 
     def recv_line(self, timeout: float) -> str | None:
         """Next line within ``timeout``; zero sweeps already-delivered bytes."""

@@ -7,10 +7,14 @@ observation disagree.
 
 Fingerprinting strategy: sweep request ids over a configurable range
 with tester-present probes, then sweep single service bytes 0x00-0x7F
-on every id that answered. Single-byte probes cannot mutate SUT state,
-so the SUT is left in its initial session. The sweep is blind when the
-SUT does not answer tester present at all; that case reports an empty
-surface, which reconcile() will flag against the declaration.
+on every id that answered. Each sweep is one pipelined exchange: every
+probe is followed by its own ``SYNC <n>`` barrier, all sent at once, and
+a reply belongs to the probe whose barrier follows it. Attribution thus
+needs no protocol knowledge and no timing: a late reply still lands on
+its own probe. Single-byte probes cannot mutate SUT state, so the SUT is
+left in its initial session. The sweep is blind when the SUT does not
+answer tester present at all; that case reports an empty surface, which
+reconcile() will flag against the declaration.
 """
 
 from __future__ import annotations
@@ -231,7 +235,6 @@ def declared_services(item: Item) -> set[int]:
 class ProbeConfig:
     id_range: tuple[int, int] = (0x7D0, 0x7FF)
     service_range: tuple[int, int] = (0x00, 0x7F)
-    probe_timeout: float = 0.01
     budget: float | None = None
 
 
@@ -286,32 +289,32 @@ def fingerprint_sut(
 
     client = LineClient(*endpoint)
 
-    def probe(frame: Frame) -> Frame | None:
-        """Send one frame; the first reply line within the timeout, if it parses."""
-        client.send_line(frame.to_line())
-        line = client.recv_line(probe_cfg.probe_timeout)
-        if line is None:
-            return None
-        try:
-            return parse_line(line)
-        except FrameError:
-            return None
+    def sweep(frames: list[Frame]) -> list[Frame | None]:
+        """One exchange; per probe, its first reply line if that parses."""
+        check_budget()
+        replies = client.exchange([f.to_line() for f in frames])
+        check_budget()
+        out: list[Frame | None] = []
+        for lines in replies:
+            try:
+                out.append(parse_line(lines[0]) if lines else None)
+            except FrameError:
+                out.append(None)
+        return out
 
     try:
-        responding: list[int] = []
         lo, hi = probe_cfg.id_range
-        for frame_id in range(lo, hi + 1):
-            check_budget()
-            if probe(Frame(frame_id, bytes([0x01, 0x3E]))):
-                responding.append(frame_id)
+        ids = range(lo, hi + 1)
+        replies = sweep([Frame(frame_id, bytes([0x01, 0x3E])) for frame_id in ids])
+        responding = [frame_id for frame_id, resp in zip(ids, replies) if resp is not None]
 
         services: set[int] = set()
         banners: dict[int, bytes] = {}
         s_lo, s_hi = probe_cfg.service_range
+        svcs = range(s_lo, s_hi + 1)
         for frame_id in responding:
-            for svc in range(s_lo, s_hi + 1):
-                check_budget()
-                resp = probe(Frame(frame_id, bytes([0x01, svc])))
+            replies = sweep([Frame(frame_id, bytes([0x01, svc])) for svc in svcs])
+            for svc, resp in zip(svcs, replies):
                 if resp is not None:
                     services.add(svc)
                     banners.setdefault(svc, resp.data)

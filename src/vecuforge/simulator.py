@@ -20,6 +20,13 @@ A frame whose length byte exceeds the actually present parameter bytes
 stops the ECU (alive=False, absorbing until RESET/LOAD) when toggle V3 is
 on, and draws ``03 7f 00 13`` when it is off.
 
+The data endpoint takes one frame line per request (``frames`` codec)
+and answers each with zero or more frame lines. It also answers a
+barrier line ``SYNC <n>`` with ``SYNCED <n>``, before any frame parsing,
+so a crashed ECU still answers it. Each connection's lines are handled
+in arrival order and their output is queued in that order, so every
+reply to a frame goes out before the ``SYNCED`` of a later barrier.
+
 A management channel accepts line commands DUMP (base64 state), LOAD,
 RESET and CONFIG k=v. State dumps are canonical: loading a dump and
 dumping again yields identical bytes.
@@ -309,8 +316,8 @@ class SimServer:
     """Socket front-end around the pure state machine.
 
     One selector loop owns the state, so event order equals arrival order.
-    The data endpoint speaks the frame wire codec; the management endpoint
-    speaks DUMP/LOAD/RESET/CONFIG lines.
+    The data endpoint speaks the frame wire codec and the SYNC barrier; the
+    management endpoint speaks DUMP/LOAD/RESET/CONFIG lines.
     """
 
     def __init__(self, config: SimConfig | None = None, host: str = "127.0.0.1",
@@ -439,6 +446,9 @@ class SimServer:
             pass
 
     def _handle_data_line(self, text: str) -> str:
+        word, _, token = text.partition(" ")
+        if word == "SYNC":
+            return f"SYNCED {token}\n"
         try:
             frame = parse_line(text)
         except FrameError:

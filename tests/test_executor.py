@@ -33,7 +33,7 @@ from vecuforge.tcg import TestCase as Case
 from vecuforge.vocabulary import PATTERNS
 from vecuforge.vuln_scanner import load_vulndb
 
-FAST_PROBE = ProbeConfig(id_range=(0x7DD, 0x7E2), probe_timeout=0.005)
+FAST_PROBE = ProbeConfig(id_range=(0x7DD, 0x7E2))
 
 
 @pytest.fixture(scope="module")
@@ -491,14 +491,25 @@ class TestErrorVerdicts:
         assert result.verdict == "error"
         assert "hammer" in result.error
 
+    def test_sut_without_barrier_is_infrastructure(self, barrierless_sim, sutdb,
+                                                   resources, registry):
+        case = speed_read_case()
+        case.environmental_needs["preconditions"] = []
+        session = make_session(barrierless_sim, sutdb, [case])
+        try:
+            result = execute_case(case, session, resources, registry)
+        finally:
+            session.close()
+        assert result.verdict == "error"
+        assert "did not answer the barrier" in result.error
+
     def test_exhausted_scan_budget_is_infrastructure(self, sim_factory, sutdb,
                                                      registry, pipeline_cases,
                                                      samples_dir):
         resources = Resources(
             sutdb=sutdb,
             vulndb=load_vulndb(samples_dir / "vulndb.json"),
-            probe_cfg=ProbeConfig(id_range=(0x7DD, 0x7E2), probe_timeout=0.005,
-                                  budget=1e-9),
+            probe_cfg=ProbeConfig(id_range=(0x7DD, 0x7E2), budget=1e-9),
         )
         server = sim_factory(SimConfig())
         case = pipeline_cases["vulnscan-item-demo-ecu"][0]
@@ -547,7 +558,7 @@ class TestRestore:
         try:
             result = execute_case(case, session, resources, registry)
             cleanup = restore(session)
-            revived = session.probe_alive(session.default_channel(), 0.25)
+            revived = session.probe_alive(session.default_channel())
         finally:
             session.close()
         assert result.verdict == "inconclusive"  # neither condition holds

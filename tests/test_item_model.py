@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import socket
+import time
 
 import pytest
 
@@ -26,7 +27,7 @@ from vecuforge.item_model import (
     load_item,
     reconcile,
 )
-from vecuforge.simulator import SimConfig
+from vecuforge.simulator import SimConfig, SimServer
 from vecuforge.vuln_scanner import load_vulndb
 
 
@@ -133,6 +134,16 @@ class TestServiceByte:
         assert load_vulndb(vulndb)[0].requires_service == 0x27
 
 
+class LateSessionReplyServer(SimServer):
+    """Delays its reply to the single-byte session-control probe by 20 ms."""
+
+    def _handle_data_line(self, text: str) -> str:
+        out = super()._handle_data_line(text)
+        if text in ("7df#0110", "7e0#0110"):
+            time.sleep(0.02)
+        return out
+
+
 class TestFingerprint:
     def test_exact_service_set(self, sim_factory):
         cfg = SimConfig(services=frozenset({0x01, 0x10, 0x27, 0x3E, 0x42}))
@@ -140,7 +151,7 @@ class TestFingerprint:
         iface = Interface("IF1", "C1", InterfaceKind.CANLIKE, Exposure.EXTERNAL)
         report = fingerprint_sut(
             iface,
-            ProbeConfig(id_range=(0x7DD, 0x7E2), probe_timeout=0.005),
+            ProbeConfig(id_range=(0x7DD, 0x7E2)),
             endpoint=sim.data_endpoint,
         )
         assert set(report.supported_services) == {0x01, 0x10, 0x27, 0x3E, 0x42}
@@ -152,7 +163,7 @@ class TestFingerprint:
         iface = Interface("IF1", "C1", InterfaceKind.CANLIKE, Exposure.EXTERNAL)
         report = fingerprint_sut(
             iface,
-            ProbeConfig(id_range=(0x7DF, 0x7E0), probe_timeout=0.005),
+            ProbeConfig(id_range=(0x7DF, 0x7E0)),
             endpoint=sim.data_endpoint,
         )
         assert report.supported_services == []
@@ -173,26 +184,44 @@ class TestFingerprint:
         with pytest.raises(ExecutorError, match="budget"):
             fingerprint_sut(
                 iface,
-                ProbeConfig(id_range=(0x700, 0x7FF), probe_timeout=0.005, budget=0.01),
+                ProbeConfig(id_range=(0x700, 0x7FF), budget=1e-9),
                 endpoint=sim.data_endpoint,
             )
 
     def test_idempotent_modulo_timestamp(self, sim_factory):
         sim = sim_factory()
         iface = Interface("IF1", "C1", InterfaceKind.CANLIKE, Exposure.EXTERNAL)
-        cfg = ProbeConfig(id_range=(0x7DE, 0x7E1), service_range=(0x00, 0x4F), probe_timeout=0.005)
+        cfg = ProbeConfig(id_range=(0x7DE, 0x7E1), service_range=(0x00, 0x4F))
         a = fingerprint_sut(iface, cfg, endpoint=sim.data_endpoint).to_dict()
         b = fingerprint_sut(iface, cfg, endpoint=sim.data_endpoint).to_dict()
         a.pop("timestamp")
         b.pop("timestamp")
         assert a == b
 
+    def test_late_reply_stays_with_its_probe(self, sim_factory):
+        iface = Interface("IF1", "C1", InterfaceKind.CANLIKE, Exposure.EXTERNAL)
+        cfg = ProbeConfig(id_range=(0x7DD, 0x7E2))
+        prompt = fingerprint_sut(iface, cfg, endpoint=sim_factory().data_endpoint)
+        late_sim = sim_factory(server_cls=LateSessionReplyServer)
+        late = fingerprint_sut(iface, cfg, endpoint=late_sim.data_endpoint)
+        assert late.supported_services == prompt.supported_services
+        assert late.banners == prompt.banners
+        assert 0x10 in late.supported_services and 0x11 not in late.supported_services
+
+    def test_sut_without_barrier_is_infrastructure(self, barrierless_sim):
+        iface = Interface("IF1", "C1", InterfaceKind.CANLIKE, Exposure.EXTERNAL)
+        with pytest.raises(ExecutorError, match="did not answer the barrier"):
+            fingerprint_sut(
+                iface, ProbeConfig(id_range=(0x7DF, 0x7E0)),
+                endpoint=barrierless_sim.data_endpoint,
+            )
+
     def test_leaves_initial_session(self, sim_factory):
         sim = sim_factory()
         iface = Interface("IF1", "C1", InterfaceKind.CANLIKE, Exposure.EXTERNAL)
         fingerprint_sut(
             iface,
-            ProbeConfig(id_range=(0x7DF, 0x7DF), probe_timeout=0.005),
+            ProbeConfig(id_range=(0x7DF, 0x7DF)),
             endpoint=sim.data_endpoint,
         )
         assert sim.state.session == 0x01

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import socket
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vecuforge.frames import Frame, FrameError, parse_line
+from vecuforge import frames
+from vecuforge.frames import ExecutorError, Frame, FrameError, parse_line
 from vecuforge.simulator import (
     EcuState,
     SimConfig,
@@ -391,3 +393,55 @@ class TestSocketServer:
         finally:
             data.close()
             mgmt.close()
+
+
+class SlowSpeedServer(SimServer):
+    """Holds its reply to the speed request back for 0.2 s."""
+
+    def _handle_data_line(self, text: str) -> str:
+        out = super()._handle_data_line(text)
+        if text == "7df#02010d":
+            time.sleep(0.2)
+        return out
+
+
+class TestBarrier:
+    def test_sync_answered_after_the_replies_before_it(self, server):
+        c = LineClient(server.data_endpoint)
+        try:
+            c.send("7df#02010d\nSYNC 5\n7df#013e\nSYNC 6")
+            assert [c.recv_line() for _ in range(4)] == [
+                "7e8#03410d32", "SYNCED 5", "7e8#017e", "SYNCED 6",
+            ]
+        finally:
+            c.close()
+
+    def test_crashed_ecu_still_answers_the_barrier(self, server):
+        c = LineClient(server.data_endpoint)
+        try:
+            c.send("7df#07013e\n7df#013e\nSYNC 1")
+            assert c.recv_line() == "SYNCED 1"
+        finally:
+            c.close()
+
+    def test_exchange_gives_each_line_its_own_replies(self, server):
+        client = frames.LineClient(*server.data_endpoint)
+        try:
+            assert client.exchange(["7df#02010d", "7df#0142", "7df#013e"]) == [
+                ["7e8#03410d32"], ["7e8#026242"], ["7e8#017e"],
+            ]
+        finally:
+            client.close()
+
+    def test_exchange_drops_replies_of_an_aborted_exchange(self, monkeypatch):
+        srv = SlowSpeedServer(SimConfig()).start()
+        client = frames.LineClient(*srv.data_endpoint)
+        try:
+            monkeypatch.setattr(frames, "BARRIER_TIMEOUT", 0.05)
+            with pytest.raises(ExecutorError, match="did not answer the barrier"):
+                client.exchange(["7df#02010d"])
+            monkeypatch.setattr(frames, "BARRIER_TIMEOUT", 2.0)
+            assert client.exchange(["7df#013e"]) == [["7e8#017e"]]
+        finally:
+            client.close()
+            srv.stop()

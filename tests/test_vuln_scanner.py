@@ -166,7 +166,7 @@ class TestLiveFingerprint:
         item = load_item(samples_dir / "item.json")
         fp = fingerprint_sut(
             item.interface("IF-CAN"),
-            ProbeConfig(id_range=(0x7DD, 0x7E2), probe_timeout=0.05),
+            ProbeConfig(id_range=(0x7DD, 0x7E2)),
             endpoint=(host, port),
         )
         db = load_vulndb(samples_dir / "vulndb.json")
@@ -180,7 +180,7 @@ class TestLiveFingerprint:
         item = load_item(samples_dir / "item.json")
         fp = fingerprint_sut(
             item.interface("IF-CAN"),
-            ProbeConfig(id_range=(0x7DD, 0x7E2), probe_timeout=0.05),
+            ProbeConfig(id_range=(0x7DD, 0x7E2)),
             endpoint=(host, port),
         )
         report = scan(fp, load_vulndb(samples_dir / "vulndb.json"))
