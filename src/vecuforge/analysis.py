@@ -5,7 +5,8 @@ interfaces and components. Risk is impact times occurrence probability
 on a 0..4 scale each (so 0..16 overall), acceptable when strictly below
 the threshold. Every unacceptable risk yields exactly one security
 requirement, linked to the first countermeasure that mitigates its
-threat class.
+threat class. The two halves run as separate stages, and the concept is
+derived from the threats and risks the analysis stage wrote.
 """
 
 from __future__ import annotations
@@ -187,6 +188,16 @@ class Catalog:
     negative_classes: set[str] = field(default_factory=set)
     hint_by_class: dict[str, VerificationHint] = field(default_factory=dict)
 
+    def entry_for(self, threat: Threat) -> ThreatCatalogEntry:
+        """The entry a threat was enumerated from."""
+        for entry in self.entries:
+            if entry.id == threat.catalog_ref:
+                return entry
+        raise AnalysisError(
+            f"threat {threat.id!r} comes from catalog entry {threat.catalog_ref!r}, "
+            "which the catalog lacks"
+        )
+
 
 def load_catalog(path: str) -> Catalog:
     with open(path, encoding="utf-8") as fh:
@@ -300,27 +311,61 @@ def assess_risk(threat: Threat, impact: ImpactVector, probability: int, threshol
     )
 
 
+def analyze_threats(item: Item, catalog: Catalog) -> tuple[list[Threat], list[Risk]]:
+    """Enumerate the item's threats and rate each with item-supplied scales.
+
+    Impact vectors come from config_params.impact_ratings keyed by the
+    mapped goal's property; probability is the catalog entry's default
+    feasibility; the threshold is config_params.risk_threshold.
+    """
+    ratings = item.config_params.get("impact_ratings", {})
+    threshold = int(item.config_params.get("risk_threshold", 4))
+    goal_index = {g.id: g for g in item.security_goals}
+    threats = enumerate_threats(item, catalog.entries)
+    risks: list[Risk] = []
+    for threat in threats:
+        prop = goal_index[threat.mapped_goal].property.value
+        if prop not in ratings:
+            raise AnalysisError(f"no impact rating for goal property {prop!r}")
+        impact = ImpactVector(**ratings[prop])
+        feasibility = catalog.entry_for(threat).default_feasibility
+        risks.append(assess_risk(threat, impact, feasibility, threshold))
+    return threats, risks
+
+
 # -- security concept ---------------------------------------------------
 
 
 def derive_requirements(
-    threats_with_risks: list[tuple[Threat, Risk]],
+    threats: list[Threat],
+    risks: list[Risk],
+    threat_class_by_id: dict[str, str],
+    catalog: Catalog,
     library: list[Countermeasure],
-    *,
-    entry_index: dict[str, ThreatCatalogEntry],
-    negative_classes: set[str] = frozenset(),
-    hint_by_class: dict[str, VerificationHint] | None = None,
 ) -> list[SecurityRequirement]:
-    """One requirement per unacceptable risk; acceptable risks yield none."""
-    hint_by_class = hint_by_class or {}
+    """One requirement per unacceptable risk; acceptable risks yield none.
+
+    Threats, risks and threat classes are the analysis stage's output;
+    the catalog supplies only each entry's title, the negative classes
+    and the verification hints. A threat whose entry the catalog lacks,
+    or that has no risk or class, contradicts the analysis and raises
+    ``AnalysisError``.
+    """
+    risk_by_threat = {r.threat_ref: r for r in risks}
     out: list[SecurityRequirement] = []
-    for threat, risk in threats_with_risks:
+    for threat in threats:
+        entry = catalog.entry_for(threat)
+        risk = risk_by_threat.get(threat.id)
+        tclass = threat_class_by_id.get(threat.id)
+        if risk is None:
+            raise AnalysisError(f"threat {threat.id!r} has no risk rating")
+        if tclass is None:
+            raise AnalysisError(f"threat {threat.id!r} has no threat class")
         if risk.acceptable:
             continue
-        entry = entry_index[threat.catalog_ref]
-        tclass = entry.threat_class
         countermeasure = next((c for c in library if tclass in c.mitigates), None)
-        kind = RequirementKind.NEGATIVE if tclass in negative_classes else RequirementKind.POSITIVE
+        negative = tclass in catalog.negative_classes
+        kind = RequirementKind.NEGATIVE if negative else RequirementKind.POSITIVE
         phrase = tclass.replace("_", " ")
         if kind is RequirementKind.NEGATIVE:
             text = f"{threat.target} shall not exhibit {phrase} behavior ({entry.title})."
@@ -336,7 +381,7 @@ def derive_requirements(
                 derived_from=(threat.id,),
                 goal_ref=threat.mapped_goal,
                 countermeasure_ref=countermeasure.id if countermeasure else None,
-                verification_hint=hint_by_class.get(tclass, VerificationHint.FUNCTIONAL),
+                verification_hint=catalog.hint_by_class.get(tclass, VerificationHint.FUNCTIONAL),
             )
         )
     return out
@@ -356,58 +401,4 @@ def check_consistency(
     return ConsistencyReport(
         orphan_requirements=sorted(r.id for r in requirements if r.goal_ref not in goal_ids),
         uncovered_goals=sorted(g.id for g in goals if g.id not in referenced),
-    )
-
-
-# -- whole-stage convenience --------------------------------------------
-
-
-@dataclass
-class AnalysisResult:
-    threats: list[Threat]
-    risks: list[Risk]
-    requirements: list[SecurityRequirement]
-    consistency: ConsistencyReport
-    threat_class_by_id: dict[str, str]
-    regulation_refs_by_threat: dict[str, tuple[str, ...]]
-
-
-def analyze_item(item: Item, catalog: Catalog, library: list[Countermeasure]) -> AnalysisResult:
-    """Run enumeration, rating and concept derivation with item-supplied scales.
-
-    Impact vectors come from config_params.impact_ratings keyed by the
-    mapped goal's property; probability is the catalog entry's default
-    feasibility; the threshold is config_params.risk_threshold.
-    """
-    ratings = item.config_params.get("impact_ratings", {})
-    threshold = int(item.config_params.get("risk_threshold", 4))
-    entry_index = {e.id: e for e in catalog.entries}
-    goal_index = {g.id: g for g in item.security_goals}
-
-    threats = enumerate_threats(item, catalog.entries)
-    pairs: list[tuple[Threat, Risk]] = []
-    for threat in threats:
-        prop = goal_index[threat.mapped_goal].property.value
-        if prop not in ratings:
-            raise AnalysisError(f"no impact rating for goal property {prop!r}")
-        impact = ImpactVector(**ratings[prop])
-        entry = entry_index[threat.catalog_ref]
-        pairs.append((threat, assess_risk(threat, impact, entry.default_feasibility, threshold)))
-
-    requirements = derive_requirements(
-        pairs,
-        library,
-        entry_index=entry_index,
-        negative_classes=catalog.negative_classes,
-        hint_by_class=catalog.hint_by_class,
-    )
-    return AnalysisResult(
-        threats=threats,
-        risks=[r for _, r in pairs],
-        requirements=requirements,
-        consistency=check_consistency(requirements, item.security_goals),
-        threat_class_by_id={t.id: entry_index[t.catalog_ref].threat_class for t in threats},
-        regulation_refs_by_threat={
-            t.id: entry_index[t.catalog_ref].regulation_refs for t in threats
-        },
     )

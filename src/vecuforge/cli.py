@@ -7,6 +7,13 @@ codes: 0 success, 1 completed with failed findings, 2 usage or
 configuration error (missing prerequisites name the stage to run
 first), 3 infrastructure error.
 
+``analyze`` reads ``item.json`` and the threat catalog and writes
+``threats.json`` and ``risks.json``. ``concept`` derives the
+requirements from those two artifacts, reading ``item.json`` for the
+security goals, the catalog for entry titles, negative classes and
+verification hints, and the countermeasure library; a threat whose
+catalog entry is missing, or that has no risk, is a usage error.
+
 ``demo`` runs the whole pipeline against a self-started simulator
 instance and tears it down afterwards.
 """
@@ -28,7 +35,10 @@ from .analysis import (
     AnalysisError,
     Risk,
     SecurityRequirement,
-    analyze_item,
+    Threat,
+    analyze_threats,
+    check_consistency,
+    derive_requirements,
     load_catalog,
     load_countermeasures,
 )
@@ -176,13 +186,8 @@ def _load_item_artifact(store: RunStore):
     return item_from_dict(store.read_json("item.json", "item"))
 
 
-def _analysis_from_inputs(store: RunStore, args):
-    item = _load_item_artifact(store)
-    return analyze_item(
-        item,
-        load_catalog(args.catalog),
-        load_countermeasures(args.countermeasures),
-    )
+def _load_risks(store: RunStore) -> list[Risk]:
+    return [Risk.from_dict(d) for d in store.read_json("risks.json", "analyze")["risks"]]
 
 
 @contextmanager
@@ -253,38 +258,52 @@ def stage_fingerprint(store: RunStore, args) -> int:
 
 
 def stage_analyze(store: RunStore, args) -> int:
-    analysis = _analysis_from_inputs(store, args)
+    catalog = load_catalog(args.catalog)
+    threats, risks = analyze_threats(_load_item_artifact(store), catalog)
     store.write_json(
         "threats.json",
         {
-            "threats": [asdict(t) for t in analysis.threats],
-            "threat_class_by_id": analysis.threat_class_by_id,
+            "threats": [asdict(t) for t in threats],
+            "threat_class_by_id": {t.id: catalog.entry_for(t).threat_class for t in threats},
             "regulation_refs_by_threat": {
-                k: list(v) for k, v in analysis.regulation_refs_by_threat.items()
+                t.id: list(catalog.entry_for(t).regulation_refs) for t in threats
             },
         },
     )
-    store.write_json("risks.json", {"risks": [r.to_dict() for r in analysis.risks]})
+    store.write_json("risks.json", {"risks": [r.to_dict() for r in risks]})
     return EXIT_OK
 
 
 def stage_concept(store: RunStore, args) -> int:
-    store.read_json("threats.json", "analyze")
-    store.read_json("risks.json", "analyze")
-    analysis = _analysis_from_inputs(store, args)
+    threats_doc = store.read_json("threats.json", "analyze")
+    threats = [Threat(**d) for d in threats_doc["threats"]]
+    risks = _load_risks(store)
+    item = _load_item_artifact(store)
+    requirements = derive_requirements(
+        threats,
+        risks,
+        threats_doc["threat_class_by_id"],
+        load_catalog(args.catalog),
+        load_countermeasures(args.countermeasures),
+    )
     store.write_json(
         "requirements.json",
-        {"requirements": [asdict(r) for r in analysis.requirements]},
+        {"requirements": [asdict(r) for r in requirements]},
     )
-    store.write_json("consistency.json", asdict(analysis.consistency))
-    store.write_json("trace_index.json", asdict(TraceIndex.from_analysis(analysis)))
+    store.write_json(
+        "consistency.json", asdict(check_consistency(requirements, item.security_goals))
+    )
+    index = TraceIndex.from_artifacts(
+        threats, risks, requirements, threats_doc["regulation_refs_by_threat"]
+    )
+    store.write_json("trace_index.json", asdict(index))
     return EXIT_OK
 
 
 def stage_plan(store: RunStore, args) -> int:
     item = _load_item_artifact(store)
     threats_doc = store.read_json("threats.json", "analyze")
-    risks = [Risk.from_dict(d) for d in store.read_json("risks.json", "analyze")["risks"]]
+    risks = _load_risks(store)
     requirements = [
         SecurityRequirement.from_dict(d)
         for d in store.read_json("requirements.json", "concept")["requirements"]

@@ -766,7 +766,7 @@ class CleanupReport:
     detail: str = ""
 
 
-def restore(session: Session, *, close: bool = False) -> CleanupReport:
+def restore(session: Session) -> CleanupReport:
     """Put the SUT back into the pre-attack snapshot and verify by re-dump."""
     ref = session.started_at
     try:
@@ -774,9 +774,6 @@ def restore(session: Session, *, close: bool = False) -> CleanupReport:
         redump = session.mgmt.dump()
     except ExecutorError as exc:
         return CleanupReport(ref, restored=False, verified=False, detail=str(exc))
-    finally:
-        if close:
-            session.close()
     if redump != session.pre_attack_snapshot:
         return CleanupReport(
             ref, restored=True, verified=False,

@@ -144,7 +144,7 @@ class LineClient:
                 raise ExecutorError("peer closed the connection")
             self.buf += chunk
         line, self.buf = self.buf.split(b"\n", 1)
-        return line.decode()
+        return line.decode(errors="replace")
 
     def close(self) -> None:
         try:

@@ -75,10 +75,6 @@ class Interface:
     exposure: Exposure
     address: tuple[tuple[str, str], ...] = ()
 
-    @property
-    def address_map(self) -> dict[str, str]:
-        return dict(self.address)
-
 
 @dataclass(frozen=True)
 class SecurityGoal:
@@ -266,19 +262,13 @@ class FingerprintReport:
 def fingerprint_sut(
     interface: Interface,
     probe_cfg: ProbeConfig = ProbeConfig(),
-    endpoint: tuple[str, int] | None = None,
+    *,
+    endpoint: tuple[str, int],
 ) -> FingerprintReport:
     """Actively enumerate responding request ids and service bytes.
 
-    ``endpoint`` overrides the host/port from the interface address,
-    which is useful when the live SUT was started on an ephemeral port.
+    ``endpoint`` is the (host, port) of the live SUT's data channel.
     """
-    addr = interface.address_map
-    if endpoint is None:
-        if "host" not in addr or "port" not in addr:
-            raise ExecutorError(f"interface {interface.id!r} has no host/port address")
-        endpoint = (addr["host"], int(addr["port"]))
-
     started = time.monotonic()
 
     def check_budget() -> None:

@@ -4,10 +4,10 @@ The report carries one finding per executed case (passes included, so
 the campaign outcome is auditable in one place), classifies every
 planned-but-unexecuted case as untested with a reason, and resolves
 each finding's link chain finding -> requirement -> threat -> goal
-through a trace index built from the analysis stage. Broken links
-never drop a finding; they populate the integrity-violations section
-instead. The machine rendering isolates timestamps in one header block
-so reports from equal campaigns diff clean.
+through a trace index built from the analysis and concept artifacts.
+Broken links never drop a finding; they populate the integrity-violations
+section instead. The machine rendering isolates timestamps in one header
+block so reports from equal campaigns diff clean.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .analysis import AnalysisResult
 from .executor import TestResult
 from .planner import TestPlan
 from .tcg import TestCase
@@ -43,8 +42,8 @@ class ReporterError(ValueError):
 class TraceIndex:
     """Primitive lookup maps that resolve finding link chains.
 
-    Built once from the analysis output and serializable, so the report
-    stage can run from persisted artifacts without re-analysis.
+    Built once from the analysis and concept artifacts and serializable,
+    so the report stage reads it back without re-deriving anything.
     """
 
     goal_by_requirement: dict[str, str] = field(default_factory=dict)
@@ -54,21 +53,17 @@ class TraceIndex:
     regulations_by_threat: dict[str, list[str]] = field(default_factory=dict)
 
     @classmethod
-    def from_analysis(cls, analysis: AnalysisResult) -> "TraceIndex":
+    def from_artifacts(
+        cls, threats, risks, requirements, regulation_refs_by_threat: dict[str, list[str]]
+    ) -> "TraceIndex":
+        """Index ``Threat``s, ``Risk``s, ``SecurityRequirement``s and regulation refs."""
         return cls(
-            goal_by_requirement={
-                r.id: r.goal_ref for r in analysis.requirements
-            },
-            threats_by_requirement={
-                r.id: list(r.derived_from) for r in analysis.requirements
-            },
-            goal_by_threat={t.id: t.mapped_goal for t in analysis.threats},
-            severity_by_threat={
-                r.threat_ref: r.value for r in analysis.risks
-            },
+            goal_by_requirement={r.id: r.goal_ref for r in requirements},
+            threats_by_requirement={r.id: list(r.derived_from) for r in requirements},
+            goal_by_threat={t.id: t.mapped_goal for t in threats},
+            severity_by_threat={r.threat_ref: r.value for r in risks},
             regulations_by_threat={
-                threat: sorted(refs)
-                for threat, refs in analysis.regulation_refs_by_threat.items()
+                threat: sorted(refs) for threat, refs in regulation_refs_by_threat.items()
             },
         )
 

@@ -463,9 +463,11 @@ class SimServer:
         if cmd == "DUMP":
             return "OK " + dump_state(self.state) + "\n"
         if cmd == "LOAD":
+            # Any blob of the wrong shape is the client's error; raising
+            # here would end the selector thread and hang every connection.
             try:
                 self.state = load_state(arg)
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
                 return f"ERR bad state blob: {exc}\n"
             return "OK\n"
         if cmd == "RESET":

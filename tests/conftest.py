@@ -2,11 +2,19 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import vecuforge
 from vecuforge import frames
+from vecuforge.analysis import (
+    analyze_threats,
+    derive_requirements,
+    load_catalog,
+    load_countermeasures,
+)
+from vecuforge.item_model import load_item
 from vecuforge.simulator import SimConfig, SimServer
 
 SAMPLES = Path(vecuforge.__file__).parent / "samples"
@@ -15,6 +23,24 @@ SAMPLES = Path(vecuforge.__file__).parent / "samples"
 @pytest.fixture(scope="session")
 def samples_dir() -> Path:
     return SAMPLES
+
+
+@pytest.fixture(scope="session")
+def analysis(samples_dir) -> SimpleNamespace:
+    """The bundled samples through the analyze stage's call, then the concept stage's."""
+    catalog = load_catalog(samples_dir / "catalog.json")
+    threats, risks = analyze_threats(load_item(samples_dir / "item.json"), catalog)
+    threat_class_by_id = {t.id: catalog.entry_for(t).threat_class for t in threats}
+    library = load_countermeasures(samples_dir / "countermeasures.json")
+    return SimpleNamespace(
+        threats=threats,
+        risks=risks,
+        threat_class_by_id=threat_class_by_id,
+        regulation_refs_by_threat={
+            t.id: list(catalog.entry_for(t).regulation_refs) for t in threats
+        },
+        requirements=derive_requirements(threats, risks, threat_class_by_id, catalog, library),
+    )
 
 
 @pytest.fixture()

@@ -21,13 +21,11 @@ from vecuforge.analysis import (
     Threat,
     ThreatCatalogEntry,
     VerificationHint,
-    analyze_item,
     assess_risk,
     check_consistency,
     derive_requirements,
     enumerate_threats,
     load_catalog,
-    load_countermeasures,
 )
 from vecuforge.item_model import Interface, Item, item_from_dict, load_item
 
@@ -261,19 +259,23 @@ class TestBruteForceOracle:
 CM = [Countermeasure("CM-1", "fix it", ("weak_authentication",))]
 
 
-def pair(acceptable: bool, tclass="weak_authentication", tid="T-TC-1-IF-A"):
-    threat = Threat(tid, "TC-1", "IF-A", "G1")
+THREAT = Threat("T-TC-1-IF-A", "TC-1", "IF-A", "G1")
+CATALOG = Catalog([entry()])
+CLASSES = {THREAT.id: "weak_authentication"}
+
+
+def risk(acceptable: bool) -> Risk:
     value = 2 if acceptable else 9
-    risk = Risk(threat.id, ImpactVector(3, 0, 0, 0), 3, value, 4, acceptable)
-    return threat, risk
+    return Risk(THREAT.id, ImpactVector(3, 0, 0, 0), 3, value, 4, acceptable)
 
 
-ENTRY_INDEX = {"TC-1": entry()}
+def derive(acceptable=False, library=CM, catalog=CATALOG) -> list[SecurityRequirement]:
+    return derive_requirements([THREAT], [risk(acceptable)], CLASSES, catalog, library)
 
 
 class TestDeriveRequirements:
     def test_unacceptable_yields_one_requirement(self):
-        reqs = derive_requirements([pair(False)], CM, entry_index=ENTRY_INDEX)
+        reqs = derive()
         assert len(reqs) == 1
         req = reqs[0]
         assert req.derived_from == ("T-TC-1-IF-A",)
@@ -282,27 +284,21 @@ class TestDeriveRequirements:
         assert "[UNCOVERED]" not in req.text
 
     def test_empty_library_marks_uncovered(self):
-        reqs = derive_requirements([pair(False)], [], entry_index=ENTRY_INDEX)
+        reqs = derive(library=[])
         assert reqs[0].countermeasure_ref is None
         assert reqs[0].text.startswith("[UNCOVERED]")
 
     def test_acceptable_yields_nothing(self):
-        assert derive_requirements([pair(True)], CM, entry_index=ENTRY_INDEX) == []
+        assert derive(acceptable=True) == []
 
     def test_negative_class_marks_kind(self):
-        reqs = derive_requirements(
-            [pair(False)], CM, entry_index=ENTRY_INDEX, negative_classes={"weak_authentication"}
-        )
+        reqs = derive(catalog=Catalog([entry()], negative_classes={"weak_authentication"}))
         assert reqs[0].kind is RequirementKind.NEGATIVE
         assert "shall not" in reqs[0].text
 
     def test_hint_mapping(self):
-        reqs = derive_requirements(
-            [pair(False)],
-            CM,
-            entry_index=ENTRY_INDEX,
-            hint_by_class={"weak_authentication": VerificationHint.PENETRATION},
-        )
+        hints = {"weak_authentication": VerificationHint.PENETRATION}
+        reqs = derive(catalog=Catalog([entry()], hint_by_class=hints))
         assert reqs[0].verification_hint is VerificationHint.PENETRATION
 
     def test_first_countermeasure_wins(self):
@@ -310,8 +306,29 @@ class TestDeriveRequirements:
             Countermeasure("CM-A", "a", ("weak_authentication",)),
             Countermeasure("CM-B", "b", ("weak_authentication",)),
         ]
-        reqs = derive_requirements([pair(False)], lib, entry_index=ENTRY_INDEX)
+        reqs = derive(library=lib)
         assert reqs[0].countermeasure_ref == "CM-A"
+
+    def test_class_comes_from_the_analysis_not_the_catalog(self):
+        reqs = derive(catalog=Catalog([entry(tclass="something_else")]))
+        assert "weak authentication" in reqs[0].text
+        assert reqs[0].countermeasure_ref == "CM-1"
+
+    def test_threat_from_an_absent_catalog_entry_is_rejected(self):
+        with pytest.raises(AnalysisError, match="'T-TC-1-IF-A' comes from catalog entry 'TC-1'"):
+            derive(catalog=Catalog([entry(eid="TC-2")]))
+
+    def test_acceptable_threat_from_an_absent_entry_is_rejected_too(self):
+        with pytest.raises(AnalysisError, match="T-TC-1-IF-A"):
+            derive(acceptable=True, catalog=Catalog([]))
+
+    def test_threat_without_risk_is_rejected(self):
+        with pytest.raises(AnalysisError, match="'T-TC-1-IF-A' has no risk"):
+            derive_requirements([THREAT], [], CLASSES, CATALOG, CM)
+
+    def test_threat_without_class_is_rejected(self):
+        with pytest.raises(AnalysisError, match="'T-TC-1-IF-A' has no threat class"):
+            derive_requirements([THREAT], [risk(False)], {}, CATALOG, CM)
 
 
 class TestConsistency:
@@ -343,18 +360,10 @@ class TestConsistency:
         assert report.uncovered_goals == ["G2"]
 
 
-@pytest.fixture(scope="module")
-def result(samples_dir):
-    item = load_item(str(samples_dir / "item.json"))
-    catalog = load_catalog(str(samples_dir / "catalog.json"))
-    library = load_countermeasures(str(samples_dir / "countermeasures.json"))
-    return analyze_item(item, catalog, library)
-
-
 class TestBundledSampleAnalysis:
 
-    def test_expected_threats_and_risks(self, result):
-        by_threat = {r.threat_ref: r.value for r in result.risks}
+    def test_expected_threats_and_risks(self, analysis):
+        by_threat = {r.threat_ref: r.value for r in analysis.risks}
         assert by_threat == {
             "T-TC-WEAKKEY-IF-CAN": 9,
             "T-TC-SESSBYPASS-IF-CAN": 6,
@@ -362,31 +371,31 @@ class TestBundledSampleAnalysis:
             "T-TC-HIDDENSVC-IF-CAN": 6,
             "T-TC-DEBUGSNIFF-IF-DEBUG": 3,
         }
-        acceptable = {r.threat_ref for r in result.risks if r.acceptable}
+        acceptable = {r.threat_ref for r in analysis.risks if r.acceptable}
         assert acceptable == {"T-TC-DEBUGSNIFF-IF-DEBUG"}
 
-    def test_every_unacceptable_risk_in_exactly_one_requirement(self, result):
-        unacceptable = {r.threat_ref for r in result.risks if not r.acceptable}
+    def test_every_unacceptable_risk_in_exactly_one_requirement(self, analysis):
+        unacceptable = {r.threat_ref for r in analysis.risks if not r.acceptable}
         seen: dict[str, int] = {}
-        for req in result.requirements:
+        for req in analysis.requirements:
             for t in req.derived_from:
                 seen[t] = seen.get(t, 0) + 1
         assert set(seen) == unacceptable
         assert all(count == 1 for count in seen.values())
 
-    def test_traceability_chain(self, result):
-        threat_ids = {t.id for t in result.threats}
+    def test_traceability_chain(self, analysis):
+        threat_ids = {t.id for t in analysis.threats}
         goal_ids = {"G-AUTH", "G-AUTHZ", "G-CONF", "G-AVAIL"}
-        for req in result.requirements:
+        for req in analysis.requirements:
             assert set(req.derived_from) <= threat_ids
             assert req.goal_ref in goal_ids
 
-    def test_consistency_clean(self, result):
-        assert result.consistency.orphan_requirements == []
-        assert result.consistency.uncovered_goals == []
+    def test_consistency_clean(self, analysis, samples_dir):
+        goals = load_item(str(samples_dir / "item.json")).security_goals
+        assert check_consistency(analysis.requirements, goals) == ConsistencyReport([], [])
 
-    def test_hints_follow_catalog(self, result):
-        hints = {r.id: r.verification_hint for r in result.requirements}
+    def test_hints_follow_catalog(self, analysis):
+        hints = {r.id: r.verification_hint for r in analysis.requirements}
         assert hints["REQ-TC-WEAKKEY-IF-CAN"] is VerificationHint.PENETRATION
         assert hints["REQ-TC-SESSBYPASS-IF-CAN"] is VerificationHint.FUNCTIONAL
         assert hints["REQ-TC-MALFORMED-IF-CAN"] is VerificationHint.FUZZ

@@ -106,6 +106,61 @@ class TestStageOrdering:
         assert "'analyze'" in capsys.readouterr().err
 
 
+class TestConceptReadsTheAnalysis:
+    @pytest.fixture()
+    def analyzed(self, tmp_path) -> Path:
+        run = tmp_path / "run"
+        for stage in ("item", "analyze"):
+            assert run_cli(stage, "--run-dir", str(run)) == EXIT_OK
+        return run
+
+    def edit_risks(self, run: Path, edit) -> None:
+        path = run / "risks.json"
+        doc = json.loads(path.read_text())
+        doc["risks"] = edit(doc["risks"])
+        path.write_text(json.dumps(doc))
+
+    def test_catalog_without_a_threats_entry_is_a_usage_error(
+        self, analyzed, tmp_path, samples_dir, capsys
+    ):
+        catalog = json.loads((samples_dir / "catalog.json").read_text())
+        catalog["entries"] = [e for e in catalog["entries"] if e["id"] != "TC-WEAKKEY"]
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(catalog))
+        code = run_cli("concept", "--run-dir", str(analyzed), "--catalog", str(path))
+        assert code == EXIT_USAGE
+        assert "T-TC-WEAKKEY-IF-CAN" in capsys.readouterr().err
+        assert not (analyzed / "requirements.json").exists()
+
+    def test_requirements_follow_the_risks_artifact(self, analyzed):
+        def accept_weak_key(risks):
+            for risk in risks:
+                if risk["threat_ref"] == "T-TC-WEAKKEY-IF-CAN":
+                    risk["acceptable"] = True
+            return risks
+
+        self.edit_risks(analyzed, accept_weak_key)
+        assert run_cli("concept", "--run-dir", str(analyzed)) == EXIT_OK
+        doc = json.loads((analyzed / "requirements.json").read_text())
+        ids = {r["id"] for r in doc["requirements"]}
+        assert "REQ-TC-WEAKKEY-IF-CAN" not in ids
+        assert "REQ-TC-MALFORMED-IF-CAN" in ids
+
+    def test_threat_without_a_risk_is_a_usage_error(self, analyzed, capsys):
+        self.edit_risks(
+            analyzed,
+            lambda risks: [r for r in risks if r["threat_ref"] != "T-TC-WEAKKEY-IF-CAN"],
+        )
+        assert run_cli("concept", "--run-dir", str(analyzed)) == EXIT_USAGE
+        assert "T-TC-WEAKKEY-IF-CAN" in capsys.readouterr().err
+
+    def test_analyze_does_not_read_the_countermeasures(self, tmp_path):
+        assert run_cli("item", "--run-dir", str(tmp_path)) == EXIT_OK
+        code = run_cli("analyze", "--run-dir", str(tmp_path),
+                       "--countermeasures", str(tmp_path / "absent.json"))
+        assert code == EXIT_OK
+
+
 class TestOfflineStages:
     def test_chain_writes_all_artifacts(self, tmp_path):
         offline_chain(tmp_path)

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
 from dataclasses import asdict
 
 import pytest
 
-from vecuforge.analysis import analyze_item, load_catalog, load_countermeasures
 from vecuforge.executor import (
     CleanupReport,
+    DataChannel,
     EnvTemplate,
     ExecutorError,
     Resources,
@@ -56,14 +57,9 @@ def resources(samples_dir, sutdb) -> Resources:
 
 
 @pytest.fixture(scope="module")
-def pipeline_cases(samples_dir, sutdb, registry) -> dict[str, list[Case]]:
+def pipeline_cases(samples_dir, sutdb, registry, analysis) -> dict[str, list[Case]]:
     """Scenario id -> generated cases, over the bundled sample set."""
     item = load_item(samples_dir / "item.json")
-    analysis = analyze_item(
-        item,
-        load_catalog(samples_dir / "catalog.json"),
-        load_countermeasures(samples_dir / "countermeasures.json"),
-    )
     _, scenarios = build_plan(
         item,
         analysis.risks,
@@ -728,3 +724,33 @@ class TestStateTransport:
         assert state.alive is True
         transport.restore()
         assert transport.alive() is True
+
+
+class TestDataChannel:
+    def test_undecodable_reply_counts_as_no_reply(self):
+        """Bytes that are not UTF-8 fail frame parsing instead of escaping."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(5)
+
+        def serve() -> None:
+            conn, _ = listener.accept()
+            with conn:
+                received = b""
+                while b"SYNC 1\n" not in received:
+                    chunk = conn.recv(4096)
+                    if not chunk:
+                        return
+                    received += chunk
+                conn.sendall(b"\xff\xfe#00\nSYNCED 1\n")
+                conn.recv(1)
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        channel = DataChannel(*listener.getsockname())
+        try:
+            assert channel.collect(Frame(0x7DF, bytes([0x01, 0x3E]))) == []
+        finally:
+            channel.close()
+            server.join(timeout=2)
+            listener.close()
+        assert not server.is_alive()

@@ -61,7 +61,7 @@ class TestLoadAndValidate:
         can = item.interface("IF-CAN")
         assert can.kind is InterfaceKind.CANLIKE
         assert can.exposure is Exposure.EXTERNAL
-        assert can.address_map["bus"] == "can0"
+        assert dict(can.address)["bus"] == "can0"
         assert declared_services(item) == {0x01, 0x10, 0x27, 0x2E, 0x3E}
 
     def test_duplicate_id_names_offender(self):

@@ -14,9 +14,6 @@ from vecuforge.analysis import (
     Risk,
     SecurityRequirement,
     VerificationHint,
-    analyze_item,
-    load_catalog,
-    load_countermeasures,
 )
 from vecuforge.item_model import load_item
 from vecuforge.planner import (
@@ -201,13 +198,6 @@ class TestLoadTrees:
 @pytest.fixture(scope="module")
 def item(samples_dir):
     return load_item(samples_dir / "item.json")
-
-
-@pytest.fixture(scope="module")
-def analysis(samples_dir, item):
-    catalog = load_catalog(samples_dir / "catalog.json")
-    library = load_countermeasures(samples_dir / "countermeasures.json")
-    return analyze_item(item, catalog, library)
 
 
 def req_for(analysis, req_id: str) -> SecurityRequirement:

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vecuforge.analysis import analyze_item, load_catalog, load_countermeasures
 from vecuforge.executor import StepRecord
 from vecuforge.executor import TestResult as Result
 from vecuforge.item_model import load_item
@@ -29,13 +28,8 @@ from vecuforge.vocabulary import PATTERNS
 
 
 @pytest.fixture(scope="module")
-def pipeline(samples_dir):
+def pipeline(samples_dir, analysis):
     item = load_item(samples_dir / "item.json")
-    analysis = analyze_item(
-        item,
-        load_catalog(samples_dir / "catalog.json"),
-        load_countermeasures(samples_dir / "countermeasures.json"),
-    )
     plan, scenarios = build_plan(
         item,
         analysis.risks,
@@ -49,10 +43,14 @@ def pipeline(samples_dir):
     registry = ScriptRegistry(samples_dir / "scripts", PATTERNS)
     cases = [c for scn in scenarios for c in generate_cases(scn, sutdb, registry)]
     return {
-        "analysis": analysis,
         "plan": plan,
         "cases": cases,
-        "index": TraceIndex.from_analysis(analysis),
+        "index": TraceIndex.from_artifacts(
+            analysis.threats,
+            analysis.risks,
+            analysis.requirements,
+            analysis.regulation_refs_by_threat,
+        ),
     }
 
 
@@ -95,7 +93,7 @@ def make_case(ident: str, requirement: str = "REQ-TC-SESSBYPASS-IF-CAN",
 
 
 class TestTraceIndex:
-    def test_from_analysis(self, pipeline):
+    def test_from_artifacts(self, pipeline):
         index = pipeline["index"]
         assert index.goal_by_requirement["REQ-TC-WEAKKEY-IF-CAN"] == "G-AUTH"
         assert index.threats_by_requirement["REQ-TC-WEAKKEY-IF-CAN"] == [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import base64
+import json
 import socket
 import time
 
@@ -375,6 +377,25 @@ class TestSocketServer:
             assert mgmt.recv_line().startswith("ERR")
             mgmt.send("LOAD notbase64!!")
             assert mgmt.recv_line().startswith("ERR")
+        finally:
+            mgmt.close()
+
+    @pytest.mark.parametrize(
+        "doc",
+        ["[]", "null", "DATA_IDS_LIST", "[" * 100_000],
+        ids=["list", "null", "data-ids-list", "deeply-nested"],
+    )
+    def test_malformed_state_blob_keeps_serving(self, server, doc):
+        mgmt = LineClient(server.mgmt_endpoint)
+        try:
+            if doc == "DATA_IDS_LIST":
+                dump = json.loads(base64.b64decode(dump_state(EcuState(config=SimConfig()))))
+                dump["data_ids"] = list(dump["data_ids"])
+                doc = json.dumps(dump)
+            mgmt.send("LOAD " + base64.b64encode(doc.encode()).decode())
+            assert mgmt.recv_line().startswith("ERR bad state blob")
+            mgmt.send("DUMP")
+            assert mgmt.recv_line().startswith("OK ")
         finally:
             mgmt.close()
 
