@@ -30,6 +30,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .analysis import (
     AnalysisError,
@@ -54,6 +55,7 @@ from .executor import (
 from .item_model import (
     Exposure,
     InterfaceKind,
+    Item,
     ItemError,
     ProbeConfig,
     fingerprint_sut,
@@ -81,6 +83,8 @@ EXIT_USAGE = 2
 EXIT_INFRA = 3
 
 RUN_DIR_ENV = "VECUFORGE_RUN_DIR"
+
+T = TypeVar("T")
 
 _SAMPLES = Path(__file__).parent / "samples"
 
@@ -138,20 +142,23 @@ class RunStore:
         with open(target, encoding="utf-8") as fh:
             return json.load(fh)
 
-    def read_documents(self, subdir: str, suffix: str, produced_by: str) -> list[dict]:
-        """All artifacts in a stage subdirectory, in sorted filename order."""
+    def decode(self, rel: str, produced_by: str, build: Callable[[dict], T]) -> T:
+        """``build`` applied to an artifact; a malformed one is a usage error."""
+        doc = self.read_json(rel, produced_by)
+        try:
+            return build(doc)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(
+                f"malformed artifact {rel!r} ({type(exc).__name__}: {exc}); "
+                f"re-run the {produced_by!r} stage"
+            ) from None
+
+    def decode_all(self, subdir: str, suffix: str, produced_by: str,
+                   build: Callable[[dict], T]) -> list[T]:
+        """Every artifact in a stage subdirectory, in sorted filename order."""
         directory = self.path(subdir)
         paths = sorted(directory.glob(f"*{suffix}")) if directory.is_dir() else []
-        if not paths:
-            raise UsageError(
-                f"no {suffix} artifacts under {subdir!r}; "
-                f"run the {produced_by!r} stage first"
-            )
-        docs = []
-        for path in paths:
-            with open(path, encoding="utf-8") as fh:
-                docs.append(json.load(fh))
-        return docs
+        return [self.decode(f"{subdir}/{p.name}", produced_by, build) for p in paths]
 
     def reset_dir(self, subdir: str) -> None:
         """Clear a stage-owned subdirectory so reruns leave no stale files."""
@@ -182,12 +189,30 @@ def _parse_endpoint(text: str | None, *, need_mgmt: bool) -> tuple[str, int, int
     raise UsageError(f"cannot parse --sim-endpoint {text!r}")
 
 
-def _load_item_artifact(store: RunStore):
-    return item_from_dict(store.read_json("item.json", "item"))
+def _load_item_artifact(store: RunStore) -> Item:
+    return store.decode("item.json", "item", item_from_dict)
+
+
+def _load_threats(store: RunStore) -> tuple[list[Threat], dict, dict]:
+    """The threats, their threat classes and their regulation references."""
+    return store.decode("threats.json", "analyze", lambda doc: (
+        [Threat(**d) for d in doc["threats"]],
+        doc["threat_class_by_id"],
+        doc["regulation_refs_by_threat"],
+    ))
 
 
 def _load_risks(store: RunStore) -> list[Risk]:
-    return [Risk.from_dict(d) for d in store.read_json("risks.json", "analyze")["risks"]]
+    return store.decode(
+        "risks.json", "analyze", lambda doc: [Risk.from_dict(d) for d in doc["risks"]]
+    )
+
+
+def _load_cases(store: RunStore) -> list[TestCase]:
+    cases = store.decode_all("cases", ".case.json", "tcg", TestCase.from_dict)
+    if not cases:
+        raise UsageError("no .case.json artifacts under 'cases'; run the 'tcg' stage first")
+    return cases
 
 
 @contextmanager
@@ -275,14 +300,13 @@ def stage_analyze(store: RunStore, args) -> int:
 
 
 def stage_concept(store: RunStore, args) -> int:
-    threats_doc = store.read_json("threats.json", "analyze")
-    threats = [Threat(**d) for d in threats_doc["threats"]]
+    threats, threat_class_by_id, regulation_refs_by_threat = _load_threats(store)
     risks = _load_risks(store)
     item = _load_item_artifact(store)
     requirements = derive_requirements(
         threats,
         risks,
-        threats_doc["threat_class_by_id"],
+        threat_class_by_id,
         load_catalog(args.catalog),
         load_countermeasures(args.countermeasures),
     )
@@ -293,27 +317,25 @@ def stage_concept(store: RunStore, args) -> int:
     store.write_json(
         "consistency.json", asdict(check_consistency(requirements, item.security_goals))
     )
-    index = TraceIndex.from_artifacts(
-        threats, risks, requirements, threats_doc["regulation_refs_by_threat"]
-    )
+    index = TraceIndex.from_artifacts(threats, risks, requirements, regulation_refs_by_threat)
     store.write_json("trace_index.json", asdict(index))
     return EXIT_OK
 
 
 def stage_plan(store: RunStore, args) -> int:
     item = _load_item_artifact(store)
-    threats_doc = store.read_json("threats.json", "analyze")
+    _, threat_class_by_id, _ = _load_threats(store)
     risks = _load_risks(store)
-    requirements = [
-        SecurityRequirement.from_dict(d)
-        for d in store.read_json("requirements.json", "concept")["requirements"]
-    ]
+    requirements = store.decode(
+        "requirements.json", "concept",
+        lambda doc: [SecurityRequirement.from_dict(d) for d in doc["requirements"]],
+    )
     plan, scenarios = build_plan(
         item,
         risks,
         requirements,
         trees=load_attack_trees(args.attack_trees),
-        threat_class_by_id=threats_doc["threat_class_by_id"],
+        threat_class_by_id=threat_class_by_id,
         seed=args.seed,
         fuzz_budget=args.budget,
     )
@@ -343,8 +365,7 @@ def stage_tcg(store: RunStore, args) -> int:
 
 
 def stage_execute(store: RunStore, args) -> int:
-    case_docs = store.read_documents("cases", ".case.json", "tcg")
-    cases = [TestCase.from_dict(doc) for doc in case_docs]
+    cases = _load_cases(store)
     sutdb = load_sutdb(args.sutdb)
     registry = ScriptRegistry(args.scripts, PATTERNS)
     resources = Resources(sutdb=sutdb, vulndb=load_vulndb(args.vulndb))
@@ -384,17 +405,10 @@ def stage_execute(store: RunStore, args) -> int:
 
 
 def stage_report(store: RunStore, args) -> int:
-    plan = TestPlan(**store.read_json("plan.json", "plan"))
-    cases = [
-        TestCase.from_dict(doc)
-        for doc in store.read_documents("cases", ".case.json", "tcg")
-    ]
-    index = TraceIndex(**store.read_json("trace_index.json", "concept"))
-    results_dir = store.path("results")
-    results = [
-        TestResult.from_dict(json.loads(path.read_text(encoding="utf-8")))
-        for path in (sorted(results_dir.glob("*.result.json")) if results_dir.is_dir() else [])
-    ]
+    plan = store.decode("plan.json", "plan", lambda doc: TestPlan(**doc))
+    cases = _load_cases(store)
+    index = store.decode("trace_index.json", "concept", lambda doc: TraceIndex(**doc))
+    results = store.decode_all("results", ".result.json", "execute", TestResult.from_dict)
     report = build_report(
         plan, cases, results, index, untested_reason=args.untested_reason
     )

@@ -23,14 +23,7 @@ from .frames import ExecutorError, Frame, FrameError, LineClient, parse_line
 from .fuzz_engine import PRNG_NAME, FuzzConfig, minimize, run_campaign
 from .item_model import Exposure, Interface, InterfaceKind, ProbeConfig, fingerprint_sut
 from .script_registry import RegistryError, ScriptRegistry, render_command
-from .simulator import (
-    EcuState,
-    dump_state,
-    handle_frame,
-    load_state,
-    official_key,
-    weak_key,
-)
+from .simulator import EcuState, handle_frame, load_state, official_key, weak_key
 from .tcg import SutDatabase, TestCase
 from .vuln_scanner import VulnDbEntry, scan
 
@@ -253,26 +246,22 @@ def prepare_env(template: EnvTemplate, sutdb: SutDatabase) -> Session:
 
 
 class StateTransport:
-    """Fuzz transport over a forked ECU state.
+    """Fuzz transport over an in-process ECU state.
 
     Campaigns run against the SUT's own dumped state through the pure
     transition function, which makes every frame, probe and response
     count a function of (state, seed) alone. Triggers found this way
-    are afterwards confirmed over the wire against the live SUT.
+    are afterwards confirmed over the wire against the live SUT. States
+    are immutable values, so the one given is kept as the restore point
+    and ``restore`` is a reassignment.
     """
 
     def __init__(self, state: EcuState):
-        self._snapshot = dump_state(state)
-        self.state = load_state(self._snapshot)
-        self._pending = 0
+        self._start = self.state = state
 
-    def send(self, frame: Frame) -> None:
+    def send(self, frame: Frame) -> int:
         self.state, responses = handle_frame(self.state, frame)
-        self._pending += len(responses)
-
-    def drain(self) -> int:
-        n, self._pending = self._pending, 0
-        return n
+        return len(responses)
 
     def alive(self) -> bool:
         self.state, responses = handle_frame(
@@ -281,8 +270,7 @@ class StateTransport:
         return bool(responses)
 
     def restore(self) -> None:
-        self.state = load_state(self._snapshot)
-        self._pending = 0
+        self.state = self._start
 
 
 # -- execution -------------------------------------------------------------
@@ -380,6 +368,17 @@ def _parse_kv(tokens: list[str], where: str) -> dict[str, str]:
         key, value = tok.split("=", 1)
         out[key] = value
     return out
+
+
+def _service_arg(step) -> int:
+    """The one-byte service an expect step names; a bad one is infrastructure."""
+    try:
+        service = int(step.bound_args["service"], 16)
+    except (KeyError, TypeError, ValueError):
+        service = -1
+    if not 0 <= service <= 0xFF:
+        raise ExecutorError(f"expect {step.name} wants service=<hex byte>, got {step.bound_args}")
+    return service
 
 
 class _CaseRun:
@@ -613,25 +612,18 @@ class _CaseRun:
         if not self.records:
             raise ExecutorError("expect step without a preceding stimulus")
         matcher = step.name
-        args = step.bound_args
-
-        def matches(frame: Frame) -> bool:
-            payload = _payload(frame)
-            if matcher == "RESPONSE":
-                service = int(args["service"], 16)
-                return len(payload) >= 1 and payload[0] == (service + 0x40) & 0xFF
-            if matcher == "NEG_RESPONSE":
-                service = int(args["service"], 16)
-                return (
-                    len(payload) >= 2 and payload[0] == 0x7F and payload[1] == service
-                )
-            raise ExecutorError(f"unknown matcher {matcher!r}")
-
         examined = self.last_rx
         if matcher == "NO_RESPONSE":
             met = not examined
         else:
-            met = any(matches(f) for f in examined)
+            service = _service_arg(step)
+            if matcher == "RESPONSE":
+                prefix = bytes([(service + 0x40) & 0xFF])
+            elif matcher == "NEG_RESPONSE":
+                prefix = bytes([0x7F, service])
+            else:
+                raise ExecutorError(f"unknown matcher {matcher!r}")
+            met = any(_payload(f).startswith(prefix) for f in examined)
         record.rx = [f.to_line() for f in examined]
         record.met = met
         record.note = "matched" if met else "not matched"

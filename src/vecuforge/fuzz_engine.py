@@ -27,14 +27,12 @@ class FuzzError(ValueError):
 class FuzzTransport(Protocol):
     """Delivery, monitoring, and state-restore surface the engine drives.
 
-    ``drain`` returns the number of response frames collected since the
-    last call; ``alive`` issues one liveness probe; ``restore`` puts the
-    SUT back into its pre-campaign state.
+    ``send`` delivers one frame and returns the number of response
+    frames it drew; ``alive`` issues one liveness probe; ``restore`` puts
+    the SUT back into its pre-campaign state.
     """
 
-    def send(self, frame: Frame) -> None: ...
-
-    def drain(self) -> int: ...
+    def send(self, frame: Frame) -> int: ...
 
     def alive(self) -> bool: ...
 
@@ -134,12 +132,11 @@ class CampaignResult:
     stats: dict = field(default_factory=dict)
 
 
-def _replay_prefix(transport: FuzzTransport, log: list[Frame], upto: int) -> bool:
-    """True when the SUT survives the first ``upto`` frames after a restore."""
+def _replay_prefix(transport: FuzzTransport, prefix: list[Frame]) -> bool:
+    """True when the SUT survives ``prefix`` sent after a restore."""
     transport.restore()
-    for frame in log[:upto]:
+    for frame in prefix:
         transport.send(frame)
-    transport.drain()
     return transport.alive()
 
 
@@ -154,18 +151,11 @@ def _bisect_trigger(
     lo, hi = checkpoint + 1, dead_at
     while lo < hi:
         mid = (lo + hi) // 2
-        if _replay_prefix(transport, log, mid):
+        if _replay_prefix(transport, log[:mid]):
             lo = mid + 1
         else:
             hi = mid
     return lo
-
-
-def _single_frame_kills(transport: FuzzTransport, frame: Frame) -> bool:
-    transport.restore()
-    transport.send(frame)
-    transport.drain()
-    return not transport.alive()
 
 
 def run_campaign(config: FuzzConfig, transport: FuzzTransport) -> CampaignResult:
@@ -195,15 +185,13 @@ def run_campaign(config: FuzzConfig, transport: FuzzTransport) -> CampaignResult
         else:
             source = corpus[rng.randrange(len(corpus))]
             frame = mutate(source, rng, config.mutation_ops)
-        transport.send(frame)
+        stats["responses"] += transport.send(frame)
         log.append(frame)
         sources.append(source)
         sent += 1
         stats["frames_sent"] += 1
-        stats["responses"] += transport.drain()
 
         if sent % config.probe_every == 0 or sent == config.budget:
-            stats["responses"] += transport.drain()
             stats["probes"] += 1
             if transport.alive():
                 checkpoint = len(log)
@@ -211,7 +199,7 @@ def run_campaign(config: FuzzConfig, transport: FuzzTransport) -> CampaignResult
             kill = _bisect_trigger(transport, log, checkpoint, len(log))
             trigger = log[kill - 1]
             key = (trigger.id, trigger.data)
-            if key not in seen_triggers and _single_frame_kills(transport, trigger):
+            if key not in seen_triggers and not _replay_prefix(transport, [trigger]):
                 seen_triggers.add(key)
                 findings.append(
                     FuzzFinding(
@@ -244,7 +232,7 @@ def minimize(finding: FuzzFinding, transport: FuzzTransport) -> FuzzFinding:
     restore any single byte toward the corpus source. A finding whose
     trigger no longer reproduces comes back flagged, untouched.
     """
-    if not _single_frame_kills(transport, finding.trigger_input):
+    if _replay_prefix(transport, [finding.trigger_input]):
         return replace(finding, reproduced=False)
 
     current = finding.trigger_input
@@ -253,7 +241,7 @@ def minimize(finding: FuzzFinding, transport: FuzzTransport) -> FuzzFinding:
         changed = False
         for ix in range(len(current.data)):
             candidate = Frame(current.id, current.data[:ix] + current.data[ix + 1 :])
-            if _single_frame_kills(transport, candidate):
+            if not _replay_prefix(transport, [candidate]):
                 current = candidate
                 changed = True
                 break
@@ -267,7 +255,7 @@ def minimize(finding: FuzzFinding, transport: FuzzTransport) -> FuzzFinding:
                 current.id,
                 current.data[:ix] + source[ix : ix + 1] + current.data[ix + 1 :],
             )
-            if _single_frame_kills(transport, candidate):
+            if not _replay_prefix(transport, [candidate]):
                 current = candidate
                 changed = True
                 break

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import base64
-import copy
 import json
 import selectors
 import socket
@@ -90,33 +89,16 @@ class SimConfig:
             v4_hidden_service=enabled,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "speed": self.speed,
-            "v1": self.v1_weak_key,
-            "v2": self.v2_session_bypass,
-            "v3": self.v3_length_crash,
-            "v4": self.v4_hidden_service,
-            "key_const": self.key_const,
-            "services": sorted(self.services),
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimConfig":
-        return cls(
-            speed=d["speed"],
-            v1_weak_key=d["v1"],
-            v2_session_bypass=d["v2"],
-            v3_length_crash=d["v3"],
-            v4_hidden_service=d["v4"],
-            key_const=d["key_const"],
-            services=frozenset(d["services"]),
-        )
-
-
-@dataclass
+@dataclass(frozen=True)
 class EcuState:
-    """Complete, serializable ECU state; a dump reconstructs behaviour exactly."""
+    """Complete, serializable ECU state; a dump reconstructs behaviour exactly.
+
+    States are immutable values: every transition returns a new state and
+    leaves the one it was given untouched, so holding a reference is a
+    snapshot. ``data_ids`` is never mutated in place either; a write
+    builds a new dict.
+    """
 
     config: SimConfig = field(default_factory=SimConfig)
     session: int = 0x01
@@ -125,17 +107,6 @@ class EcuState:
     seed_counter: int = 0
     alive: bool = True
     data_ids: dict[int, bytes] = field(default_factory=dict)
-
-    def clone(self) -> "EcuState":
-        return EcuState(
-            config=self.config,
-            session=self.session,
-            locked=self.locked,
-            last_seed=self.last_seed,
-            seed_counter=self.seed_counter,
-            alive=self.alive,
-            data_ids=copy.deepcopy(self.data_ids),
-        )
 
 
 def weak_key(seed: tuple[int, int], const: int) -> tuple[int, int]:
@@ -178,9 +149,7 @@ def handle_frame(state: EcuState, frame: Frame) -> tuple[EcuState, list[Frame]]:
     params = data[1:]
     if length > len(params):
         if state.config.v3_length_crash:
-            crashed = state.clone()
-            crashed.alive = False
-            return crashed, []
+            return replace(state, alive=False), []
         return state, [_negative(0x00, NRC_LENGTH)]
     body = params[:length]
     if len(body) == 0:
@@ -207,16 +176,12 @@ def handle_frame(state: EcuState, frame: Frame) -> tuple[EcuState, list[Frame]]:
             return state, [_negative(service, NRC_LENGTH)]
         if args[0] not in VALID_SESSIONS:
             return state, [_negative(service, NRC_SUBFUNCTION)]
-        nxt = state.clone()
-        nxt.session = args[0]
-        return nxt, [_resp([0x50, args[0]])]
+        return replace(state, session=args[0]), [_resp([0x50, args[0]])]
 
     if service == SVC_SECURITY:
         if len(args) == 1 and args[0] == 0x01:
-            nxt = state.clone()
-            seed = seed_for_counter(nxt.seed_counter)
-            nxt.seed_counter += 1
-            nxt.last_seed = seed
+            seed = seed_for_counter(state.seed_counter)
+            nxt = replace(state, seed_counter=state.seed_counter + 1, last_seed=seed)
             return nxt, [_resp([0x67, 0x01, seed[0], seed[1]])]
         if len(args) == 3 and args[0] == 0x02:
             if state.last_seed is None:
@@ -226,9 +191,7 @@ def handle_frame(state: EcuState, frame: Frame) -> tuple[EcuState, list[Frame]]:
             if state.config.v1_weak_key:
                 accepted.add(weak_key(state.last_seed, state.config.key_const))
             if key in accepted:
-                nxt = state.clone()
-                nxt.locked = False
-                return nxt, [_resp([0x67, 0x02])]
+                return replace(state, locked=False), [_resp([0x67, 0x02])]
             return state, [_negative(service, NRC_INVALID_KEY)]
         if len(args) >= 1 and args[0] in (0x01, 0x02):
             return state, [_negative(service, NRC_LENGTH)]
@@ -245,8 +208,7 @@ def handle_frame(state: EcuState, frame: Frame) -> tuple[EcuState, list[Frame]]:
         if not allowed:
             return state, [_negative(service, NRC_SECURITY_DENIED)]
         did = (args[0] << 8) | args[1]
-        nxt = state.clone()
-        nxt.data_ids[did] = bytes(args[2:])
+        nxt = replace(state, data_ids={**state.data_ids, did: bytes(args[2:])})
         return nxt, [_resp([0x6E, args[0], args[1]])]
 
     if service == SVC_UNDOCUMENTED:
@@ -261,8 +223,17 @@ def handle_frame(state: EcuState, frame: Frame) -> tuple[EcuState, list[Frame]]:
 
 def dump_state(state: EcuState) -> str:
     """Serialize state to base64; canonical bytes for a given state."""
+    cfg = state.config
     doc = {
-        "config": state.config.to_dict(),
+        "config": {
+            "speed": cfg.speed,
+            "v1": cfg.v1_weak_key,
+            "v2": cfg.v2_session_bypass,
+            "v3": cfg.v3_length_crash,
+            "v4": cfg.v4_hidden_service,
+            "key_const": cfg.key_const,
+            "services": sorted(cfg.services),
+        },
         "session": state.session,
         "locked": state.locked,
         "last_seed": list(state.last_seed) if state.last_seed is not None else None,
@@ -274,15 +245,48 @@ def dump_state(state: EcuState) -> str:
     return base64.b64encode(raw).decode("ascii")
 
 
+def _of_type(name: str, value, kind: type):
+    """``value`` if its type is exactly ``kind`` (a JSON ``true`` is no int)."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _byte(name: str, value) -> int:
+    if not 0 <= _of_type(name, value, int) <= 0xFF:
+        raise ValueError(f"{name} must be a byte, got {value!r}")
+    return value
+
+
 def load_state(blob: str) -> EcuState:
+    """Inverse of ``dump_state``.
+
+    LOAD is the one way outside state reaches the state machine, so every
+    field must have the type ``dump_state`` writes; anything else raises
+    ``ValueError`` here rather than a ``TypeError`` on a later frame.
+    """
     doc = json.loads(base64.b64decode(blob.encode("ascii")))
+    seed = doc["last_seed"]
+    if seed is not None:
+        if type(seed) is not list or len(seed) != 2:
+            raise ValueError(f"last_seed must be null or two bytes, got {seed!r}")
+        seed = (_byte("last_seed", seed[0]), _byte("last_seed", seed[1]))
+    cfg = doc["config"]
     return EcuState(
-        config=SimConfig.from_dict(doc["config"]),
-        session=doc["session"],
-        locked=doc["locked"],
-        last_seed=tuple(doc["last_seed"]) if doc["last_seed"] is not None else None,
-        seed_counter=doc["seed_counter"],
-        alive=doc["alive"],
+        config=SimConfig(
+            speed=_byte("speed", cfg["speed"]),
+            v1_weak_key=_of_type("v1", cfg["v1"], bool),
+            v2_session_bypass=_of_type("v2", cfg["v2"], bool),
+            v3_length_crash=_of_type("v3", cfg["v3"], bool),
+            v4_hidden_service=_of_type("v4", cfg["v4"], bool),
+            key_const=_byte("key_const", cfg["key_const"]),
+            services=frozenset(cfg["services"]),
+        ),
+        session=_of_type("session", doc["session"], int),
+        locked=_of_type("locked", doc["locked"], bool),
+        last_seed=seed,
+        seed_counter=_of_type("seed_counter", doc["seed_counter"], int),
+        alive=_of_type("alive", doc["alive"], bool),
         data_ids={int(k, 16): bytes.fromhex(v) for k, v in doc["data_ids"].items()},
     )
 
@@ -322,8 +326,8 @@ class SimServer:
 
     def __init__(self, config: SimConfig | None = None, host: str = "127.0.0.1",
                  data_port: int = 0, mgmt_port: int = 0):
-        self._launch_config = config or SimConfig()
-        self.state = EcuState(config=self._launch_config)
+        self._initial = EcuState(config=config or SimConfig())
+        self.state = self._initial
         self._host = host
         self._data_listener = self._listen(host, data_port)
         self._mgmt_listener = self._listen(host, mgmt_port)
@@ -471,7 +475,7 @@ class SimServer:
                 return f"ERR bad state blob: {exc}\n"
             return "OK\n"
         if cmd == "RESET":
-            self.state = EcuState(config=self._launch_config)
+            self.state = self._initial
             return "OK\n"
         if cmd == "CONFIG":
             if "=" not in arg:
@@ -481,9 +485,7 @@ class SimServer:
                 new_cfg = _parse_config_value(self.state, k.strip(), v.strip())
             except ValueError as exc:
                 return f"ERR {exc}\n"
-            nxt = self.state.clone()
-            nxt.config = new_cfg
-            self.state = nxt
+            self.state = replace(self.state, config=new_cfg)
             return "OK\n"
         return "ERR unknown command\n"
 

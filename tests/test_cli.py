@@ -161,6 +161,53 @@ class TestConceptReadsTheAnalysis:
         assert code == EXIT_OK
 
 
+def _drop_threat_classes(doc: dict) -> None:
+    del doc["threat_class_by_id"]
+
+
+def _threat_with_extra_key(doc: dict) -> None:
+    doc["threats"][0]["severity"] = "high"
+
+
+def _bad_verification_hint(doc: dict) -> None:
+    doc["requirements"][0]["verification_hint"] = "guesswork"
+
+
+def _drop_timing(doc: dict) -> None:
+    del doc["timing"]
+
+
+class TestMalformedArtifacts:
+    @pytest.mark.parametrize(
+        "rel, edit, stage",
+        [
+            ("threats.json", _drop_threat_classes, "concept"),
+            ("threats.json", _drop_threat_classes, "plan"),
+            ("threats.json", _threat_with_extra_key, "concept"),
+            ("requirements.json", _bad_verification_hint, "plan"),
+            ("results/synthetic.result.json", _drop_timing, "report"),
+        ],
+        ids=["no-threat-classes-concept", "no-threat-classes-plan",
+             "threat-extra-key", "bad-verification-hint", "result-without-timing"],
+    )
+    def test_usage_error_names_the_artifact(self, tmp_path, capsys, rel, edit, stage):
+        offline_chain(tmp_path)
+        case_id = json.loads(next((tmp_path / "cases").glob("*.case.json")).read_text())["id"]
+        (tmp_path / "results").mkdir()
+        (tmp_path / "results" / "synthetic.result.json").write_text(json.dumps({
+            "timing": {"started_at": "2026-01-01T00:00:00+00:00", "duration_s": 0.1,
+                       "step_latencies_ms": []},
+            "result": {"case_ref": case_id, "verdict": "pass", "step_log": [],
+                       "oracle_evaluation": {}, "metadata": {}, "error": ""},
+        }))
+        doc = json.loads((tmp_path / rel).read_text())
+        edit(doc)
+        (tmp_path / rel).write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(stage, "--run-dir", str(tmp_path)) == EXIT_USAGE
+        assert repr(rel) in capsys.readouterr().err
+
+
 class TestOfflineStages:
     def test_chain_writes_all_artifacts(self, tmp_path):
         offline_chain(tmp_path)

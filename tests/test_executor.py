@@ -499,6 +499,25 @@ class TestErrorVerdicts:
         assert result.verdict == "error"
         assert "did not answer the barrier" in result.error
 
+    @pytest.mark.parametrize(
+        "args, reason",
+        [({"svc": "3e"}, "'svc'"), ({"service": "zz"}, "'zz'")],
+        ids=["service-missing", "service-not-hex"],
+    )
+    def test_bad_expect_service_is_infrastructure(self, sim_factory, sutdb, resources,
+                                                  registry, args, reason):
+        server = sim_factory(SimConfig())
+        case = speed_read_case()
+        case.activities[1].bound_args = args
+        session = make_session(server, sutdb, [case])
+        try:
+            result = execute_case(case, session, resources, registry)
+        finally:
+            session.close()
+        assert result.verdict == "error"
+        assert "wants service=<hex byte>" in result.error and reason in result.error
+        assert len(result.step_log) == 1, "the stimulus ran and is logged"
+
     def test_exhausted_scan_budget_is_infrastructure(self, sim_factory, sutdb,
                                                      registry, pipeline_cases,
                                                      samples_dir):
@@ -724,6 +743,14 @@ class TestStateTransport:
         assert state.alive is True
         transport.restore()
         assert transport.alive() is True
+
+    def test_restore_undoes_a_did_write(self):
+        transport = StateTransport(EcuState(config=SimConfig()))
+        assert transport.send(Frame(0x7DF, bytes.fromhex("021002"))) == 1
+        assert transport.send(Frame(0x7DF, bytes.fromhex("052ef190be3f"))) == 1
+        assert transport.state.data_ids == {0xF190: bytes.fromhex("be3f")}
+        transport.restore()
+        assert transport.state.data_ids == {}
 
 
 class TestDataChannel:

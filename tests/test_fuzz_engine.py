@@ -173,7 +173,6 @@ class TestCampaign:
 def kills(transport: StateTransport, frame: Frame) -> bool:
     transport.restore()
     transport.send(frame)
-    transport.drain()
     dead = not transport.alive()
     transport.restore()
     return dead

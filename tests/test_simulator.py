@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import base64
 import json
-import socket
 import time
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -287,28 +287,45 @@ class TestStateSerialization:
         assert out_a == out_b
 
 
-class LineClient:
-    """Tiny blocking line client for exercising the socket server."""
+FRAMES = st.one_of(
+    st.sampled_from(
+        ["7df#013e", "7df#02010d", "7df#021002", "7df#021003", "7df#022701",
+         "7df#0427020000", "7df#0142", "7df#052ef190be3f", "7e0#052ef191aa", "7df#07013e"]
+    ).map(parse_line),
+    st.builds(Frame, st.sampled_from([0x7DF, 0x7E0, 0x123]), st.binary(max_size=8)),
+)
 
-    def __init__(self, endpoint: tuple[str, int]):
-        self.sock = socket.create_connection(endpoint, timeout=5)
-        self.buf = b""
 
-    def send(self, line: str) -> None:
-        self.sock.sendall(line.encode() + b"\n")
+class TestStatesAreValues:
+    def test_state_is_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            fresh().session = 0x03
 
-    def recv_line(self, timeout: float = 2.0) -> str:
-        self.sock.settimeout(timeout)
-        while b"\n" not in self.buf:
-            chunk = self.sock.recv(4096)
-            if not chunk:
-                raise ConnectionError("closed")
-            self.buf += chunk
-        line, self.buf = self.buf.split(b"\n", 1)
-        return line.decode()
+    @given(vulns=st.booleans(), script=st.lists(FRAMES, max_size=16))
+    @settings(max_examples=200)
+    def test_handle_frame_never_changes_its_input(self, vulns, script):
+        """Restoring by reference relies on this: a kept state stays a snapshot."""
+        state = EcuState(config=SimConfig().with_vulns(vulns))
+        for frame in script:
+            before = dump_state(state)
+            nxt, _ = handle_frame(state, frame)
+            assert dump_state(state) == before
+            state = nxt
 
-    def close(self) -> None:
-        self.sock.close()
+
+# Generous wait for a reply line; recv_line reads None when it passes.
+WAIT = 2.0
+
+
+def dump_with(path: str, value) -> str:
+    """The JSON of a fresh ECU's dump with one field, dotted path, replaced."""
+    doc = json.loads(base64.b64decode(dump_state(fresh())))
+    *parents, key = path.split(".")
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    return json.dumps(doc)
 
 
 @pytest.fixture()
@@ -320,97 +337,119 @@ def server():
 
 class TestSocketServer:
     def test_data_roundtrip(self, server):
-        c = LineClient(server.data_endpoint)
+        c = frames.LineClient(*server.data_endpoint)
         try:
-            c.send("7df#02010d")
-            assert c.recv_line() == "7e8#03410d32"
+            c.send_line("7df#02010d")
+            assert c.recv_line(WAIT) == "7e8#03410d32"
         finally:
             c.close()
 
     def test_mgmt_dump_load_reset(self, server):
-        data = LineClient(server.data_endpoint)
-        mgmt = LineClient(server.mgmt_endpoint)
+        data = frames.LineClient(*server.data_endpoint)
+        mgmt = frames.LineClient(*server.mgmt_endpoint)
         try:
-            mgmt.send("DUMP")
-            before = mgmt.recv_line()
+            mgmt.send_line("DUMP")
+            before = mgmt.recv_line(WAIT)
             assert before.startswith("OK ")
 
-            data.send("7df#021003")
-            assert data.recv_line() == "7e8#025003"
+            data.send_line("7df#021003")
+            assert data.recv_line(WAIT) == "7e8#025003"
 
-            mgmt.send("DUMP")
-            after = mgmt.recv_line()
+            mgmt.send_line("DUMP")
+            after = mgmt.recv_line(WAIT)
             assert after != before
 
-            mgmt.send(f"LOAD {before.split(' ', 1)[1]}")
-            assert mgmt.recv_line() == "OK"
-            mgmt.send("DUMP")
-            assert mgmt.recv_line() == before
+            mgmt.send_line(f"LOAD {before.split(' ', 1)[1]}")
+            assert mgmt.recv_line(WAIT) == "OK"
+            mgmt.send_line("DUMP")
+            assert mgmt.recv_line(WAIT) == before
 
-            mgmt.send("RESET")
-            assert mgmt.recv_line() == "OK"
-            mgmt.send("DUMP")
-            assert mgmt.recv_line() == before
+            mgmt.send_line("RESET")
+            assert mgmt.recv_line(WAIT) == "OK"
+            mgmt.send_line("DUMP")
+            assert mgmt.recv_line(WAIT) == before
         finally:
             data.close()
             mgmt.close()
 
     def test_mgmt_config_toggle(self, server):
-        data = LineClient(server.data_endpoint)
-        mgmt = LineClient(server.mgmt_endpoint)
+        data = frames.LineClient(*server.data_endpoint)
+        mgmt = frames.LineClient(*server.mgmt_endpoint)
         try:
-            mgmt.send("CONFIG v4=off")
-            assert mgmt.recv_line() == "OK"
-            data.send("7df#0142")
-            data.send("7df#013e")
-            assert data.recv_line() == "7e8#017e"
+            mgmt.send_line("CONFIG v4=off")
+            assert mgmt.recv_line(WAIT) == "OK"
+            data.send_line("7df#0142")
+            data.send_line("7df#013e")
+            assert data.recv_line(WAIT) == "7e8#017e"
         finally:
             data.close()
             mgmt.close()
 
     def test_mgmt_errors(self, server):
-        mgmt = LineClient(server.mgmt_endpoint)
+        mgmt = frames.LineClient(*server.mgmt_endpoint)
         try:
-            mgmt.send("FROB")
-            assert mgmt.recv_line().startswith("ERR")
-            mgmt.send("CONFIG sideways")
-            assert mgmt.recv_line().startswith("ERR")
-            mgmt.send("LOAD notbase64!!")
-            assert mgmt.recv_line().startswith("ERR")
+            mgmt.send_line("FROB")
+            assert mgmt.recv_line(WAIT).startswith("ERR")
+            mgmt.send_line("CONFIG sideways")
+            assert mgmt.recv_line(WAIT).startswith("ERR")
+            mgmt.send_line("LOAD notbase64!!")
+            assert mgmt.recv_line(WAIT).startswith("ERR")
         finally:
             mgmt.close()
 
     @pytest.mark.parametrize(
         "doc",
-        ["[]", "null", "DATA_IDS_LIST", "[" * 100_000],
-        ids=["list", "null", "data-ids-list", "deeply-nested"],
+        [
+            "[]",
+            "null",
+            dump_with("data_ids", []),
+            "[" * 100_000,
+            dump_with("seed_counter", "x"),
+            dump_with("session", "01"),
+            dump_with("locked", 0),
+            dump_with("alive", "yes"),
+            dump_with("config.v3", 1),
+            dump_with("config.speed", 0x100),
+            dump_with("config.speed", True),
+            dump_with("config.key_const", -1),
+            dump_with("last_seed", [0x13]),
+            dump_with("last_seed", [0x13, "7a"]),
+            dump_with("last_seed", [0x13, 0x17A]),
+            dump_with("last_seed", "137a"),
+        ],
+        ids=[
+            "list", "null", "data-ids-list", "deeply-nested",
+            "seed-counter-str", "session-str", "locked-int", "alive-str", "v3-int",
+            "speed-over-byte", "speed-bool", "key-const-negative",
+            "last-seed-one-byte", "last-seed-str-byte", "last-seed-over-byte",
+            "last-seed-str",
+        ],
     )
     def test_malformed_state_blob_keeps_serving(self, server, doc):
-        mgmt = LineClient(server.mgmt_endpoint)
+        mgmt = frames.LineClient(*server.mgmt_endpoint)
+        data = frames.LineClient(*server.data_endpoint)
         try:
-            if doc == "DATA_IDS_LIST":
-                dump = json.loads(base64.b64decode(dump_state(EcuState(config=SimConfig()))))
-                dump["data_ids"] = list(dump["data_ids"])
-                doc = json.dumps(dump)
-            mgmt.send("LOAD " + base64.b64encode(doc.encode()).decode())
-            assert mgmt.recv_line().startswith("ERR bad state blob")
-            mgmt.send("DUMP")
-            assert mgmt.recv_line().startswith("OK ")
+            mgmt.send_line("LOAD " + base64.b64encode(doc.encode()).decode())
+            assert mgmt.recv_line(WAIT).startswith("ERR bad state blob")
+            mgmt.send_line("DUMP")
+            assert mgmt.recv_line(WAIT).startswith("OK ")
+            ((reply,),) = data.exchange(["7df#022701"])
+            assert reply.startswith("7e8#046701")
         finally:
             mgmt.close()
+            data.close()
 
     def test_crash_then_reset_over_wire(self, server):
-        data = LineClient(server.data_endpoint)
-        mgmt = LineClient(server.mgmt_endpoint)
+        data = frames.LineClient(*server.data_endpoint)
+        mgmt = frames.LineClient(*server.mgmt_endpoint)
         try:
-            data.send("7df#07013e")
-            data.send("7df#013e")
-            with pytest.raises(socket.timeout):
-                data.recv_line(timeout=0.3)
-            mgmt.send("RESET")
-            assert mgmt.recv_line() == "OK"
-            data.send("7df#013e")
-            assert data.recv_line() == "7e8#017e"
+            data.send_line("7df#07013e")
+            data.send_line("7df#013e")
+            assert data.recv_line(0.3) is None
+            mgmt.send_line("RESET")
+            assert mgmt.recv_line(WAIT) == "OK"
+            data.send_line("7df#013e")
+            assert data.recv_line(WAIT) == "7e8#017e"
         finally:
             data.close()
             mgmt.close()
@@ -428,20 +467,20 @@ class SlowSpeedServer(SimServer):
 
 class TestBarrier:
     def test_sync_answered_after_the_replies_before_it(self, server):
-        c = LineClient(server.data_endpoint)
+        c = frames.LineClient(*server.data_endpoint)
         try:
-            c.send("7df#02010d\nSYNC 5\n7df#013e\nSYNC 6")
-            assert [c.recv_line() for _ in range(4)] == [
+            c.send_line("7df#02010d\nSYNC 5\n7df#013e\nSYNC 6")
+            assert [c.recv_line(WAIT) for _ in range(4)] == [
                 "7e8#03410d32", "SYNCED 5", "7e8#017e", "SYNCED 6",
             ]
         finally:
             c.close()
 
     def test_crashed_ecu_still_answers_the_barrier(self, server):
-        c = LineClient(server.data_endpoint)
+        c = frames.LineClient(*server.data_endpoint)
         try:
-            c.send("7df#07013e\n7df#013e\nSYNC 1")
-            assert c.recv_line() == "SYNCED 1"
+            c.send_line("7df#07013e\n7df#013e\nSYNC 1")
+            assert c.recv_line(WAIT) == "SYNCED 1"
         finally:
             c.close()
 
