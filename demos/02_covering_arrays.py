@@ -56,6 +56,12 @@ def main() -> None:
           f"pairwise needs {len(array.rows)} "
           f"(coverage verified: {coverage_is_total(array)})")
 
+    wider = {f"p{i:02d}": ["off", "low", "high", "max"] for i in range(12)}
+    array = covering_array(wider, t=2)
+    print(f"12 parameters x 4 levels: exhaustive would be {4 ** 12:,} rows, "
+          f"pairwise needs {len(array.rows)} "
+          f"(coverage verified: {coverage_is_total(array)})")
+
 
 if __name__ == "__main__":
     main()

@@ -346,7 +346,7 @@ class TestResult:
         res, timing = doc["result"], doc["timing"]
         records = [
             StepRecord(latency_ms=lat, **entry)
-            for entry, lat in zip(res["step_log"], timing["step_latencies_ms"])
+            for entry, lat in zip(res["step_log"], timing["step_latencies_ms"], strict=True)
         ]
         return cls(
             case_ref=res["case_ref"],

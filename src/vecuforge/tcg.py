@@ -1,9 +1,11 @@
 """Test case generation: fuse scenarios with SUT data and scripts.
 
-Placeholder domains come from the SUT database; a greedy covering
-array picks bindings so that every t-way value combination occurs in
-at least one case. Each row becomes one fully bound, directly
-executable test case with complete traceability.
+Placeholder domains come from the SUT database; a covering array built
+by in-parameter-order growth (IPOG) picks bindings so that every t-way
+value combination occurs in at least one case. Its cost grows with the
+number of t-tuples, not with the full product of the domains. Each row
+becomes one fully bound, directly executable test case with complete
+traceability.
 """
 
 from __future__ import annotations
@@ -47,12 +49,16 @@ class CoveringArray:
 
 
 def covering_array(domains: dict[str, list], t: int) -> CoveringArray:
-    """Greedy AETG-style construction over the full candidate product.
+    """In-parameter-order growth (IPOG; Lei et al., ECBS 2007).
 
-    Each round picks the candidate row covering the most uncovered
-    t-tuples; ties go to the lexicographically smallest row (by value
-    position), which also makes t == k degenerate to the full cartesian
-    product in lexicographic order.
+    Parameters go in sorted order, values by position. The first t
+    parameters start as their lexicographic product, so t == k gives the
+    full product. Each later parameter grows the array horizontally (each
+    row takes the value that covers the most uncovered t-tuples with it;
+    ties go to the value least used in the column, then the smallest) and
+    then vertically (each leftover tuple fills the don't-care cells of the
+    first row it fits, or starts a new row). Don't-care cells still open
+    at the end take value position 0.
     """
     if not domains:
         raise TcgError("covering array needs at least one parameter")
@@ -60,38 +66,67 @@ def covering_array(domains: dict[str, list], t: int) -> CoveringArray:
     for p in params:
         if not domains[p]:
             raise TcgError(f"domain for parameter {p!r} is empty")
+        repeats = [v for n, v in enumerate(domains[p]) if v in domains[p][:n]]
+        if repeats:
+            raise TcgError(f"domain for parameter {p!r} repeats value {repeats[0]!r}")
     k = len(params)
     if not 1 <= t <= k:
         raise TcgError(f"strength t={t} out of range [1,{k}]")
 
     values = {p: tuple(domains[p]) for p in params}
-    index_ranges = [range(len(values[p])) for p in params]
-    combos = list(itertools.combinations(range(k), t))
+    sizes = [len(values[p]) for p in params]
+    rows: list[list[int | None]] = [
+        list(start) for start in itertools.product(*(range(n) for n in sizes[:t]))
+    ]
 
-    uncovered: set[tuple] = set()
-    for combo in combos:
-        for vals in itertools.product(*(index_ranges[i] for i in combo)):
-            uncovered.add((combo, vals))
+    for i in range(t, k):
+        combos = list(itertools.combinations(range(i), t - 1))
+        uncovered = {
+            (combo, vals)
+            for combo in combos
+            for vals in itertools.product(*(range(sizes[c]) for c in combo), range(sizes[i]))
+        }
 
-    def gain(row: tuple[int, ...]) -> int:
-        return sum(
-            1 for combo in combos if (combo, tuple(row[i] for i in combo)) in uncovered
-        )
+        used = [0] * sizes[i]
+        for row in rows:
+            known = [combo for combo in combos if all(row[c] is not None for c in combo)]
+            hits = [
+                {(combo, tuple(row[c] for c in combo) + (v,)) for combo in known}
+                for v in range(sizes[i])
+            ]
+            best = max(
+                range(sizes[i]), key=lambda v: (len(hits[v] & uncovered), -used[v], -v)
+            )
+            row.append(best)
+            used[best] += 1
+            uncovered -= hits[best]
 
-    rows: list[tuple] = []
-    while uncovered:
-        best: tuple[int, ...] | None = None
-        best_gain = 0
-        for candidate in itertools.product(*index_ranges):
-            g = gain(candidate)
-            if g > best_gain:
-                best, best_gain = candidate, g
-        assert best is not None, "uncovered tuples imply a positive-gain candidate"
-        for combo in combos:
-            uncovered.discard((combo, tuple(best[i] for i in combo)))
-        rows.append(tuple(values[p][ix] for p, ix in zip(params, best)))
+        # A row without don't-care cells covers only tuples already removed,
+        # so a leftover tuple fits only an open row with its value in column i.
+        open_rows = [[r for r in rows if r[i] == v and None in r] for v in range(sizes[i])]
+        for combo, vals in sorted(uncovered):
+            cells = combo + (i,)
+            fits = open_rows[vals[-1]]
+            fit = next(
+                (r for r in fits if all(r[c] in (None, x) for c, x in zip(cells, vals))),
+                None,
+            )
+            if fit is None:
+                fit = [None] * (i + 1)
+                rows.append(fit)
+                fits.append(fit)
+            for c, x in zip(cells, vals):
+                fit[c] = x
 
-    return CoveringArray(parameters=params, domains=values, strength=t, rows=rows)
+    return CoveringArray(
+        parameters=params,
+        domains=values,
+        strength=t,
+        rows=[
+            tuple(values[p][0 if ix is None else ix] for p, ix in zip(params, row))
+            for row in rows
+        ],
+    )
 
 
 # -- SUT database ----------------------------------------------------------

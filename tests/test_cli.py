@@ -207,6 +207,21 @@ class TestMalformedArtifacts:
         assert run_cli(stage, "--run-dir", str(tmp_path)) == EXIT_USAGE
         assert repr(rel) in capsys.readouterr().err
 
+    def test_step_latencies_shorter_than_step_log(self, tmp_path, sim_factory, capsys):
+        # A timing list that is shorter than the step log must not drop steps.
+        server = sim_factory(SimConfig())
+        offline_chain(tmp_path, "--budget", "400")
+        assert run_cli("execute", "--run-dir", str(tmp_path),
+                       "--sim-endpoint", endpoint_of(server), "--budget", "400") == EXIT_FINDINGS
+        rel = "results/func-neg-req-tc-sessbypass-if-can-000.result.json"
+        doc = json.loads((tmp_path / rel).read_text())
+        assert doc["result"]["step_log"]
+        doc["timing"]["step_latencies_ms"] = []
+        (tmp_path / rel).write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("report", "--run-dir", str(tmp_path)) == EXIT_USAGE
+        assert repr(rel) in capsys.readouterr().err
+
 
 class TestOfflineStages:
     def test_chain_writes_all_artifacts(self, tmp_path):

@@ -33,12 +33,9 @@ def assert_full_coverage(domains: dict[str, list], t: int, rows: list[tuple]) ->
     params = sorted(domains)
     positions = {p: i for i, p in enumerate(params)}
     for subset in itertools.combinations(params, t):
+        seen = {tuple(row[positions[p]] for p in subset) for row in rows}
         for combo in itertools.product(*(domains[p] for p in subset)):
-            hit = any(
-                all(row[positions[p]] == v for p, v in zip(subset, combo))
-                for row in rows
-            )
-            assert hit, f"t-tuple {dict(zip(subset, combo))} not covered"
+            assert combo in seen, f"t-tuple {dict(zip(subset, combo))} not covered"
 
 
 def product_size(domains: dict[str, list]) -> int:
@@ -122,10 +119,10 @@ class TestCoveringArray:
     @settings(max_examples=60, deadline=None)
     @given(
         domains=st.dictionaries(
-            st.sampled_from(["A", "B", "C", "D"]),
-            st.lists(st.sampled_from(["0", "1", "2", "3"]), min_size=1, max_size=4, unique=True),
+            st.sampled_from(["A", "B", "C", "D", "E", "F"]),
+            st.lists(st.sampled_from(["0", "1", "2", "3", "4"]), min_size=1, max_size=5, unique=True),
             min_size=1,
-            max_size=4,
+            max_size=6,
         ),
         t=st.integers(min_value=1, max_value=4),
     )
@@ -135,6 +132,54 @@ class TestCoveringArray:
         arr = covering_array(domains, t)
         assert_full_coverage(domains, t, arr.rows)
         assert len(arr.rows) <= product_size(domains)
+
+
+class TestInParameterOrderGrowth:
+    def test_bundled_negative_scenario_rows(self, sutdb, registry):
+        # The planner's negative session-bypass scenario binds DID x SESSION x
+        # VALUE over 1 x 3 x 1 values. Acceptance 1 expects its case -001
+        # (SESSION 0x02) to be the session-bypass hit, so the order is pinned.
+        scenario = parse_scenario(
+            scenario_text(
+                sid="neg",
+                meta_extra=(
+                    '    domain_DID: "DID"\n    domain_SESSION: "SESSION"\n'
+                    '    domain_VALUE: "VALUE"\n'
+                ),
+                steps=(
+                    "    pattern SET_SESSION(session=$SESSION)\n"
+                    "    pattern WRITE_DATA(did=$DID, value=$VALUE)"
+                ),
+            )
+        )
+        cases = generate_cases(scenario, sutdb, registry, t=2)
+        assert [
+            (c.id, c.variability["DID"], c.variability["SESSION"], c.variability["VALUE"])
+            for c in cases
+        ] == [
+            ("neg-000", "0xf190", "0x01", "0xbeef"),
+            ("neg-001", "0xf190", "0x02", "0xbeef"),
+            ("neg-002", "0xf190", "0x03", "0xbeef"),
+        ]
+
+    @pytest.mark.parametrize("k, levels, t", [(12, 4, 2), (8, 3, 3)])
+    def test_covers_sizes_beyond_the_full_product_search(self, k, levels, t):
+        domains = {f"P{i:02d}": [f"v{j}" for j in range(levels)] for i in range(k)}
+        arr = covering_array(domains, t)
+        assert_full_coverage(domains, t, arr.rows)
+
+    @pytest.mark.parametrize(
+        "k, levels, t, most", [(6, 4, 2, 30), (7, 3, 2, 16), (5, 3, 3, 47)]
+    )
+    def test_row_counts_on_the_benchmark_grid(self, k, levels, t, most):
+        domains = {f"P{i}": [f"v{j}" for j in range(levels)] for i in range(k)}
+        arr = covering_array(domains, t)
+        assert_full_coverage(domains, t, arr.rows)
+        assert len(arr.rows) <= most
+
+    def test_repeated_domain_value_rejected(self):
+        with pytest.raises(TcgError, match="'D' repeats value '0x01'"):
+            covering_array({"D": ["0x01", "0x01", "0x02"], "E": ["a", "b"]}, 2)
 
 
 class TestSutDatabase:
