@@ -34,7 +34,7 @@ def main() -> None:
         print(f"\nvirtual ECU up at {host}:{port}; probing request ids "
               f"0x7d8..0x7e4, then service bytes on every responder...")
         fp = fingerprint_sut(
-            iface,
+            iface.id,
             ProbeConfig(id_range=(0x7D8, 0x7E4)),
             endpoint=server.data_endpoint,
         )

@@ -47,9 +47,8 @@ from .executor import (
     ExecutorError,
     Resources,
     TestResult,
-    build_env_template,
     execute_case,
-    prepare_env,
+    open_session,
     restore,
 )
 from .item_model import (
@@ -57,7 +56,6 @@ from .item_model import (
     InterfaceKind,
     Item,
     ItemError,
-    ProbeConfig,
     fingerprint_sut,
     item_from_dict,
     load_item,
@@ -258,7 +256,6 @@ def stage_item(store: RunStore, args) -> int:
 def stage_fingerprint(store: RunStore, args) -> int:
     item = _load_item_artifact(store)
     host, data_port, _ = _parse_endpoint(args.sim_endpoint, need_mgmt=False)
-    probe_cfg = ProbeConfig()
     fingerprints: dict[str, dict] = {}
     stamps: dict[str, str] = {}
     discrepancies: list[dict] = []
@@ -267,7 +264,7 @@ def stage_fingerprint(store: RunStore, args) -> int:
             continue
         if iface.kind not in (InterfaceKind.CANLIKE, InterfaceKind.DIAG):
             continue
-        fp = fingerprint_sut(iface, probe_cfg, endpoint=(host, data_port))
+        fp = fingerprint_sut(iface.id, endpoint=(host, data_port))
         doc = fp.to_dict()
         stamps[iface.id] = doc.pop("timestamp")
         fingerprints[iface.id] = doc
@@ -371,11 +368,10 @@ def stage_execute(store: RunStore, args) -> int:
     resources = Resources(sutdb=sutdb, vulndb=load_vulndb(args.vulndb))
     host, data_port, mgmt_port = _parse_endpoint(args.sim_endpoint, need_mgmt=True)
 
-    template = build_env_template(
-        cases, sutdb, host=host, data_port=data_port, mgmt_port=mgmt_port
-    )
     try:
-        session = prepare_env(template, sutdb)
+        session = open_session(
+            cases, sutdb, host=host, data_port=data_port, mgmt_port=mgmt_port
+        )
     except ExecutorError as exc:
         raise InfraError(f"cannot prepare the test environment: {exc}") from None
 

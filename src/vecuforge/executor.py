@@ -1,7 +1,10 @@
 """Environment preparation, test-case execution and SUT state restore.
 
-A session owns the live connections to one SUT instance and a state
-snapshot taken before any test traffic. Cases run as their bound
+A session is one data connection and one management connection to a SUT
+instance, plus a state snapshot taken before any test traffic. The bus
+names the cases use are checked against the SUT database, but they open
+no connections of their own: the wire codec has no bus field, so every
+bus is served by the one data connection. Cases run as their bound
 activity list, strictly in order; each pattern step renders its script
 command and is routed by the first word to an internal tool handler
 (cansend, probe, seedkey, fuzz, vulnscan). Every frame sent to the SUT
@@ -9,7 +12,9 @@ ends on its own barrier (see ``frames``), so the frames a stimulus drew
 are known once its barrier returns; expect steps examine exactly those
 and never wait. Verdicts partition into pass/fail/error/inconclusive;
 error is reserved for infrastructure faults and never encodes an
-oracle outcome.
+oracle outcome. A ``func_id`` in the SUT database that is not an 11-bit
+hex id is a configuration error; a bad ``phys_id`` or key constant gives
+the seedkey step verdict ``error``.
 """
 
 from __future__ import annotations
@@ -19,12 +24,12 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__
-from .frames import ExecutorError, Frame, FrameError, LineClient, parse_line
+from .frames import MAX_FRAME_ID, ExecutorError, Frame, FrameError, LineClient, parse_line
 from .fuzz_engine import PRNG_NAME, FuzzConfig, minimize, run_campaign
-from .item_model import Exposure, Interface, InterfaceKind, ProbeConfig, fingerprint_sut
+from .item_model import fingerprint_sut
 from .script_registry import RegistryError, ScriptRegistry, render_command
 from .simulator import EcuState, handle_frame, load_state, official_key, weak_key
-from .tcg import SutDatabase, TestCase
+from .tcg import SutDatabase, TcgError, TestCase
 from .vuln_scanner import VulnDbEntry, scan
 
 MGMT_TIMEOUT = 2.0
@@ -44,77 +49,20 @@ def _payload(frame: Frame) -> bytes:
     return frame.data[1 : 1 + frame.data[0]]
 
 
-# -- environment templates ---------------------------------------------
-
-
-@dataclass
-class EnvTemplate:
-    """Recipe for a test environment.
-
-    ``configuration`` holds the SUT endpoint, applicable test
-    categories and the preconditions that must hold before testing;
-    ``interface_descriptions`` lists one record per logical interface
-    with the SUT database bus it is reached on.
-    """
-
-    configuration: dict
-    interface_descriptions: list[dict]
-
-    def __post_init__(self) -> None:
-        if not self.configuration or not self.interface_descriptions:
-            raise ExecutorError(
-                "environment template needs both a configuration and "
-                "interface descriptions"
-            )
-
-
-def build_env_template(
-    cases: list[TestCase],
-    sutdb: SutDatabase,
-    *,
-    host: str,
-    data_port: int,
-    mgmt_port: int,
-) -> EnvTemplate:
-    """Merge the environmental needs of a batch of cases into one template."""
-    if not cases:
-        raise ExecutorError("cannot build an environment template from zero cases")
-    interfaces: dict[str, dict] = {}
-    preconditions: list[str] = []
-    for case in cases:
-        needs = case.environmental_needs
-        for iface in needs.get("interfaces", []):
-            item_ref = iface.get("params", {}).get("item_ref", iface["logical"])
-            endpoint = sutdb.endpoints.get(item_ref, {})
-            interfaces.setdefault(
-                item_ref,
-                {
-                    "logical": iface["logical"],
-                    "kind": iface["kind"],
-                    "item_ref": item_ref,
-                    "bus": endpoint.get("bus", iface["logical"]),
-                },
-            )
-        for pre in needs.get("preconditions", []):
-            if pre not in preconditions:
-                preconditions.append(pre)
-    configuration = {
-        "sut_id": sutdb.sut_id,
-        "endpoint": {"host": host, "data_port": data_port, "mgmt_port": mgmt_port},
-        "categories": sorted({c.method for c in cases}),
-        "preconditions": preconditions,
-    }
-    return EnvTemplate(
-        configuration=configuration,
-        interface_descriptions=[interfaces[k] for k in sorted(interfaces)],
-    )
+def _hex_in(text: str | None, top: int) -> int | None:
+    """``text`` read as hex when that lies in 0..top, else None."""
+    try:
+        value = int(text, 16)
+    except (TypeError, ValueError):
+        return None
+    return value if 0 <= value <= top else None
 
 
 # -- line-framed TCP channels -------------------------------------------
 
 
 class DataChannel:
-    """Frame traffic for one bus."""
+    """Frame traffic to the SUT's data port, for every bus."""
 
     def __init__(self, host: str, port: int):
         self.client = LineClient(host, port)
@@ -167,38 +115,68 @@ class MgmtChannel:
 
 @dataclass
 class Session:
-    """Live connections plus the pre-attack snapshot they started from."""
+    """One data and one management connection plus the pre-attack snapshot.
 
-    template: EnvTemplate
-    channels: dict[str, DataChannel]
+    ``buses`` maps each item interface the cases name to its SUT
+    database bus. Bus names are checked, but every bus is served by
+    ``data``: the ``<id>#<hex>`` codec carries no bus field.
+    """
+
+    endpoint: tuple[str, int]
+    data: DataChannel
     mgmt: MgmtChannel
+    buses: dict[str, str]
     pre_attack_snapshot: str
     started_at: str
     func_id: int
 
     def channel(self, bus: str) -> DataChannel:
-        if bus not in self.channels:
+        if bus not in self.buses.values():
             raise ExecutorError(f"no interface module for bus {bus!r}")
-        return self.channels[bus]
+        return self.data
 
-    def default_channel(self) -> DataChannel:
-        return self.channels[sorted(self.channels)[0]]
-
-    def probe_alive(self, channel: DataChannel) -> bool:
-        return bool(channel.collect(Frame(self.func_id, _TESTER_PRESENT)))
+    def probe_alive(self) -> bool:
+        return bool(self.data.collect(Frame(self.func_id, _TESTER_PRESENT)))
 
     def close(self) -> None:
-        for chan in self.channels.values():
-            chan.close()
+        self.data.close()
         self.mgmt.close()
 
 
-def prepare_env(template: EnvTemplate, sutdb: SutDatabase) -> Session:
-    """Connect, snapshot the SUT before any test traffic, check preconditions."""
-    endpoint = template.configuration.get("endpoint", {})
-    host = endpoint.get("host", "127.0.0.1")
-    data_port = int(endpoint.get("data_port", 0))
-    mgmt_port = int(endpoint.get("mgmt_port", 0))
+def open_session(
+    cases: list[TestCase],
+    sutdb: SutDatabase,
+    *,
+    host: str,
+    data_port: int,
+    mgmt_port: int,
+) -> Session:
+    """Merge the cases' needs, connect, snapshot the SUT, check preconditions.
+
+    The snapshot is taken before any test traffic. A ``func_id`` in the
+    SUT database that is not an 11-bit hex frame id is a ``TcgError``.
+    """
+    if not cases:
+        raise ExecutorError("cannot open a session for zero cases")
+    buses: dict[str, str] = {}
+    preconditions: list[str] = []
+    for case in cases:
+        needs = case.environmental_needs
+        for iface in needs.get("interfaces", []):
+            item_ref = iface.get("params", {}).get("item_ref", iface["logical"])
+            endpoint = sutdb.endpoints.get(item_ref, {})
+            buses.setdefault(item_ref, endpoint.get("bus", iface["logical"]))
+        for pre in needs.get("preconditions", []):
+            if pre not in preconditions:
+                preconditions.append(pre)
+    if not buses:
+        raise ExecutorError("cannot open a session: the cases name no interface")
+    raw_func_id = str(sutdb.dictionaries.get("func_id", "7df"))
+    func_id = _hex_in(raw_func_id, MAX_FRAME_ID)
+    if func_id is None:
+        raise TcgError(
+            f"SUT database func_id {raw_func_id!r} is not an 11-bit hex frame id"
+        )
 
     mgmt = MgmtChannel(host, mgmt_port)
     try:
@@ -206,39 +184,30 @@ def prepare_env(template: EnvTemplate, sutdb: SutDatabase) -> Session:
     except ExecutorError as exc:
         mgmt.close()
         raise ExecutorError(f"SUT does not support state snapshots: {exc}") from None
-
-    channels: dict[str, DataChannel] = {}
     try:
-        for iface in template.interface_descriptions:
-            bus = iface["bus"]
-            if bus not in channels:
-                channels[bus] = DataChannel(host, data_port)
+        data = DataChannel(host, data_port)
     except ExecutorError:
-        for chan in channels.values():
-            chan.close()
         mgmt.close()
         raise
 
-    func_id = int(str(sutdb.dictionaries.get("func_id", "7df")), 16)
     session = Session(
-        template=template,
-        channels=channels,
+        endpoint=(host, data_port),
+        data=data,
         mgmt=mgmt,
+        buses=buses,
         pre_attack_snapshot=snapshot,
         started_at=_now(),
         func_id=func_id,
     )
-
-    for pre in template.configuration.get("preconditions", []):
-        if pre == "env_ready":
-            continue
-        if pre == "sut_alive":
-            if not session.probe_alive(session.default_channel()):
-                session.close()
+    try:
+        for pre in preconditions:
+            if pre == "sut_alive" and not session.probe_alive():
                 raise ExecutorError("precondition sut_alive failed: no probe response")
-            continue
+            if pre not in ("sut_alive", "env_ready"):
+                raise ExecutorError(f"unknown precondition {pre!r}")
+    except ExecutorError:
         session.close()
-        raise ExecutorError(f"unknown precondition {pre!r}")
+        raise
     return session
 
 
@@ -278,11 +247,10 @@ class StateTransport:
 
 @dataclass
 class Resources:
-    """Shared lookups and the fingerprint probe settings for the tool handlers."""
+    """Shared lookups for the tool handlers."""
 
     sutdb: SutDatabase
     vulndb: list[VulnDbEntry] = field(default_factory=list)
-    probe_cfg: ProbeConfig = ProbeConfig()
 
 
 @dataclass
@@ -372,11 +340,8 @@ def _parse_kv(tokens: list[str], where: str) -> dict[str, str]:
 
 def _service_arg(step) -> int:
     """The one-byte service an expect step names; a bad one is infrastructure."""
-    try:
-        service = int(step.bound_args["service"], 16)
-    except (KeyError, TypeError, ValueError):
-        service = -1
-    if not 0 <= service <= 0xFF:
+    service = _hex_in(step.bound_args.get("service"), 0xFF)
+    if service is None:
         raise ExecutorError(f"expect {step.name} wants service=<hex byte>, got {step.bound_args}")
     return service
 
@@ -396,6 +361,16 @@ class _CaseRun:
         self.scan_ran = False
         self.scan_findings = 0
 
+    def _send(self, channel: DataChannel, frame: Frame, record: StepRecord,
+              started: float) -> list[Frame]:
+        """Send one frame and log it; the step's latency runs from ``started``."""
+        rx = channel.collect(frame)
+        record.latency_ms = (time.monotonic() - started) * 1000.0
+        record.tx.append(frame.to_line())
+        record.rx.extend(f.to_line() for f in rx)
+        self.last_rx = rx
+        return rx
+
     # -- tool handlers ---------------------------------------------------
 
     def _tool_cansend(self, argv: list[str], record: StepRecord) -> None:
@@ -407,25 +382,15 @@ class _CaseRun:
             frame = parse_line(line)
         except FrameError as exc:
             raise ExecutorError(f"cansend: bad frame {line!r}: {exc}") from None
-        started = time.monotonic()
-        rx = channel.collect(frame)
-        record.latency_ms = (time.monotonic() - started) * 1000.0
-        record.tx.append(frame.to_line())
-        record.rx.extend(f.to_line() for f in rx)
-        self.last_rx = rx
+        self._send(channel, frame, record, time.monotonic())
 
     def _tool_probe(self, argv: list[str], record: StepRecord) -> None:
         if len(argv) != 1:
             raise ExecutorError(f"probe wants '<bus>', got {argv}")
         channel = self.session.channel(argv[0])
         frame = Frame(self.session.func_id, _TESTER_PRESENT)
-        started = time.monotonic()
-        rx = channel.collect(frame)
-        record.latency_ms = (time.monotonic() - started) * 1000.0
-        record.tx.append(frame.to_line())
-        record.rx.extend(f.to_line() for f in rx)
+        rx = self._send(channel, frame, record, time.monotonic())
         record.note = "alive" if rx else "silent"
-        self.last_rx = rx
 
     def _tool_seedkey(self, argv: list[str], record: StepRecord) -> None:
         if len(argv) != 4:
@@ -434,36 +399,29 @@ class _CaseRun:
             )
         bus, phys_hex, algorithm, const_hex = argv
         channel = self.session.channel(bus)
-        try:
-            phys = int(phys_hex, 16)
-            const = int(const_hex, 16)
-        except ValueError as exc:
-            raise ExecutorError(f"seedkey: bad hex argument: {exc}") from None
+        phys = _hex_in(phys_hex, MAX_FRAME_ID)
+        if phys is None:
+            raise ExecutorError(f"seedkey: phys_id {phys_hex!r} is not an 11-bit hex frame id")
+        const = _hex_in(const_hex, 0xFF)
+        if const is None:
+            raise ExecutorError(f"seedkey: key constant {const_hex!r} is not a hex byte")
         derivations = {"add_xor": official_key, "weak_xor": weak_key}
         if algorithm not in derivations:
             raise ExecutorError(f"seedkey: unknown algorithm {algorithm!r}")
 
         started = time.monotonic()
-        request = Frame(phys, bytes([0x02, 0x27, 0x01]))
-        rx = channel.collect(request)
-        record.tx.append(request.to_line())
-        record.rx.extend(f.to_line() for f in rx)
+        rx = self._send(channel, Frame(phys, bytes([0x02, 0x27, 0x01])), record, started)
         seed = None
         for frame in rx:
             payload = _payload(frame)
             if len(payload) >= 4 and payload[0] == 0x67 and payload[1] == 0x01:
                 seed = (payload[2], payload[3])
         if seed is None:
-            record.latency_ms = (time.monotonic() - started) * 1000.0
             record.note = "no seed granted"
-            self.last_rx = rx
             return
         key = derivations[algorithm](seed, const)
         submit = Frame(phys, bytes([0x04, 0x27, 0x02, key[0], key[1]]))
-        rx2 = channel.collect(submit)
-        record.latency_ms = (time.monotonic() - started) * 1000.0
-        record.tx.append(submit.to_line())
-        record.rx.extend(f.to_line() for f in rx2)
+        rx2 = self._send(channel, submit, record, started)
         unlocked = any(
             _payload(f)[:2] == bytes([0x67, 0x02]) for f in rx2
         )
@@ -511,7 +469,7 @@ class _CaseRun:
         for finding in findings:
             channel.collect(finding.trigger_input)
             record.tx.append(finding.trigger_input.to_line())
-            alive = self.session.probe_alive(channel)
+            alive = self.session.probe_alive()
             confirmations.append(not alive)
             self.session.mgmt.load(campaign_start)
         record.latency_ms = (time.monotonic() - started) * 1000.0
@@ -530,23 +488,14 @@ class _CaseRun:
         if len(argv) != 1:
             raise ExecutorError(f"vulnscan wants '<targets>', got {argv}")
         targets = [t for t in argv[0].split(",") if t]
-        endpoint = self.session.template.configuration["endpoint"]
-        known = {i["item_ref"] for i in self.session.template.interface_descriptions}
         started = time.monotonic()
         reports = []
         for target in targets:
-            if target not in known:
+            if target not in self.session.buses:
                 raise ExecutorError(f"vulnscan: no live endpoint for {target!r}")
-            stub = Interface(
-                id=target, component_ref="", kind=InterfaceKind.CANLIKE,
-                exposure=Exposure.EXTERNAL,
-            )
-            fp = fingerprint_sut(
-                stub, self.res.probe_cfg,
-                endpoint=(endpoint["host"], int(endpoint["data_port"])),
-            )
+            fp = fingerprint_sut(target, endpoint=self.session.endpoint)
             report = scan(fp, self.res.vulndb)
-            reports.append((fp, report))
+            reports.append((fp.to_dict(), report))
             self.scan_ran = True
             self.scan_findings += len(report.findings)
         record.latency_ms = (time.monotonic() - started) * 1000.0
@@ -560,17 +509,13 @@ class _CaseRun:
                     "target": report.target,
                     "session": report.session,
                     "fingerprint": {
-                        "responding_request_ids": [
-                            f"{i:03x}" for i in fp.responding_request_ids
-                        ],
-                        "supported_services": [
-                            f"{s:02x}" for s in fp.supported_services
-                        ],
+                        key: fp_doc[key]
+                        for key in ("responding_request_ids", "supported_services")
                     },
                     "findings": [asdict(f) for f in report.findings],
                     "followups": report.followups,
                 }
-                for fp, report in reports
+                for fp_doc, report in reports
             ]
         }
         self.last_rx = []
@@ -710,13 +655,12 @@ def execute_case(
         i.get("params", {}).get("item_ref", i["logical"])
         for i in case.environmental_needs.get("interfaces", [])
     }
-    available = {i["item_ref"] for i in session.template.interface_descriptions}
-    missing = sorted(needed - available)
+    missing = sorted(needed - session.buses.keys())
     if missing:
         return finish("error", f"interface module missing for {missing}")
 
     try:
-        if not session.probe_alive(session.default_channel()):
+        if not session.probe_alive():
             return finish(
                 "error", "precondition sut_alive failed before the first activity"
             )
@@ -727,7 +671,7 @@ def execute_case(
                 run.run_expect(step)
             else:
                 raise ExecutorError(f"unknown activity kind {step.kind!r}")
-        final_alive = session.probe_alive(session.default_channel())
+        final_alive = session.probe_alive()
     except ExecutorError as exc:
         return finish("error", str(exc))
     facts = run.facts(final_alive)

@@ -20,12 +20,11 @@ reconcile() will flag against the declaration.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 
-from .frames import ExecutorError, Frame, FrameError, LineClient, parse_line
+from .frames import Frame, FrameError, LineClient, parse_line
 
 
 class ItemError(ValueError):
@@ -231,7 +230,6 @@ def declared_services(item: Item) -> set[int]:
 class ProbeConfig:
     id_range: tuple[int, int] = (0x7D0, 0x7FF)
     service_range: tuple[int, int] = (0x00, 0x7F)
-    budget: float | None = None
 
 
 @dataclass
@@ -260,30 +258,21 @@ class FingerprintReport:
 
 
 def fingerprint_sut(
-    interface: Interface,
+    interface_id: str,
     probe_cfg: ProbeConfig = ProbeConfig(),
     *,
     endpoint: tuple[str, int],
 ) -> FingerprintReport:
     """Actively enumerate responding request ids and service bytes.
 
+    ``interface_id`` names the probed interface in the report;
     ``endpoint`` is the (host, port) of the live SUT's data channel.
     """
-    started = time.monotonic()
-
-    def check_budget() -> None:
-        if probe_cfg.budget is not None and time.monotonic() - started > probe_cfg.budget:
-            raise ExecutorError(
-                f"timeout budget exceeded ({probe_cfg.budget}s) while fingerprinting {interface.id}"
-            )
-
     client = LineClient(*endpoint)
 
     def sweep(frames: list[Frame]) -> list[Frame | None]:
         """One exchange; per probe, its first reply line if that parses."""
-        check_budget()
         replies = client.exchange([f.to_line() for f in frames])
-        check_budget()
         out: list[Frame | None] = []
         for lines in replies:
             try:
@@ -312,7 +301,7 @@ def fingerprint_sut(
         client.close()
 
     return FingerprintReport(
-        probed_interface=interface.id,
+        probed_interface=interface_id,
         responding_request_ids=responding,
         supported_services=sorted(services),
         banners=banners,

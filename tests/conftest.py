@@ -68,11 +68,35 @@ class BarrierlessServer(SimServer):
         return super()._handle_data_line(text)
 
 
+class ScanStallServer(SimServer):
+    """A simulator that drops every SYNC line once it sees the first service probe.
+
+    Liveness probes before the fingerprint's service sweep still get their
+    barrier; the sweep itself never does.
+    """
+
+    stalled = False
+
+    def _handle_data_line(self, text: str) -> str:
+        if text == "7df#0100":
+            self.stalled = True
+        if self.stalled and text.startswith("SYNC "):
+            return ""
+        return super()._handle_data_line(text)
+
+
 @pytest.fixture()
 def barrierless_sim(sim_factory, monkeypatch):
     """A started ``BarrierlessServer``; clients give up on a barrier after 0.2 s."""
     monkeypatch.setattr(frames, "BARRIER_TIMEOUT", 0.2)
     return sim_factory(server_cls=BarrierlessServer)
+
+
+@pytest.fixture()
+def scan_stall_sim(sim_factory, monkeypatch):
+    """A started ``ScanStallServer``; clients give up on a barrier after 0.2 s."""
+    monkeypatch.setattr(frames, "BARRIER_TIMEOUT", 0.2)
+    return sim_factory(server_cls=ScanStallServer)
 
 
 def load_json(path: Path) -> dict:

@@ -337,6 +337,22 @@ class TestExecuteAndReport:
                        "--sim-endpoint", "127.0.0.1:1:1")
         assert code == EXIT_INFRA
 
+    @pytest.mark.parametrize("func_id", ["zz", "800"], ids=["not-hex", "over-11-bits"])
+    def test_bad_func_id_is_a_usage_error(self, tmp_path, sim_factory, samples_dir,
+                                          capsys, func_id):
+        doc = json.loads((samples_dir / "sutdb.json").read_text())
+        doc["dictionaries"]["func_id"] = func_id
+        sutdb = tmp_path / "sutdb.json"
+        sutdb.write_text(json.dumps(doc))
+        run_dir = tmp_path / "run"
+        offline_chain(run_dir)
+        server = sim_factory(SimConfig())
+        capsys.readouterr()
+        code = run_cli("execute", "--run-dir", str(run_dir), "--sutdb", str(sutdb),
+                       "--sim-endpoint", endpoint_of(server))
+        assert code == EXIT_USAGE
+        assert f"func_id {func_id!r}" in capsys.readouterr().err
+
 
 class TestReportStage:
     def test_zero_results_all_untested(self, tmp_path):

@@ -5,27 +5,25 @@ from __future__ import annotations
 import json
 import socket
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 from vecuforge.executor import (
     CleanupReport,
     DataChannel,
-    EnvTemplate,
     ExecutorError,
     Resources,
     Session,
     StateTransport,
-    build_env_template,
     condition_holds,
     execute_case,
-    prepare_env,
+    open_session,
     restore,
 )
 from vecuforge.executor import TestResult as Result
 from vecuforge.frames import Frame
-from vecuforge.item_model import ProbeConfig, load_item
+from vecuforge.item_model import load_item
 from vecuforge.planner import build_plan, load_attack_trees
 from vecuforge.script_registry import ScriptRegistry
 from vecuforge.simulator import EcuState, SimConfig, load_state
@@ -33,8 +31,6 @@ from vecuforge.tcg import BoundStep, SutDatabase, generate_cases, load_sutdb
 from vecuforge.tcg import TestCase as Case
 from vecuforge.vocabulary import PATTERNS
 from vecuforge.vuln_scanner import load_vulndb
-
-FAST_PROBE = ProbeConfig(id_range=(0x7DD, 0x7E2))
 
 
 @pytest.fixture(scope="module")
@@ -49,11 +45,7 @@ def registry(samples_dir) -> ScriptRegistry:
 
 @pytest.fixture(scope="module")
 def resources(samples_dir, sutdb) -> Resources:
-    return Resources(
-        sutdb=sutdb,
-        vulndb=load_vulndb(samples_dir / "vulndb.json"),
-        probe_cfg=FAST_PROBE,
-    )
+    return Resources(sutdb=sutdb, vulndb=load_vulndb(samples_dir / "vulndb.json"))
 
 
 @pytest.fixture(scope="module")
@@ -117,13 +109,22 @@ def speed_read_case() -> Case:
 
 
 def make_session(server, sutdb, cases) -> Session:
-    template = build_env_template(
+    return open_session(
         cases, sutdb,
         host="127.0.0.1",
         data_port=server.data_endpoint[1],
         mgmt_port=server.mgmt_endpoint[1],
     )
-    return prepare_env(template, sutdb)
+
+
+def case_on(bus: str, item_ref: str) -> Case:
+    """The speed read, sent on ``bus`` through the item interface ``item_ref``."""
+    case = speed_read_case()
+    case.environmental_needs["interfaces"] = [
+        {"logical": bus, "kind": "canlike", "params": {"item_ref": item_ref}}
+    ]
+    case.activities[0].bound_args["bus"] = bus
+    return case
 
 
 def raw_send_frames(server, *lines: str) -> None:
@@ -152,41 +153,40 @@ def raw_mgmt(server, line: str) -> str:
     return buf.split(b"\n", 1)[0].decode()
 
 
-# -- environment templates ---------------------------------------------
-
-
-class TestEnvTemplate:
-    def test_merges_case_needs(self, sutdb):
-        cases = [speed_read_case(), speed_read_case()]
-        template = build_env_template(
-            cases, sutdb, host="127.0.0.1", data_port=4000, mgmt_port=4001
-        )
-        assert template.configuration["endpoint"] == {
-            "host": "127.0.0.1", "data_port": 4000, "mgmt_port": 4001,
-        }
-        assert template.configuration["sut_id"] == "SIM-ECU-01"
-        assert template.configuration["categories"] == ["functional"]
-        assert template.configuration["preconditions"] == ["sut_alive"]
-        assert len(template.interface_descriptions) == 1
-        iface = template.interface_descriptions[0]
-        assert iface["item_ref"] == "IF-CAN"
-        assert iface["bus"] == "can0"
-
-    def test_both_parts_required(self):
-        with pytest.raises(ExecutorError):
-            EnvTemplate(configuration={}, interface_descriptions=[{"logical": "bus"}])
-        with pytest.raises(ExecutorError):
-            EnvTemplate(configuration={"sut_id": "x"}, interface_descriptions=[])
-
-    def test_zero_cases_rejected(self, sutdb):
-        with pytest.raises(ExecutorError):
-            build_env_template([], sutdb, host="h", data_port=1, mgmt_port=2)
-
-
 # -- session preparation -------------------------------------------------
 
 
 class TestPrepareEnv:
+    def test_merges_case_needs(self, sim_factory, sutdb):
+        server = sim_factory(SimConfig())
+        diag = case_on("diag0", "IF-DIAG")
+        diag.environmental_needs["preconditions"] = ["env_ready", "sut_alive"]
+        session = make_session(server, sutdb, [speed_read_case(), speed_read_case(), diag])
+        try:
+            # IF-CAN's bus comes from the SUT database, IF-DIAG has no entry there
+            assert session.buses == {"IF-CAN": "can0", "IF-DIAG": "diag0"}
+            assert session.endpoint == server.data_endpoint
+            assert session.func_id == 0x7DF
+        finally:
+            session.close()
+
+    def test_unknown_precondition_rejected(self, sim_factory, sutdb):
+        server = sim_factory(SimConfig())
+        odd = speed_read_case()
+        odd.environmental_needs["preconditions"] = ["moon_phase"]
+        with pytest.raises(ExecutorError, match="unknown precondition 'moon_phase'"):
+            make_session(server, sutdb, [speed_read_case(), odd])
+
+    def test_cases_without_interfaces_rejected(self, sutdb):
+        case = speed_read_case()
+        case.environmental_needs["interfaces"] = []
+        with pytest.raises(ExecutorError, match="no interface"):
+            open_session([case], sutdb, host="h", data_port=1, mgmt_port=2)
+
+    def test_zero_cases_rejected(self, sutdb):
+        with pytest.raises(ExecutorError):
+            open_session([], sutdb, host="h", data_port=1, mgmt_port=2)
+
     def test_snapshot_matches_management_dump(self, sim_factory, sutdb):
         server = sim_factory(SimConfig())
         session = make_session(server, sutdb, [speed_read_case()])
@@ -206,14 +206,13 @@ class TestPrepareEnv:
 
     def test_closed_endpoint_is_a_connection_error(self, sim_factory, sutdb):
         server = sim_factory(SimConfig())
-        template = build_env_template(
-            [speed_read_case()], sutdb,
-            host="127.0.0.1",
-            data_port=server.data_endpoint[1],
-            mgmt_port=1,  # reserved port, nothing listens
-        )
         with pytest.raises(ExecutorError, match="connect"):
-            prepare_env(template, sutdb)
+            open_session(
+                [speed_read_case()], sutdb,
+                host="127.0.0.1",
+                data_port=server.data_endpoint[1],
+                mgmt_port=1,  # reserved port, nothing listens
+            )
 
 
 # -- single-case execution ----------------------------------------------
@@ -237,6 +236,22 @@ class TestExecuteFunctional:
         assert expect.met is True
         assert result.oracle_evaluation["pass_holds"] is True
         assert result.oracle_evaluation["fail_holds"] is False
+
+    def test_two_buses_share_one_data_connection(self, sim_factory, sutdb,
+                                                 resources, registry):
+        server = sim_factory(SimConfig())
+        case = case_on("can1", "IF-CAN1")
+        session = make_session(server, sutdb, [speed_read_case(), case])
+        try:
+            assert session.buses == {"IF-CAN": "can0", "IF-CAN1": "can1"}
+            assert session.channel("can0") is session.channel("can1") is session.data
+            result = execute_case(case, session, resources, registry)
+        finally:
+            session.close()
+        assert result.verdict == "pass"
+        send = result.step_log[0]
+        assert send.command == "cansend can1 7df#02010d"
+        assert send.rx == ["7e8#03410d32"]
 
     def test_positive_write_case_passes(self, sim_factory, sutdb, resources,
                                          registry, pipeline_cases):
@@ -451,6 +466,19 @@ class TestErrorVerdicts:
         assert result.verdict == "error"
         assert "IF-GHOST" in result.error
 
+    def test_unnamed_bus_is_infrastructure(self, sim_factory, sutdb, resources,
+                                           registry):
+        server = sim_factory(SimConfig())
+        case = speed_read_case()
+        case.activities[0].bound_args["bus"] = "can9"
+        session = make_session(server, sutdb, [case])
+        try:
+            result = execute_case(case, session, resources, registry)
+        finally:
+            session.close()
+        assert result.verdict == "error"
+        assert "no interface module for bus 'can9'" in result.error
+
     def test_unregistered_script_is_infrastructure(self, sim_factory, sutdb,
                                                    resources, registry):
         server = sim_factory(SimConfig())
@@ -518,23 +546,37 @@ class TestErrorVerdicts:
         assert "wants service=<hex byte>" in result.error and reason in result.error
         assert len(result.step_log) == 1, "the stimulus ran and is logged"
 
-    def test_exhausted_scan_budget_is_infrastructure(self, sim_factory, sutdb,
-                                                     registry, pipeline_cases,
-                                                     samples_dir):
-        resources = Resources(
-            sutdb=sutdb,
-            vulndb=load_vulndb(samples_dir / "vulndb.json"),
-            probe_cfg=ProbeConfig(id_range=(0x7DD, 0x7E2), budget=1e-9),
-        )
+    @pytest.mark.parametrize(
+        "slot, value, reason",
+        [("phys_id", "800", "phys_id '800'"), ("seedkey_const", "1a5", "key constant '1a5'")],
+        ids=["phys-id-over-11-bits", "key-constant-over-a-byte"],
+    )
+    def test_bad_seedkey_argument_is_infrastructure(self, sim_factory, sutdb, resources,
+                                                    registry, pipeline_cases, slot,
+                                                    value, reason):
+        bad = replace(sutdb, dictionaries={**sutdb.dictionaries, slot: value})
         server = sim_factory(SimConfig())
+        case = pipeline_cases["pen-req-tc-weakkey-if-can-00"][0]
+        session = make_session(server, bad, [case])
+        try:
+            result = execute_case(case, session, replace(resources, sutdb=bad), registry)
+        finally:
+            session.close()
+        assert result.verdict == "error"
+        assert result.error.startswith("seedkey: ") and reason in result.error
+        assert result.step_log == []
+
+    def test_stalled_scan_is_infrastructure(self, scan_stall_sim, sutdb, resources,
+                                            registry, pipeline_cases):
         case = pipeline_cases["vulnscan-item-demo-ecu"][0]
-        session = make_session(server, sutdb, [case])
+        session = make_session(scan_stall_sim, sutdb, [case])
         try:
             result = execute_case(case, session, resources, registry)
         finally:
             session.close()
+        assert scan_stall_sim.stalled, "the liveness probe passed, the sweep began"
         assert result.verdict == "error"
-        assert "budget" in result.error
+        assert "did not answer the barrier" in result.error
 
 
 # -- restore ---------------------------------------------------------------
@@ -573,7 +615,7 @@ class TestRestore:
         try:
             result = execute_case(case, session, resources, registry)
             cleanup = restore(session)
-            revived = session.probe_alive(session.default_channel())
+            revived = session.probe_alive()
         finally:
             session.close()
         assert result.verdict == "inconclusive"  # neither condition holds

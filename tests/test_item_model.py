@@ -16,7 +16,6 @@ from vecuforge.item_model import (
     DiscrepancyKind,
     Exposure,
     FingerprintReport,
-    Interface,
     InterfaceKind,
     Item,
     ItemError,
@@ -148,9 +147,8 @@ class TestFingerprint:
     def test_exact_service_set(self, sim_factory):
         cfg = SimConfig(services=frozenset({0x01, 0x10, 0x27, 0x3E, 0x42}))
         sim = sim_factory(cfg)
-        iface = Interface("IF1", "C1", InterfaceKind.CANLIKE, Exposure.EXTERNAL)
         report = fingerprint_sut(
-            iface,
+            "IF1",
             ProbeConfig(id_range=(0x7DD, 0x7E2)),
             endpoint=sim.data_endpoint,
         )
@@ -160,9 +158,8 @@ class TestFingerprint:
 
     def test_all_disabled_empty(self, sim_factory):
         sim = sim_factory(SimConfig(services=frozenset()))
-        iface = Interface("IF1", "C1", InterfaceKind.CANLIKE, Exposure.EXTERNAL)
         report = fingerprint_sut(
-            iface,
+            "IF1",
             ProbeConfig(id_range=(0x7DF, 0x7E0)),
             endpoint=sim.data_endpoint,
         )
@@ -174,53 +171,38 @@ class TestFingerprint:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()
-        iface = Interface("IF1", "C1", InterfaceKind.CANLIKE, Exposure.EXTERNAL)
         with pytest.raises(ExecutorError, match="unreachable"):
-            fingerprint_sut(iface, ProbeConfig(), endpoint=("127.0.0.1", port))
-
-    def test_budget_exceeded(self, sim_factory):
-        sim = sim_factory()
-        iface = Interface("IF1", "C1", InterfaceKind.CANLIKE, Exposure.EXTERNAL)
-        with pytest.raises(ExecutorError, match="budget"):
-            fingerprint_sut(
-                iface,
-                ProbeConfig(id_range=(0x700, 0x7FF), budget=1e-9),
-                endpoint=sim.data_endpoint,
-            )
+            fingerprint_sut("IF1", ProbeConfig(), endpoint=("127.0.0.1", port))
 
     def test_idempotent_modulo_timestamp(self, sim_factory):
         sim = sim_factory()
-        iface = Interface("IF1", "C1", InterfaceKind.CANLIKE, Exposure.EXTERNAL)
         cfg = ProbeConfig(id_range=(0x7DE, 0x7E1), service_range=(0x00, 0x4F))
-        a = fingerprint_sut(iface, cfg, endpoint=sim.data_endpoint).to_dict()
-        b = fingerprint_sut(iface, cfg, endpoint=sim.data_endpoint).to_dict()
+        a = fingerprint_sut("IF1", cfg, endpoint=sim.data_endpoint).to_dict()
+        b = fingerprint_sut("IF1", cfg, endpoint=sim.data_endpoint).to_dict()
         a.pop("timestamp")
         b.pop("timestamp")
         assert a == b
 
     def test_late_reply_stays_with_its_probe(self, sim_factory):
-        iface = Interface("IF1", "C1", InterfaceKind.CANLIKE, Exposure.EXTERNAL)
         cfg = ProbeConfig(id_range=(0x7DD, 0x7E2))
-        prompt = fingerprint_sut(iface, cfg, endpoint=sim_factory().data_endpoint)
+        prompt = fingerprint_sut("IF1", cfg, endpoint=sim_factory().data_endpoint)
         late_sim = sim_factory(server_cls=LateSessionReplyServer)
-        late = fingerprint_sut(iface, cfg, endpoint=late_sim.data_endpoint)
+        late = fingerprint_sut("IF1", cfg, endpoint=late_sim.data_endpoint)
         assert late.supported_services == prompt.supported_services
         assert late.banners == prompt.banners
         assert 0x10 in late.supported_services and 0x11 not in late.supported_services
 
     def test_sut_without_barrier_is_infrastructure(self, barrierless_sim):
-        iface = Interface("IF1", "C1", InterfaceKind.CANLIKE, Exposure.EXTERNAL)
         with pytest.raises(ExecutorError, match="did not answer the barrier"):
             fingerprint_sut(
-                iface, ProbeConfig(id_range=(0x7DF, 0x7E0)),
+                "IF1", ProbeConfig(id_range=(0x7DF, 0x7E0)),
                 endpoint=barrierless_sim.data_endpoint,
             )
 
     def test_leaves_initial_session(self, sim_factory):
         sim = sim_factory()
-        iface = Interface("IF1", "C1", InterfaceKind.CANLIKE, Exposure.EXTERNAL)
         fingerprint_sut(
-            iface,
+            "IF1",
             ProbeConfig(id_range=(0x7DF, 0x7DF)),
             endpoint=sim.data_endpoint,
         )

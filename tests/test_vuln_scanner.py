@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from vecuforge.item_model import FingerprintReport, ProbeConfig, fingerprint_sut, load_item
+from vecuforge.item_model import FingerprintReport, ProbeConfig, fingerprint_sut
 from vecuforge.simulator import SimConfig
 from vecuforge.vuln_scanner import ScanError, VulnDbEntry, load_vulndb, scan
 
@@ -163,9 +163,8 @@ class TestLiveFingerprint:
     def test_scan_of_live_sim_finds_seeded_vuln(self, samples_dir, sim_factory):
         sim = sim_factory(SimConfig())
         host, port = sim.data_endpoint
-        item = load_item(samples_dir / "item.json")
         fp = fingerprint_sut(
-            item.interface("IF-CAN"),
+            "IF-CAN",
             ProbeConfig(id_range=(0x7DD, 0x7E2)),
             endpoint=(host, port),
         )
@@ -177,9 +176,8 @@ class TestLiveFingerprint:
     def test_control_sim_yields_clean_scan(self, samples_dir, sim_factory):
         sim = sim_factory(SimConfig().with_vulns(False))
         host, port = sim.data_endpoint
-        item = load_item(samples_dir / "item.json")
         fp = fingerprint_sut(
-            item.interface("IF-CAN"),
+            "IF-CAN",
             ProbeConfig(id_range=(0x7DD, 0x7E2)),
             endpoint=(host, port),
         )
