@@ -24,12 +24,12 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__
-from .frames import MAX_FRAME_ID, ExecutorError, Frame, FrameError, LineClient, parse_line
+from .frames import MAX_FRAME_ID, ExecutorError, Frame, FrameError, LineClient, hex_in, parse_line
 from .fuzz_engine import PRNG_NAME, FuzzConfig, minimize, run_campaign
 from .item_model import fingerprint_sut
 from .script_registry import RegistryError, ScriptRegistry, render_command
 from .simulator import EcuState, handle_frame, load_state, official_key, weak_key
-from .tcg import SutDatabase, TcgError, TestCase
+from .tcg import SutDatabase, TestCase
 from .vuln_scanner import VulnDbEntry, scan
 
 MGMT_TIMEOUT = 2.0
@@ -47,15 +47,6 @@ def _payload(frame: Frame) -> bytes:
     if not frame.data:
         return b""
     return frame.data[1 : 1 + frame.data[0]]
-
-
-def _hex_in(text: str | None, top: int) -> int | None:
-    """``text`` read as hex when that lies in 0..top, else None."""
-    try:
-        value = int(text, 16)
-    except (TypeError, ValueError):
-        return None
-    return value if 0 <= value <= top else None
 
 
 # -- line-framed TCP channels -------------------------------------------
@@ -171,12 +162,7 @@ def open_session(
                 preconditions.append(pre)
     if not buses:
         raise ExecutorError("cannot open a session: the cases name no interface")
-    raw_func_id = str(sutdb.dictionaries.get("func_id", "7df"))
-    func_id = _hex_in(raw_func_id, MAX_FRAME_ID)
-    if func_id is None:
-        raise TcgError(
-            f"SUT database func_id {raw_func_id!r} is not an 11-bit hex frame id"
-        )
+    func_id = sutdb.func_id()
 
     mgmt = MgmtChannel(host, mgmt_port)
     try:
@@ -222,24 +208,36 @@ class StateTransport:
     count a function of (state, seed) alone. Triggers found this way
     are afterwards confirmed over the wire against the live SUT. States
     are immutable values, so the one given is kept as the restore point
-    and ``restore`` is a reassignment.
+    and ``restore`` is a reassignment. For the same reason the state
+    after each frame sent since the last restore is kept at the cost of
+    one reference per frame, and ``alive_after`` probes any of them
+    without replaying a frame.
     """
+
+    _PROBE = Frame(0x7DF, _TESTER_PRESENT)
 
     def __init__(self, state: EcuState):
         self._start = self.state = state
+        self._trail: list[EcuState] = []
 
     def send(self, frame: Frame) -> int:
         self.state, responses = handle_frame(self.state, frame)
+        self._trail.append(self.state)
         return len(responses)
 
     def alive(self) -> bool:
-        self.state, responses = handle_frame(
-            self.state, Frame(0x7DF, _TESTER_PRESENT)
-        )
+        self.state, responses = handle_frame(self.state, self._PROBE)
         return bool(responses)
+
+    def alive_after(self, n: int) -> bool:
+        """Whether the ECU answers a probe after the first ``n`` frames
+        sent since the last restore; ``state`` does not move."""
+        state = self._trail[n - 1] if n else self._start
+        return bool(handle_frame(state, self._PROBE)[1])
 
     def restore(self) -> None:
         self.state = self._start
+        self._trail = []
 
 
 # -- execution -------------------------------------------------------------
@@ -340,7 +338,7 @@ def _parse_kv(tokens: list[str], where: str) -> dict[str, str]:
 
 def _service_arg(step) -> int:
     """The one-byte service an expect step names; a bad one is infrastructure."""
-    service = _hex_in(step.bound_args.get("service"), 0xFF)
+    service = hex_in(step.bound_args.get("service"), 0xFF)
     if service is None:
         raise ExecutorError(f"expect {step.name} wants service=<hex byte>, got {step.bound_args}")
     return service
@@ -399,10 +397,10 @@ class _CaseRun:
             )
         bus, phys_hex, algorithm, const_hex = argv
         channel = self.session.channel(bus)
-        phys = _hex_in(phys_hex, MAX_FRAME_ID)
+        phys = hex_in(phys_hex, MAX_FRAME_ID)
         if phys is None:
             raise ExecutorError(f"seedkey: phys_id {phys_hex!r} is not an 11-bit hex frame id")
-        const = _hex_in(const_hex, 0xFF)
+        const = hex_in(const_hex, 0xFF)
         if const is None:
             raise ExecutorError(f"seedkey: key constant {const_hex!r} is not a hex byte")
         derivations = {"add_xor": official_key, "weak_xor": weak_key}

@@ -64,6 +64,15 @@ def parse_line(line: str) -> Frame:
     return Frame(frame_id, data)
 
 
+def hex_in(text: str | None, top: int) -> int | None:
+    """``text`` read as hex when that lies in 0..top, else None."""
+    try:
+        value = int(text, 16)
+    except (TypeError, ValueError):
+        return None
+    return value if 0 <= value <= top else None
+
+
 # -- line-framed TCP client ----------------------------------------------
 
 

@@ -2,8 +2,9 @@
 
 The generator interleaves untouched corpus frames with single-mutation
 variants, delivers them through a transport, and probes liveness on a
-fixed cadence. A missed probe is bisected (restore + prefix replay) to
-the exact trigger frame, which must then reproduce alone from a fresh
+fixed cadence. A missed probe is bisected to the exact trigger frame by
+probing the states the transport kept after each frame of the window
+(no replay), and the trigger must then reproduce alone from a fresh
 restore before it is reported. Everything is driven by one seeded PRNG
 stream, so a campaign is a pure function of (seed, config, SUT config).
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Protocol
 
 from .frames import MAX_DATA_LEN, Frame
@@ -29,12 +31,19 @@ class FuzzTransport(Protocol):
 
     ``send`` delivers one frame and returns the number of response
     frames it drew; ``alive`` issues one liveness probe; ``restore`` puts
-    the SUT back into its pre-campaign state.
+    the SUT back into its pre-campaign state. ``alive_after(n)`` tells
+    whether the SUT would answer a probe after only the first ``n``
+    frames sent since the last restore, and leaves the current state
+    where it is. A transport that keeps a state per frame answers it
+    from that state; one without snapshots would restore, resend those
+    ``n`` frames and probe.
     """
 
     def send(self, frame: Frame) -> int: ...
 
     def alive(self) -> bool: ...
+
+    def alive_after(self, n: int) -> bool: ...
 
     def restore(self) -> None: ...
 
@@ -94,12 +103,18 @@ class FuzzFinding:
 # -- generator -------------------------------------------------------------
 
 
+@cache
+def _op_order(ops: frozenset[str]) -> tuple[str, ...]:
+    """The ops in the order ``mutate`` draws from; there are 31 non-empty op sets."""
+    return tuple(sorted(ops))
+
+
 def mutate(frame: Frame, rng: random.Random, ops: frozenset[str]) -> Frame:
     """Apply exactly one rng-chosen mutation to the frame data."""
     if not ops:
         return frame
     data = bytearray(frame.data)
-    op = rng.choice(sorted(ops))
+    op = rng.choice(_op_order(ops))
     if op == "bit_flip":
         if not data:
             return frame
@@ -140,18 +155,17 @@ def _replay_prefix(transport: FuzzTransport, prefix: list[Frame]) -> bool:
     return transport.alive()
 
 
-def _bisect_trigger(
-    transport: FuzzTransport, log: list[Frame], checkpoint: int, dead_at: int
-) -> int:
-    """Smallest prefix length in (checkpoint, dead_at] that kills the SUT.
+def _bisect_trigger(transport: FuzzTransport, checkpoint: int, dead_at: int) -> int:
+    """Smallest frame count in (checkpoint, dead_at] after which the SUT is dead.
 
-    ``log`` must start at the last restore point so prefixes replay from
-    clean state; the caller guarantees log[:checkpoint] leaves it alive.
+    Counts are frames sent since the last restore, as ``alive_after``
+    takes them; the caller guarantees the SUT was alive after
+    ``checkpoint`` frames and dead after ``dead_at``.
     """
     lo, hi = checkpoint + 1, dead_at
     while lo < hi:
         mid = (lo + hi) // 2
-        if _replay_prefix(transport, log[:mid]):
+        if transport.alive_after(mid):
             lo = mid + 1
         else:
             hi = mid
@@ -161,42 +175,42 @@ def _bisect_trigger(
 def run_campaign(config: FuzzConfig, transport: FuzzTransport) -> CampaignResult:
     """Send ``budget`` frames, probing liveness every ``probe_every``.
 
-    Stats count campaign traffic only; bisection and reproduction
+    Stats count campaign traffic only; bisection probes and reproduction
     replays are bookkeeping and stay out of the numbers. A finding is
     reported only if its trigger frame alone kills a freshly restored
     SUT, deduplicated by trigger bytes.
     """
     rng = random.Random(config.seed)
-    corpus = list(config.corpus)
-    # log/sources hold only frames sent since the last restore, so replays
-    # start from known-clean state; base maps them back to campaign positions.
+    corpus = config.corpus
+    budget, probe_every, ops = config.budget, config.probe_every, config.mutation_ops
+    # log/sources hold only frames sent since the last restore, matching the
+    # transport's kept states; base maps them back to campaign positions.
     log: list[Frame] = []
     sources: list[Frame] = []
     base = 0
     checkpoint = 0
     findings: list[FuzzFinding] = []
     seen_triggers: set[tuple[int, bytes]] = set()
-    stats = {"frames_sent": 0, "probes": 0, "responses": 0}
+    probes = responses = 0
 
     sent = 0
-    while sent < config.budget:
+    while sent < budget:
         if sent % 5 == 0:
             source = frame = corpus[(sent // 5) % len(corpus)]
         else:
-            source = corpus[rng.randrange(len(corpus))]
-            frame = mutate(source, rng, config.mutation_ops)
-        stats["responses"] += transport.send(frame)
+            source = rng.choice(corpus)
+            frame = mutate(source, rng, ops)
+        responses += transport.send(frame)
         log.append(frame)
         sources.append(source)
         sent += 1
-        stats["frames_sent"] += 1
 
-        if sent % config.probe_every == 0 or sent == config.budget:
-            stats["probes"] += 1
+        if sent % probe_every == 0 or sent == budget:
+            probes += 1
             if transport.alive():
                 checkpoint = len(log)
                 continue
-            kill = _bisect_trigger(transport, log, checkpoint, len(log))
+            kill = _bisect_trigger(transport, checkpoint, len(log))
             trigger = log[kill - 1]
             key = (trigger.id, trigger.data)
             if key not in seen_triggers and not _replay_prefix(transport, [trigger]):
@@ -219,6 +233,7 @@ def run_campaign(config: FuzzConfig, transport: FuzzTransport) -> CampaignResult
             sources = []
             checkpoint = 0
 
+    stats = {"frames_sent": sent, "probes": probes, "responses": responses}
     return CampaignResult(findings=findings, stats=stats)
 
 

@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .frames import MAX_FRAME_ID, hex_in
 from .scenario_dsl import (
     ExpectStep,
     PatternStep,
@@ -159,17 +160,28 @@ class SutDatabase:
     def slot_values(self) -> dict[str, str]:
         return {k: str(v) for k, v in self.dictionaries.items() if isinstance(v, (str, int))}
 
+    def func_id(self) -> int:
+        """The functional request id, ``7df`` unless the dictionaries name one."""
+        raw = str(self.dictionaries.get("func_id", "7df"))
+        value = hex_in(raw, MAX_FRAME_ID)
+        if value is None:
+            raise TcgError(f"SUT database func_id {raw!r} is not an 11-bit hex frame id")
+        return value
+
 
 def load_sutdb(path: str | Path) -> SutDatabase:
+    """Read a SUT database; a ``func_id`` that is not an 11-bit hex id is a TcgError."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    return SutDatabase(
+    sutdb = SutDatabase(
         sut_id=doc["sut_id"],
         description=doc.get("description", ""),
         endpoints=doc.get("endpoints", {}),
         dictionaries=doc.get("dictionaries", {}),
         domains=doc.get("domains", {}),
     )
+    sutdb.func_id()
+    return sutdb
 
 
 # -- test cases ------------------------------------------------------------

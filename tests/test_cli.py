@@ -39,6 +39,14 @@ def endpoint_of(server) -> str:
     return f"127.0.0.1:{server.data_endpoint[1]}:{server.mgmt_endpoint[1]}"
 
 
+def sutdb_with_func_id(tmp_path: Path, samples_dir: Path, func_id: str) -> Path:
+    doc = json.loads((samples_dir / "sutdb.json").read_text())
+    doc["dictionaries"]["func_id"] = func_id
+    sutdb = tmp_path / "sutdb.json"
+    sutdb.write_text(json.dumps(doc))
+    return sutdb
+
+
 class TestRunStore:
     def test_missing_artifact_names_the_stage(self, tmp_path):
         store = RunStore(tmp_path)
@@ -104,6 +112,17 @@ class TestStageOrdering:
         assert run_cli("item", "--run-dir", str(tmp_path)) == EXIT_OK
         assert run_cli("concept", "--run-dir", str(tmp_path)) == EXIT_USAGE
         assert "'analyze'" in capsys.readouterr().err
+
+    def test_tcg_rejects_a_bad_func_id(self, tmp_path, samples_dir, capsys):
+        sutdb = sutdb_with_func_id(tmp_path, samples_dir, "zz")
+        run_dir = tmp_path / "run"
+        for stage in OFFLINE_STAGES[:-1]:
+            assert run_cli(stage, "--run-dir", str(run_dir)) == EXIT_OK
+        capsys.readouterr()
+        code = run_cli("tcg", "--run-dir", str(run_dir), "--sutdb", str(sutdb))
+        assert code == EXIT_USAGE
+        assert "func_id 'zz'" in capsys.readouterr().err
+        assert not (run_dir / "cases").exists()
 
 
 class TestConceptReadsTheAnalysis:
@@ -340,10 +359,7 @@ class TestExecuteAndReport:
     @pytest.mark.parametrize("func_id", ["zz", "800"], ids=["not-hex", "over-11-bits"])
     def test_bad_func_id_is_a_usage_error(self, tmp_path, sim_factory, samples_dir,
                                           capsys, func_id):
-        doc = json.loads((samples_dir / "sutdb.json").read_text())
-        doc["dictionaries"]["func_id"] = func_id
-        sutdb = tmp_path / "sutdb.json"
-        sutdb.write_text(json.dumps(doc))
+        sutdb = sutdb_with_func_id(tmp_path, samples_dir, func_id)
         run_dir = tmp_path / "run"
         offline_chain(run_dir)
         server = sim_factory(SimConfig())

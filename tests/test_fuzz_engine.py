@@ -188,6 +188,97 @@ def campaign_finding(samples_dir) -> FuzzFinding:
     return result.findings[0]
 
 
+class TestStateTransport:
+    CRASH = Frame(0x7DF, bytes([0x05, 0x01]))
+    BENIGN = Frame(0x7DF, bytes([0x02, 0x01, 0x0D]))
+
+    def test_alive_after_zero_probes_the_start_state(self):
+        transport = StateTransport(EcuState(config=SimConfig()))
+        transport.send(self.CRASH)
+        assert not transport.alive()
+        assert transport.alive_after(0)
+        assert not StateTransport(EcuState(alive=False)).alive_after(0)
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_alive_until_the_crashing_frame(self, k):
+        transport = StateTransport(EcuState(config=SimConfig()))
+        for _ in range(k - 1):
+            transport.send(self.BENIGN)
+        transport.send(self.CRASH)
+        transport.send(self.BENIGN)
+        assert transport.alive_after(k - 1)
+        assert not transport.alive_after(k)
+        assert not transport.alive_after(k + 1)
+
+    def test_restore_empties_the_trail(self):
+        transport = StateTransport(EcuState(config=SimConfig()))
+        transport.send(self.CRASH)
+        transport.send(self.BENIGN)
+        transport.restore()
+        transport.send(self.BENIGN)
+        assert transport.alive_after(1)
+        with pytest.raises(IndexError):
+            transport.alive_after(2)
+
+    def test_alive_after_leaves_the_state(self):
+        transport = StateTransport(EcuState(config=SimConfig()))
+        transport.send(Frame(0x7DF, bytes([0x02, 0x10, 0x03])))
+        transport.send(self.CRASH)
+        before = transport.state
+        for n in range(3):
+            transport.alive_after(n)
+        assert transport.state is before
+        assert not transport.alive()
+
+
+class ReplayTransport(StateTransport):
+    """Bisection as the engine did it before states were kept: every
+    ``alive_after(n)`` restores the ECU, resends the first ``n`` frames
+    since the last restore and probes."""
+
+    def __init__(self, state: EcuState):
+        super().__init__(state)
+        self.start = state
+        self.sent: list[Frame] = []
+
+    def send(self, frame: Frame) -> int:
+        self.sent.append(frame)
+        return super().send(frame)
+
+    def restore(self) -> None:
+        super().restore()
+        self.sent = []
+
+    def alive_after(self, n: int) -> bool:
+        replay = StateTransport(self.start)
+        for frame in self.sent[:n]:
+            replay.send(frame)
+        return replay.alive()
+
+
+class TestBisectionDifferential:
+    """Kept-state bisection gives what restore-and-replay bisection gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        budget=st.integers(min_value=1, max_value=3000),
+        probe_every=st.integers(min_value=1, max_value=60),
+        vulns=st.booleans(),
+    )
+    def test_same_campaign_and_minimization(self, corpus, seed, budget, probe_every, vulns):
+        config = FuzzConfig(seed=seed, budget=budget, corpus=corpus, probe_every=probe_every)
+        sim = SimConfig().with_vulns(vulns)
+        kept = StateTransport(EcuState(config=sim))
+        replayed = ReplayTransport(EcuState(config=sim))
+        one = run_campaign(config, kept)
+        two = run_campaign(config, replayed)
+        assert one == two
+        assert [minimize(f, kept) for f in one.findings] == [
+            minimize(f, replayed) for f in two.findings
+        ]
+
+
 class TestMinimize:
 
     def test_minimized_still_reproduces(self, campaign_finding):

@@ -214,6 +214,20 @@ class TestSutDatabase:
         with pytest.raises(TcgError, match="'A' is empty"):
             db.domain_values("A")
 
+    @pytest.mark.parametrize("raw, value", [(None, 0x7DF), ("7e0", 0x7E0), ("0", 0)])
+    def test_func_id(self, raw, value):
+        dictionaries = {} if raw is None else {"func_id": raw}
+        assert SutDatabase(sut_id="X", dictionaries=dictionaries).func_id() == value
+
+    @pytest.mark.parametrize("raw", ["zz", "800", "-1", ""])
+    def test_load_rejects_a_bad_func_id(self, tmp_path, samples_dir, raw):
+        doc = json.loads((samples_dir / "sutdb.json").read_text())
+        doc["dictionaries"]["func_id"] = raw
+        path = tmp_path / "sutdb.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TcgError, match=f"func_id {raw!r} is not an 11-bit"):
+            load_sutdb(path)
+
 
 def scenario_text(
     sid: str = "scn-t",
