@@ -414,6 +414,8 @@ def stage_report(store: RunStore, args) -> int:
 
 
 def stage_demo(store: RunStore, args) -> int:
+    # A bad SUT database is a usage error before any stage writes an artifact.
+    load_sutdb(args.sutdb)
     with _sim_process(args.vulns) as (host, data_port, mgmt_port):
         live = argparse.Namespace(**vars(args))
         live.sim_endpoint = f"{host}:{data_port}:{mgmt_port}"

@@ -209,15 +209,16 @@ class StateTransport:
     are afterwards confirmed over the wire against the live SUT. States
     are immutable values, so the one given is kept as the restore point
     and ``restore`` is a reassignment. For the same reason the state
-    after each frame sent since the last restore is kept at the cost of
-    one reference per frame, and ``alive_after`` probes any of them
-    without replaying a frame.
+    after each frame sent since the last restore or answered probe is
+    kept at the cost of one reference per frame, and ``alive_after``
+    probes any of them without replaying a frame. An answered probe
+    drops them, so a campaign keeps at most one probe window of states.
     """
 
     _PROBE = Frame(0x7DF, _TESTER_PRESENT)
 
     def __init__(self, state: EcuState):
-        self._start = self.state = state
+        self._start = self._base = self.state = state
         self._trail: list[EcuState] = []
 
     def send(self, frame: Frame) -> int:
@@ -227,16 +228,20 @@ class StateTransport:
 
     def alive(self) -> bool:
         self.state, responses = handle_frame(self.state, self._PROBE)
+        if responses:
+            self._base = self.state
+            self._trail = []
         return bool(responses)
 
     def alive_after(self, n: int) -> bool:
         """Whether the ECU answers a probe after the first ``n`` frames
-        sent since the last restore; ``state`` does not move."""
-        state = self._trail[n - 1] if n else self._start
+        sent since the last restore or answered probe; ``state`` does
+        not move."""
+        state = self._trail[n - 1] if n else self._base
         return bool(handle_frame(state, self._PROBE)[1])
 
     def restore(self) -> None:
-        self.state = self._start
+        self._base = self.state = self._start
         self._trail = []
 
 

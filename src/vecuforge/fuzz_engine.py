@@ -7,6 +7,10 @@ probing the states the transport kept after each frame of the window
 (no replay), and the trigger must then reproduce alone from a fresh
 restore before it is reported. Everything is driven by one seeded PRNG
 stream, so a campaign is a pure function of (seed, config, SUT config).
+Which draws are taken from that stream, and in which order, is part of
+the contract: ``mutate`` and the corpus pick draw exactly what
+``random.Random.choice``/``randrange``/``randint`` would, so the same
+seed gives the same campaign across versions.
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ class FuzzTransport(Protocol):
     frames it drew; ``alive`` issues one liveness probe; ``restore`` puts
     the SUT back into its pre-campaign state. ``alive_after(n)`` tells
     whether the SUT would answer a probe after only the first ``n``
-    frames sent since the last restore, and leaves the current state
-    where it is. A transport that keeps a state per frame answers it
-    from that state; one without snapshots would restore, resend those
-    ``n`` frames and probe.
+    frames sent since the last restore or answered probe, and leaves the
+    current state where it is. A transport that keeps a state per frame
+    answers it from that state; one without snapshots would restore,
+    resend the frames since the restore up to the ``n``-th counted one,
+    and probe.
     """
 
     def send(self, frame: Frame) -> int: ...
@@ -109,33 +114,62 @@ def _op_order(ops: frozenset[str]) -> tuple[str, ...]:
     return tuple(sorted(ops))
 
 
+_BITS = tuple(n.bit_length() for n in range(257))
+
+
+def _below(bits, n: int) -> int:
+    """A uniform draw from ``range(n)``, ``n >= 1``, taking from ``bits``
+    (a generator's ``getrandbits``) exactly what ``random.Random`` takes
+    for ``randrange(n)``: ``n.bit_length()`` bits, redrawn while ``>= n``."""
+    try:
+        k = _BITS[n]
+    except IndexError:
+        k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def mutate(frame: Frame, rng: random.Random, ops: frozenset[str]) -> Frame:
-    """Apply exactly one rng-chosen mutation to the frame data."""
+    """Apply exactly one rng-chosen mutation to the frame data.
+
+    The draws are those of the ``random.Random`` calls in the comments,
+    in that order; changing either changes every later frame of a
+    campaign.
+    """
     if not ops:
         return frame
-    data = bytearray(frame.data)
-    op = rng.choice(_op_order(ops))
+    bits = rng.getrandbits
+    data = frame.data
+    n = len(data)
+    order = _op_order(ops)
+    op = order[_below(bits, len(order))]  # choice(order)
     if op == "bit_flip":
-        if not data:
+        if not n:
             return frame
-        ix = rng.randrange(len(data))
-        data[ix] ^= 1 << rng.randrange(8)
+        ix = _below(bits, n)  # randrange(n)
+        flipped = data[ix] ^ 1 << _below(bits, 8)  # randrange(8)
+        data = data[:ix] + bytes((flipped,)) + data[ix + 1 :]
     elif op == "byte_random":
-        if not data:
+        if not n:
             return frame
-        data[rng.randrange(len(data))] = rng.randrange(256)
+        value = _below(bits, 256)  # randrange(256), drawn before the index
+        ix = _below(bits, n)  # randrange(n)
+        data = data[:ix] + bytes((value,)) + data[ix + 1 :]
     elif op == "length_field_corrupt":
-        if not data:
+        if not n:
             return frame
-        data[0] = rng.randint(len(data), 0xFF)
+        data = bytes((n + _below(bits, 256 - n),)) + data[1:]  # randint(n, 255)
     elif op == "truncate":
-        data = data[: rng.randint(0, max(0, len(data) - 1))]
+        data = data[: _below(bits, max(1, n))]  # randint(0, max(0, n - 1))
     elif op == "extend":
-        room = MAX_DATA_LEN - len(data)
+        room = MAX_DATA_LEN - n
         if room <= 0:
             return frame
-        data.extend(rng.randrange(256) for _ in range(rng.randint(1, room)))
-    return Frame(frame.id, bytes(data))
+        count = 1 + _below(bits, room)  # randint(1, room), then randrange(256) each
+        data += bytes([_below(bits, 256) for _ in range(count)])
+    return Frame(frame.id, data)
 
 
 # -- campaign --------------------------------------------------------------
@@ -155,14 +189,14 @@ def _replay_prefix(transport: FuzzTransport, prefix: list[Frame]) -> bool:
     return transport.alive()
 
 
-def _bisect_trigger(transport: FuzzTransport, checkpoint: int, dead_at: int) -> int:
-    """Smallest frame count in (checkpoint, dead_at] after which the SUT is dead.
+def _bisect_trigger(transport: FuzzTransport, dead_at: int) -> int:
+    """Smallest frame count in [1, dead_at] after which the SUT is dead.
 
-    Counts are frames sent since the last restore, as ``alive_after``
-    takes them; the caller guarantees the SUT was alive after
-    ``checkpoint`` frames and dead after ``dead_at``.
+    Counts are frames sent since the last restore or answered probe, as
+    ``alive_after`` takes them; the SUT answered after 0 of them and is
+    dead after ``dead_at``.
     """
-    lo, hi = checkpoint + 1, dead_at
+    lo, hi = 1, dead_at
     while lo < hi:
         mid = (lo + hi) // 2
         if transport.alive_after(mid):
@@ -181,59 +215,54 @@ def run_campaign(config: FuzzConfig, transport: FuzzTransport) -> CampaignResult
     SUT, deduplicated by trigger bytes.
     """
     rng = random.Random(config.seed)
+    bits = rng.getrandbits
+    send = transport.send
     corpus = config.corpus
+    n_corpus = len(corpus)
     budget, probe_every, ops = config.budget, config.probe_every, config.mutation_ops
-    # log/sources hold only frames sent since the last restore, matching the
-    # transport's kept states; base maps them back to campaign positions.
-    log: list[Frame] = []
-    sources: list[Frame] = []
-    base = 0
-    checkpoint = 0
     findings: list[FuzzFinding] = []
     seen_triggers: set[tuple[int, bytes]] = set()
     probes = responses = 0
 
-    sent = 0
-    while sent < budget:
-        if sent % 5 == 0:
-            source = frame = corpus[(sent // 5) % len(corpus)]
-        else:
-            source = rng.choice(corpus)
-            frame = mutate(source, rng, ops)
-        responses += transport.send(frame)
-        log.append(frame)
-        sources.append(source)
-        sent += 1
+    for start in range(0, budget, probe_every):
+        # One probe window: the frames sent since the last probe, which is
+        # what the transport's ``alive_after`` counts from.
+        end = min(start + probe_every, budget)
+        log: list[Frame] = []
+        sources: list[Frame] = []
+        for sent in range(start, end):
+            if sent % 5 == 0:
+                source = frame = corpus[(sent // 5) % n_corpus]
+            else:
+                source = corpus[_below(bits, n_corpus)]
+                frame = mutate(source, rng, ops)
+            responses += send(frame)
+            log.append(frame)
+            sources.append(source)
 
-        if sent % probe_every == 0 or sent == budget:
-            probes += 1
-            if transport.alive():
-                checkpoint = len(log)
-                continue
-            kill = _bisect_trigger(transport, checkpoint, len(log))
-            trigger = log[kill - 1]
-            key = (trigger.id, trigger.data)
-            if key not in seen_triggers and not _replay_prefix(transport, [trigger]):
-                seen_triggers.add(key)
-                findings.append(
-                    FuzzFinding(
-                        trigger_input=trigger,
-                        source_input=sources[kill - 1],
-                        position=base + kill - 1,
-                        verdict_evidence={
-                            "missed_probe_after_frame": sent,
-                            "window_start": base + checkpoint,
-                        },
-                        reproduced=True,
-                    )
+        probes += 1
+        if transport.alive():
+            continue
+        kill = _bisect_trigger(transport, len(log))
+        trigger = log[kill - 1]
+        key = (trigger.id, trigger.data)
+        if key not in seen_triggers and not _replay_prefix(transport, [trigger]):
+            seen_triggers.add(key)
+            findings.append(
+                FuzzFinding(
+                    trigger_input=trigger,
+                    source_input=sources[kill - 1],
+                    position=start + kill - 1,
+                    verdict_evidence={
+                        "missed_probe_after_frame": end,
+                        "window_start": start,
+                    },
+                    reproduced=True,
                 )
-            transport.restore()
-            base += len(log)
-            log = []
-            sources = []
-            checkpoint = 0
+            )
+        transport.restore()
 
-    stats = {"frames_sent": sent, "probes": probes, "responses": responses}
+    stats = {"frames_sent": budget, "probes": probes, "responses": responses}
     return CampaignResult(findings=findings, stats=stats)
 
 

@@ -419,6 +419,15 @@ class TestDemo:
         assert (tmp_path / "cleanup.json").exists()
         assert (tmp_path / "fingerprint.json").exists()
 
+    def test_bad_func_id_stops_before_the_first_stage(self, tmp_path, samples_dir, capsys):
+        sutdb = sutdb_with_func_id(tmp_path, samples_dir, "zz")
+        run_dir = tmp_path / "run"
+        code = run_cli("demo", "--run-dir", str(run_dir), "--sutdb", str(sutdb))
+        assert code == EXIT_USAGE
+        assert "func_id 'zz'" in capsys.readouterr().err
+        assert not (run_dir / "item.json").exists()
+        assert not (run_dir / "fingerprint.json").exists()
+
     def test_simulator_start_failure_carries_its_stderr(self):
         with pytest.raises(InfraError, match="invalid choice"):
             with _sim_process("maybe"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -9,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vecuforge.executor import StateTransport
-from vecuforge.frames import Frame, parse_line
+from vecuforge.frames import MAX_DATA_LEN, Frame, parse_line
 from vecuforge.fuzz_engine import (
     MUTATION_OPS,
     FuzzConfig,
     FuzzError,
     FuzzFinding,
+    _below,
     minimize,
     mutate,
     run_campaign,
@@ -89,6 +92,80 @@ class TestMutate:
         out = mutate(frame, random.Random(seed), ops)
         assert out.id == frame.id
         assert 0 <= len(out.data) <= 8
+
+
+def reference_mutate(frame: Frame, rng: random.Random, ops: frozenset[str]) -> Frame:
+    """``mutate`` written with the public ``random.Random`` calls, whose
+    draws the engine must reproduce exactly."""
+    if not ops:
+        return frame
+    data = bytearray(frame.data)
+    op = rng.choice(tuple(sorted(ops)))
+    if op == "bit_flip":
+        if not data:
+            return frame
+        ix = rng.randrange(len(data))
+        data[ix] ^= 1 << rng.randrange(8)
+    elif op == "byte_random":
+        if not data:
+            return frame
+        data[rng.randrange(len(data))] = rng.randrange(256)
+    elif op == "length_field_corrupt":
+        if not data:
+            return frame
+        data[0] = rng.randint(len(data), 0xFF)
+    elif op == "truncate":
+        data = data[: rng.randint(0, max(0, len(data) - 1))]
+    elif op == "extend":
+        room = MAX_DATA_LEN - len(data)
+        if room <= 0:
+            return frame
+        data.extend(rng.randrange(256) for _ in range(rng.randint(1, room)))
+    return Frame(frame.id, bytes(data))
+
+
+class TestDrawExactness:
+    """The engine's draws are the ones ``random.Random``'s own calls take,
+    so a seed names the same campaign however the engine is written."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**31])
+    def test_below_is_randrange(self, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in range(1, 257):
+            for _ in range(20):
+                assert _below(ours.getrandbits, n) == theirs.randrange(n)
+        assert _below(ours.getrandbits, 1000) == theirs.randrange(1000)
+        assert ours.getstate() == theirs.getstate()
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        data=st.binary(min_size=0, max_size=8),
+        seed=st.integers(min_value=0, max_value=2**64),
+        ops=st.frozensets(st.sampled_from(MUTATION_OPS), min_size=1),
+    )
+    def test_mutate_draws_like_the_random_api(self, data, seed, ops):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        frame = Frame(0x7E0, data)
+        for _ in range(3):
+            assert mutate(frame, ours, ops) == reference_mutate(frame, theirs, ops)
+            assert ours.getstate() == theirs.getstate()
+
+    # sha256 of json.dumps([stats] + [minimize(f).to_dict() ...]) for seed 1,
+    # budget 20,000, probe_every 50, bundled corpus; a change to the draws
+    # or to the campaign moves them.
+    GOLDEN = {
+        True: "8888598555b1609e5914740b5c1c9ebe33d231c7d22c1895caa1150b6a82a50c",
+        False: "a3ecfc88c8faedfd76d6fe7bee286c7f8d156a5d7c74b457fd7bf52414460d8f",
+    }
+
+    @pytest.mark.parametrize("vulns", [True, False], ids=["vulns-on", "vulns-off"])
+    def test_golden_campaign(self, corpus, vulns):
+        config = FuzzConfig(seed=1, budget=20_000, corpus=corpus)
+        transport = StateTransport(EcuState(config=SimConfig().with_vulns(vulns)))
+        result = run_campaign(config, transport)
+        doc = [result.stats] + [minimize(f, transport).to_dict() for f in result.findings]
+        digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+        assert digest == self.GOLDEN[vulns]
 
 
 class TestConfig:
@@ -220,6 +297,29 @@ class TestStateTransport:
         with pytest.raises(IndexError):
             transport.alive_after(2)
 
+    def test_answered_probe_rebases_the_trail(self):
+        start = EcuState(config=SimConfig())
+        transport = StateTransport(start)
+        transport.send(Frame(0x7DF, bytes([0x02, 0x10, 0x03])))
+        assert transport.alive()
+        transport.send(self.CRASH)
+        assert transport.alive_after(0)
+        assert not transport.alive_after(1)
+        with pytest.raises(IndexError):
+            transport.alive_after(2)
+        transport.restore()
+        assert transport.state is start
+        transport.send(self.BENIGN)
+        assert transport.alive_after(1)
+
+    def test_missed_probe_keeps_the_trail(self):
+        transport = StateTransport(EcuState(config=SimConfig()))
+        transport.send(self.BENIGN)
+        transport.send(self.CRASH)
+        assert not transport.alive()
+        assert transport.alive_after(1)
+        assert not transport.alive_after(2)
+
     def test_alive_after_leaves_the_state(self):
         transport = StateTransport(EcuState(config=SimConfig()))
         transport.send(Frame(0x7DF, bytes([0x02, 0x10, 0x03])))
@@ -233,25 +333,33 @@ class TestStateTransport:
 
 class ReplayTransport(StateTransport):
     """Bisection as the engine did it before states were kept: every
-    ``alive_after(n)`` restores the ECU, resends the first ``n`` frames
-    since the last restore and probes."""
+    ``alive_after(n)`` restores the ECU, resends the frames since the last
+    restore up to the ``n``-th after the last answered probe, and probes."""
 
     def __init__(self, state: EcuState):
         super().__init__(state)
         self.start = state
         self.sent: list[Frame] = []
+        self.offset = 0
 
     def send(self, frame: Frame) -> int:
         self.sent.append(frame)
         return super().send(frame)
 
+    def alive(self) -> bool:
+        answered = super().alive()
+        if answered:
+            self.offset = len(self.sent)
+        return answered
+
     def restore(self) -> None:
         super().restore()
         self.sent = []
+        self.offset = 0
 
     def alive_after(self, n: int) -> bool:
         replay = StateTransport(self.start)
-        for frame in self.sent[:n]:
+        for frame in self.sent[: self.offset + n]:
             replay.send(frame)
         return replay.alive()
 

@@ -8,6 +8,7 @@ when the benchmark runs.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -36,3 +37,33 @@ def test_trace_wrappers_find_every_name_they_wrap():
         "spans.instrument(spans.Recorder())",
     )
     assert proc.returncode == 0, proc.stderr
+
+
+TRACED_CAMPAIGN = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import spans
+from pathlib import Path
+from vecuforge import fuzz_engine, tcg
+from vecuforge.executor import StateTransport
+from vecuforge.frames import parse_line
+from vecuforge.simulator import EcuState, SimConfig
+
+rec = spans.Recorder()
+spans.instrument(rec)
+db = tcg.load_sutdb(Path(tcg.__file__).parent / "samples" / "sutdb.json")
+corpus = tuple(parse_line(line) for line in db.dictionaries["fuzz_corpus"])
+config = fuzz_engine.FuzzConfig(seed=1, budget=1000, corpus=corpus)
+fuzz_engine.run_campaign(config, StateTransport(EcuState(config=SimConfig())))
+print(json.dumps(rec.calls))
+"""
+
+
+def test_traced_campaign_times_mutate_and_send():
+    """A campaign that stopped calling the module-global ``mutate`` or the
+    transport's ``send`` would leave those per-layer metrics at zero."""
+    proc = run_python("-c", TRACED_CAMPAIGN)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    assert calls["fuzz_engine.mutate"] == 800
+    assert calls["fuzz_engine.transport_send"] >= 1000
