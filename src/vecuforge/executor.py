@@ -30,6 +30,7 @@ from .item_model import fingerprint_sut
 from .script_registry import RegistryError, ScriptRegistry, render_command
 from .simulator import EcuState, handle_frame, load_state, official_key, weak_key
 from .tcg import SutDatabase, TestCase
+from .vocabulary import CONDITIONS, MATCHERS, PRECONDITIONS
 from .vuln_scanner import VulnDbEntry, scan
 
 MGMT_TIMEOUT = 2.0
@@ -187,10 +188,10 @@ def open_session(
     )
     try:
         for pre in preconditions:
+            if pre not in PRECONDITIONS:
+                raise ExecutorError(f"unknown precondition {pre!r}")
             if pre == "sut_alive" and not session.probe_alive():
                 raise ExecutorError("precondition sut_alive failed: no probe response")
-            if pre not in ("sut_alive", "env_ready"):
-                raise ExecutorError(f"unknown precondition {pre!r}")
     except ExecutorError:
         session.close()
         raise
@@ -559,18 +560,14 @@ class _CaseRun:
         record = StepRecord(step=asdict(step))
         if not self.records:
             raise ExecutorError("expect step without a preceding stimulus")
-        matcher = step.name
+        if step.name not in MATCHERS:
+            raise ExecutorError(f"unknown matcher {step.name!r}")
+        prefix_for = MATCHERS[step.name]
         examined = self.last_rx
-        if matcher == "NO_RESPONSE":
+        if prefix_for is None:
             met = not examined
         else:
-            service = _service_arg(step)
-            if matcher == "RESPONSE":
-                prefix = bytes([(service + 0x40) & 0xFF])
-            elif matcher == "NEG_RESPONSE":
-                prefix = bytes([0x7F, service])
-            else:
-                raise ExecutorError(f"unknown matcher {matcher!r}")
+            prefix = prefix_for(_service_arg(step))
             met = any(_payload(f).startswith(prefix) for f in examined)
         record.rx = [f.to_line() for f in examined]
         record.met = met
@@ -601,20 +598,9 @@ class _CaseRun:
 
 def condition_holds(name: str, facts: dict) -> bool:
     """Evaluate one oracle condition against the recorded execution facts."""
-    expectations = facts["expectations"]
-    table = {
-        "all_expectations_met": all(m is True for m in expectations),
-        "any_expectation_missed": any(m is not True for m in expectations),
-        "sut.alive": facts["final_probe_alive"] and facts["fuzz_findings"] == 0,
-        "sut.crashed": facts["fuzz_findings"] > 0 or not facts["final_probe_alive"],
-        "unlock.achieved": facts["unlock_achieved"],
-        "write.accepted": facts["write_accepted"],
-        "scan.findings": facts["scan_ran"] and facts["scan_findings"] > 0,
-        "scan.clean": facts["scan_ran"] and facts["scan_findings"] == 0,
-    }
-    if name not in table:
+    if name not in CONDITIONS:
         raise ExecutorError(f"unknown oracle condition {name!r}")
-    return table[name]
+    return CONDITIONS[name](facts)
 
 
 def execute_case(

@@ -30,7 +30,7 @@ from .scenario_dsl import (
     serialize,
     validate,
 )
-from .vocabulary import PATTERNS, STANDARD_VOCABULARY
+from .vocabulary import PATTERNS
 
 _HEXSTR_RE = re.compile(r"0x((?:[0-9a-fA-F]{2})+)\Z")
 
@@ -67,34 +67,30 @@ class AttackTree:
     fail_condition: str
 
 
-def _node_from_dict(doc: dict, known_patterns: frozenset[str]) -> Node:
+def _node_from_dict(doc: dict) -> Node:
     kind = doc.get("kind")
     if kind == "leaf":
         pattern = doc.get("pattern", "")
-        if pattern not in known_patterns:
+        if pattern not in PATTERNS:
             raise PlannerError(f"attack-tree leaf references unknown pattern {pattern!r}")
         args = tuple(sorted((str(k), str(v)) for k, v in doc.get("args", {}).items()))
         return Leaf(pattern, args)
     if kind in ("and", "or"):
-        children = tuple(
-            _node_from_dict(c, known_patterns) for c in doc.get("children", [])
-        )
+        children = tuple(_node_from_dict(c) for c in doc.get("children", []))
         if not children:
             raise PlannerError(f"attack-tree {kind!r} node has no children")
         return And(children) if kind == "and" else Or(children)
     raise PlannerError(f"attack-tree node kind must be and/or/leaf, got {kind!r}")
 
 
-def load_attack_trees(
-    path: str | Path, known_patterns: frozenset[str] = PATTERNS
-) -> dict[str, AttackTree]:
+def load_attack_trees(path: str | Path) -> dict[str, AttackTree]:
     """Threat class -> tree, from a JSON file tagged {and, or, leaf}."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     trees: dict[str, AttackTree] = {}
     for threat_class, spec in doc.get("trees", {}).items():
         trees[threat_class] = AttackTree(
-            root=_node_from_dict(spec["root"], known_patterns),
+            root=_node_from_dict(spec["root"]),
             fail_condition=spec["fail_condition"],
         )
     return trees
@@ -179,7 +175,7 @@ def _env(iface: Interface) -> EnvSpec:
 def _finalize(raw: Scenario) -> Scenario:
     """Normalize via the canonical form and insist the result validates."""
     scenario = parse_scenario(serialize(raw))
-    issues = validate(scenario, STANDARD_VOCABULARY)
+    issues = validate(scenario)
     if issues:
         raise PlannerError(
             f"generated scenario {scenario.id!r} does not validate: "

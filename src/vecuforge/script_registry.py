@@ -83,7 +83,6 @@ class ScriptRegistry:
 
     def __init__(self, directory: str | Path, known_patterns: frozenset[str]):
         self.directory = Path(directory)
-        self.known_patterns = known_patterns
         self.scripts: dict[str, TestScript] = {}
         for path in sorted(self.directory.glob("*.json")):
             with open(path, encoding="utf-8") as fh:

@@ -27,9 +27,9 @@ so a crashed ECU still answers it. Each connection's lines are handled
 in arrival order and their output is queued in that order, so every
 reply to a frame goes out before the ``SYNCED`` of a later barrier.
 
-A management channel accepts line commands DUMP (base64 state), LOAD,
-RESET and CONFIG k=v. State dumps are canonical: loading a dump and
-dumping again yields identical bytes.
+A management channel accepts line commands DUMP (base64 state), LOAD
+and RESET. State dumps are canonical: loading a dump and dumping again
+yields identical bytes.
 """
 
 from __future__ import annotations
@@ -272,6 +272,7 @@ def load_state(blob: str) -> EcuState:
             raise ValueError(f"last_seed must be null or two bytes, got {seed!r}")
         seed = (_byte("last_seed", seed[0]), _byte("last_seed", seed[1]))
     cfg = doc["config"]
+    services = _of_type("services", cfg["services"], list)
     return EcuState(
         config=SimConfig(
             speed=_byte("speed", cfg["speed"]),
@@ -280,7 +281,7 @@ def load_state(blob: str) -> EcuState:
             v3_length_crash=_of_type("v3", cfg["v3"], bool),
             v4_hidden_service=_of_type("v4", cfg["v4"], bool),
             key_const=_byte("key_const", cfg["key_const"]),
-            services=frozenset(cfg["services"]),
+            services=frozenset(_byte("services", s) for s in services),
         ),
         session=_of_type("session", doc["session"], int),
         locked=_of_type("locked", doc["locked"], bool),
@@ -291,37 +292,12 @@ def load_state(blob: str) -> EcuState:
     )
 
 
-def _parse_config_value(state: EcuState, key: str, value: str) -> SimConfig:
-    cfg = state.config
-    if key in ("v1", "v2", "v3", "v4"):
-        if value not in ("on", "off"):
-            raise ValueError(f"{key} wants on/off, got {value!r}")
-        flag = value == "on"
-        return replace(
-            cfg,
-            **{
-                "v1": {"v1_weak_key": flag},
-                "v2": {"v2_session_bypass": flag},
-                "v3": {"v3_length_crash": flag},
-                "v4": {"v4_hidden_service": flag},
-            }[key],
-        )
-    if key == "speed":
-        return replace(cfg, speed=int(value, 16) & 0xFF)
-    if key == "key_const":
-        return replace(cfg, key_const=int(value, 16) & 0xFF)
-    if key == "services":
-        svc = frozenset(int(p, 16) for p in value.split(",") if p)
-        return replace(cfg, services=svc)
-    raise ValueError(f"unknown config key {key!r}")
-
-
 class SimServer:
     """Socket front-end around the pure state machine.
 
     One selector loop owns the state, so event order equals arrival order.
     The data endpoint speaks the frame wire codec and the SYNC barrier; the
-    management endpoint speaks DUMP/LOAD/RESET/CONFIG lines.
+    management endpoint speaks DUMP/LOAD/RESET lines.
     """
 
     def __init__(self, config: SimConfig | None = None, host: str = "127.0.0.1",
@@ -477,16 +453,6 @@ class SimServer:
         if cmd == "RESET":
             self.state = self._initial
             return "OK\n"
-        if cmd == "CONFIG":
-            if "=" not in arg:
-                return "ERR CONFIG wants key=value\n"
-            k, v = arg.split("=", 1)
-            try:
-                new_cfg = _parse_config_value(self.state, k.strip(), v.strip())
-            except ValueError as exc:
-                return f"ERR {exc}\n"
-            self.state = replace(self.state, config=new_cfg)
-            return "OK\n"
         return "ERR unknown command\n"
 
 
@@ -497,10 +463,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--mgmt-port", type=int, default=0)
     ap.add_argument("--vulns", choices=["on", "off"], default="on",
                     help="enable or disable all four seeded defects")
-    ap.add_argument("--speed", default="32", help="speed byte, hex")
     args = ap.parse_args(argv)
 
-    config = SimConfig(speed=int(args.speed, 16) & 0xFF).with_vulns(args.vulns == "on")
+    config = SimConfig().with_vulns(args.vulns == "on")
     server = SimServer(config, host=args.host, data_port=args.data_port, mgmt_port=args.mgmt_port)
     server.start()
     print(f"LISTENING data={server.data_endpoint[1]} mgmt={server.mgmt_endpoint[1]}", flush=True)

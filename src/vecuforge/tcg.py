@@ -26,7 +26,6 @@ from .scenario_dsl import (
     validate,
 )
 from .script_registry import ScriptRegistry
-from .vocabulary import STANDARD_VOCABULARY
 
 _HEXISH_RE = re.compile(r"0x([0-9a-fA-F]*)\Z")
 
@@ -189,6 +188,9 @@ def load_sutdb(path: str | Path) -> SutDatabase:
 
 @dataclass
 class BoundStep:
+    """One activity of a case. ``within_ms`` is an expect step's latency
+    requirement, carried from the scenario and not enforced."""
+
     kind: str  # "pattern" | "expect"
     name: str
     script_ref: str | None
@@ -245,7 +247,7 @@ def generate_cases(
     t: int = 2,
 ) -> list[TestCase]:
     """One case per covering-array row over the scenario's placeholders."""
-    issues = validate(scenario, STANDARD_VOCABULARY)
+    issues = validate(scenario)
     if issues:
         raise TcgError(
             f"scenario {scenario.id!r} does not validate: "

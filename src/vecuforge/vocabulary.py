@@ -1,13 +1,15 @@
-"""The standard vocabulary: pattern, matcher and condition names.
+"""The standard vocabulary: one table per concept.
 
-Scenarios are validated against this set; the script registry maps the
-patterns to concrete scripts and the executor implements the matchers
-and conditions.
+Scenarios are validated against these tables and the executor evaluates
+them, so each name is defined once, here. The script registry maps the
+patterns to concrete scripts. ``MATCHERS`` maps a matcher to the
+reply-payload prefix it accepts for a given service; ``None`` means the
+matcher is met only when no frame came back. ``CONDITIONS`` maps an
+oracle condition to its predicate over the facts that
+``executor._CaseRun.facts`` records for a case.
 """
 
 from __future__ import annotations
-
-from .scenario_dsl import Vocabulary
 
 PATTERNS = frozenset(
     {
@@ -22,26 +24,21 @@ PATTERNS = frozenset(
     }
 )
 
-MATCHERS = frozenset({"RESPONSE", "NEG_RESPONSE", "NO_RESPONSE"})
+MATCHERS = {
+    "RESPONSE": lambda service: bytes([(service + 0x40) & 0xFF]),
+    "NEG_RESPONSE": lambda service: bytes([0x7F, service]),
+    "NO_RESPONSE": None,
+}
 
-CONDITIONS = frozenset(
-    {
-        "all_expectations_met",
-        "any_expectation_missed",
-        "sut.alive",
-        "sut.crashed",
-        "unlock.achieved",
-        "write.accepted",
-        "scan.findings",
-        "scan.clean",
-    }
-)
+CONDITIONS = {
+    "all_expectations_met": lambda f: all(m is True for m in f["expectations"]),
+    "any_expectation_missed": lambda f: any(m is not True for m in f["expectations"]),
+    "sut.alive": lambda f: f["final_probe_alive"] and f["fuzz_findings"] == 0,
+    "sut.crashed": lambda f: f["fuzz_findings"] > 0 or not f["final_probe_alive"],
+    "unlock.achieved": lambda f: f["unlock_achieved"],
+    "write.accepted": lambda f: f["write_accepted"],
+    "scan.findings": lambda f: f["scan_ran"] and f["scan_findings"] > 0,
+    "scan.clean": lambda f: f["scan_ran"] and f["scan_findings"] == 0,
+}
 
 PRECONDITIONS = frozenset({"sut_alive", "env_ready"})
-
-STANDARD_VOCABULARY = Vocabulary(
-    patterns=PATTERNS,
-    matchers=MATCHERS,
-    conditions=CONDITIONS,
-    preconditions=PRECONDITIONS,
-)

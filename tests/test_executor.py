@@ -9,6 +9,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
+from vecuforge import vocabulary
 from vecuforge.executor import (
     CleanupReport,
     DataChannel,
@@ -25,6 +26,7 @@ from vecuforge.executor import TestResult as Result
 from vecuforge.frames import Frame
 from vecuforge.item_model import load_item
 from vecuforge.planner import build_plan, load_attack_trees
+from vecuforge.scenario_dsl import parse_scenario, validate
 from vecuforge.script_registry import ScriptRegistry
 from vecuforge.simulator import EcuState, SimConfig, load_state
 from vecuforge.tcg import BoundStep, SutDatabase, generate_cases, load_sutdb
@@ -774,6 +776,52 @@ class TestConditionTable:
     def test_unknown_condition(self):
         with pytest.raises(ExecutorError):
             condition_holds("moon.phase", self.facts())
+
+
+class TestOneVocabulary:
+    """A name added to the vocabulary tables validates and executes."""
+
+    SCENARIO = """
+    scenario "read-speed-pid" {
+      meta { method: "functional" requirement_ref: "REQ-SPEED" }
+      env { interface bus canlike item_ref="IF-CAN" }
+      steps {
+        pattern SEND_CAN_MSG(id="7df", data=0x02010d)
+        expect PID_RESPONSE(service=0x01)
+      }
+      oracle {
+        pass: speed.read
+        fail: any_expectation_missed
+      }
+    }
+    """
+
+    def test_added_matcher_and_condition(self, monkeypatch, sim_factory, sutdb,
+                                         resources, registry):
+        # positive reply to the service, echoing PID 0x0d
+        monkeypatch.setitem(
+            vocabulary.MATCHERS, "PID_RESPONSE",
+            lambda service: bytes([(service + 0x40) & 0xFF, 0x0D]),
+        )
+        monkeypatch.setitem(
+            vocabulary.CONDITIONS, "speed.read",
+            lambda facts: facts["expectations"] == [True],
+        )
+        scenario = parse_scenario(self.SCENARIO)
+        assert validate(scenario) == []
+        assert condition_holds("speed.read", {"expectations": [True]})
+        assert not condition_holds("speed.read", {"expectations": [False]})
+
+        (case,) = generate_cases(scenario, sutdb, registry)
+        server = sim_factory(SimConfig())
+        session = make_session(server, sutdb, [case])
+        try:
+            result = execute_case(case, session, resources, registry)
+        finally:
+            session.close()
+        assert result.verdict == "pass", result.error
+        assert result.step_log[1].met is True
+        assert result.oracle_evaluation["pass_holds"] is True
 
 
 class TestStateTransport:

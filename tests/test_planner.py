@@ -34,7 +34,6 @@ from vecuforge.planner import (
 )
 from vecuforge.planner import TestPlan as Plan
 from vecuforge.scenario_dsl import parse_scenario, serialize, validate
-from vecuforge.vocabulary import STANDARD_VOCABULARY
 
 
 # -- attack vectors --------------------------------------------------------
@@ -207,7 +206,7 @@ def req_for(analysis, req_id: str) -> SecurityRequirement:
 def assert_round_trips(scenario) -> None:
     text = serialize(scenario)
     assert parse_scenario(text) == scenario
-    assert validate(scenario, STANDARD_VOCABULARY) == []
+    assert validate(scenario) == []
 
 
 class TestGenFunctional:

@@ -17,12 +17,10 @@ from vecuforge.scenario_dsl import (
     PatternStep,
     Scenario,
     Value,
-    Vocabulary,
     parse_scenario,
     serialize,
     validate,
 )
-from vecuforge.vocabulary import STANDARD_VOCABULARY
 
 CORPUS = Path(__file__).parent / "corpus"
 VALID = sorted((CORPUS / "valid").glob("*.scn"))
@@ -220,27 +218,27 @@ class TestSemanticRules:
 class TestValidate:
     def test_clean_scenario(self):
         scn = parse_scenario(MINIMAL)
-        assert validate(scn, STANDARD_VOCABULARY) == []
+        assert validate(scn) == []
 
     def test_unknown_pattern(self):
         scn = parse_scenario(MINIMAL.replace("TESTER_PRESENT", "FROB_BUS"))
-        issues = validate(scn, STANDARD_VOCABULARY)
+        issues = validate(scn)
         assert [i.code for i in issues] == ["unknown-pattern"]
         assert "FROB_BUS" in issues[0].detail
 
     def test_unknown_condition(self):
         scn = parse_scenario(MINIMAL.replace("fail: sut.crashed", "fail: moon.phase"))
-        assert [i.code for i in validate(scn, STANDARD_VOCABULARY)] == ["unknown-condition"]
+        assert [i.code for i in validate(scn)] == ["unknown-condition"]
 
     def test_unknown_matcher(self):
         scn = parse_scenario(MINIMAL.replace("pattern TESTER_PRESENT()",
                                              "pattern TESTER_PRESENT() expect WEIRD()"))
-        assert [i.code for i in validate(scn, STANDARD_VOCABULARY)] == ["unknown-matcher"]
+        assert [i.code for i in validate(scn)] == ["unknown-matcher"]
 
     def test_undeclared_placeholder(self):
         scn = parse_scenario(MINIMAL.replace("pattern TESTER_PRESENT()",
                                              "pattern SEND_CAN_MSG(id=$X)"))
-        issues = validate(scn, STANDARD_VOCABULARY)
+        issues = validate(scn)
         assert [i.code for i in issues] == ["unresolved-placeholder"]
         assert "$X" in issues[0].detail
 
@@ -248,12 +246,12 @@ class TestValidate:
         text = MINIMAL.replace('method: "functional"', 'method: "functional" domain_X: "REQ_ID"')
         scn = parse_scenario(text.replace("pattern TESTER_PRESENT()",
                                           "pattern SEND_CAN_MSG(id=$X)"))
-        assert validate(scn, STANDARD_VOCABULARY) == []
+        assert validate(scn) == []
 
     def test_unknown_precondition(self):
         scn = parse_scenario(MINIMAL.replace("interface bus canlike",
                                              "interface bus canlike precondition warp_field"))
-        assert [i.code for i in validate(scn, STANDARD_VOCABULARY)] == ["unknown-precondition"]
+        assert [i.code for i in validate(scn)] == ["unknown-precondition"]
 
 
 # -- property: parse(serialize(ast)) == ast on generated scenarios -------

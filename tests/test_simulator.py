@@ -372,25 +372,10 @@ class TestSocketServer:
             data.close()
             mgmt.close()
 
-    def test_mgmt_config_toggle(self, server):
-        data = frames.LineClient(*server.data_endpoint)
-        mgmt = frames.LineClient(*server.mgmt_endpoint)
-        try:
-            mgmt.send_line("CONFIG v4=off")
-            assert mgmt.recv_line(WAIT) == "OK"
-            data.send_line("7df#0142")
-            data.send_line("7df#013e")
-            assert data.recv_line(WAIT) == "7e8#017e"
-        finally:
-            data.close()
-            mgmt.close()
-
     def test_mgmt_errors(self, server):
         mgmt = frames.LineClient(*server.mgmt_endpoint)
         try:
             mgmt.send_line("FROB")
-            assert mgmt.recv_line(WAIT).startswith("ERR")
-            mgmt.send_line("CONFIG sideways")
             assert mgmt.recv_line(WAIT).startswith("ERR")
             mgmt.send_line("LOAD notbase64!!")
             assert mgmt.recv_line(WAIT).startswith("ERR")
@@ -412,6 +397,9 @@ class TestSocketServer:
             dump_with("config.speed", 0x100),
             dump_with("config.speed", True),
             dump_with("config.key_const", -1),
+            dump_with("config.services", "3e"),
+            dump_with("config.services", [True]),
+            dump_with("config.services", [256]),
             dump_with("last_seed", [0x13]),
             dump_with("last_seed", [0x13, "7a"]),
             dump_with("last_seed", [0x13, 0x17A]),
@@ -421,6 +409,7 @@ class TestSocketServer:
             "list", "null", "data-ids-list", "deeply-nested",
             "seed-counter-str", "session-str", "locked-int", "alive-str", "v3-int",
             "speed-over-byte", "speed-bool", "key-const-negative",
+            "services-str", "services-bool", "services-over-byte",
             "last-seed-one-byte", "last-seed-str-byte", "last-seed-over-byte",
             "last-seed-str",
         ],
