@@ -446,41 +446,35 @@ _STAGES = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # One flat parser: every stage accepts every flag and ignores the ones
+    # it does not use. Built per call, so $VECUFORGE_RUN_DIR is read then.
     parser = argparse.ArgumentParser(
         prog="vecuforge",
         description="automated security-testing pipeline for diagnostic ECUs",
     )
-    sub = parser.add_subparsers(dest="stage", required=True)
-    for name, func in _STAGES.items():
-        stage = sub.add_parser(name, help=(func.__doc__ or "").strip() or None)
-        stage.add_argument(
-            "--run-dir",
-            default=os.environ.get(RUN_DIR_ENV),
-            help=f"artifact directory (default: ${RUN_DIR_ENV})",
-        )
-        stage.add_argument("--item", default=str(_SAMPLES / "item.json"))
-        stage.add_argument("--catalog", default=str(_SAMPLES / "catalog.json"))
-        stage.add_argument(
-            "--countermeasures", default=str(_SAMPLES / "countermeasures.json")
-        )
-        stage.add_argument(
-            "--attack-trees", default=str(_SAMPLES / "attack_trees.json")
-        )
-        stage.add_argument("--vulndb", default=str(_SAMPLES / "vulndb.json"))
-        stage.add_argument("--sutdb", default=str(_SAMPLES / "sutdb.json"))
-        stage.add_argument("--scripts", default=str(_SAMPLES / "scripts"))
-        stage.add_argument("--seed", type=int, default=1)
-        stage.add_argument("--strength", type=int, default=2,
-                           help="covering-array interaction strength")
-        stage.add_argument("--budget", type=int, default=2000,
-                           help="fuzz campaign frame budget")
-        stage.add_argument("--sim-endpoint", default=None,
-                           help="running SUT as host:data_port[:mgmt_port]")
-        stage.add_argument("--untested-reason", choices=UNTESTED_REASONS,
-                           default="other")
-        if name == "demo":
-            stage.add_argument("--vulns", choices=["on", "off"], default="on",
-                               help="run the simulator with or without its seeded defects")
+    parser.add_argument("stage", choices=_STAGES)
+    parser.add_argument(
+        "--run-dir",
+        default=os.environ.get(RUN_DIR_ENV),
+        help=f"artifact directory (default: ${RUN_DIR_ENV})",
+    )
+    parser.add_argument("--item", default=str(_SAMPLES / "item.json"))
+    parser.add_argument("--catalog", default=str(_SAMPLES / "catalog.json"))
+    parser.add_argument("--countermeasures", default=str(_SAMPLES / "countermeasures.json"))
+    parser.add_argument("--attack-trees", default=str(_SAMPLES / "attack_trees.json"))
+    parser.add_argument("--vulndb", default=str(_SAMPLES / "vulndb.json"))
+    parser.add_argument("--sutdb", default=str(_SAMPLES / "sutdb.json"))
+    parser.add_argument("--scripts", default=str(_SAMPLES / "scripts"))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--strength", type=int, default=2,
+                        help="covering-array interaction strength")
+    parser.add_argument("--budget", type=int, default=2000,
+                        help="fuzz campaign frame budget")
+    parser.add_argument("--sim-endpoint", default=None,
+                        help="running SUT as host:data_port[:mgmt_port]")
+    parser.add_argument("--untested-reason", choices=UNTESTED_REASONS, default="other")
+    parser.add_argument("--vulns", choices=["on", "off"], default="on",
+                        help="demo only: run the simulator with or without its seeded defects")
     return parser
 
 

@@ -38,6 +38,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .frames import hex_in
 from .vocabulary import CONDITIONS, MATCHERS, PATTERNS, PRECONDITIONS
 
 METHODS = ("functional", "interface", "penetration", "vulnscan", "fuzz")
@@ -560,6 +561,18 @@ def validate(scenario: Scenario) -> list[Issue]:
             issues.append(Issue("unknown-pattern", f"pattern {step.name!r} is not in the vocabulary"))
         if isinstance(step, ExpectStep) and step.matcher not in MATCHERS:
             issues.append(Issue("unknown-matcher", f"matcher {step.matcher!r} is not in the vocabulary"))
+        elif isinstance(step, ExpectStep) and MATCHERS[step.matcher] is not None:
+            service = dict(step.args).get("service")
+            # A placeholder is checked when it is bound, by the executor.
+            if service is None or (
+                service.kind is not ValueKind.PLACEHOLDER
+                and hex_in(service.as_text(), 0xFF) is None
+            ):
+                got = "no service" if service is None else f"service={service.render()}"
+                issues.append(Issue(
+                    "bad-matcher-argument",
+                    f"matcher {step.matcher!r} wants service=<hex byte>, got {got}",
+                ))
     for cond in (scenario.oracle.pass_condition, scenario.oracle.fail_condition):
         if cond not in CONDITIONS:
             issues.append(Issue("unknown-condition", f"condition {cond!r} is not in the vocabulary"))

@@ -252,10 +252,15 @@ def _of_type(name: str, value, kind: type):
     return value
 
 
-def _byte(name: str, value) -> int:
-    if not 0 <= _of_type(name, value, int) <= 0xFF:
-        raise ValueError(f"{name} must be a byte, got {value!r}")
+def _int_in(name: str, value, allowed) -> int:
+    """``value`` if it is an int in ``allowed``, a range or a tuple."""
+    if _of_type(name, value, int) not in allowed:
+        raise ValueError(f"{name} must be in {allowed}, got {value!r}")
     return value
+
+
+def _byte(name: str, value) -> int:
+    return _int_in(name, value, range(0x100))
 
 
 def load_state(blob: str) -> EcuState:
@@ -273,6 +278,9 @@ def load_state(blob: str) -> EcuState:
         seed = (_byte("last_seed", seed[0]), _byte("last_seed", seed[1]))
     cfg = doc["config"]
     services = _of_type("services", cfg["services"], list)
+    seed_counter = _of_type("seed_counter", doc["seed_counter"], int)
+    if seed_counter < 0:
+        raise ValueError(f"seed_counter must not be negative, got {seed_counter!r}")
     return EcuState(
         config=SimConfig(
             speed=_byte("speed", cfg["speed"]),
@@ -283,12 +291,15 @@ def load_state(blob: str) -> EcuState:
             key_const=_byte("key_const", cfg["key_const"]),
             services=frozenset(_byte("services", s) for s in services),
         ),
-        session=_of_type("session", doc["session"], int),
+        session=_int_in("session", doc["session"], VALID_SESSIONS),
         locked=_of_type("locked", doc["locked"], bool),
         last_seed=seed,
-        seed_counter=_of_type("seed_counter", doc["seed_counter"], int),
+        seed_counter=seed_counter,
         alive=_of_type("alive", doc["alive"], bool),
-        data_ids={int(k, 16): bytes.fromhex(v) for k, v in doc["data_ids"].items()},
+        data_ids={
+            _int_in(f"data_ids key {k!r}", int(k, 16), range(0x10000)): bytes.fromhex(v)
+            for k, v in doc["data_ids"].items()
+        },
     )
 
 

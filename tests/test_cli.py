@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+import vecuforge
 from vecuforge.analysis import RequirementKind, SecurityRequirement, VerificationHint
 from vecuforge.cli import (
     EXIT_FINDINGS,
@@ -18,6 +22,7 @@ from vecuforge.cli import (
     InfraError,
     RunStore,
     UsageError,
+    _STAGES,
     _sim_process,
     main,
 )
@@ -123,6 +128,51 @@ class TestStageOrdering:
         assert code == EXIT_USAGE
         assert "func_id 'zz'" in capsys.readouterr().err
         assert not (run_dir / "cases").exists()
+
+    def test_tcg_rejects_a_bad_matcher_argument(self, tmp_path, capsys):
+        for stage in OFFLINE_STAGES[:-1]:
+            assert run_cli(stage, "--run-dir", str(tmp_path)) == EXIT_OK
+        scenario = next(p for p in (tmp_path / "scenarios").glob("*.scn")
+                        if "expect RESPONSE(service=0x3e)" in p.read_text())
+        scenario.write_text(scenario.read_text().replace(
+            "expect RESPONSE(service=0x3e)", "expect RESPONSE()"))
+        capsys.readouterr()
+        assert run_cli("tcg", "--run-dir", str(tmp_path)) == EXIT_USAGE
+        assert "wants service=<hex byte>" in capsys.readouterr().err
+        assert not (tmp_path / "cases").exists()
+
+
+class TestArgumentGrammar:
+    def test_options_before_the_stage_name(self, tmp_path):
+        assert run_cli("--run-dir", str(tmp_path), "item") == EXIT_OK
+        assert (tmp_path / "item.json").exists()
+
+    def test_vulns_on_an_offline_stage_changes_nothing(self, tmp_path):
+        def files(root: Path) -> dict:
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        offline_chain(tmp_path / "plain")
+        offline_chain(tmp_path / "off", "--vulns", "off")
+        assert files(tmp_path / "plain") and files(tmp_path / "off") == files(tmp_path / "plain")
+
+    def test_unknown_stage_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("frobnicate", "--run-dir", str(tmp_path))
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_module_entry_point_help_lists_every_stage(self):
+        src = Path(vecuforge.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vecuforge.cli", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(_STAGES) == 9
+        for stage in _STAGES:
+            assert stage in proc.stdout
 
 
 class TestConceptReadsTheAnalysis:

@@ -235,6 +235,26 @@ class TestValidate:
                                              "pattern TESTER_PRESENT() expect WEIRD()"))
         assert [i.code for i in validate(scn)] == ["unknown-matcher"]
 
+    @pytest.mark.parametrize(
+        "expect", ['RESPONSE()', 'NEG_RESPONSE(service="zz")', 'RESPONSE(service=0x0100)']
+    )
+    def test_bad_matcher_argument(self, expect):
+        scn = parse_scenario(MINIMAL.replace("pattern TESTER_PRESENT()",
+                                             f"pattern TESTER_PRESENT() expect {expect}"))
+        issues = validate(scn)
+        assert [i.code for i in issues] == ["bad-matcher-argument"]
+        assert "service=<hex byte>" in issues[0].detail
+
+    @pytest.mark.parametrize(
+        "expect", ["RESPONSE(service=0x3e)", 'NEG_RESPONSE(service="7f")',
+                   "RESPONSE(service=$S)", "NO_RESPONSE()"]
+    )
+    def test_good_matcher_argument(self, expect):
+        text = MINIMAL.replace('method: "functional"', 'method: "functional" domain_S: "SID"')
+        scn = parse_scenario(text.replace("pattern TESTER_PRESENT()",
+                                          f"pattern TESTER_PRESENT() expect {expect}"))
+        assert validate(scn) == []
+
     def test_undeclared_placeholder(self):
         scn = parse_scenario(MINIMAL.replace("pattern TESTER_PRESENT()",
                                              "pattern SEND_CAN_MSG(id=$X)"))

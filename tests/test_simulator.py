@@ -404,6 +404,10 @@ class TestSocketServer:
             dump_with("last_seed", [0x13, "7a"]),
             dump_with("last_seed", [0x13, 0x17A]),
             dump_with("last_seed", "137a"),
+            dump_with("session", 999),
+            dump_with("session", -1),
+            dump_with("data_ids", {"10000": "00"}),
+            dump_with("seed_counter", -1),
         ],
         ids=[
             "list", "null", "data-ids-list", "deeply-nested",
@@ -411,7 +415,8 @@ class TestSocketServer:
             "speed-over-byte", "speed-bool", "key-const-negative",
             "services-str", "services-bool", "services-over-byte",
             "last-seed-one-byte", "last-seed-str-byte", "last-seed-over-byte",
-            "last-seed-str",
+            "last-seed-str", "session-999", "session-negative", "data-id-over-16-bits",
+            "seed-counter-negative",
         ],
     )
     def test_malformed_state_blob_keeps_serving(self, server, doc):
