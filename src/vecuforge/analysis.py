@@ -237,24 +237,18 @@ def load_countermeasures(path: str) -> list[Countermeasure]:
 def _resolve_goal(entry: ThreatCatalogEntry, element_id: str, item: Item) -> SecurityGoal | None:
     """Pick the goal a threat maps to, or None when no goal fits.
 
-    With a goal_property in the predicate, candidates are the goals of
-    that property, preferring one targeting the element. Wildcarded,
-    the first goal on the element wins, falling back to the first goal
-    of the item (every threat must map to some goal).
+    Candidates are the goals of the predicate's goal_property, or every
+    goal of the item when it has none. A candidate targeting the element
+    wins over the rest, and ties go to the smallest goal id, so the
+    order in which the item lists its goals never matters.
     """
     wanted = entry.match_predicate.goal_property
-    if wanted is not None:
-        candidates = [g for g in item.security_goals if g.property.value == wanted]
-        if not candidates:
-            return None
-        for g in candidates:
-            if g.target_ref == element_id:
-                return g
-        return candidates[0]
-    on_target = [g for g in item.security_goals if g.target_ref == element_id]
-    if on_target:
-        return on_target[0]
-    return item.security_goals[0] if item.security_goals else None
+    candidates = sorted(
+        (g for g in item.security_goals if wanted is None or g.property.value == wanted),
+        key=lambda g: g.id,
+    )
+    on_target = [g for g in candidates if g.target_ref == element_id]
+    return (on_target or candidates or [None])[0]
 
 
 def _predicate_matches(entry: ThreatCatalogEntry, element, item: Item) -> bool:

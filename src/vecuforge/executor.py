@@ -12,9 +12,10 @@ ends on its own barrier (see ``frames``), so the frames a stimulus drew
 are known once its barrier returns; expect steps examine exactly those
 and never wait. Verdicts partition into pass/fail/error/inconclusive;
 error is reserved for infrastructure faults and never encodes an
-oracle outcome. A ``func_id`` in the SUT database that is not an 11-bit
-hex id is a configuration error; a bad ``phys_id`` or key constant gives
-the seedkey step verdict ``error``.
+oracle outcome. SUT database values arrive checked and typed (see
+``tcg.SutDatabase``); a tool handler parses each command-line token
+once, and a token that does not parse, as from a hand-edited case or
+script file, gives its case verdict ``error``.
 """
 
 from __future__ import annotations
@@ -145,8 +146,7 @@ def open_session(
 ) -> Session:
     """Merge the cases' needs, connect, snapshot the SUT, check preconditions.
 
-    The snapshot is taken before any test traffic. A ``func_id`` in the
-    SUT database that is not an 11-bit hex frame id is a ``TcgError``.
+    The snapshot is taken before any test traffic.
     """
     if not cases:
         raise ExecutorError("cannot open a session for zero cases")
@@ -403,15 +403,13 @@ class _CaseRun:
             )
         bus, phys_hex, algorithm, const_hex = argv
         channel = self.session.channel(bus)
-        phys = hex_in(phys_hex, MAX_FRAME_ID)
-        if phys is None:
-            raise ExecutorError(f"seedkey: phys_id {phys_hex!r} is not an 11-bit hex frame id")
-        const = hex_in(const_hex, 0xFF)
-        if const is None:
-            raise ExecutorError(f"seedkey: key constant {const_hex!r} is not a hex byte")
-        derivations = {"add_xor": official_key, "weak_xor": weak_key}
-        if algorithm not in derivations:
-            raise ExecutorError(f"seedkey: unknown algorithm {algorithm!r}")
+        phys, const = hex_in(phys_hex, MAX_FRAME_ID), hex_in(const_hex, 0xFF)
+        derive = {"add_xor": official_key, "weak_xor": weak_key}.get(algorithm)
+        if phys is None or const is None or derive is None:
+            raise ExecutorError(
+                f"seedkey wants an 11-bit hex phys_id, add_xor or weak_xor and a hex-byte "
+                f"key constant, got {argv}"
+            )
 
         started = time.monotonic()
         rx = self._send(channel, Frame(phys, bytes([0x02, 0x27, 0x01])), record, started)
@@ -423,7 +421,7 @@ class _CaseRun:
         if seed is None:
             record.note = "no seed granted"
             return
-        key = derivations[algorithm](seed, const)
+        key = derive(seed, const)
         submit = Frame(phys, bytes([0x04, 0x27, 0x02, key[0], key[1]]))
         rx2 = self._send(channel, submit, record, started)
         unlocked = any(
@@ -442,22 +440,16 @@ class _CaseRun:
             raise ExecutorError("fuzz wants '<bus> key=value...'")
         bus, kv = argv[0], _parse_kv(argv[1:], "fuzz")
         channel = self.session.channel(bus)
-        for needed in ("budget", "seed", "probe_every", "corpus"):
-            if needed not in kv:
-                raise ExecutorError(f"fuzz: missing argument {needed!r}")
-        corpus_lines = self.res.sutdb.dictionaries.get(kv["corpus"])
-        if not isinstance(corpus_lines, list) or not corpus_lines:
-            raise ExecutorError(
-                f"fuzz: SUT database has no corpus dictionary {kv['corpus']!r}"
-            )
         try:
             config = FuzzConfig(
                 seed=int(kv["seed"]),
                 budget=int(kv["budget"]),
-                corpus=tuple(parse_line(line) for line in corpus_lines),
+                corpus=self.res.sutdb.corpora[kv["corpus"]],
                 probe_every=int(kv["probe_every"]),
             )
-        except (ValueError, FrameError) as exc:
+        except KeyError as exc:
+            raise ExecutorError(f"fuzz: no argument or SUT database corpus {exc}") from None
+        except ValueError as exc:
             raise ExecutorError(f"fuzz: bad campaign configuration: {exc}") from None
 
         started = time.monotonic()

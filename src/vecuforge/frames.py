@@ -24,6 +24,7 @@ MAX_DATA_LEN = 8
 BARRIER_TIMEOUT = 2.0
 
 _LINE_RE = re.compile(r"^([0-9a-fA-F]{1,3})#((?:[0-9a-fA-F]{2})*)$")
+_HEX_RE = re.compile(r"[0-9a-fA-F]+")
 
 
 class FrameError(ValueError):
@@ -65,12 +66,12 @@ def parse_line(line: str) -> Frame:
 
 
 def hex_in(text: str | None, top: int) -> int | None:
-    """``text`` read as hex when that lies in 0..top, else None."""
-    try:
-        value = int(text, 16)
-    except (TypeError, ValueError):
+    """``text`` read as hex when it is bare hex digits, no more of them than
+    ``top`` has (as in a frame line), and at most ``top``; else None."""
+    if not isinstance(text, str) or len(text) > len(f"{top:x}") or not _HEX_RE.fullmatch(text):
         return None
-    return value if 0 <= value <= top else None
+    value = int(text, 16)
+    return value if value <= top else None
 
 
 # -- line-framed TCP client ----------------------------------------------

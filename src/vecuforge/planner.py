@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,13 +25,12 @@ from .scenario_dsl import (
     ExpectStep,
     Scenario,
     Value,
+    literal,
     parse_scenario,
     serialize,
     validate,
 )
 from .vocabulary import PATTERNS
-
-_HEXSTR_RE = re.compile(r"0x((?:[0-9a-fA-F]{2})+)\Z")
 
 
 class PlannerError(ValueError):
@@ -45,7 +43,7 @@ class PlannerError(ValueError):
 @dataclass(frozen=True)
 class Leaf:
     pattern: str
-    args: tuple[tuple[str, str], ...] = ()
+    args: tuple[tuple[str, Value], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,7 @@ def _node_from_dict(doc: dict) -> Node:
         pattern = doc.get("pattern", "")
         if pattern not in PATTERNS:
             raise PlannerError(f"attack-tree leaf references unknown pattern {pattern!r}")
-        args = tuple(sorted((str(k), str(v)) for k, v in doc.get("args", {}).items()))
+        args = tuple(sorted((str(k), literal(str(v))) for k, v in doc.get("args", {}).items()))
         return Leaf(pattern, args)
     if kind in ("and", "or"):
         children = tuple(_node_from_dict(c) for c in doc.get("children", []))
@@ -135,15 +133,6 @@ def enumerate_attack_vectors(tree: AttackTree) -> list[tuple[Leaf, ...]]:
 
 
 # -- scenario generation ---------------------------------------------------
-
-
-def _value_from_text(text: str) -> Value:
-    m = _HEXSTR_RE.match(text)
-    if m:
-        return Value.hexbytes(bytes.fromhex(m.group(1)))
-    if text.isdigit():
-        return Value.number(int(text))
-    return Value.string(text)
 
 
 def _meta(
@@ -208,13 +197,7 @@ def gen_penetration_scenarios(
     slug = req.id.lower()
     scenarios = []
     for ix, vector in enumerate(enumerate_attack_vectors(tree)):
-        steps = tuple(
-            PatternStep(
-                leaf.pattern,
-                tuple(sorted((n, _value_from_text(v)) for n, v in leaf.args)),
-            )
-            for leaf in vector
-        )
+        steps = tuple(PatternStep(leaf.pattern, leaf.args) for leaf in vector)
         scenarios.append(
             _finalize(
                 Scenario(

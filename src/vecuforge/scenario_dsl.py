@@ -38,7 +38,6 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .frames import hex_in
 from .vocabulary import CONDITIONS, MATCHERS, PATTERNS, PRECONDITIONS
 
 METHODS = ("functional", "interface", "penetration", "vulnscan", "fuzz")
@@ -59,6 +58,8 @@ class DslError(Exception):
 
 
 class ValueKind(str, Enum):
+    """A literal's kind; each member is named after the token it is read from."""
+
     STRING = "string"
     NUMBER = "number"
     HEXBYTES = "hexbytes"
@@ -275,9 +276,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("NUMBER", text[i:j], line, col, int(text[i:j])))
             col += j - i
@@ -485,15 +486,9 @@ class _Parser:
 
     def value(self) -> Value:
         tok = self.next()
-        if tok.kind == "STRING":
-            return Value.string(str(tok.value))
-        if tok.kind == "NUMBER":
-            return Value.number(int(tok.value))
-        if tok.kind == "HEXBYTES":
-            return Value.hexbytes(bytes(tok.value))
-        if tok.kind == "PLACEHOLDER":
-            return Value.placeholder(str(tok.value))
-        raise DslError(f"expected a value, got {tok.text or 'end of input'!r}", tok.line, tok.col)
+        if tok.kind not in ValueKind.__members__:
+            raise DslError(f"expected a value, got {tok.text or 'end of input'!r}", tok.line, tok.col)
+        return Value(ValueKind[tok.kind], tok.value)
 
     @staticmethod
     def _reject_duplicates(named: list[tuple[str, Value, _Token]], what: str) -> None:
@@ -506,6 +501,19 @@ class _Parser:
 
 def parse_scenario(text: str) -> Scenario:
     return _Parser(text).scenario()
+
+
+def literal(text: str) -> Value:
+    """Text from a JSON input, typed by the DSL's literal rule: one whole
+    ``HEXBYTES`` token is hexbytes, one ``NUMBER`` token a number, else a string."""
+    try:
+        tokens = _tokenize(text)
+    except DslError:
+        return Value.string(text)
+    tok = tokens[0]
+    if len(tokens) == 2 and tok.text == text and tok.kind in ("HEXBYTES", "NUMBER"):
+        return Value(ValueKind[tok.kind], tok.value)
+    return Value.string(text)
 
 
 # -- canonical serializer -----------------------------------------------
@@ -547,6 +555,11 @@ def serialize(scenario: Scenario) -> str:
 # -- vocabulary validation ----------------------------------------------
 
 
+def service_byte(value: Value) -> bool:
+    """Whether a value is the one hex byte a matcher's service must be."""
+    return value.kind is ValueKind.HEXBYTES and len(bytes(value.raw)) == 1
+
+
 @dataclass(frozen=True)
 class Issue:
     code: str
@@ -563,10 +576,9 @@ def validate(scenario: Scenario) -> list[Issue]:
             issues.append(Issue("unknown-matcher", f"matcher {step.matcher!r} is not in the vocabulary"))
         elif isinstance(step, ExpectStep) and MATCHERS[step.matcher] is not None:
             service = dict(step.args).get("service")
-            # A placeholder is checked when it is bound, by the executor.
+            # A placeholder is checked when it is bound, by tcg.
             if service is None or (
-                service.kind is not ValueKind.PLACEHOLDER
-                and hex_in(service.as_text(), 0xFF) is None
+                service.kind is not ValueKind.PLACEHOLDER and not service_byte(service)
             ):
                 got = "no service" if service is None else f"service={service.render()}"
                 issues.append(Issue(

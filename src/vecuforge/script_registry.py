@@ -2,9 +2,11 @@
 
 A script binds a pattern name to a shell-form command template such as
 ``cansend {bus} {id}#{data}``. Slots are filled from pattern arguments
-and from SUT-database dictionary keys (sut_slots). Commands are never
-given to a real shell; the executor routes them to internal tool
-handlers by the first word.
+and from SUT-database dictionary keys (sut_slots). Each schema param is
+required and has one type, ``string``, ``number`` or ``hexbytes``: only a
+value of that kind binds, and the type alone decides its text (the string,
+decimal, bare lowercase hex). Commands are never given to a real shell;
+the executor routes them to internal tool handlers by the first word.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .scenario_dsl import PatternStep
+from .scenario_dsl import PatternStep, ValueKind
 
 _SLOT_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
-PARAM_TYPES = ("string", "number", "hexbytes", "any")
+PARAM_TYPES = tuple(k.value for k in ValueKind if k is not ValueKind.PLACEHOLDER)
 
 
 class RegistryError(ValueError):
@@ -26,8 +28,7 @@ class RegistryError(ValueError):
 
 @dataclass(frozen=True)
 class ParamSpec:
-    type: str = "any"
-    required: bool = True
+    type: str
 
     def __post_init__(self) -> None:
         if self.type not in PARAM_TYPES:
@@ -70,7 +71,7 @@ class TestScript:
             command_template=doc["command_template"],
             param_schema=tuple(
                 sorted(
-                    (name, ParamSpec(spec.get("type", "any"), spec.get("required", True)))
+                    (name, ParamSpec(spec.get("type")))
                     for name, spec in doc.get("param_schema", {}).items()
                 )
             ),
@@ -95,14 +96,13 @@ class ScriptRegistry:
             self.scripts[script.id] = script
 
     def match_script(self, pattern: PatternStep) -> TestScript | None:
-        """First script (smallest id) implementing the pattern with all
-        required params supplied by the pattern args or sut_slots."""
+        """First script (smallest id) implementing the pattern with every
+        schema param supplied by the pattern args or sut_slots."""
         supplied = {name for name, _ in pattern.args}
         for script in sorted(self.scripts.values(), key=lambda s: s.id):
             if script.implements != pattern.name:
                 continue
-            required = {n for n, spec in script.params.items() if spec.required}
-            if required <= (supplied | set(script.sut_slots)):
+            if set(script.params) <= (supplied | set(script.sut_slots)):
                 return script
         return None
 

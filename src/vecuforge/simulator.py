@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import base64
 import json
+import re
 import selectors
 import socket
 import threading
@@ -263,6 +264,13 @@ def _byte(name: str, value) -> int:
     return _int_in(name, value, range(0x100))
 
 
+def _did_key(key: str) -> int:
+    """A ``data_ids`` key in the one form ``dump_state`` writes: four lowercase hex digits."""
+    if not re.fullmatch("[0-9a-f]{4}", key):
+        raise ValueError(f"data_ids key must be four lowercase hex digits, got {key!r}")
+    return int(key, 16)
+
+
 def load_state(blob: str) -> EcuState:
     """Inverse of ``dump_state``.
 
@@ -297,7 +305,7 @@ def load_state(blob: str) -> EcuState:
         seed_counter=seed_counter,
         alive=_of_type("alive", doc["alive"], bool),
         data_ids={
-            _int_in(f"data_ids key {k!r}", int(k, 16), range(0x10000)): bytes.fromhex(v)
+            _did_key(k): bytes.fromhex(v)
             for k, v in doc["data_ids"].items()
         },
     )

@@ -5,29 +5,29 @@ by in-parameter-order growth (IPOG) picks bindings so that every t-way
 value combination occurs in at least one case. Its cost grows with the
 number of t-tuples, not with the full product of the domains. Each row
 becomes one fully bound, directly executable test case with complete
-traceability.
+traceability. A bound value fills a slot only if its kind is the slot's
+declared type, and that type alone decides its text.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .frames import MAX_FRAME_ID, hex_in
+from .frames import MAX_FRAME_ID, Frame, FrameError, hex_in, parse_line
 from .scenario_dsl import (
-    ExpectStep,
     PatternStep,
     Scenario,
     Value,
     ValueKind,
+    literal,
+    service_byte,
     validate,
 )
 from .script_registry import ScriptRegistry
-
-_HEXISH_RE = re.compile(r"0x([0-9a-fA-F]*)\Z")
+from .vocabulary import MATCHERS
 
 
 class TcgError(ValueError):
@@ -131,56 +131,73 @@ def covering_array(domains: dict[str, list], t: int) -> CoveringArray:
 
 # -- SUT database ----------------------------------------------------------
 
+_HEX_KEYS = {"func_id": MAX_FRAME_ID, "phys_id": MAX_FRAME_ID, "seedkey_const": 0xFF}
+
+
+def _typed_domain(key: str, raw: object) -> list[tuple[str, Value]]:
+    """A domain's texts in order, each with its value by the DSL's literal
+    rule; an integer range expands to the numbers {min, min+1, max-1, max}."""
+    if isinstance(raw, dict) and "range" in raw:
+        lo, hi = int(raw["range"][0]), int(raw["range"][1])
+        if hi < lo:
+            raise TcgError(f"domain {key!r} has an inverted range")
+        numbers = sorted({lo, min(lo + 1, hi), max(hi - 1, lo), hi})
+        return [(str(v), Value.number(v)) for v in numbers]
+    values = [(str(v), literal(str(v))) for v in raw]
+    if not values:
+        raise TcgError(f"domain {key!r} is empty")
+    return values
+
 
 @dataclass
 class SutDatabase:
+    """The SUT's data, checked and typed once, when it is built. ``func_id``
+    and ``phys_id`` must be 11-bit hex ids, ``seedkey_const`` a hex byte and
+    each list-valued dictionary a frame corpus (``corpora``), or TcgError."""
+
     sut_id: str
     description: str = ""
     endpoints: dict[str, dict[str, str]] = field(default_factory=dict)
     dictionaries: dict[str, object] = field(default_factory=dict)
     domains: dict[str, object] = field(default_factory=dict)
+    corpora: dict[str, tuple[Frame, ...]] = field(init=False, repr=False)
+    _typed: dict[str, list[tuple[str, Value]]] = field(init=False, repr=False)
 
-    def domain_values(self, key: str) -> list[str]:
-        """Ordered values for a domain key; integer ranges expand to their
-        boundary set {min, min+1, max-1, max}."""
-        if key not in self.domains:
+    def __post_init__(self) -> None:
+        for key, top in _HEX_KEYS.items():
+            raw = self.dictionaries.get(key)
+            if raw is not None and hex_in(str(raw), top) is None:
+                what = "an 11-bit hex frame id" if top == MAX_FRAME_ID else "a hex byte"
+                raise TcgError(f"SUT database {key} {raw!r} is not {what}")
+        self.corpora = {}
+        for key, lines in self.dictionaries.items():
+            if isinstance(lines, list):
+                try:
+                    self.corpora[key] = tuple(parse_line(str(line)) for line in lines)
+                except FrameError as exc:
+                    raise TcgError(f"SUT database {key}: {exc}") from None
+        self._typed = {key: _typed_domain(key, raw) for key, raw in self.domains.items()}
+
+    def domain_values(self, key: str) -> list[tuple[str, Value]]:
+        """A domain's values in order: each SUT-database text with its typed value."""
+        if key not in self._typed:
             raise TcgError(f"SUT database has no domain {key!r}")
-        raw = self.domains[key]
-        if isinstance(raw, dict) and "range" in raw:
-            lo, hi = int(raw["range"][0]), int(raw["range"][1])
-            if hi < lo:
-                raise TcgError(f"domain {key!r} has an inverted range")
-            return [str(v) for v in sorted({lo, min(lo + 1, hi), max(hi - 1, lo), hi})]
-        values = [str(v) for v in raw]
-        if not values:
-            raise TcgError(f"domain {key!r} is empty")
-        return values
+        return self._typed[key]
 
     def slot_values(self) -> dict[str, str]:
         return {k: str(v) for k, v in self.dictionaries.items() if isinstance(v, (str, int))}
 
     def func_id(self) -> int:
         """The functional request id, ``7df`` unless the dictionaries name one."""
-        raw = str(self.dictionaries.get("func_id", "7df"))
-        value = hex_in(raw, MAX_FRAME_ID)
-        if value is None:
-            raise TcgError(f"SUT database func_id {raw!r} is not an 11-bit hex frame id")
-        return value
+        return int(str(self.dictionaries.get("func_id", "7df")), 16)
 
 
 def load_sutdb(path: str | Path) -> SutDatabase:
-    """Read a SUT database; a ``func_id`` that is not an 11-bit hex id is a TcgError."""
+    """Read a SUT database; a bad value in it is a TcgError."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    sutdb = SutDatabase(
-        sut_id=doc["sut_id"],
-        description=doc.get("description", ""),
-        endpoints=doc.get("endpoints", {}),
-        dictionaries=doc.get("dictionaries", {}),
-        domains=doc.get("domains", {}),
-    )
-    sutdb.func_id()
-    return sutdb
+    optional = ("description", "endpoints", "dictionaries", "domains")
+    return SutDatabase(doc["sut_id"], **{key: doc[key] for key in optional if key in doc})
 
 
 # -- test cases ------------------------------------------------------------
@@ -224,19 +241,15 @@ class TestCase:
         return cls(**doc)
 
 
-def _bind_value(value: Value, bindings: dict[str, str]) -> str:
-    """Turn an argument value into template-ready text.
+_SERVICE = "one hex byte"
 
-    Hex literals lose their 0x prefix so they concatenate into frame
-    payloads; placeholder bindings get the same normalization.
-    """
-    if value.kind is ValueKind.PLACEHOLDER:
-        name = str(value.raw)
-        if name not in bindings:
-            raise TcgError(f"unresolved placeholder ${name}")
-        text = bindings[name]
-        m = _HEXISH_RE.match(text)
-        return m.group(1).lower() if m else text
+
+def _text(value: Value, want: str | None, where: str) -> str:
+    """A value as its slot takes it. ``want`` is the slot's declared type,
+    ``_SERVICE`` for a matcher's service, or None for an undeclared slot."""
+    fits = service_byte(value) if want == _SERVICE else want in (None, value.kind.value)
+    if not fits:
+        raise TcgError(f"{where} wants {want}, got {value.kind.value} {value.render()}")
     return value.as_text()
 
 
@@ -260,44 +273,42 @@ def generate_cases(
         name: sutdb.domain_values(declarations.get(name, name)) for name in placeholders
     }
 
-    if placeholders:
-        array = covering_array(domains, min(t, len(placeholders)))
-        binding_rows = array.row_dicts()
-    else:
-        binding_rows = [{}]
-
-    scripts: dict[str, str] = {}
-    for step in scenario.steps:
+    # Each step with its args as slot texts, kinds checked once per step and
+    # value. A literal's texts are keyed by None, which no binding row holds.
+    steps = []
+    for ix, step in enumerate(scenario.steps, 1):
         if isinstance(step, PatternStep):
             script = registry.match_script(step)
             if script is None:
                 raise TcgError(f"no script matches pattern {step.name!r}")
-            scripts[step.name] = script.id
+            head = BoundStep("pattern", step.name, script.id, {})
+            types = {arg: spec.type for arg, spec in script.param_schema}
+        else:
+            head = BoundStep("expect", step.matcher, None, {}, step.within_ms)
+            types = {"service": _SERVICE} if MATCHERS[step.matcher] is not None else {}
+        slots = []
+        for arg, value in step.args:
+            where = f"scenario {scenario.id!r} step {ix} {head.name}, slot {arg!r}"
+            ph = str(value.raw) if value.kind is ValueKind.PLACEHOLDER else None
+            pairs = domains[ph] if ph else [(None, value)]
+            slots.append((arg, ph, {text: _text(v, types.get(arg), where) for text, v in pairs}))
+        steps.append((head, slots))
+
+    if placeholders:
+        array = covering_array(
+            {name: [text for text, _ in values] for name, values in domains.items()},
+            min(t, len(placeholders)),
+        )
+        binding_rows = array.row_dicts()
+    else:
+        binding_rows = [{}]
 
     cases: list[TestCase] = []
     for row_ix, bindings in enumerate(binding_rows):
-        activities: list[BoundStep] = []
-        for step in scenario.steps:
-            if isinstance(step, PatternStep):
-                activities.append(
-                    BoundStep(
-                        kind="pattern",
-                        name=step.name,
-                        script_ref=scripts[step.name],
-                        bound_args={n: _bind_value(v, bindings) for n, v in step.args},
-                    )
-                )
-            else:
-                assert isinstance(step, ExpectStep)
-                activities.append(
-                    BoundStep(
-                        kind="expect",
-                        name=step.matcher,
-                        script_ref=None,
-                        bound_args={n: _bind_value(v, bindings) for n, v in step.args},
-                        within_ms=step.within_ms,
-                    )
-                )
+        activities = [
+            replace(head, bound_args={arg: texts[bindings.get(ph)] for arg, ph, texts in slots})
+            for head, slots in steps
+        ]
         expectations = [
             {"matcher": a.name, "args": a.bound_args, "within_ms": a.within_ms}
             for a in activities

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import os
+import random
+import shutil
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -45,11 +47,20 @@ def endpoint_of(server) -> str:
 
 
 def sutdb_with_func_id(tmp_path: Path, samples_dir: Path, func_id: str) -> Path:
+    return sutdb_with(tmp_path, samples_dir, "dictionaries", "func_id", func_id)
+
+
+def sutdb_with(tmp_path: Path, samples_dir: Path, section: str, key: str, value) -> Path:
+    """A copy of the bundled SUT database with one dictionary or domain entry set."""
     doc = json.loads((samples_dir / "sutdb.json").read_text())
-    doc["dictionaries"]["func_id"] = func_id
+    doc[section][key] = value
     sutdb = tmp_path / "sutdb.json"
     sutdb.write_text(json.dumps(doc))
     return sutdb
+
+
+def run_files(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 class TestRunStore:
@@ -141,6 +152,74 @@ class TestStageOrdering:
         assert "wants service=<hex byte>" in capsys.readouterr().err
         assert not (tmp_path / "cases").exists()
 
+    @pytest.mark.parametrize(
+        "scenario, before, after, sutdb_entry, reason",
+        [("fuzz-if-can", "expect RESPONSE(service=0x3e)", "expect RESPONSE(service=16)", None,
+          "scenario 'fuzz-if-can' does not validate: matcher 'RESPONSE' wants "
+          "service=<hex byte>, got service=16"),
+         ("func-pos-req-tc-sessbypass-if-can", "SET_SESSION(session=0x03)",
+          "SET_SESSION(session=3)", None,
+          "scenario 'func-pos-req-tc-sessbypass-if-can' step 1 SET_SESSION, slot 'session' "
+          "wants hexbytes, got number 3"),
+         ("fuzz-if-can", "budget=2000", "budget=0x10", None,
+          "scenario 'fuzz-if-can' step 1 FUZZ_CAMPAIGN, slot 'budget' wants number, "
+          "got hexbytes 0x10"),
+         (None, None, None, ("dictionaries", "phys_id", "800"),
+          "SUT database phys_id '800' is not an 11-bit hex frame id"),
+         (None, None, None, ("dictionaries", "seedkey_const", "1a5"),
+          "SUT database seedkey_const '1a5' is not a hex byte"),
+         (None, None, None, ("domains", "SESSION", {"range": [1, 3]}),
+          "scenario 'func-neg-req-tc-sessbypass-if-can' step 1 SET_SESSION, slot 'session' "
+          "wants hexbytes, got number 1")],
+        ids=["decimal-service", "number-session", "hex-budget", "phys-id-over-11-bits",
+             "key-const-over-a-byte", "range-into-hexbytes"],
+    )
+    def test_tcg_rejects_a_value_that_would_change_meaning(
+        self, tmp_path, samples_dir, capsys, scenario, before, after, sutdb_entry, reason
+    ):
+        run_dir = tmp_path / "run"
+        for stage in OFFLINE_STAGES[:-1]:
+            assert run_cli(stage, "--run-dir", str(run_dir)) == EXIT_OK
+        extra = []
+        if scenario is not None:
+            path = run_dir / "scenarios" / f"{scenario}.scn"
+            assert before in path.read_text()
+            path.write_text(path.read_text().replace(before, after))
+        if sutdb_entry is not None:
+            extra = ["--sutdb", str(sutdb_with(tmp_path, samples_dir, *sutdb_entry))]
+        capsys.readouterr()
+        assert run_cli("tcg", "--run-dir", str(run_dir), *extra) == EXIT_USAGE
+        assert reason in capsys.readouterr().err
+        assert not (run_dir / "cases").exists()
+
+
+class TestInputOrder:
+    """The order in which the item lists its elements changes no artifact
+    built from it (threats through cases); ``item.json`` records the item
+    as given."""
+
+    @pytest.mark.parametrize("order", ["reversed", 1, 2, 3], ids=str)
+    def test_item_list_order_changes_no_offline_artifact(self, tmp_path, samples_dir, order):
+        doc = json.loads((samples_dir / "item.json").read_text())
+        permuted = json.loads(json.dumps(doc))
+        for key in ("security_goals", "functions", "components", "interfaces"):
+            if order == "reversed":
+                permuted[key].reverse()
+            else:
+                random.Random(order).shuffle(permuted[key])
+        assert permuted != doc
+        item = tmp_path / "item.json"
+        item.write_text(json.dumps(permuted))
+        offline_chain(tmp_path / "bundled")
+        offline_chain(tmp_path / "permuted", "--item", str(item))
+        bundled = run_files(tmp_path / "bundled")
+        assert (Path("cases") / "fuzz-if-can-000.case.json") in bundled
+        given = run_files(tmp_path / "permuted")
+        item_goals = json.loads(given.pop(Path("item.json")))["security_goals"]
+        assert [g["id"] for g in item_goals] == [g["id"] for g in permuted["security_goals"]]
+        del bundled[Path("item.json")]
+        assert given == bundled
+
 
 class TestArgumentGrammar:
     def test_options_before_the_stage_name(self, tmp_path):
@@ -148,12 +227,10 @@ class TestArgumentGrammar:
         assert (tmp_path / "item.json").exists()
 
     def test_vulns_on_an_offline_stage_changes_nothing(self, tmp_path):
-        def files(root: Path) -> dict:
-            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
         offline_chain(tmp_path / "plain")
         offline_chain(tmp_path / "off", "--vulns", "off")
-        assert files(tmp_path / "plain") and files(tmp_path / "off") == files(tmp_path / "plain")
+        plain = run_files(tmp_path / "plain")
+        assert plain and run_files(tmp_path / "off") == plain
 
     def test_unknown_stage_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -418,6 +495,44 @@ class TestExecuteAndReport:
                        "--sim-endpoint", endpoint_of(server))
         assert code == EXIT_USAGE
         assert f"func_id {func_id!r}" in capsys.readouterr().err
+
+
+class TestOneDefectOneFinding:
+    """Each seeded defect alone fails exactly its own case; with none, none fails."""
+
+    @pytest.fixture(scope="class")
+    def offline(self, tmp_path_factory) -> Path:
+        root = tmp_path_factory.mktemp("offline")
+        offline_chain(root, "--budget", "400")
+        return root
+
+    @pytest.mark.parametrize(
+        "defect, failed",
+        [("v1_weak_key", "pen-req-tc-weakkey-if-can-00-000"),
+         ("v2_session_bypass", "func-neg-req-tc-sessbypass-if-can-001"),
+         ("v3_length_crash", "fuzz-if-can-000"),
+         ("v4_hidden_service", "vulnscan-item-demo-ecu-000"),
+         (None, None)],
+        ids=["weak-key", "session-bypass", "length-crash", "hidden-service", "none"],
+    )
+    def test_defect_fails_only_its_own_case(self, offline, tmp_path, sim_factory,
+                                            defect, failed):
+        config = SimConfig().with_vulns(False)
+        server = sim_factory(replace(config, **{defect: True}) if defect else config)
+        run_dir = tmp_path / "run"
+        shutil.copytree(offline, run_dir)
+        expected = EXIT_FINDINGS if failed else EXIT_OK
+        code = run_cli("execute", "--run-dir", str(run_dir),
+                       "--sim-endpoint", endpoint_of(server))
+        assert code == expected
+        assert run_cli("report", "--run-dir", str(run_dir)) == expected
+        report = json.loads((run_dir / "report.json").read_text())["report"]
+        assert report["dashboard"] == {
+            "error": 0, "fail": 1 if failed else 0, "inconclusive": 0,
+            "pass": 6 if failed else 7, "untested": 0,
+        }
+        fails = [f["case_ref"] for f in report["findings"] if f["verdict"] == "fail"]
+        assert fails == ([failed] if failed else [])
 
 
 class TestReportStage:

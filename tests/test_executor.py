@@ -550,22 +550,25 @@ class TestErrorVerdicts:
 
     @pytest.mark.parametrize(
         "slot, value, reason",
-        [("phys_id", "800", "phys_id '800'"), ("seedkey_const", "1a5", "key constant '1a5'")],
+        [("phys_id", "800", "'800'"), ("seedkey_const", "1a5", "'1a5'")],
         ids=["phys-id-over-11-bits", "key-constant-over-a-byte"],
     )
     def test_bad_seedkey_argument_is_infrastructure(self, sim_factory, sutdb, resources,
                                                     registry, pipeline_cases, slot,
                                                     value, reason):
-        bad = replace(sutdb, dictionaries={**sutdb.dictionaries, slot: value})
-        server = sim_factory(SimConfig())
+        # A SUT database cannot hold such a value (see test_tcg), so the
+        # bad token comes from a hand-edited case that fills the slot itself.
         case = pipeline_cases["pen-req-tc-weakkey-if-can-00"][0]
-        session = make_session(server, bad, [case])
+        first = replace(case.activities[0], bound_args={slot: value})
+        case = replace(case, activities=[first, *case.activities[1:]])
+        server = sim_factory(SimConfig())
+        session = make_session(server, sutdb, [case])
         try:
-            result = execute_case(case, session, replace(resources, sutdb=bad), registry)
+            result = execute_case(case, session, resources, registry)
         finally:
             session.close()
         assert result.verdict == "error"
-        assert result.error.startswith("seedkey: ") and reason in result.error
+        assert result.error.startswith("seedkey wants ") and reason in result.error
         assert result.step_log == []
 
     def test_stalled_scan_is_infrastructure(self, scan_stall_sim, sutdb, resources,

@@ -236,7 +236,9 @@ class TestValidate:
         assert [i.code for i in validate(scn)] == ["unknown-matcher"]
 
     @pytest.mark.parametrize(
-        "expect", ['RESPONSE()', 'NEG_RESPONSE(service="zz")', 'RESPONSE(service=0x0100)']
+        "expect",
+        ['RESPONSE()', 'NEG_RESPONSE(service="zz")', 'RESPONSE(service=0x0100)',
+         'NEG_RESPONSE(service="7f")', 'RESPONSE(service=16)', 'RESPONSE(service=0x)'],
     )
     def test_bad_matcher_argument(self, expect):
         scn = parse_scenario(MINIMAL.replace("pattern TESTER_PRESENT()",
@@ -246,7 +248,7 @@ class TestValidate:
         assert "service=<hex byte>" in issues[0].detail
 
     @pytest.mark.parametrize(
-        "expect", ["RESPONSE(service=0x3e)", 'NEG_RESPONSE(service="7f")',
+        "expect", ["RESPONSE(service=0x3e)", "NEG_RESPONSE(service=0x7f)",
                    "RESPONSE(service=$S)", "NO_RESPONSE()"]
     )
     def test_good_matcher_argument(self, expect):

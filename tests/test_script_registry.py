@@ -54,7 +54,7 @@ class TestMatch:
         (tmp_path / "picky.json").write_text(
             '{"implements": "SEND_CAN_MSG", "command_template": "cansend {bus} {id}#{data}",'
             ' "param_schema": {"id": {"type": "string"}, "data": {"type": "hexbytes"},'
-            ' "extra": {"type": "string", "required": true}}, "sut_slots": ["bus"]}'
+            ' "extra": {"type": "string"}}, "sut_slots": ["bus"]}'
         )
         reg = ScriptRegistry(tmp_path, PATTERNS)
         assert reg.match_script(pattern("SEND_CAN_MSG", id="7df", data="00")) is None
@@ -62,7 +62,7 @@ class TestMatch:
 
     def test_match_total_over_bundled_registry(self, registry):
         for script in registry.scripts.values():
-            args = {n: Value.string("0") for n, spec in script.params.items() if spec.required}
+            args = {n: Value.string("0") for n in script.params}
             step = PatternStep(script.implements, tuple(sorted(args.items())))
             assert registry.match_script(step) is not None
 
@@ -95,6 +95,15 @@ class TestRegister:
     def test_bad_param_type_rejected(self):
         with pytest.raises(RegistryError, match="param type"):
             ParamSpec(type="blob")
+
+    @pytest.mark.parametrize("spec", ['{}', '{"type": "any"}'], ids=["no-type", "any-type"])
+    def test_param_wants_a_known_type(self, tmp_path, spec):
+        (tmp_path / "x.json").write_text(
+            '{"implements": "VULN_SCAN", "command_template": "vulnscan {targets}",'
+            f' "param_schema": {{"targets": {spec}}}}}'
+        )
+        with pytest.raises(RegistryError, match="param type"):
+            ScriptRegistry(tmp_path, PATTERNS)
 
 
 class TestRender:

@@ -408,6 +408,8 @@ class TestSocketServer:
             dump_with("session", -1),
             dump_with("data_ids", {"10000": "00"}),
             dump_with("seed_counter", -1),
+            dump_with("data_ids", {"0x1_0": "00"}),
+            dump_with("data_ids", {" +22 ": "00"}),
         ],
         ids=[
             "list", "null", "data-ids-list", "deeply-nested",
@@ -416,7 +418,7 @@ class TestSocketServer:
             "services-str", "services-bool", "services-over-byte",
             "last-seed-one-byte", "last-seed-str-byte", "last-seed-over-byte",
             "last-seed-str", "session-999", "session-negative", "data-id-over-16-bits",
-            "seed-counter-negative",
+            "seed-counter-negative", "data-id-prefixed", "data-id-padded",
         ],
     )
     def test_malformed_state_blob_keeps_serving(self, server, doc):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vecuforge.scenario_dsl import parse_scenario
+from vecuforge.frames import Frame
+from vecuforge.scenario_dsl import Value, parse_scenario
 from vecuforge.script_registry import ScriptRegistry
 from vecuforge.tcg import (
     SutDatabase,
@@ -186,46 +188,77 @@ class TestSutDatabase:
     def test_load_bundled(self, samples_dir):
         db = load_sutdb(samples_dir / "sutdb.json")
         assert db.sut_id == "SIM-ECU-01"
-        assert db.domain_values("DID") == ["0xf190"]
-        assert db.domain_values("REQ_ID") == ["7df", "7e0"]
+        assert db.domain_values("DID") == [("0xf190", Value.hexbytes(b"\xf1\x90"))]
+        assert db.domain_values("REQ_ID") == [
+            ("7df", Value.string("7df")), ("7e0", Value.string("7e0")),
+        ]
         assert "func_id" in db.slot_values()
+        assert db.corpora["fuzz_corpus"][0] == Frame(0x7DF, bytes.fromhex("02010d"))
+        assert db.dictionaries["fuzz_corpus"][0] == "7df#02010d"
 
     def test_range_expands_to_boundaries(self):
         db = SutDatabase(sut_id="X", domains={"N": {"range": [0, 10]}})
-        assert db.domain_values("N") == ["0", "1", "9", "10"]
+        assert db.domain_values("N") == [(str(n), Value.number(n)) for n in (0, 1, 9, 10)]
 
     def test_degenerate_ranges(self):
         db = SutDatabase(sut_id="X", domains={"A": {"range": [5, 5]}, "B": {"range": [5, 6]}})
-        assert db.domain_values("A") == ["5"]
-        assert db.domain_values("B") == ["5", "6"]
+        assert db.domain_values("A") == [("5", Value.number(5))]
+        assert db.domain_values("B") == [("5", Value.number(5)), ("6", Value.number(6))]
 
-    def test_inverted_range_rejected(self):
-        db = SutDatabase(sut_id="X", domains={"N": {"range": [10, 0]}})
-        with pytest.raises(TcgError, match="inverted"):
-            db.domain_values("N")
+    @pytest.mark.parametrize(
+        "text, value",
+        [("0x01", Value.hexbytes(b"\x01")), ("0X0A0b", Value.hexbytes(b"\x0a\x0b")),
+         ("0x", Value.hexbytes(b"")), ("12", Value.number(12)), ("7df", Value.string("7df")),
+         ("0x1", Value.string("0x1")), (" 12", Value.string(" 12")), ("1 2", Value.string("1 2")),
+         ("12 # note", Value.string("12 # note")), ("\u00b2", Value.string("\u00b2"))],
+    )
+    def test_domain_values_follow_the_dsl_literal_rule(self, text, value):
+        assert SutDatabase(sut_id="X", domains={"A": [text]}).domain_values("A") == [(text, value)]
 
     def test_unknown_domain_named(self):
         db = SutDatabase(sut_id="X")
         with pytest.raises(TcgError, match="'GHOST'"):
             db.domain_values("GHOST")
 
+    def test_inverted_range_rejected(self):
+        with pytest.raises(TcgError, match="inverted"):
+            SutDatabase(sut_id="X", domains={"N": {"range": [10, 0]}})
+
     def test_empty_domain_named(self):
-        db = SutDatabase(sut_id="X", domains={"A": []})
         with pytest.raises(TcgError, match="'A' is empty"):
-            db.domain_values("A")
+            SutDatabase(sut_id="X", domains={"A": []})
 
     @pytest.mark.parametrize("raw, value", [(None, 0x7DF), ("7e0", 0x7E0), ("0", 0)])
     def test_func_id(self, raw, value):
         dictionaries = {} if raw is None else {"func_id": raw}
         assert SutDatabase(sut_id="X", dictionaries=dictionaries).func_id() == value
 
-    @pytest.mark.parametrize("raw", ["zz", "800", "-1", ""])
+    @pytest.mark.parametrize("raw", ["zz", "800", "-1", "", "0x7df", " 7df ", "7_df", "+7df"])
     def test_load_rejects_a_bad_func_id(self, tmp_path, samples_dir, raw):
         doc = json.loads((samples_dir / "sutdb.json").read_text())
         doc["dictionaries"]["func_id"] = raw
         path = tmp_path / "sutdb.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(TcgError, match=f"func_id {raw!r} is not an 11-bit"):
+        with pytest.raises(TcgError, match=re.escape(f"func_id {raw!r} is not an 11-bit")):
+            load_sutdb(path)
+
+    @pytest.mark.parametrize(
+        "key, raw, reason",
+        [("phys_id", "800", "phys_id '800' is not an 11-bit hex frame id"),
+         ("phys_id", "07e0", "phys_id '07e0' is not an 11-bit"),
+         ("seedkey_const", "1a5", "seedkey_const '1a5' is not a hex byte"),
+         ("seedkey_const", "0xa5", "seedkey_const '0xa5' is not a hex byte"),
+         ("fuzz_corpus", ["7df#02010d", "7df#0"], "fuzz_corpus: not a frame line: '7df#0'"),
+         ("spare_corpus", [7], "spare_corpus: not a frame line: '7'")],
+        ids=["phys-id-over-11-bits", "phys-id-padded", "key-const-over-a-byte",
+             "key-const-prefixed", "corpus-odd-line", "list-of-numbers"],
+    )
+    def test_load_rejects_a_bad_value(self, tmp_path, samples_dir, key, raw, reason):
+        doc = json.loads((samples_dir / "sutdb.json").read_text())
+        doc["dictionaries"][key] = raw
+        path = tmp_path / "sutdb.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TcgError, match=reason):
             load_sutdb(path)
 
 
@@ -275,7 +308,7 @@ class TestGenerateCases:
         assert cases[0].method == "functional"
 
     def test_two_placeholders_full_pairwise_product(self, registry):
-        db = SutDatabase(sut_id="X", domains={"A": ["1", "2"], "B": ["x", "y"]})
+        db = SutDatabase(sut_id="X", domains={"A": ["7d1", "7d2"], "B": ["0x01", "0x02"]})
         scenario = parse_scenario(
             scenario_text(
                 meta_extra='    domain_A: "A"\n    domain_B: "B"\n',
@@ -285,10 +318,10 @@ class TestGenerateCases:
         cases = generate_cases(scenario, db, registry, t=2)
         assert [c.id for c in cases] == [f"scn-t-{i:03d}" for i in range(4)]
         rows = {(c.variability["A"], c.variability["B"]) for c in cases}
-        assert rows == {("1", "x"), ("1", "y"), ("2", "x"), ("2", "y")}
+        assert rows == {("7d1", "0x01"), ("7d1", "0x02"), ("7d2", "0x01"), ("7d2", "0x02")}
 
     def test_single_placeholder_strength_clamped(self, registry):
-        db = SutDatabase(sut_id="X", domains={"A": ["1", "2", "3"]})
+        db = SutDatabase(sut_id="X", domains={"A": ["7d1", "7d2", "7d3"]})
         scenario = parse_scenario(
             scenario_text(
                 meta_extra='    domain_A: "A"\n',
@@ -296,7 +329,7 @@ class TestGenerateCases:
             )
         )
         cases = generate_cases(scenario, db, registry, t=2)
-        assert [c.variability["A"] for c in cases] == ["1", "2", "3"]
+        assert [c.variability["A"] for c in cases] == ["7d1", "7d2", "7d3"]
 
     def test_domain_declaration_maps_placeholder_to_key(self, sutdb, registry):
         scenario = parse_scenario(
@@ -330,6 +363,62 @@ class TestGenerateCases:
         )
         cases = generate_cases(scenario, db, registry)
         assert {c.activities[0].bound_args["id"] for c in cases} == {"7df", "7e0"}
+
+    def test_slot_type_decides_the_text(self, registry):
+        db = SutDatabase(sut_id="X", dictionaries={"bus": "can0"},
+                         domains={"N": {"range": [16, 17]}, "H": ["0x0A", "0x0b"]})
+        scenario = parse_scenario(
+            scenario_text(
+                meta_extra='    domain_N: "N"\n    domain_H: "H"\n',
+                steps=(
+                    '    pattern FUZZ_CAMPAIGN(budget=$N, corpus="c", probe_every=50, seed=1)\n'
+                    "    pattern SEND_CAN_MSG(data=$H, id=\"7df\", extra=$N)"
+                ),
+            )
+        )
+        cases = generate_cases(scenario, db, registry)
+        fuzz, send = cases[0].activities
+        assert fuzz.bound_args == {
+            "budget": "16", "corpus": "c", "probe_every": "50", "seed": "1",
+        }
+        # ``extra`` has no schema entry: a number keeps its own, decimal, form.
+        assert send.bound_args == {"data": "0a", "extra": "16", "id": "7df"}
+        assert cases[0].input_data["bindings"] == {"H": "0x0A", "N": "16"}
+
+    @pytest.mark.parametrize(
+        "step, domains, reason",
+        [("pattern SET_SESSION(session=3)", {},
+          "step 1 SET_SESSION, slot 'session' wants hexbytes, got number 3"),
+         ('pattern FUZZ_CAMPAIGN(budget=0x10, corpus="c", probe_every=50, seed=1)', {},
+          "step 1 FUZZ_CAMPAIGN, slot 'budget' wants number, got hexbytes 0x10"),
+         ("pattern SEND_CAN_MSG(data=0x01, id=0x07df)", {},
+          "slot 'id' wants string, got hexbytes 0x07df"),
+         ("pattern SET_SESSION(session=$S)", {"S": {"range": [1, 3]}},
+          "slot 'session' wants hexbytes, got number 1"),
+         ("pattern SEND_CAN_MSG(data=$S, id=\"7df\")", {"S": ["0x01", "02"]},
+          "slot 'data' wants hexbytes, got number 2"),
+         ("pattern TESTER_PRESENT()\n    expect RESPONSE(service=$S)", {"S": ["0x3e", "0x0100"]},
+          "step 2 RESPONSE, slot 'service' wants one hex byte, got hexbytes 0x0100"),
+         ("pattern TESTER_PRESENT()\n    expect RESPONSE(service=$S)", {"S": ["3e"]},
+          "slot 'service' wants one hex byte, got string \"3e\"")],
+        ids=["number-into-hexbytes", "hexbytes-into-number", "hexbytes-into-string",
+             "range-into-hexbytes", "number-domain-value", "wide-service", "string-service"],
+    )
+    def test_kind_must_be_the_slot_type(self, registry, step, domains, reason):
+        db = SutDatabase(sut_id="X", dictionaries={"bus": "can0", "phys_id": "7e0"},
+                         domains=domains)
+        meta = "".join(f'    domain_{n}: "{n}"\n' for n in domains)
+        scenario = parse_scenario(scenario_text(meta_extra=meta, steps=f"    {step}"))
+        with pytest.raises(TcgError, match=re.escape(reason)) as info:
+            generate_cases(scenario, db, registry)
+        assert str(info.value).startswith("scenario 'scn-t' step ")
+
+    def test_decimal_service_does_not_validate(self, sutdb, registry):
+        scenario = parse_scenario(
+            scenario_text(steps="    pattern TESTER_PRESENT()\n    expect RESPONSE(service=16)")
+        )
+        with pytest.raises(TcgError, match="'scn-t' does not validate: .*service=16"):
+            generate_cases(scenario, sutdb, registry)
 
     def test_expect_steps_become_expectations(self, sutdb, registry):
         scenario = parse_scenario(
