@@ -214,6 +214,8 @@ class StateTransport:
     kept at the cost of one reference per frame, and ``alive_after``
     probes any of them without replaying a frame. An answered probe
     drops them, so a campaign keeps at most one probe window of states.
+    ``down`` reads the current state: ``handle_frame`` keeps a crashed ECU
+    crashed until a restore, so it is exact.
     """
 
     _PROBE = Frame(0x7DF, _TESTER_PRESENT)
@@ -226,6 +228,9 @@ class StateTransport:
         self.state, responses = handle_frame(self.state, frame)
         self._trail.append(self.state)
         return len(responses)
+
+    def down(self) -> bool:
+        return not self.state.alive
 
     def alive(self) -> bool:
         self.state, responses = handle_frame(self.state, self._PROBE)

@@ -10,7 +10,10 @@ stream, so a campaign is a pure function of (seed, config, SUT config).
 Which draws are taken from that stream, and in which order, is part of
 the contract: ``mutate`` and the corpus pick draw exactly what
 ``random.Random.choice``/``randrange``/``randint`` would, so the same
-seed gives the same campaign across versions.
+seed gives the same campaign across versions. Once the transport reports
+the SUT down, the rest of the probe window only takes its draws: those
+frames count in ``frames_sent`` but are neither built nor delivered,
+since a crashed SUT answers nothing until the next restore.
 """
 
 from __future__ import annotations
@@ -41,10 +44,14 @@ class FuzzTransport(Protocol):
     current state where it is. A transport that keeps a state per frame
     answers it from that state; one without snapshots would restore,
     resend the frames since the restore up to the ``n``-th counted one,
-    and probe.
+    and probe. ``down`` is True when the SUT will answer nothing, probes
+    included, until the next ``restore``; a transport that cannot tell
+    returns False.
     """
 
     def send(self, frame: Frame) -> int: ...
+
+    def down(self) -> bool: ...
 
     def alive(self) -> bool: ...
 
@@ -172,6 +179,32 @@ def mutate(frame: Frame, rng: random.Random, ops: frozenset[str]) -> Frame:
     return Frame(frame.id, data)
 
 
+def _skip_mutation(n: int, bits, order: tuple[str, ...]) -> None:
+    """Take from ``bits`` exactly what ``mutate`` takes for data of length
+    ``n`` under the op order ``order``, and build nothing."""
+    if not order:
+        return
+    op = order[_below(bits, len(order))]
+    if op == "bit_flip":
+        if n:
+            _below(bits, n)
+            _below(bits, 8)
+    elif op == "byte_random":
+        if n:
+            _below(bits, 256)
+            _below(bits, n)
+    elif op == "length_field_corrupt":
+        if n:
+            _below(bits, 256 - n)
+    elif op == "truncate":
+        _below(bits, max(1, n))
+    elif op == "extend":
+        room = MAX_DATA_LEN - n
+        if room > 0:
+            for _ in range(1 + _below(bits, room)):
+                _below(bits, 256)
+
+
 # -- campaign --------------------------------------------------------------
 
 
@@ -210,16 +243,21 @@ def run_campaign(config: FuzzConfig, transport: FuzzTransport) -> CampaignResult
     """Send ``budget`` frames, probing liveness every ``probe_every``.
 
     Stats count campaign traffic only; bisection probes and reproduction
-    replays are bookkeeping and stay out of the numbers. A finding is
+    replays are bookkeeping and stay out of the numbers. A frame drawn
+    after the transport went down within a window is counted in
+    ``frames_sent`` but not delivered: it only takes its draws, so every
+    later frame is the one a full delivery would have sent. A finding is
     reported only if its trigger frame alone kills a freshly restored
     SUT, deduplicated by trigger bytes.
     """
     rng = random.Random(config.seed)
     bits = rng.getrandbits
-    send = transport.send
+    send, down = transport.send, transport.down
     corpus = config.corpus
     n_corpus = len(corpus)
+    lengths = [len(frame.data) for frame in corpus]
     budget, probe_every, ops = config.budget, config.probe_every, config.mutation_ops
+    order = _op_order(ops)
     findings: list[FuzzFinding] = []
     seen_triggers: set[tuple[int, bytes]] = set()
     probes = responses = 0
@@ -236,9 +274,18 @@ def run_campaign(config: FuzzConfig, transport: FuzzTransport) -> CampaignResult
             else:
                 source = corpus[_below(bits, n_corpus)]
                 frame = mutate(source, rng, ops)
-            responses += send(frame)
+            answered = send(frame)
+            responses += answered
             log.append(frame)
             sources.append(source)
+            if not answered and down():
+                # Only a restore revives the SUT, so the rest of the window
+                # takes its draws and nothing else; bisection over the
+                # frames delivered finds the same first dead one.
+                for rest in range(sent + 1, end):
+                    if rest % 5:
+                        _skip_mutation(lengths[_below(bits, n_corpus)], bits, order)
+                break
 
         probes += 1
         if transport.alive():

@@ -271,6 +271,14 @@ def _did_key(key: str) -> int:
     return int(key, 16)
 
 
+def _did_value(value) -> bytes:
+    """A ``data_ids`` value in the one form ``dump_state`` writes: lowercase
+    hex, two digits a byte."""
+    if type(value) is not str or not re.fullmatch("(?:[0-9a-f]{2})*", value):
+        raise ValueError(f"data_ids value must be lowercase hex bytes, got {value!r}")
+    return bytes.fromhex(value)
+
+
 def load_state(blob: str) -> EcuState:
     """Inverse of ``dump_state``.
 
@@ -305,8 +313,8 @@ def load_state(blob: str) -> EcuState:
         seed_counter=seed_counter,
         alive=_of_type("alive", doc["alive"], bool),
         data_ids={
-            _did_key(k): bytes.fromhex(v)
-            for k, v in doc["data_ids"].items()
+            _did_key(k): _did_value(v)
+            for k, v in _of_type("data_ids", doc["data_ids"], dict).items()
         },
     )
 

@@ -136,17 +136,22 @@ _HEX_KEYS = {"func_id": MAX_FRAME_ID, "phys_id": MAX_FRAME_ID, "seedkey_const": 
 
 def _typed_domain(key: str, raw: object) -> list[tuple[str, Value]]:
     """A domain's texts in order, each with its value by the DSL's literal
-    rule; an integer range expands to the numbers {min, min+1, max-1, max}."""
-    if isinstance(raw, dict) and "range" in raw:
-        lo, hi = int(raw["range"][0]), int(raw["range"][1])
-        if hi < lo:
-            raise TcgError(f"domain {key!r} has an inverted range")
-        numbers = sorted({lo, min(lo + 1, hi), max(hi - 1, lo), hi})
-        return [(str(v), Value.number(v)) for v in numbers]
-    values = [(str(v), literal(str(v))) for v in raw]
-    if not values:
-        raise TcgError(f"domain {key!r} is empty")
-    return values
+    rule; an integer range expands to the numbers {min, min+1, max-1, max}.
+    A domain is a non-empty list or ``{"range": [lo, hi]}`` with two JSON
+    integers (a boolean is none), or TcgError."""
+    if type(raw) is list:
+        if not raw:
+            raise TcgError(f"domain {key!r} is empty")
+        return [(str(v), literal(str(v))) for v in raw]
+    bounds = raw.get("range") if isinstance(raw, dict) and set(raw) == {"range"} else None
+    if type(bounds) is not list or len(bounds) != 2 or any(type(b) is not int for b in bounds):
+        raise TcgError(f"domain {key!r} must be a non-empty list or {{\"range\": [lo, hi]}} "
+                       f"with two integers, got {raw!r}")
+    lo, hi = bounds
+    if hi < lo:
+        raise TcgError(f"domain {key!r} has an inverted range")
+    numbers = sorted({lo, min(lo + 1, hi), max(hi - 1, lo), hi})
+    return [(str(v), Value.number(v)) for v in numbers]
 
 
 @dataclass

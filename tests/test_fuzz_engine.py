@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -18,6 +19,8 @@ from vecuforge.fuzz_engine import (
     FuzzError,
     FuzzFinding,
     _below,
+    _op_order,
+    _skip_mutation,
     minimize,
     mutate,
     run_campaign,
@@ -26,6 +29,10 @@ from vecuforge.simulator import EcuState, SimConfig
 from vecuforge.tcg import load_sutdb
 
 ALL_OPS = frozenset(MUTATION_OPS)
+OP_SETS = [
+    frozenset(ops) for k in range(len(MUTATION_OPS) + 1)
+    for ops in itertools.combinations(MUTATION_OPS, k)
+]
 
 
 def bundled_corpus(samples_dir) -> tuple[Frame, ...]:
@@ -149,6 +156,18 @@ class TestDrawExactness:
         for _ in range(3):
             assert mutate(frame, ours, ops) == reference_mutate(frame, theirs, ops)
             assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("ops", OP_SETS, ids=lambda ops: "+".join(sorted(ops)) or "none")
+    def test_skip_mutation_draws_like_mutate(self, ops):
+        order = _op_order(ops)
+        for seed in (0, 1, 7, 2**31):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for n in range(MAX_DATA_LEN + 1):
+                frame = Frame(0x7E0, bytes(range(0x30, 0x30 + n)))
+                for _ in range(12):
+                    mutate(frame, theirs, ops)
+                    _skip_mutation(n, ours.getrandbits, order)
+                    assert ours.getstate() == theirs.getstate(), (seed, n)
 
     # sha256 of json.dumps([stats] + [minimize(f).to_dict() ...]) for seed 1,
     # budget 20,000, probe_every 50, bundled corpus; a change to the draws
@@ -320,6 +339,18 @@ class TestStateTransport:
         assert transport.alive_after(1)
         assert not transport.alive_after(2)
 
+    def test_down_from_the_crash_until_the_restore(self):
+        transport = StateTransport(EcuState(config=SimConfig()))
+        transport.send(self.BENIGN)
+        assert not transport.down()
+        transport.send(self.CRASH)
+        assert transport.down()
+        transport.send(self.BENIGN)
+        assert not transport.alive()
+        assert transport.down()
+        transport.restore()
+        assert not transport.down()
+
     def test_alive_after_leaves_the_state(self):
         transport = StateTransport(EcuState(config=SimConfig()))
         transport.send(Frame(0x7DF, bytes([0x02, 0x10, 0x03])))
@@ -385,6 +416,58 @@ class TestBisectionDifferential:
         assert [minimize(f, kept) for f in one.findings] == [
             minimize(f, replayed) for f in two.findings
         ]
+
+
+class SendCounter(StateTransport):
+    def __init__(self, state: EcuState):
+        super().__init__(state)
+        self.sends = 0
+
+    def send(self, frame: Frame) -> int:
+        self.sends += 1
+        return super().send(frame)
+
+
+class DeliveringTransport(SendCounter):
+    """Delivers every frame, as the engine did before it skipped frames
+    that can only reach a crashed ECU."""
+
+    def down(self) -> bool:
+        return False
+
+
+class TestSkipDifferential:
+    """Frames drawn after the ECU went down are not delivered, and that
+    changes no campaign, finding or minimization."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        budget=st.integers(min_value=1, max_value=3000),
+        probe_every=st.integers(min_value=1, max_value=60),
+        vulns=st.booleans(),
+        ops=st.sampled_from(OP_SETS),
+    )
+    def test_same_campaign_and_minimization(self, corpus, seed, budget, probe_every, vulns, ops):
+        config = FuzzConfig(seed=seed, budget=budget, corpus=corpus, probe_every=probe_every,
+                            mutation_ops=ops)
+        sim = SimConfig().with_vulns(vulns)
+        skipping = SendCounter(EcuState(config=sim))
+        delivering = DeliveringTransport(EcuState(config=sim))
+        one = run_campaign(config, skipping)
+        two = run_campaign(config, delivering)
+        assert one == two
+        assert skipping.sends <= delivering.sends
+        assert [minimize(f, skipping) for f in one.findings] == [
+            minimize(f, delivering) for f in two.findings
+        ]
+
+    def test_seeded_build_sends_fewer_frames(self, corpus):
+        config = FuzzConfig(seed=1, budget=2_000, corpus=corpus)
+        skipping = SendCounter(EcuState(config=SimConfig()))
+        delivering = DeliveringTransport(EcuState(config=SimConfig()))
+        assert run_campaign(config, skipping) == run_campaign(config, delivering)
+        assert skipping.sends < delivering.sends
 
 
 class TestMinimize:

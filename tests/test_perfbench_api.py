@@ -54,16 +54,32 @@ spans.instrument(rec)
 db = tcg.load_sutdb(Path(tcg.__file__).parent / "samples" / "sutdb.json")
 corpus = tuple(parse_line(line) for line in db.dictionaries["fuzz_corpus"])
 config = fuzz_engine.FuzzConfig(seed=1, budget=1000, corpus=corpus)
-fuzz_engine.run_campaign(config, StateTransport(EcuState(config=SimConfig())))
+sim = SimConfig().with_vulns(sys.argv[1] == "on")
+fuzz_engine.run_campaign(config, StateTransport(EcuState(config=sim)))
 print(json.dumps(rec.calls))
 """
 
 
+def traced_calls(vulns: str) -> dict:
+    proc = run_python("-c", TRACED_CAMPAIGN, vulns)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_traced_campaign_times_mutate_and_send():
     """A campaign that stopped calling the module-global ``mutate`` or the
-    transport's ``send`` would leave those per-layer metrics at zero."""
-    proc = run_python("-c", TRACED_CAMPAIGN)
-    assert proc.returncode == 0, proc.stderr
-    calls = json.loads(proc.stdout)
+    transport's ``send`` would leave those per-layer metrics at zero. On the
+    seeded build every window ends crashed, and the frames drawn after the
+    crash are neither built nor delivered: 76 campaign sends and 15
+    reproduction replays."""
+    calls = traced_calls("on")
+    assert calls["fuzz_engine.mutate"] == 52
+    assert calls["fuzz_engine.transport_send"] == 91
+
+
+def test_traced_control_campaign_builds_and_sends_every_frame():
+    """Without defects no frame meets a crashed ECU, so all 800 variants
+    are built and all 1000 frames delivered."""
+    calls = traced_calls("off")
     assert calls["fuzz_engine.mutate"] == 800
-    assert calls["fuzz_engine.transport_send"] >= 1000
+    assert calls["fuzz_engine.transport_send"] == 1000

@@ -267,6 +267,16 @@ class TestStateSerialization:
         _, out_b = run(twin, *script)
         assert out_a == out_b
 
+    @pytest.mark.parametrize("value", ["BE EF", 48879], ids=["spaced", "int"])
+    def test_data_id_value_only_as_dump_writes_it(self, value):
+        doc = dump_with("data_ids", {"f190": value})
+        with pytest.raises(ValueError, match="data_ids value must be lowercase hex bytes"):
+            load_state(base64.b64encode(doc.encode()).decode())
+
+    def test_written_data_id_round_trips(self):
+        state, _ = run(unlock(fresh()), "7df#021003", "7df#052ef190be3f")
+        assert load_state(dump_state(state)).data_ids[0xF190] == bytes.fromhex("be3f")
+
     def test_dump_reflects_crash(self):
         state, _ = run(fresh(), "7df#07013e")
         assert load_state(dump_state(state)).alive is False
@@ -410,6 +420,10 @@ class TestSocketServer:
             dump_with("seed_counter", -1),
             dump_with("data_ids", {"0x1_0": "00"}),
             dump_with("data_ids", {" +22 ": "00"}),
+            dump_with("data_ids", {"f190": "BE EF"}),
+            dump_with("data_ids", {"f190": "BEEF"}),
+            dump_with("data_ids", {"f190": "bee"}),
+            dump_with("data_ids", {"f190": 48879}),
         ],
         ids=[
             "list", "null", "data-ids-list", "deeply-nested",
@@ -419,6 +433,8 @@ class TestSocketServer:
             "last-seed-one-byte", "last-seed-str-byte", "last-seed-over-byte",
             "last-seed-str", "session-999", "session-negative", "data-id-over-16-bits",
             "seed-counter-negative", "data-id-prefixed", "data-id-padded",
+            "data-value-spaced", "data-value-uppercase", "data-value-odd-digits",
+            "data-value-int",
         ],
     )
     def test_malformed_state_blob_keeps_serving(self, server, doc):

@@ -228,6 +228,18 @@ class TestSutDatabase:
         with pytest.raises(TcgError, match="'A' is empty"):
             SutDatabase(sut_id="X", domains={"A": []})
 
+    @pytest.mark.parametrize(
+        "raw",
+        [{"range": ["0x1", 3]}, {"range": [1]}, {"range": [1, 2, 3]}, {"range": [True, 3]},
+         {"range": [1.0, 3]}, {"range": "1-3"}, {"range": [1, 3], "step": 2}, {"lo": 1},
+         5, "0x01", None],
+        ids=["hex-text-bound", "one-bound", "three-bounds", "bool-bound", "float-bound",
+             "range-text", "extra-key", "no-range-key", "number", "text", "null"],
+    )
+    def test_malformed_domain_named(self, raw):
+        with pytest.raises(TcgError, match=r"domain 'S' must be a non-empty list or \{\"range\""):
+            SutDatabase(sut_id="X", domains={"S": raw})
+
     @pytest.mark.parametrize("raw, value", [(None, 0x7DF), ("7e0", 0x7E0), ("0", 0)])
     def test_func_id(self, raw, value):
         dictionaries = {} if raw is None else {"func_id": raw}
