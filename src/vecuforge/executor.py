@@ -29,7 +29,7 @@ from .frames import MAX_FRAME_ID, ExecutorError, Frame, FrameError, LineClient, 
 from .fuzz_engine import PRNG_NAME, FuzzConfig, minimize, run_campaign
 from .item_model import fingerprint_sut
 from .script_registry import RegistryError, ScriptRegistry, render_command
-from .simulator import EcuState, handle_frame, load_state, official_key, weak_key
+from .simulator import SEEDKEY_ALGORITHMS, EcuState, handle_frame, load_state
 from .tcg import SutDatabase, TestCase
 from .vocabulary import CONDITIONS, MATCHERS, PRECONDITIONS
 from .vuln_scanner import VulnDbEntry, scan
@@ -206,10 +206,10 @@ class StateTransport:
 
     Campaigns run against the SUT's own dumped state through the pure
     transition function, which makes every frame, probe and response
-    count a function of (state, seed) alone. Triggers found this way
-    are afterwards confirmed over the wire against the live SUT. States
-    are immutable values, so the one given is kept as the restore point
-    and ``restore`` is a reassignment. For the same reason the state
+    count a function of (state, seed) alone. One input per bucket of
+    findings is afterwards confirmed over the wire against the live SUT.
+    States are immutable values, so the one given is kept as the restore
+    point and ``restore`` is a reassignment. For the same reason the state
     after each frame sent since the last restore or answered probe is
     kept at the cost of one reference per frame, and ``alive_after``
     probes any of them without replaying a frame. An answered probe
@@ -409,11 +409,11 @@ class _CaseRun:
         bus, phys_hex, algorithm, const_hex = argv
         channel = self.session.channel(bus)
         phys, const = hex_in(phys_hex, MAX_FRAME_ID), hex_in(const_hex, 0xFF)
-        derive = {"add_xor": official_key, "weak_xor": weak_key}.get(algorithm)
+        derive = SEEDKEY_ALGORITHMS.get(algorithm)
         if phys is None or const is None or derive is None:
             raise ExecutorError(
-                f"seedkey wants an 11-bit hex phys_id, add_xor or weak_xor and a hex-byte "
-                f"key constant, got {argv}"
+                f"seedkey wants an 11-bit hex phys_id, {' or '.join(SEEDKEY_ALGORITHMS)} and "
+                f"a hex-byte key constant, got {argv}"
             )
 
         started = time.monotonic()
@@ -459,28 +459,36 @@ class _CaseRun:
 
         started = time.monotonic()
         # The campaign runs against a fork of the SUT's dumped state, so
-        # frame-by-frame behaviour is exactly reproducible; each trigger
-        # is then confirmed over the wire against the live SUT.
+        # frame-by-frame behaviour is exactly reproducible; one input per
+        # bucket of findings is then confirmed over the wire against the
+        # live SUT. A trigger that did not minimize is its own bucket.
         campaign_start = self.session.mgmt.dump()
         transport = StateTransport(load_state(campaign_start))
         result = run_campaign(config, transport)
         findings = [minimize(f, transport) for f in result.findings]
 
-        confirmations = []
+        buckets: dict[Frame, dict] = {}
         for finding in findings:
-            channel.collect(finding.trigger_input)
-            record.tx.append(finding.trigger_input.to_line())
-            alive = self.session.probe_alive()
-            confirmations.append(not alive)
+            frame = finding.minimized_input or finding.trigger_input
+            bucket = buckets.setdefault(frame, {
+                "minimized_input": frame.to_line(), "hits": 0, "first_position": finding.position,
+            })
+            bucket["hits"] += 1
+        confirmations = []
+        for frame in buckets:
+            channel.collect(frame)
+            record.tx.append(frame.to_line())
+            confirmations.append(not self.session.probe_alive())
             self.session.mgmt.load(campaign_start)
         record.latency_ms = (time.monotonic() - started) * 1000.0
 
         self.fuzz_findings += len(findings)
-        record.note = f"{len(findings)} reproduced trigger(s)"
+        record.note = f"{len(findings)} reproduced trigger(s) in {len(buckets)} bucket(s)"
         record.detail = {
             "config": config.to_dict(),
             "stats": result.stats,
             "findings": [f.to_dict() for f in findings],
+            "buckets": list(buckets.values()),
             "confirmed_on_wire": confirmations,
         }
         self.last_rx = []

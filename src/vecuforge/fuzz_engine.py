@@ -5,15 +5,17 @@ variants, delivers them through a transport, and probes liveness on a
 fixed cadence. A missed probe is bisected to the exact trigger frame by
 probing the states the transport kept after each frame of the window
 (no replay), and the trigger must then reproduce alone from a fresh
-restore before it is reported. Everything is driven by one seeded PRNG
-stream, so a campaign is a pure function of (seed, config, SUT config).
-Which draws are taken from that stream, and in which order, is part of
-the contract: ``mutate`` and the corpus pick draw exactly what
-``random.Random.choice``/``randrange``/``randint`` would, so the same
-seed gives the same campaign across versions. Once the transport reports
-the SUT down, the rest of the probe window only takes its draws: those
-frames count in ``frames_sent`` but are neither built nor delivered,
-since a crashed SUT answers nothing until the next restore.
+restore before it is reported. Each probe window draws from its own
+seeded PRNG stream, ``random.Random(f"{seed}:{start}")`` with ``start``
+the window's first frame index, so the frames a window offers depend
+only on (seed, window start, corpus, ops); the SUT decides only how many
+of them are delivered. A seeded build and a control build therefore get
+the same frames, and a campaign is a pure function of (seed, config, SUT
+config). Within a window, ``mutate`` and the corpus pick draw exactly
+what ``random.Random.choice``/``randrange``/``randint`` would. Once the
+transport reports the SUT down, the rest of the window is dropped: those
+frames count in ``frames_sent`` but are neither drawn, built nor
+delivered, since a crashed SUT answers nothing until the next restore.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Protocol
 from .frames import MAX_DATA_LEN, Frame
 
 MUTATION_OPS = ("bit_flip", "byte_random", "extend", "length_field_corrupt", "truncate")
-PRNG_NAME = "stdlib-mersenne-twister"
+PRNG_NAME = "stdlib-mersenne-twister/per-window"
 
 
 class FuzzError(ValueError):
@@ -46,7 +48,10 @@ class FuzzTransport(Protocol):
     resend the frames since the restore up to the ``n``-th counted one,
     and probe. ``down`` is True when the SUT will answer nothing, probes
     included, until the next ``restore``; a transport that cannot tell
-    returns False.
+    returns False. The engine then ends the probe window early. The
+    frames a window offers do not depend on the transport, so ``down``
+    changes only how many of them are delivered: a transport that always
+    returns False gets every frame of the window and the same findings.
     """
 
     def send(self, frame: Frame) -> int: ...
@@ -179,32 +184,6 @@ def mutate(frame: Frame, rng: random.Random, ops: frozenset[str]) -> Frame:
     return Frame(frame.id, data)
 
 
-def _skip_mutation(n: int, bits, order: tuple[str, ...]) -> None:
-    """Take from ``bits`` exactly what ``mutate`` takes for data of length
-    ``n`` under the op order ``order``, and build nothing."""
-    if not order:
-        return
-    op = order[_below(bits, len(order))]
-    if op == "bit_flip":
-        if n:
-            _below(bits, n)
-            _below(bits, 8)
-    elif op == "byte_random":
-        if n:
-            _below(bits, 256)
-            _below(bits, n)
-    elif op == "length_field_corrupt":
-        if n:
-            _below(bits, 256 - n)
-    elif op == "truncate":
-        _below(bits, max(1, n))
-    elif op == "extend":
-        room = MAX_DATA_LEN - n
-        if room > 0:
-            for _ in range(1 + _below(bits, room)):
-                _below(bits, 256)
-
-
 # -- campaign --------------------------------------------------------------
 
 
@@ -243,28 +222,28 @@ def run_campaign(config: FuzzConfig, transport: FuzzTransport) -> CampaignResult
     """Send ``budget`` frames, probing liveness every ``probe_every``.
 
     Stats count campaign traffic only; bisection probes and reproduction
-    replays are bookkeeping and stay out of the numbers. A frame drawn
-    after the transport went down within a window is counted in
-    ``frames_sent`` but not delivered: it only takes its draws, so every
-    later frame is the one a full delivery would have sent. A finding is
-    reported only if its trigger frame alone kills a freshly restored
-    SUT, deduplicated by trigger bytes.
+    replays are bookkeeping and stay out of the numbers. A frame of a
+    window the transport went down in is counted in ``frames_sent`` but
+    not drawn or delivered; the next window draws from its own stream, so
+    it is the same whatever this one delivered. A finding is reported
+    only if its trigger frame alone kills a freshly restored SUT,
+    deduplicated by trigger bytes.
     """
-    rng = random.Random(config.seed)
-    bits = rng.getrandbits
     send, down = transport.send, transport.down
     corpus = config.corpus
     n_corpus = len(corpus)
-    lengths = [len(frame.data) for frame in corpus]
     budget, probe_every, ops = config.budget, config.probe_every, config.mutation_ops
-    order = _op_order(ops)
     findings: list[FuzzFinding] = []
     seen_triggers: set[tuple[int, bytes]] = set()
     probes = responses = 0
 
     for start in range(0, budget, probe_every):
         # One probe window: the frames sent since the last probe, which is
-        # what the transport's ``alive_after`` counts from.
+        # what the transport's ``alive_after`` counts from. Its seed text
+        # names one (seed, start) pair, and ``random`` hashes a text seed
+        # with sha512, whatever PYTHONHASHSEED is.
+        rng = random.Random(f"{config.seed}:{start}")
+        bits = rng.getrandbits
         end = min(start + probe_every, budget)
         log: list[Frame] = []
         sources: list[Frame] = []
@@ -279,12 +258,8 @@ def run_campaign(config: FuzzConfig, transport: FuzzTransport) -> CampaignResult
             log.append(frame)
             sources.append(source)
             if not answered and down():
-                # Only a restore revives the SUT, so the rest of the window
-                # takes its draws and nothing else; bisection over the
-                # frames delivered finds the same first dead one.
-                for rest in range(sent + 1, end):
-                    if rest % 5:
-                        _skip_mutation(lengths[_below(bits, n_corpus)], bits, order)
+                # Only a restore revives the SUT; bisection over the frames
+                # delivered finds the first dead one.
                 break
 
         probes += 1

@@ -27,6 +27,7 @@ from .scenario_dsl import (
     validate,
 )
 from .script_registry import ScriptRegistry
+from .simulator import SEEDKEY_ALGORITHMS
 from .vocabulary import MATCHERS
 
 
@@ -137,11 +138,16 @@ _HEX_KEYS = {"func_id": MAX_FRAME_ID, "phys_id": MAX_FRAME_ID, "seedkey_const": 
 def _typed_domain(key: str, raw: object) -> list[tuple[str, Value]]:
     """A domain's texts in order, each with its value by the DSL's literal
     rule; an integer range expands to the numbers {min, min+1, max-1, max}.
-    A domain is a non-empty list or ``{"range": [lo, hi]}`` with two JSON
-    integers (a boolean is none), or TcgError."""
+    A domain is a non-empty list of JSON strings and non-negative integers,
+    or ``{"range": [lo, hi]}`` with two JSON integers (a boolean is none),
+    or TcgError."""
     if type(raw) is list:
         if not raw:
             raise TcgError(f"domain {key!r} is empty")
+        for v in raw:
+            if type(v) is not str and not (type(v) is int and v >= 0):
+                raise TcgError(f"domain {key!r} value {v!r} is not a string or a "
+                               f"non-negative integer")
         return [(str(v), literal(str(v))) for v in raw]
     bounds = raw.get("range") if isinstance(raw, dict) and set(raw) == {"range"} else None
     if type(bounds) is not list or len(bounds) != 2 or any(type(b) is not int for b in bounds):
@@ -157,8 +163,9 @@ def _typed_domain(key: str, raw: object) -> list[tuple[str, Value]]:
 @dataclass
 class SutDatabase:
     """The SUT's data, checked and typed once, when it is built. ``func_id``
-    and ``phys_id`` must be 11-bit hex ids, ``seedkey_const`` a hex byte and
-    each list-valued dictionary a frame corpus (``corpora``), or TcgError."""
+    and ``phys_id`` must be 11-bit hex ids, ``seedkey_const`` a hex byte,
+    ``seedkey_algorithm`` a name in ``SEEDKEY_ALGORITHMS`` and each
+    list-valued dictionary a frame corpus (``corpora``), or TcgError."""
 
     sut_id: str
     description: str = ""
@@ -174,6 +181,11 @@ class SutDatabase:
             if raw is not None and hex_in(str(raw), top) is None:
                 what = "an 11-bit hex frame id" if top == MAX_FRAME_ID else "a hex byte"
                 raise TcgError(f"SUT database {key} {raw!r} is not {what}")
+        algorithm = self.dictionaries.get("seedkey_algorithm")
+        if algorithm is not None and (type(algorithm) is not str
+                                      or algorithm not in SEEDKEY_ALGORITHMS):
+            raise TcgError(f"SUT database seedkey_algorithm {algorithm!r} is not one of "
+                           f"{', '.join(SEEDKEY_ALGORITHMS)}")
         self.corpora = {}
         for key, lines in self.dictionaries.items():
             if isinstance(lines, list):

@@ -168,13 +168,16 @@ class TestStageOrdering:
           "SUT database phys_id '800' is not an 11-bit hex frame id"),
          (None, None, None, ("dictionaries", "seedkey_const", "1a5"),
           "SUT database seedkey_const '1a5' is not a hex byte"),
+         (None, None, None, ("dictionaries", "seedkey_algorithm", "rot13"),
+          "SUT database seedkey_algorithm 'rot13' is not one of add_xor, weak_xor"),
          (None, None, None, ("domains", "SESSION", {"range": [1, 3]}),
           "scenario 'func-neg-req-tc-sessbypass-if-can' step 1 SET_SESSION, slot 'session' "
           "wants hexbytes, got number 1"),
          (None, None, None, ("domains", "SESSION", {"range": ["0x1", 3]}),
           "domain 'SESSION' must be a non-empty list or {\"range\": [lo, hi]} with two integers")],
         ids=["decimal-service", "number-session", "hex-budget", "phys-id-over-11-bits",
-             "key-const-over-a-byte", "range-into-hexbytes", "hex-text-range-bound"],
+             "key-const-over-a-byte", "unknown-seedkey-algorithm", "range-into-hexbytes",
+             "hex-text-range-bound"],
     )
     def test_tcg_rejects_a_value_that_would_change_meaning(
         self, tmp_path, samples_dir, capsys, scenario, before, after, sutdb_entry, reason

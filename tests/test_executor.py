@@ -378,9 +378,21 @@ class TestExecuteFuzz:
             assert data[0] > len(data) - 1
             assert doc["reproduced"] is True
             assert doc["minimized_input"] is not None
-        assert all(detail["confirmed_on_wire"])
-        # campaign traffic never hit the live bus, triggers did
-        assert campaign.tx == [d["trigger_input"] for d in detail["findings"]]
+        # one input per bucket of findings, in first-seen order, went to the
+        # live bus and killed it; campaign traffic never did
+        buckets = detail["buckets"]
+        minimized = [d["minimized_input"] for d in detail["findings"]]
+        assert [b["minimized_input"] for b in buckets] == list(dict.fromkeys(minimized))
+        assert [b["hits"] for b in buckets] == [minimized.count(b["minimized_input"])
+                                                for b in buckets]
+        assert [b["first_position"] for b in buckets] == [
+            next(d["position"] for d in detail["findings"]
+                 if d["minimized_input"] == b["minimized_input"])
+            for b in buckets
+        ]
+        assert len(buckets) < len(detail["findings"])
+        assert detail["confirmed_on_wire"] == [True] * len(buckets)
+        assert campaign.tx == [b["minimized_input"] for b in buckets]
         # the SUT is back up afterwards: the tester-present step got through
         assert result.step_log[-1].met is True
         assert cleanup.verified is True

@@ -5,7 +5,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +19,11 @@ from vecuforge.executor import StateTransport
 from vecuforge.frames import MAX_DATA_LEN, Frame, parse_line
 from vecuforge.fuzz_engine import (
     MUTATION_OPS,
+    CampaignResult,
     FuzzConfig,
     FuzzError,
     FuzzFinding,
     _below,
-    _op_order,
-    _skip_mutation,
     minimize,
     mutate,
     run_campaign,
@@ -28,6 +31,7 @@ from vecuforge.fuzz_engine import (
 from vecuforge.simulator import EcuState, SimConfig
 from vecuforge.tcg import load_sutdb
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 ALL_OPS = frozenset(MUTATION_OPS)
 OP_SETS = [
     frozenset(ops) for k in range(len(MUTATION_OPS) + 1)
@@ -158,23 +162,29 @@ class TestDrawExactness:
             assert ours.getstate() == theirs.getstate()
 
     @pytest.mark.parametrize("ops", OP_SETS, ids=lambda ops: "+".join(sorted(ops)) or "none")
-    def test_skip_mutation_draws_like_mutate(self, ops):
-        order = _op_order(ops)
-        for seed in (0, 1, 7, 2**31):
-            ours, theirs = random.Random(seed), random.Random(seed)
-            for n in range(MAX_DATA_LEN + 1):
-                frame = Frame(0x7E0, bytes(range(0x30, 0x30 + n)))
-                for _ in range(12):
-                    mutate(frame, theirs, ops)
-                    _skip_mutation(n, ours.getrandbits, order)
-                    assert ours.getstate() == theirs.getstate(), (seed, n)
+    def test_skip_mutation_draws_like_mutate(self, corpus, ops):
+        """Leaving the rest of a dead window undrawn changes none of the
+        frames any window offers: each window is a prefix of the one an
+        engine that mutates and delivers every frame sends."""
+        config = FuzzConfig(seed=5, budget=1_000, corpus=corpus, probe_every=20,
+                            mutation_ops=ops)
+        skipping, skipped = campaign_windows(config, vulns=True)
+        delivering, delivered = campaign_windows(config, vulns=True,
+                                                 recorder=DeliveringRecorder)
+        assert skipping == delivering
+        for start, one, full in zip(range(0, config.budget, config.probe_every),
+                                    skipped, delivered):
+            assert len(full) == config.probe_every
+            assert one == full[: len(one)], start
+        cut = sum(len(full) - len(one) for one, full in zip(skipped, delivered))
+        assert bool(cut) == bool(skipping.findings)
 
     # sha256 of json.dumps([stats] + [minimize(f).to_dict() ...]) for seed 1,
-    # budget 20,000, probe_every 50, bundled corpus; a change to the draws
-    # or to the campaign moves them.
+    # budget 20,000, probe_every 50, bundled corpus; a change to the draws,
+    # to the per-window stream seeds or to the campaign moves them.
     GOLDEN = {
-        True: "8888598555b1609e5914740b5c1c9ebe33d231c7d22c1895caa1150b6a82a50c",
-        False: "a3ecfc88c8faedfd76d6fe7bee286c7f8d156a5d7c74b457fd7bf52414460d8f",
+        True: "18279710090481812f3da8adb63cf15e5102e3562aa141c2ad17a4958bd64941",
+        False: "4c19bf1d1c06346ba40c8bff030eab27ecc28919d87a8e7a384234300b5864a7",
     }
 
     @pytest.mark.parametrize("vulns", [True, False], ids=["vulns-on", "vulns-off"])
@@ -232,9 +242,13 @@ class TestCampaign:
 
     def test_deterministic(self, corpus):
         config = FuzzConfig(seed=77, budget=2_000, corpus=corpus, probe_every=25)
-        one = run_campaign(config, StateTransport(EcuState(config=SimConfig())))
-        two = run_campaign(config, StateTransport(EcuState(config=SimConfig())))
-        assert one == two
+        runs = []
+        for _ in range(2):
+            transport = StateTransport(EcuState(config=SimConfig()))
+            result = run_campaign(config, transport)
+            runs.append((result, [minimize(f, transport) for f in result.findings]))
+        assert runs[0] == runs[1]
+        assert runs[0][0].findings
 
     @pytest.mark.parametrize("budget", [1, 7, 49, 50, 51, 500])
     def test_budget_respected(self, corpus, budget):
@@ -429,15 +443,15 @@ class SendCounter(StateTransport):
 
 
 class DeliveringTransport(SendCounter):
-    """Delivers every frame, as the engine did before it skipped frames
-    that can only reach a crashed ECU."""
+    """Cannot tell that the ECU is down, so it gets every frame of every
+    probe window."""
 
     def down(self) -> bool:
         return False
 
 
 class TestSkipDifferential:
-    """Frames drawn after the ECU went down are not delivered, and that
+    """The rest of a window the ECU went down in is not delivered, and that
     changes no campaign, finding or minimization."""
 
     @settings(max_examples=60, deadline=None)
@@ -468,6 +482,90 @@ class TestSkipDifferential:
         delivering = DeliveringTransport(EcuState(config=SimConfig()))
         assert run_campaign(config, skipping) == run_campaign(config, delivering)
         assert skipping.sends < delivering.sends
+
+
+class WindowRecorder(StateTransport):
+    """Records the frames delivered, one list per liveness probe."""
+
+    def __init__(self, state: EcuState):
+        super().__init__(state)
+        self.windows: list[list[Frame]] = [[]]
+
+    def send(self, frame: Frame) -> int:
+        self.windows[-1].append(frame)
+        return super().send(frame)
+
+    def alive(self) -> bool:
+        answered = super().alive()
+        self.windows.append([])
+        return answered
+
+
+class DeliveringRecorder(WindowRecorder):
+    """Cannot tell that the ECU is down, so it records every frame of
+    every probe window."""
+
+    def down(self) -> bool:
+        return False
+
+
+def campaign_windows(config: FuzzConfig, vulns: bool,
+                     recorder: type[WindowRecorder] = WindowRecorder
+                     ) -> tuple[CampaignResult, list]:
+    """The frames each probe window delivered, without the reproduction
+    replay that follows the window of each new finding."""
+    recorder = recorder(EcuState(config=SimConfig().with_vulns(vulns)))
+    result = run_campaign(config, recorder)
+    replayed = {f.verdict_evidence["window_start"]: f.trigger_input for f in result.findings}
+    recorded = iter(recorder.windows)
+    windows = []
+    for start in range(0, config.budget, config.probe_every):
+        windows.append(next(recorded))
+        if start in replayed:
+            assert next(recorded) == [replayed[start]]
+    assert next(recorded) == [] and next(recorded, None) is None
+    return result, windows
+
+
+class TestWindowStreams:
+    """Each probe window draws from its own stream, so the frames it offers
+    depend on (seed, window start, corpus, ops) alone and the SUT decides
+    only how many of them are delivered."""
+
+    @pytest.mark.parametrize("seed, probe_every", [(1, 50), (9, 7), (123, 2)])
+    def test_seeded_windows_are_prefixes_of_the_control_windows(self, corpus, seed,
+                                                                probe_every):
+        config = FuzzConfig(seed=seed, budget=3_000, corpus=corpus, probe_every=probe_every)
+        seeded, seeded_windows = campaign_windows(config, vulns=True)
+        control, control_windows = campaign_windows(config, vulns=False)
+        assert control.findings == [] and seeded.findings
+        assert len(seeded_windows) == len(control_windows)
+        for start, one, full in zip(range(0, config.budget, probe_every),
+                                    seeded_windows, control_windows):
+            assert len(full) == min(probe_every, config.budget - start)
+            assert one == full[: len(one)], start
+        assert any(len(one) < len(full) for one, full in zip(seeded_windows, control_windows))
+
+    def test_streams_do_not_follow_the_hash_seed(self):
+        script = (
+            "from vecuforge.fuzz_engine import FuzzConfig, run_campaign\n"
+            "from vecuforge.executor import StateTransport\n"
+            "from vecuforge.frames import Frame\n"
+            "from vecuforge.simulator import EcuState\n"
+            "config = FuzzConfig(seed=2, budget=400, corpus=(Frame(0x7DF, bytes([2, 1, 13])),))\n"
+            "result = run_campaign(config, StateTransport(EcuState()))\n"
+            "print([f.to_dict() for f in result.findings], result.stats)\n"
+        )
+        outputs = set()
+        for hash_seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        assert "trigger_input" in outputs.pop()
 
 
 class TestMinimize:

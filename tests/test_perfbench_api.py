@@ -69,12 +69,12 @@ def traced_calls(vulns: str) -> dict:
 def test_traced_campaign_times_mutate_and_send():
     """A campaign that stopped calling the module-global ``mutate`` or the
     transport's ``send`` would leave those per-layer metrics at zero. On the
-    seeded build every window ends crashed, and the frames drawn after the
-    crash are neither built nor delivered: 76 campaign sends and 15
-    reproduction replays."""
+    seeded build every window ends crashed, and the rest of a window is
+    neither drawn, built nor delivered after the crash: 65 campaign sends
+    and 19 reproduction replays."""
     calls = traced_calls("on")
-    assert calls["fuzz_engine.mutate"] == 52
-    assert calls["fuzz_engine.transport_send"] == 91
+    assert calls["fuzz_engine.mutate"] == 43
+    assert calls["fuzz_engine.transport_send"] == 84
 
 
 def test_traced_control_campaign_builds_and_sends_every_frame():

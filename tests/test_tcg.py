@@ -240,6 +240,15 @@ class TestSutDatabase:
         with pytest.raises(TcgError, match=r"domain 'S' must be a non-empty list or \{\"range\""):
             SutDatabase(sut_id="X", domains={"S": raw})
 
+    @pytest.mark.parametrize(
+        "element", [True, None, 1.5, [1, 2], -3],
+        ids=["bool", "null", "float", "list", "negative"],
+    )
+    def test_domain_element_must_be_text_or_a_natural_number(self, element):
+        with pytest.raises(TcgError, match=re.escape(
+                f"domain 'S' value {element!r} is not a string or a non-negative integer")):
+            SutDatabase(sut_id="X", domains={"S": ["0x01", element]})
+
     @pytest.mark.parametrize("raw, value", [(None, 0x7DF), ("7e0", 0x7E0), ("0", 0)])
     def test_func_id(self, raw, value):
         dictionaries = {} if raw is None else {"func_id": raw}
@@ -260,10 +269,14 @@ class TestSutDatabase:
          ("phys_id", "07e0", "phys_id '07e0' is not an 11-bit"),
          ("seedkey_const", "1a5", "seedkey_const '1a5' is not a hex byte"),
          ("seedkey_const", "0xa5", "seedkey_const '0xa5' is not a hex byte"),
+         ("seedkey_algorithm", "rot13", "seedkey_algorithm 'rot13' is not one of add_xor, weak_xor"),
+         ("seedkey_algorithm", "ADD_XOR", "seedkey_algorithm 'ADD_XOR' is not one of"),
+         ("seedkey_algorithm", 1, "seedkey_algorithm 1 is not one of"),
          ("fuzz_corpus", ["7df#02010d", "7df#0"], "fuzz_corpus: not a frame line: '7df#0'"),
          ("spare_corpus", [7], "spare_corpus: not a frame line: '7'")],
         ids=["phys-id-over-11-bits", "phys-id-padded", "key-const-over-a-byte",
-             "key-const-prefixed", "corpus-odd-line", "list-of-numbers"],
+             "key-const-prefixed", "unknown-algorithm", "algorithm-case", "algorithm-number",
+             "corpus-odd-line", "list-of-numbers"],
     )
     def test_load_rejects_a_bad_value(self, tmp_path, samples_dir, key, raw, reason):
         doc = json.loads((samples_dir / "sutdb.json").read_text())
