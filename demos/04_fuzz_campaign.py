@@ -1,10 +1,10 @@
 """Fuzz the virtual ECU at memory speed and minimize what kills it.
 
-The campaign mutates a small corpus of well-formed diagnostic frames,
-probes liveness every N frames, and bisects the send log to the exact
-trigger whenever a probe goes silent. Findings are then shrunk to the
-shortest payload that still reproduces the silence. Same seed, same
-findings -- every run is replayable.
+The campaign mutates a small corpus of well-formed diagnostic frames and
+probes liveness every N frames. A crash ends the probe window at the frame
+that caused it, so a silent probe names that frame as the trigger.
+Findings are then shrunk to the shortest payload that still reproduces the
+silence. Same seed, same findings -- every run is replayable.
 """
 
 from vecuforge.executor import StateTransport

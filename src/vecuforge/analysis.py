@@ -209,7 +209,11 @@ def load_catalog(path: str) -> Catalog:
             match_predicate=MatchPredicate(
                 interface_kind=e["match_predicate"].get("interface_kind"),
                 exposure=e["match_predicate"].get("exposure"),
-                service=service_byte(e["match_predicate"].get("service")),
+                service=service_byte(
+                    e["match_predicate"].get("service"),
+                    f"catalog entry {e['id']!r} match_predicate.service",
+                    AnalysisError,
+                ),
                 goal_property=e["match_predicate"].get("goal_property"),
             ),
             threat_class=e["threat_class"],

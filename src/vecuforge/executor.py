@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .frames import MAX_FRAME_ID, ExecutorError, Frame, FrameError, LineClient, hex_in, parse_line
-from .fuzz_engine import PRNG_NAME, FuzzConfig, minimize, run_campaign
+from .fuzz_engine import PRNG_NAME, FuzzConfig, FuzzError, minimize, run_campaign
 from .item_model import fingerprint_sut
 from .script_registry import RegistryError, ScriptRegistry, render_command
 from .simulator import SEEDKEY_ALGORITHMS, EcuState, handle_frame, load_state
@@ -209,24 +209,19 @@ class StateTransport:
     count a function of (state, seed) alone. One input per bucket of
     findings is afterwards confirmed over the wire against the live SUT.
     States are immutable values, so the one given is kept as the restore
-    point and ``restore`` is a reassignment. For the same reason the state
-    after each frame sent since the last restore or answered probe is
-    kept at the cost of one reference per frame, and ``alive_after``
-    probes any of them without replaying a frame. An answered probe
-    drops them, so a campaign keeps at most one probe window of states.
-    ``down`` reads the current state: ``handle_frame`` keeps a crashed ECU
-    crashed until a restore, so it is exact.
+    point and ``restore`` is a reassignment. ``down`` reads the current
+    state: ``handle_frame`` keeps a crashed ECU crashed until a restore,
+    and a live ECU answers the probe whenever it answered it once (the
+    services it serves never change), so ``down`` is exact.
     """
 
     _PROBE = Frame(0x7DF, _TESTER_PRESENT)
 
     def __init__(self, state: EcuState):
-        self._start = self._base = self.state = state
-        self._trail: list[EcuState] = []
+        self._start = self.state = state
 
     def send(self, frame: Frame) -> int:
         self.state, responses = handle_frame(self.state, frame)
-        self._trail.append(self.state)
         return len(responses)
 
     def down(self) -> bool:
@@ -234,21 +229,10 @@ class StateTransport:
 
     def alive(self) -> bool:
         self.state, responses = handle_frame(self.state, self._PROBE)
-        if responses:
-            self._base = self.state
-            self._trail = []
         return bool(responses)
 
-    def alive_after(self, n: int) -> bool:
-        """Whether the ECU answers a probe after the first ``n`` frames
-        sent since the last restore or answered probe; ``state`` does
-        not move."""
-        state = self._trail[n - 1] if n else self._base
-        return bool(handle_frame(state, self._PROBE)[1])
-
     def restore(self) -> None:
-        self._base = self.state = self._start
-        self._trail = []
+        self.state = self._start
 
 
 # -- execution -------------------------------------------------------------
@@ -464,7 +448,10 @@ class _CaseRun:
         # live SUT. A trigger that did not minimize is its own bucket.
         campaign_start = self.session.mgmt.dump()
         transport = StateTransport(load_state(campaign_start))
-        result = run_campaign(config, transport)
+        try:
+            result = run_campaign(config, transport)
+        except FuzzError as exc:
+            raise ExecutorError(f"fuzz: {exc}") from None
         findings = [minimize(f, transport) for f in result.findings]
 
         buckets: dict[Frame, dict] = {}

@@ -56,13 +56,7 @@ def parse_line(line: str) -> Frame:
     m = _LINE_RE.match(line.strip())
     if m is None:
         raise FrameError(f"not a frame line: {line!r}")
-    frame_id = int(m.group(1), 16)
-    data = bytes.fromhex(m.group(2))
-    if frame_id > MAX_FRAME_ID:
-        raise FrameError(f"frame id {frame_id:#x} exceeds 11 bits")
-    if len(data) > MAX_DATA_LEN:
-        raise FrameError(f"frame data is {len(data)} bytes, max is {MAX_DATA_LEN}")
-    return Frame(frame_id, data)
+    return Frame(int(m.group(1), 16), bytes.fromhex(m.group(2)))
 
 
 def hex_in(text: str | None, top: int) -> int | None:

@@ -2,20 +2,21 @@
 
 The generator interleaves untouched corpus frames with single-mutation
 variants, delivers them through a transport, and probes liveness on a
-fixed cadence. A missed probe is bisected to the exact trigger frame by
-probing the states the transport kept after each frame of the window
-(no replay), and the trigger must then reproduce alone from a fresh
-restore before it is reported. Each probe window draws from its own
-seeded PRNG stream, ``random.Random(f"{seed}:{start}")`` with ``start``
-the window's first frame index, so the frames a window offers depend
-only on (seed, window start, corpus, ops); the SUT decides only how many
-of them are delivered. A seeded build and a control build therefore get
-the same frames, and a campaign is a pure function of (seed, config, SUT
-config). Within a window, ``mutate`` and the corpus pick draw exactly
-what ``random.Random.choice``/``randrange``/``randint`` would. Once the
-transport reports the SUT down, the rest of the window is dropped: those
-frames count in ``frames_sent`` but are neither drawn, built nor
-delivered, since a crashed SUT answers nothing until the next restore.
+fixed cadence. The transport says exactly when the SUT goes down, and a
+down SUT stays down until a restore, so a probe window ends at the frame
+that crashed the SUT; a missed probe names that frame as the trigger,
+which must then reproduce alone from a fresh restore before it is
+reported. Each probe window draws from its own seeded PRNG stream,
+``random.Random(f"{seed}:{start}")`` with ``start`` the window's first
+frame index, so the frames a window offers depend only on (seed, window
+start, corpus, ops); the SUT decides only how many of them are
+delivered. A seeded build and a control build therefore get the same
+frames, and a campaign is a pure function of (seed, config, SUT config).
+Within a window, ``mutate`` and the corpus pick draw exactly what
+``random.Random.choice``/``randrange``/``randint`` would. The rest of a
+window the SUT went down in counts in ``frames_sent`` but is neither
+drawn, built nor delivered, since a crashed SUT answers nothing until
+the next restore.
 """
 
 from __future__ import annotations
@@ -40,18 +41,12 @@ class FuzzTransport(Protocol):
 
     ``send`` delivers one frame and returns the number of response
     frames it drew; ``alive`` issues one liveness probe; ``restore`` puts
-    the SUT back into its pre-campaign state. ``alive_after(n)`` tells
-    whether the SUT would answer a probe after only the first ``n``
-    frames sent since the last restore or answered probe, and leaves the
-    current state where it is. A transport that keeps a state per frame
-    answers it from that state; one without snapshots would restore,
-    resend the frames since the restore up to the ``n``-th counted one,
-    and probe. ``down`` is True when the SUT will answer nothing, probes
-    included, until the next ``restore``; a transport that cannot tell
-    returns False. The engine then ends the probe window early. The
-    frames a window offers do not depend on the transport, so ``down``
-    changes only how many of them are delivered: a transport that always
-    returns False gets every frame of the window and the same findings.
+    the SUT back into its pre-campaign state. ``down`` is True exactly
+    when the SUT will answer nothing, probes included, until the next
+    ``restore``: an SUT that answered the probe before the first frame
+    misses a later probe only when it is down. The engine ends a probe
+    window at the frame that put the SUT down, and that frame is the
+    trigger.
     """
 
     def send(self, frame: Frame) -> int: ...
@@ -59,8 +54,6 @@ class FuzzTransport(Protocol):
     def down(self) -> bool: ...
 
     def alive(self) -> bool: ...
-
-    def alive_after(self, n: int) -> bool: ...
 
     def restore(self) -> None: ...
 
@@ -193,42 +186,28 @@ class CampaignResult:
     stats: dict = field(default_factory=dict)
 
 
-def _replay_prefix(transport: FuzzTransport, prefix: list[Frame]) -> bool:
-    """True when the SUT survives ``prefix`` sent after a restore."""
+def _kills(transport: FuzzTransport, frame: Frame) -> bool:
+    """True when ``frame`` alone, sent after a restore, leaves the SUT silent."""
     transport.restore()
-    for frame in prefix:
-        transport.send(frame)
-    return transport.alive()
-
-
-def _bisect_trigger(transport: FuzzTransport, dead_at: int) -> int:
-    """Smallest frame count in [1, dead_at] after which the SUT is dead.
-
-    Counts are frames sent since the last restore or answered probe, as
-    ``alive_after`` takes them; the SUT answered after 0 of them and is
-    dead after ``dead_at``.
-    """
-    lo, hi = 1, dead_at
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if transport.alive_after(mid):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    transport.send(frame)
+    return not transport.alive()
 
 
 def run_campaign(config: FuzzConfig, transport: FuzzTransport) -> CampaignResult:
     """Send ``budget`` frames, probing liveness every ``probe_every``.
 
-    Stats count campaign traffic only; bisection probes and reproduction
-    replays are bookkeeping and stay out of the numbers. A frame of a
-    window the transport went down in is counted in ``frames_sent`` but
-    not drawn or delivered; the next window draws from its own stream, so
-    it is the same whatever this one delivered. A finding is reported
-    only if its trigger frame alone kills a freshly restored SUT,
-    deduplicated by trigger bytes.
+    The SUT must answer a probe before the first frame, or no missed probe
+    could name a trigger: a ``FuzzError`` says so. Stats count campaign
+    traffic only; that first probe and the reproduction replays are
+    bookkeeping and stay out of the numbers. A frame of a window the
+    transport went down in is counted in ``frames_sent`` but not drawn or
+    delivered; the next window draws from its own stream, so it is the
+    same whatever this one delivered. A finding is reported only if its
+    trigger frame alone kills a freshly restored SUT, deduplicated by
+    trigger bytes.
     """
+    if not transport.alive():
+        raise FuzzError("the SUT does not answer the liveness probe before the first frame")
     send, down = transport.send, transport.down
     corpus = config.corpus
     n_corpus = len(corpus)
@@ -238,43 +217,35 @@ def run_campaign(config: FuzzConfig, transport: FuzzTransport) -> CampaignResult
     probes = responses = 0
 
     for start in range(0, budget, probe_every):
-        # One probe window: the frames sent since the last probe, which is
-        # what the transport's ``alive_after`` counts from. Its seed text
-        # names one (seed, start) pair, and ``random`` hashes a text seed
-        # with sha512, whatever PYTHONHASHSEED is.
+        # One probe window. Its seed text names one (seed, start) pair, and
+        # ``random`` hashes a text seed with sha512, whatever
+        # PYTHONHASHSEED is.
         rng = random.Random(f"{config.seed}:{start}")
         bits = rng.getrandbits
         end = min(start + probe_every, budget)
-        log: list[Frame] = []
-        sources: list[Frame] = []
         for sent in range(start, end):
             if sent % 5 == 0:
                 source = frame = corpus[(sent // 5) % n_corpus]
             else:
                 source = corpus[_below(bits, n_corpus)]
                 frame = mutate(source, rng, ops)
-            answered = send(frame)
-            responses += answered
-            log.append(frame)
-            sources.append(source)
-            if not answered and down():
-                # Only a restore revives the SUT; bisection over the frames
-                # delivered finds the first dead one.
-                break
+            responses += send(frame)
+            if down():
+                break  # only a restore revives the SUT
 
         probes += 1
         if transport.alive():
             continue
-        kill = _bisect_trigger(transport, len(log))
-        trigger = log[kill - 1]
-        key = (trigger.id, trigger.data)
-        if key not in seen_triggers and not _replay_prefix(transport, [trigger]):
+        # Missed, so the SUT is down, and it went down at the last frame
+        # delivered.
+        key = (frame.id, frame.data)
+        if key not in seen_triggers and _kills(transport, frame):
             seen_triggers.add(key)
             findings.append(
                 FuzzFinding(
-                    trigger_input=trigger,
-                    source_input=sources[kill - 1],
-                    position=start + kill - 1,
+                    trigger_input=frame,
+                    source_input=source,
+                    position=sent,
                     verdict_evidence={
                         "missed_probe_after_frame": end,
                         "window_start": start,
@@ -298,7 +269,7 @@ def minimize(finding: FuzzFinding, transport: FuzzTransport) -> FuzzFinding:
     restore any single byte toward the corpus source. A finding whose
     trigger no longer reproduces comes back flagged, untouched.
     """
-    if _replay_prefix(transport, [finding.trigger_input]):
+    if not _kills(transport, finding.trigger_input):
         return replace(finding, reproduced=False)
 
     current = finding.trigger_input
@@ -307,7 +278,7 @@ def minimize(finding: FuzzFinding, transport: FuzzTransport) -> FuzzFinding:
         changed = False
         for ix in range(len(current.data)):
             candidate = Frame(current.id, current.data[:ix] + current.data[ix + 1 :])
-            if not _replay_prefix(transport, [candidate]):
+            if _kills(transport, candidate):
                 current = candidate
                 changed = True
                 break
@@ -321,7 +292,7 @@ def minimize(finding: FuzzFinding, transport: FuzzTransport) -> FuzzFinding:
                 current.id,
                 current.data[:ix] + source[ix : ix + 1] + current.data[ix + 1 :],
             )
-            if not _replay_prefix(transport, [candidate]):
+            if _kills(transport, candidate):
                 current = candidate
                 changed = True
                 break

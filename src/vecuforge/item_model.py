@@ -20,6 +20,7 @@ reconcile() will flag against the declaration.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -196,6 +197,7 @@ def validate_item(item: Item) -> None:
     for goal in item.security_goals:
         if goal.target_ref not in item.element_ids():
             raise ItemError(f"goal {goal.id!r} targets unknown element {goal.target_ref!r}")
+    declared_services(item)
 
 
 def load_item(path: str) -> Item:
@@ -210,17 +212,32 @@ def load_item(path: str) -> Item:
     return item_from_dict(doc)
 
 
-def service_byte(raw) -> int | None:
-    """A service byte as written in input files: a hex string or a JSON number."""
+_SERVICE_HEX_RE = re.compile(r"(?:0x)?[0-9a-f]{1,2}", re.IGNORECASE)
+
+
+def service_byte(raw, where: str, error: type[ValueError] = ItemError) -> int | None:
+    """A service byte as written in input files, or None when absent.
+
+    Both a JSON number and a hex string name one: ``39`` and ``"0x27"`` are
+    0x27. Anything else raises ``error``, naming the field ``where``.
+    """
     if raw is None:
         return None
-    return int(str(raw), 16) if isinstance(raw, str) else int(raw)
+    if isinstance(raw, str) and _SERVICE_HEX_RE.fullmatch(raw):
+        return int(raw, 16)
+    if type(raw) is int and 0 <= raw <= 0xFF:
+        return raw
+    raise error(f"{where}: {raw!r} is not a service byte "
+                "(a number 0-255 or a hex string such as \"0x27\")")
 
 
 def declared_services(item: Item) -> set[int]:
     """Service bytes the item claims to expose (config key declared_services)."""
     raw = item.config_params.get("declared_services", [])
-    return {service_byte(v) for v in raw}
+    where = f"item {item.id!r} config_params.declared_services"
+    if not isinstance(raw, list):
+        raise ItemError(f"{where} must be a list, got {raw!r}")
+    return {service_byte(v, where) for v in raw}
 
 
 # -- fingerprinting -----------------------------------------------------

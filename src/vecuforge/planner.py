@@ -37,6 +37,11 @@ class PlannerError(ValueError):
     """Unplannable requirement, malformed tree, or bad generator input."""
 
 
+FUZZ_CORPUS = "fuzz_corpus"  # the SUT database corpus a plan's fuzz scenario names
+PROBE_EVERY = 50  # frames between the liveness probes of a fuzz campaign
+MAX_DURATION_S = 120  # a plan's termination bound
+
+
 # -- attack trees ----------------------------------------------------------
 
 
@@ -309,7 +314,6 @@ def gen_fuzz_scenario(
     corpus_ref: str,
     seed: int,
     *,
-    probe_every: int = 50,
     requirement_refs: tuple[str, ...] = (),
     threat_refs: tuple[str, ...] = (),
     risk_ref: str | None = None,
@@ -326,7 +330,7 @@ def gen_fuzz_scenario(
                 (
                     ("budget", Value.number(budget)),
                     ("corpus", Value.string(corpus_ref)),
-                    ("probe_every", Value.number(probe_every)),
+                    ("probe_every", Value.number(PROBE_EVERY)),
                     ("seed", Value.number(seed)),
                 ),
             ),
@@ -385,7 +389,7 @@ class RiskPolicy:
         return ()
 
 
-DEFAULT_POLICY = RiskPolicy(
+POLICY = RiskPolicy(
     bands=(
         PolicyBand(12, 16, ("penetration", "fuzz")),
         PolicyBand(8, 11, ("penetration",)),
@@ -431,15 +435,11 @@ def build_plan(
     item: Item,
     risks: list[Risk],
     requirements: list[SecurityRequirement],
-    policy: RiskPolicy = DEFAULT_POLICY,
     *,
     trees: dict[str, AttackTree] | None = None,
     threat_class_by_id: dict[str, str] | None = None,
     seed: int = 1,
     fuzz_budget: int = 3000,
-    corpus_ref: str = "fuzz_corpus",
-    probe_every: int = 50,
-    max_duration_s: int = 120,
 ) -> tuple[TestPlan, list[Scenario]]:
     """Route every unacceptable risk's requirement into >= 1 scenario.
 
@@ -462,7 +462,7 @@ def build_plan(
     scan_reqs: list[tuple[SecurityRequirement, str]] = []
 
     for risk in sorted((r for r in risks if not r.acceptable), key=lambda r: r.threat_ref):
-        methods = policy.methods_for(risk.value)
+        methods = POLICY.methods_for(risk.value)
         for req in by_threat.get(risk.threat_ref, []):
             if not methods:
                 raise PlannerError(
@@ -526,9 +526,8 @@ def build_plan(
             gen_fuzz_scenario(
                 _primary_bus(item),
                 fuzz_budget,
-                corpus_ref,
+                FUZZ_CORPUS,
                 seed,
-                probe_every=probe_every,
                 requirement_refs=req_refs,
                 threat_refs=threat_refs,
                 risk_ref=risk_ref,
@@ -569,6 +568,6 @@ def build_plan(
             "preconditions": ["sut_alive"],
         },
         case_specs=[s.id for s in scenarios],
-        termination={"max_duration_s": max_duration_s, "stop_on_error": False},
+        termination={"max_duration_s": MAX_DURATION_S, "stop_on_error": False},
     )
     return plan, scenarios

@@ -58,7 +58,11 @@ def load_vulndb(path: str | Path) -> list[VulnDbEntry]:
             VulnDbEntry(
                 id=e["id"],
                 title=e.get("title", ""),
-                requires_service=service_byte(predicate.get("requires_service")),
+                requires_service=service_byte(
+                    predicate.get("requires_service"),
+                    f"vulndb entry {e['id']!r} predicate.requires_service",
+                    ScanError,
+                ),
                 requires_banner_regex=predicate.get("requires_banner_regex"),
                 requires_session=predicate.get("requires_session"),
                 severity=int(e.get("severity", 0)),

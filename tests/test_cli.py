@@ -140,6 +140,41 @@ class TestStageOrdering:
         assert "func_id 'zz'" in capsys.readouterr().err
         assert not (run_dir / "cases").exists()
 
+    @pytest.mark.parametrize("raw", ["zz", 300, True, -1])
+    def test_a_malformed_service_byte_is_a_usage_error(self, tmp_path, samples_dir, capsys,
+                                                       raw):
+        """Each input file that names a service byte: the stage that reads it
+        exits 2 naming the field, and writes nothing."""
+        def copy_with(name: str, edit) -> Path:
+            doc = json.loads((samples_dir / name).read_text())
+            edit(doc)
+            path = tmp_path / name
+            path.write_text(json.dumps(doc))
+            return path
+
+        item = copy_with("item.json",
+                         lambda d: d["config_params"]["declared_services"].append(raw))
+        catalog = copy_with("catalog.json",
+                            lambda d: d["entries"][0]["match_predicate"].update(service=raw))
+        vulndb = copy_with("vulndb.json",
+                           lambda d: d["entries"][0]["predicate"].update(requires_service=raw))
+        run_dir = tmp_path / "run"
+        assert run_cli("item", "--run-dir", str(run_dir), "--item", str(item)) == EXIT_USAGE
+        assert "config_params.declared_services" in capsys.readouterr().err
+        assert not (run_dir / "item.json").exists()
+        assert run_cli("item", "--run-dir", str(run_dir)) == EXIT_OK
+        assert run_cli("analyze", "--run-dir", str(run_dir), "--catalog", str(catalog)) == EXIT_USAGE
+        assert "match_predicate.service" in capsys.readouterr().err
+        assert not (run_dir / "threats.json").exists()
+        for stage in OFFLINE_STAGES[1:]:
+            assert run_cli(stage, "--run-dir", str(run_dir)) == EXIT_OK
+        capsys.readouterr()
+        code = run_cli("execute", "--run-dir", str(run_dir), "--vulndb", str(vulndb),
+                       "--sim-endpoint", "127.0.0.1:1:1")
+        assert code == EXIT_USAGE
+        assert "predicate.requires_service" in capsys.readouterr().err
+        assert not (run_dir / "results").exists()
+
     def test_tcg_rejects_a_bad_matcher_argument(self, tmp_path, capsys):
         for stage in OFFLINE_STAGES[:-1]:
             assert run_cli(stage, "--run-dir", str(tmp_path)) == EXIT_OK

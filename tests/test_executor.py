@@ -28,7 +28,7 @@ from vecuforge.item_model import load_item
 from vecuforge.planner import build_plan, load_attack_trees
 from vecuforge.scenario_dsl import parse_scenario, validate
 from vecuforge.script_registry import ScriptRegistry
-from vecuforge.simulator import EcuState, SimConfig, load_state
+from vecuforge.simulator import EcuState, SimConfig, SimServer, dump_state, load_state
 from vecuforge.tcg import BoundStep, SutDatabase, generate_cases, load_sutdb
 from vecuforge.tcg import TestCase as Case
 from vecuforge.vocabulary import PATTERNS
@@ -62,7 +62,6 @@ def pipeline_cases(samples_dir, sutdb, registry, analysis) -> dict[str, list[Cas
         threat_class_by_id=analysis.threat_class_by_id,
         seed=1,
         fuzz_budget=400,
-        probe_every=50,
     )
     return {
         scn.id: generate_cases(scn, sutdb, registry) for scn in scenarios
@@ -353,7 +352,32 @@ class TestExecutePenetration:
         assert result.oracle_evaluation["facts"]["unlock_achieved"] is False
 
 
+class ProbeDeafDumpServer(SimServer):
+    """Answers tester present on the bus, but its state dumps describe an ECU
+    that does not serve it."""
+
+    def _handle_mgmt_line(self, text: str) -> str:
+        if text.split(None, 1)[0].upper() == "DUMP":
+            deaf = replace(self.state.config, services=self.state.config.services - {0x3E})
+            return "OK " + dump_state(replace(self.state, config=deaf)) + "\n"
+        return super()._handle_mgmt_line(text)
+
+
 class TestExecuteFuzz:
+    def test_campaign_state_deaf_to_the_probe_is_an_error(self, sim_factory, sutdb, resources,
+                                                          registry, pipeline_cases):
+        """Every probe of such a campaign would miss, and every window would
+        report a frame of a live ECU as a reproduced trigger."""
+        server = sim_factory(SimConfig(), server_cls=ProbeDeafDumpServer)
+        case = pipeline_cases["fuzz-if-can"][0]
+        session = make_session(server, sutdb, [case])
+        try:
+            result = execute_case(case, session, resources, registry)
+        finally:
+            session.close()
+        assert result.verdict == "error"
+        assert "does not answer the liveness probe" in result.error
+
     def test_length_bug_fails_the_fuzz_case(self, sim_factory, sutdb, resources,
                                             registry, pipeline_cases):
         server = sim_factory(SimConfig())

@@ -28,7 +28,7 @@ from vecuforge.fuzz_engine import (
     mutate,
     run_campaign,
 )
-from vecuforge.simulator import EcuState, SimConfig
+from vecuforge.simulator import EcuState, SimConfig, handle_frame
 from vecuforge.tcg import load_sutdb
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -164,20 +164,12 @@ class TestDrawExactness:
     @pytest.mark.parametrize("ops", OP_SETS, ids=lambda ops: "+".join(sorted(ops)) or "none")
     def test_skip_mutation_draws_like_mutate(self, corpus, ops):
         """Leaving the rest of a dead window undrawn changes none of the
-        frames any window offers: each window is a prefix of the one an
-        engine that mutates and delivers every frame sends."""
+        frames any window offers: the campaign matches the brute-force
+        reference, which draws with the ``random.Random`` API and delivers
+        every frame of every window."""
         config = FuzzConfig(seed=5, budget=1_000, corpus=corpus, probe_every=20,
                             mutation_ops=ops)
-        skipping, skipped = campaign_windows(config, vulns=True)
-        delivering, delivered = campaign_windows(config, vulns=True,
-                                                 recorder=DeliveringRecorder)
-        assert skipping == delivering
-        for start, one, full in zip(range(0, config.budget, config.probe_every),
-                                    skipped, delivered):
-            assert len(full) == config.probe_every
-            assert one == full[: len(one)], start
-        cut = sum(len(full) - len(one) for one, full in zip(skipped, delivered))
-        assert bool(cut) == bool(skipping.findings)
+        assert_matches_reference(config, vulns=True)
 
     # sha256 of json.dumps([stats] + [minimize(f).to_dict() ...]) for seed 1,
     # budget 20,000, probe_every 50, bundled corpus; a change to the draws,
@@ -250,6 +242,21 @@ class TestCampaign:
         assert runs[0] == runs[1]
         assert runs[0][0].findings
 
+    @pytest.mark.parametrize("vulns", [True, False], ids=["vulns-on", "vulns-off"])
+    def test_sut_that_never_answers_the_probe_is_refused(self, vulns):
+        """Without tester present every probe misses, so every window would
+        name a frame of a live ECU as a reproduced trigger."""
+        corpus = tuple(parse_line(line) for line in ("7df#013e", "7df#02010d", "7e0#021003"))
+        config = FuzzConfig(seed=1, budget=500, corpus=corpus)
+        sim = SimConfig(services=frozenset({0x01, 0x10, 0x27})).with_vulns(vulns)
+        with pytest.raises(FuzzError, match="does not answer the liveness probe"):
+            run_campaign(config, StateTransport(EcuState(config=sim)))
+
+    def test_crashed_sut_is_refused(self, corpus):
+        config = FuzzConfig(seed=1, budget=500, corpus=corpus)
+        with pytest.raises(FuzzError, match="does not answer the liveness probe"):
+            run_campaign(config, StateTransport(EcuState(alive=False)))
+
     @pytest.mark.parametrize("budget", [1, 7, 49, 50, 51, 500])
     def test_budget_respected(self, corpus, budget):
         config = FuzzConfig(seed=5, budget=budget, corpus=corpus, probe_every=50)
@@ -302,56 +309,17 @@ class TestStateTransport:
     CRASH = Frame(0x7DF, bytes([0x05, 0x01]))
     BENIGN = Frame(0x7DF, bytes([0x02, 0x01, 0x0D]))
 
-    def test_alive_after_zero_probes_the_start_state(self):
-        transport = StateTransport(EcuState(config=SimConfig()))
-        transport.send(self.CRASH)
-        assert not transport.alive()
-        assert transport.alive_after(0)
-        assert not StateTransport(EcuState(alive=False)).alive_after(0)
-
     @pytest.mark.parametrize("k", [1, 2, 7])
     def test_alive_until_the_crashing_frame(self, k):
         transport = StateTransport(EcuState(config=SimConfig()))
         for _ in range(k - 1):
-            transport.send(self.BENIGN)
-        transport.send(self.CRASH)
-        transport.send(self.BENIGN)
-        assert transport.alive_after(k - 1)
-        assert not transport.alive_after(k)
-        assert not transport.alive_after(k + 1)
-
-    def test_restore_empties_the_trail(self):
-        transport = StateTransport(EcuState(config=SimConfig()))
-        transport.send(self.CRASH)
-        transport.send(self.BENIGN)
-        transport.restore()
-        transport.send(self.BENIGN)
-        assert transport.alive_after(1)
-        with pytest.raises(IndexError):
-            transport.alive_after(2)
-
-    def test_answered_probe_rebases_the_trail(self):
-        start = EcuState(config=SimConfig())
-        transport = StateTransport(start)
-        transport.send(Frame(0x7DF, bytes([0x02, 0x10, 0x03])))
+            assert transport.send(self.BENIGN)
+            assert not transport.down()
         assert transport.alive()
-        transport.send(self.CRASH)
-        assert transport.alive_after(0)
-        assert not transport.alive_after(1)
-        with pytest.raises(IndexError):
-            transport.alive_after(2)
-        transport.restore()
-        assert transport.state is start
-        transport.send(self.BENIGN)
-        assert transport.alive_after(1)
-
-    def test_missed_probe_keeps_the_trail(self):
-        transport = StateTransport(EcuState(config=SimConfig()))
-        transport.send(self.BENIGN)
-        transport.send(self.CRASH)
+        assert transport.send(self.CRASH) == 0
+        assert transport.down()
+        assert transport.send(self.BENIGN) == 0
         assert not transport.alive()
-        assert transport.alive_after(1)
-        assert not transport.alive_after(2)
 
     def test_down_from_the_crash_until_the_restore(self):
         transport = StateTransport(EcuState(config=SimConfig()))
@@ -364,124 +332,6 @@ class TestStateTransport:
         assert transport.down()
         transport.restore()
         assert not transport.down()
-
-    def test_alive_after_leaves_the_state(self):
-        transport = StateTransport(EcuState(config=SimConfig()))
-        transport.send(Frame(0x7DF, bytes([0x02, 0x10, 0x03])))
-        transport.send(self.CRASH)
-        before = transport.state
-        for n in range(3):
-            transport.alive_after(n)
-        assert transport.state is before
-        assert not transport.alive()
-
-
-class ReplayTransport(StateTransport):
-    """Bisection as the engine did it before states were kept: every
-    ``alive_after(n)`` restores the ECU, resends the frames since the last
-    restore up to the ``n``-th after the last answered probe, and probes."""
-
-    def __init__(self, state: EcuState):
-        super().__init__(state)
-        self.start = state
-        self.sent: list[Frame] = []
-        self.offset = 0
-
-    def send(self, frame: Frame) -> int:
-        self.sent.append(frame)
-        return super().send(frame)
-
-    def alive(self) -> bool:
-        answered = super().alive()
-        if answered:
-            self.offset = len(self.sent)
-        return answered
-
-    def restore(self) -> None:
-        super().restore()
-        self.sent = []
-        self.offset = 0
-
-    def alive_after(self, n: int) -> bool:
-        replay = StateTransport(self.start)
-        for frame in self.sent[: self.offset + n]:
-            replay.send(frame)
-        return replay.alive()
-
-
-class TestBisectionDifferential:
-    """Kept-state bisection gives what restore-and-replay bisection gives."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32),
-        budget=st.integers(min_value=1, max_value=3000),
-        probe_every=st.integers(min_value=1, max_value=60),
-        vulns=st.booleans(),
-    )
-    def test_same_campaign_and_minimization(self, corpus, seed, budget, probe_every, vulns):
-        config = FuzzConfig(seed=seed, budget=budget, corpus=corpus, probe_every=probe_every)
-        sim = SimConfig().with_vulns(vulns)
-        kept = StateTransport(EcuState(config=sim))
-        replayed = ReplayTransport(EcuState(config=sim))
-        one = run_campaign(config, kept)
-        two = run_campaign(config, replayed)
-        assert one == two
-        assert [minimize(f, kept) for f in one.findings] == [
-            minimize(f, replayed) for f in two.findings
-        ]
-
-
-class SendCounter(StateTransport):
-    def __init__(self, state: EcuState):
-        super().__init__(state)
-        self.sends = 0
-
-    def send(self, frame: Frame) -> int:
-        self.sends += 1
-        return super().send(frame)
-
-
-class DeliveringTransport(SendCounter):
-    """Cannot tell that the ECU is down, so it gets every frame of every
-    probe window."""
-
-    def down(self) -> bool:
-        return False
-
-
-class TestSkipDifferential:
-    """The rest of a window the ECU went down in is not delivered, and that
-    changes no campaign, finding or minimization."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32),
-        budget=st.integers(min_value=1, max_value=3000),
-        probe_every=st.integers(min_value=1, max_value=60),
-        vulns=st.booleans(),
-        ops=st.sampled_from(OP_SETS),
-    )
-    def test_same_campaign_and_minimization(self, corpus, seed, budget, probe_every, vulns, ops):
-        config = FuzzConfig(seed=seed, budget=budget, corpus=corpus, probe_every=probe_every,
-                            mutation_ops=ops)
-        sim = SimConfig().with_vulns(vulns)
-        skipping = SendCounter(EcuState(config=sim))
-        delivering = DeliveringTransport(EcuState(config=sim))
-        one = run_campaign(config, skipping)
-        two = run_campaign(config, delivering)
-        assert one == two
-        assert skipping.sends <= delivering.sends
-        assert [minimize(f, skipping) for f in one.findings] == [
-            minimize(f, delivering) for f in two.findings
-        ]
-
-    def test_seeded_build_sends_fewer_frames(self, corpus):
-        config = FuzzConfig(seed=1, budget=2_000, corpus=corpus)
-        skipping = SendCounter(EcuState(config=SimConfig()))
-        delivering = DeliveringTransport(EcuState(config=SimConfig()))
-        assert run_campaign(config, skipping) == run_campaign(config, delivering)
-        assert skipping.sends < delivering.sends
 
 
 class WindowRecorder(StateTransport):
@@ -501,30 +351,199 @@ class WindowRecorder(StateTransport):
         return answered
 
 
-class DeliveringRecorder(WindowRecorder):
-    """Cannot tell that the ECU is down, so it records every frame of
-    every probe window."""
-
-    def down(self) -> bool:
-        return False
-
-
-def campaign_windows(config: FuzzConfig, vulns: bool,
-                     recorder: type[WindowRecorder] = WindowRecorder
-                     ) -> tuple[CampaignResult, list]:
-    """The frames each probe window delivered, without the reproduction
-    replay that follows the window of each new finding."""
-    recorder = recorder(EcuState(config=SimConfig().with_vulns(vulns)))
+def campaign_windows(config: FuzzConfig, vulns: bool
+                     ) -> tuple[CampaignResult, list, WindowRecorder]:
+    """The frames each probe window delivered, without the probe before the
+    first frame and the reproduction replay that follows the window of each
+    new finding, and the transport the campaign ran through."""
+    recorder = WindowRecorder(EcuState(config=SimConfig().with_vulns(vulns)))
     result = run_campaign(config, recorder)
     replayed = {f.verdict_evidence["window_start"]: f.trigger_input for f in result.findings}
     recorded = iter(recorder.windows)
+    assert next(recorded) == []
     windows = []
     for start in range(0, config.budget, config.probe_every):
         windows.append(next(recorded))
         if start in replayed:
             assert next(recorded) == [replayed[start]]
     assert next(recorded) == [] and next(recorded, None) is None
-    return result, windows
+    return result, windows, recorder
+
+
+PROBE = Frame(0x7DF, bytes([0x01, 0x3E]))
+
+
+def answers_probe(state: EcuState) -> bool:
+    return bool(handle_frame(state, PROBE)[1])
+
+
+def reference_campaign(config: FuzzConfig, vulns: bool) -> tuple[list[FuzzFinding], list]:
+    """Brute force over the pure transition function: deliver every frame of
+    every window and probe after each one. The trigger is the first frame
+    after which the probe goes unanswered; it is a finding when it is new
+    and kills the restore point alone. The ECU is restored after each
+    window it died in. Returns the findings and, per window, the frames it
+    offered and how many of them a live ECU took up to its trigger."""
+    restore_point = state = EcuState(config=SimConfig().with_vulns(vulns))
+    corpus = config.corpus
+    findings, seen, windows = [], set(), []
+    for start in range(0, config.budget, config.probe_every):
+        rng = random.Random(f"{config.seed}:{start}")
+        end = min(start + config.probe_every, config.budget)
+        offered, sources, trigger_at = [], [], None
+        for sent in range(start, end):
+            if sent % 5 == 0:
+                source = frame = corpus[(sent // 5) % len(corpus)]
+            else:
+                source = corpus[rng.randrange(len(corpus))]
+                frame = reference_mutate(source, rng, config.mutation_ops)
+            offered.append(frame)
+            sources.append(source)
+            state = handle_frame(state, frame)[0]
+            if trigger_at is None and not answers_probe(state):
+                trigger_at = sent - start
+        windows.append((offered, len(offered) if trigger_at is None else trigger_at + 1))
+        if trigger_at is None:
+            continue
+        trigger = offered[trigger_at]
+        key = (trigger.id, trigger.data)
+        if key not in seen and not answers_probe(handle_frame(restore_point, trigger)[0]):
+            seen.add(key)
+            findings.append(FuzzFinding(
+                trigger_input=trigger,
+                source_input=sources[trigger_at],
+                position=start + trigger_at,
+                verdict_evidence={"missed_probe_after_frame": end, "window_start": start},
+                reproduced=True,
+            ))
+        state = restore_point
+    return findings, windows
+
+
+def assert_matches_reference(config: FuzzConfig, vulns: bool
+                             ) -> tuple[CampaignResult, StateTransport, list]:
+    """The campaign reports the reference's findings, and each window it
+    delivers is the reference window up to and including the trigger.
+    Returns the campaign, the transport it ran through and the reference
+    windows."""
+    result, delivered, transport = campaign_windows(config, vulns)
+    findings, windows = reference_campaign(config, vulns)
+    assert result.findings == findings
+    assert len(delivered) == len(windows)
+    for start, one, (offered, taken) in zip(range(0, config.budget, config.probe_every),
+                                            delivered, windows):
+        assert len(offered) == min(config.probe_every, config.budget - start)
+        assert one == offered[:taken], start
+    return result, transport, windows
+
+
+class ReplayTransport(StateTransport):
+    """Bisects every missed probe as the engine once did: each step
+    restores the ECU, resends the frames and probes since the restore up
+    to the ``n``-th frame after the last answered probe, and probes. It
+    records, per missed probe, the frame count bisection names and the
+    count the window delivered."""
+
+    def __init__(self, state: EcuState):
+        super().__init__(state)
+        self.start = state
+        self.sent: list[Frame] = []
+        self.offset = 0
+        self.bisected: list[tuple[int, int]] = []
+
+    def send(self, frame: Frame) -> int:
+        self.sent.append(frame)
+        return super().send(frame)
+
+    def alive(self) -> bool:
+        answered = super().alive()
+        if answered:
+            self.sent.append(PROBE)
+            self.offset = len(self.sent)
+        else:
+            delivered = len(self.sent) - self.offset
+            self.bisected.append((self.bisect(delivered), delivered))
+        return answered
+
+    def restore(self) -> None:
+        super().restore()
+        self.sent = []
+        self.offset = 0
+
+    def alive_after(self, n: int) -> bool:
+        replay = StateTransport(self.start)
+        for frame in self.sent[: self.offset + n]:
+            replay.send(frame)
+        return replay.alive()
+
+    def bisect(self, dead_at: int) -> int:
+        lo, hi = 1, dead_at
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.alive_after(mid):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+
+class TestBisectionDifferential:
+    """Ending a window at the frame ``down()`` names gives the trigger
+    restore-and-replay bisection over the window gives, and the same
+    campaign and minimization."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        budget=st.integers(min_value=1, max_value=3000),
+        probe_every=st.integers(min_value=1, max_value=60),
+        vulns=st.booleans(),
+    )
+    def test_same_campaign_and_minimization(self, corpus, seed, budget, probe_every, vulns):
+        config = FuzzConfig(seed=seed, budget=budget, corpus=corpus, probe_every=probe_every)
+        sim = SimConfig().with_vulns(vulns)
+        kept = StateTransport(EcuState(config=sim))
+        replayed = ReplayTransport(EcuState(config=sim))
+        one = run_campaign(config, kept)
+        two = run_campaign(config, replayed)
+        assert one == two
+        assert all(kill == delivered for kill, delivered in replayed.bisected)
+        assert len(replayed.bisected) >= len(one.findings)
+        assert [minimize(f, kept) for f in one.findings] == [
+            minimize(f, replayed) for f in two.findings
+        ]
+
+
+class TestSkipDifferential:
+    """The rest of a window the ECU went down in is not delivered, and that
+    changes no campaign, finding or minimization: the brute-force
+    reference delivers every frame and probes after each one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        budget=st.integers(min_value=1, max_value=3000),
+        probe_every=st.integers(min_value=1, max_value=60),
+        vulns=st.booleans(),
+        ops=st.sampled_from(OP_SETS),
+    )
+    def test_same_campaign_and_minimization(self, corpus, seed, budget, probe_every, vulns, ops):
+        config = FuzzConfig(seed=seed, budget=budget, corpus=corpus, probe_every=probe_every,
+                            mutation_ops=ops)
+        result, skipping, _ = assert_matches_reference(config, vulns)
+        fresh = StateTransport(EcuState(config=SimConfig().with_vulns(vulns)))
+        assert [minimize(f, skipping) for f in result.findings] == [
+            minimize(f, fresh) for f in result.findings
+        ]
+
+    def test_seeded_build_sends_fewer_frames(self, corpus):
+        config = FuzzConfig(seed=1, budget=2_000, corpus=corpus)
+        result, skipping, windows = assert_matches_reference(config, vulns=True)
+        assert result.findings
+        # Both count the reproduction replay of each finding.
+        sends = sum(map(len, skipping.windows))
+        delivering_sends = sum(len(offered) for offered, _ in windows) + len(result.findings)
+        assert sends < delivering_sends
 
 
 class TestWindowStreams:
@@ -536,8 +555,8 @@ class TestWindowStreams:
     def test_seeded_windows_are_prefixes_of_the_control_windows(self, corpus, seed,
                                                                 probe_every):
         config = FuzzConfig(seed=seed, budget=3_000, corpus=corpus, probe_every=probe_every)
-        seeded, seeded_windows = campaign_windows(config, vulns=True)
-        control, control_windows = campaign_windows(config, vulns=False)
+        seeded, seeded_windows, _ = campaign_windows(config, vulns=True)
+        control, control_windows, _ = campaign_windows(config, vulns=False)
         assert control.findings == [] and seeded.findings
         assert len(seeded_windows) == len(control_windows)
         for start, one, full in zip(range(0, config.budget, probe_every),

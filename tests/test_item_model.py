@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from vecuforge.analysis import load_catalog
+from vecuforge.analysis import AnalysisError, load_catalog
 from vecuforge.executor import ExecutorError
 from vecuforge.item_model import (
     Discrepancy,
@@ -27,7 +27,7 @@ from vecuforge.item_model import (
     reconcile,
 )
 from vecuforge.simulator import SimConfig, SimServer
-from vecuforge.vuln_scanner import load_vulndb
+from vecuforge.vuln_scanner import ScanError, load_vulndb
 
 
 def minimal_doc(**overrides) -> dict:
@@ -131,6 +131,28 @@ class TestServiceByte:
         assert load_catalog(str(catalog)).entries[0].match_predicate.service == 0x27
         assert declared_services(item) == {0x27}
         assert load_vulndb(vulndb)[0].requires_service == 0x27
+
+    @pytest.mark.parametrize("raw", ["zz", 300, True, -1, 1.5, "0x100"])
+    def test_malformed_byte_is_each_loaders_error(self, tmp_path, raw):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps({"entries": [{
+            "id": "TC-1", "title": "t", "match_predicate": {"service": raw},
+            "threat_class": "c", "default_feasibility": 1,
+        }]}))
+        vulndb = tmp_path / "vulndb.json"
+        vulndb.write_text(json.dumps({"entries": [
+            {"id": "V-1", "predicate": {"requires_service": raw}},
+        ]}))
+        with pytest.raises(ItemError, match="declared_services"):
+            item_from_dict(minimal_doc(config_params={"declared_services": ["0x10", raw]}))
+        with pytest.raises(AnalysisError, match="'TC-1' match_predicate.service"):
+            load_catalog(str(catalog))
+        with pytest.raises(ScanError, match="'V-1' predicate.requires_service"):
+            load_vulndb(vulndb)
+
+    def test_declared_services_must_be_a_list(self):
+        with pytest.raises(ItemError, match="declared_services must be a list"):
+            item_from_dict(minimal_doc(config_params={"declared_services": "27"}))
 
 
 class LateSessionReplyServer(SimServer):

@@ -9,6 +9,7 @@ from dataclasses import asdict
 
 import pytest
 
+from vecuforge import planner
 from vecuforge.analysis import (
     RequirementKind,
     Risk,
@@ -444,19 +445,21 @@ class TestBuildPlan:
         with pytest.raises(PlannerError, match="no applicable method produced"):
             build_plan(item, [risk], [req], trees={})
 
-    def test_custom_policy_bands(self, item, analysis, trees):
-        policy = RiskPolicy(bands=(PolicyBand(0, 16, ("penetration",)),))
+    def test_custom_policy_bands(self, item, analysis, trees, monkeypatch):
+        """The policy table alone decides the methods a risk band gets."""
+        monkeypatch.setattr(planner, "POLICY",
+                            RiskPolicy(bands=(PolicyBand(0, 16, ("vulnscan",)),)))
         req = req_for(analysis, "REQ-TC-WEAKKEY-IF-CAN")
         risk = next(r for r in analysis.risks if r.threat_ref in req.derived_from)
         plan, scenarios = build_plan(
             item,
             [risk],
             [req],
-            policy,
             trees=trees,
             threat_class_by_id=analysis.threat_class_by_id,
         )
-        assert [s.method() for s in scenarios] == ["penetration"]
+        assert risk.value == 9  # the bundled policy gives it penetration only
+        assert [s.method() for s in scenarios] == ["vulnscan"]
 
     def test_single_value6_requirement_gets_functional_and_vulnscan(self, item, analysis):
         req = req_for(analysis, "REQ-TC-SESSBYPASS-IF-CAN")
