@@ -42,6 +42,7 @@ import selectors
 import socket
 import threading
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 from .frames import Frame, FrameError, parse_line
 
@@ -98,7 +99,8 @@ class EcuState:
     States are immutable values: every transition returns a new state and
     leaves the one it was given untouched, so holding a reference is a
     snapshot. ``data_ids`` is never mutated in place either; a write
-    builds a new dict.
+    builds a new dict. ``handle_frame`` builds states with positional
+    arguments, in field order.
     """
 
     config: SimConfig = field(default_factory=SimConfig)
@@ -137,11 +139,31 @@ def _negative(service: int, nrc: int) -> Frame:
     return _resp([0x7F, service, nrc])
 
 
+# Replies that depend on no request byte are built once and shared: a Frame
+# is an immutable value. Replies that echo request bytes (the DID echo) or
+# state (the seed) are built per call, so no table grows with the traffic.
+_NEGATIVES = {
+    (service, nrc): _negative(service, nrc)
+    for service in (0x00, *IMPLEMENTED_SERVICES)
+    for nrc in (NRC_SUBFUNCTION, NRC_LENGTH, NRC_SEQUENCE, NRC_SECURITY_DENIED, NRC_INVALID_KEY)
+}
+_TESTER_PRESENT_REPLY = _resp([0x7E])
+_SESSION_REPLIES = {session: _resp([0x50, session]) for session in VALID_SESSIONS}
+_UNLOCKED_REPLY = _resp([0x67, 0x02])
+_HIDDEN_SERVICE_REPLY = _resp([0x62, 0x42])
+
+
+@cache
+def _speed_reply(speed: int) -> Frame:
+    return _resp([0x41, 0x0D, speed])
+
+
 def handle_frame(state: EcuState, frame: Frame) -> tuple[EcuState, list[Frame]]:
     """Pure transition function: (state, frame) -> (state', responses).
 
     A crashed ECU (alive=False) ignores every frame, tester present
-    included, until RESET or LOAD.
+    included, until RESET or LOAD. The returned list is new on every call;
+    the frames in it may be shared between calls.
     """
     if not state.alive:
         return state, []
@@ -152,76 +174,84 @@ def handle_frame(state: EcuState, frame: Frame) -> tuple[EcuState, list[Frame]]:
         return state, []
     length = data[0]
     params = data[1:]
+    config = state.config
     if length > len(params):
-        if state.config.v3_length_crash:
-            return replace(state, alive=False), []
-        return state, [_negative(0x00, NRC_LENGTH)]
+        if config.v3_length_crash:
+            return EcuState(config, state.session, state.locked, state.last_seed,
+                            state.seed_counter, False, state.data_ids), []
+        return state, [_NEGATIVES[0x00, NRC_LENGTH]]
     body = params[:length]
     if len(body) == 0:
         return state, []
     service = body[0]
     args = body[1:]
-    if service not in state.config.services or service not in IMPLEMENTED_SERVICES:
+    if service not in config.services or service not in IMPLEMENTED_SERVICES:
         return state, []
 
     if service == SVC_CURRENT_DATA:
         if len(args) != 1:
-            return state, [_negative(service, NRC_LENGTH)]
+            return state, [_NEGATIVES[service, NRC_LENGTH]]
         if args[0] != 0x0D:
-            return state, [_negative(service, NRC_SUBFUNCTION)]
-        return state, [_resp([0x41, 0x0D, state.config.speed])]
+            return state, [_NEGATIVES[service, NRC_SUBFUNCTION]]
+        return state, [_speed_reply(config.speed)]
 
     if service == SVC_TESTER_PRESENT:
         if len(args) != 0:
-            return state, [_negative(service, NRC_LENGTH)]
-        return state, [_resp([0x7E])]
+            return state, [_NEGATIVES[service, NRC_LENGTH]]
+        return state, [_TESTER_PRESENT_REPLY]
 
     if service == SVC_SESSION:
         if len(args) != 1:
-            return state, [_negative(service, NRC_LENGTH)]
+            return state, [_NEGATIVES[service, NRC_LENGTH]]
         if args[0] not in VALID_SESSIONS:
-            return state, [_negative(service, NRC_SUBFUNCTION)]
-        return replace(state, session=args[0]), [_resp([0x50, args[0]])]
+            return state, [_NEGATIVES[service, NRC_SUBFUNCTION]]
+        nxt = EcuState(config, args[0], state.locked, state.last_seed, state.seed_counter,
+                       True, state.data_ids)
+        return nxt, [_SESSION_REPLIES[args[0]]]
 
     if service == SVC_SECURITY:
         if len(args) == 1 and args[0] == 0x01:
             seed = seed_for_counter(state.seed_counter)
-            nxt = replace(state, seed_counter=state.seed_counter + 1, last_seed=seed)
+            nxt = EcuState(config, state.session, state.locked, seed, state.seed_counter + 1,
+                           True, state.data_ids)
             return nxt, [_resp([0x67, 0x01, seed[0], seed[1]])]
         if len(args) == 3 and args[0] == 0x02:
             if state.last_seed is None:
-                return state, [_negative(service, NRC_SEQUENCE)]
+                return state, [_NEGATIVES[service, NRC_SEQUENCE]]
             key = (args[1], args[2])
-            accepted = {official_key(state.last_seed, state.config.key_const)}
-            if state.config.v1_weak_key:
-                accepted.add(weak_key(state.last_seed, state.config.key_const))
+            accepted = {official_key(state.last_seed, config.key_const)}
+            if config.v1_weak_key:
+                accepted.add(weak_key(state.last_seed, config.key_const))
             if key in accepted:
-                return replace(state, locked=False), [_resp([0x67, 0x02])]
-            return state, [_negative(service, NRC_INVALID_KEY)]
+                nxt = EcuState(config, state.session, False, state.last_seed, state.seed_counter,
+                               True, state.data_ids)
+                return nxt, [_UNLOCKED_REPLY]
+            return state, [_NEGATIVES[service, NRC_INVALID_KEY]]
         if len(args) >= 1 and args[0] in (0x01, 0x02):
-            return state, [_negative(service, NRC_LENGTH)]
+            return state, [_NEGATIVES[service, NRC_LENGTH]]
         if len(args) >= 1:
-            return state, [_negative(service, NRC_SUBFUNCTION)]
-        return state, [_negative(service, NRC_LENGTH)]
+            return state, [_NEGATIVES[service, NRC_SUBFUNCTION]]
+        return state, [_NEGATIVES[service, NRC_LENGTH]]
 
     if service == SVC_WRITE_DID:
         if len(args) < 3:
-            return state, [_negative(service, NRC_LENGTH)]
+            return state, [_NEGATIVES[service, NRC_LENGTH]]
         allowed = (state.session == 0x03 and not state.locked) or (
-            state.config.v2_session_bypass and state.session == 0x02
+            config.v2_session_bypass and state.session == 0x02
         )
         if not allowed:
-            return state, [_negative(service, NRC_SECURITY_DENIED)]
+            return state, [_NEGATIVES[service, NRC_SECURITY_DENIED]]
         did = (args[0] << 8) | args[1]
-        nxt = replace(state, data_ids={**state.data_ids, did: bytes(args[2:])})
+        nxt = EcuState(config, state.session, state.locked, state.last_seed, state.seed_counter,
+                       True, {**state.data_ids, did: bytes(args[2:])})
         return nxt, [_resp([0x6E, args[0], args[1]])]
 
     if service == SVC_UNDOCUMENTED:
-        if not state.config.v4_hidden_service:
+        if not config.v4_hidden_service:
             return state, []
         if len(args) != 0:
-            return state, [_negative(service, NRC_LENGTH)]
-        return state, [_resp([0x62, 0x42])]
+            return state, [_NEGATIVES[service, NRC_LENGTH]]
+        return state, [_HIDDEN_SERVICE_REPLY]
 
     return state, []
 

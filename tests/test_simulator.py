@@ -322,6 +322,24 @@ class TestStatesAreValues:
             assert dump_state(state) == before
             state = nxt
 
+    @given(vulns=st.booleans(), script=st.lists(FRAMES, max_size=16))
+    @settings(max_examples=200)
+    def test_changing_a_returned_list_changes_no_later_reply(self, vulns, script):
+        """Replies may be shared frames, but each call returns a list of its own."""
+        start = EcuState(config=SimConfig().with_vulns(vulns))
+
+        def replies(meddle: bool) -> list[list[str]]:
+            state, out = start, []
+            for frame in script:
+                state, responses = handle_frame(state, frame)
+                out.append([r.to_line() for r in responses])
+                if meddle:
+                    responses.append(Frame(0x7E8, bytes([0x01, 0x00])))
+                    responses.pop(0)
+            return out
+
+        assert replies(meddle=True) == replies(meddle=False) == replies(meddle=False)
+
 
 # Generous wait for a reply line; recv_line reads None when it passes.
 WAIT = 2.0
