@@ -6,30 +6,35 @@ fixed cadence. The transport says exactly when the SUT goes down, and a
 down SUT stays down until a restore, so a probe window ends at the frame
 that crashed the SUT; a missed probe names that frame as the trigger,
 which must then reproduce alone from a fresh restore before it is
-reported. Each probe window draws from its own seeded PRNG stream,
-``random.Random(f"{seed}:{start}")`` with ``start`` the window's first
-frame index, so the frames a window offers depend only on (seed, window
-start, corpus, ops); the SUT decides only how many of them are
-delivered. A seeded build and a control build therefore get the same
-frames, and a campaign is a pure function of (seed, config, SUT config).
-Within a window, ``mutate`` and the corpus pick draw exactly what
-``random.Random.choice``/``randrange``/``randint`` would. The rest of a
-window the SUT went down in counts in ``frames_sent`` but is neither
-drawn, built nor delivered, since a crashed SUT answers nothing until
-the next restore.
+reported.
+
+Each probe window draws from its own byte stream: the 64-byte
+``hashlib.blake2b`` digests of the text ``f"{seed}:{start}:{block}"``
+(``start`` the window's first frame index) for block 0, 1, 2, ...,
+concatenated and taken one byte at a time. So the frames a window offers
+depend only on (seed, window start, corpus, ops); the SUT decides only
+how many of them are delivered. A seeded build and a control build
+therefore get the same frames, and a campaign is a pure function of
+(seed, config, SUT config). Every choice, the corpus pick and each
+choice in ``mutate``, is one ``_below`` draw from the window's stream.
+The rest of a window the SUT went down in counts in ``frames_sent`` but
+is neither drawn, built nor delivered, since a crashed SUT answers
+nothing until the next restore.
 """
 
 from __future__ import annotations
 
-import random
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import cache
+from hashlib import blake2b
+from itertools import chain, count
 from typing import Protocol
 
 from .frames import MAX_DATA_LEN, Frame
 
 MUTATION_OPS = ("bit_flip", "byte_random", "extend", "length_field_corrupt", "truncate")
-PRNG_NAME = "stdlib-mersenne-twister/per-window"
+PRNG_NAME = "blake2b-512/seed:start:block/per-window"
 
 
 class FuzzError(ValueError):
@@ -119,61 +124,81 @@ def _op_order(ops: frozenset[str]) -> tuple[str, ...]:
     return tuple(sorted(ops))
 
 
-_BITS = tuple(n.bit_length() for n in range(257))
+def _window_bytes(seed: int, start: int) -> Iterator[int]:
+    """The byte stream of the probe window that starts at frame ``start``."""
+    return chain.from_iterable(
+        blake2b(f"{seed}:{start}:{block}".encode()).digest() for block in count()
+    )
 
 
-def _below(bits, n: int) -> int:
-    """A uniform draw from ``range(n)``, ``n >= 1``, taking from ``bits``
-    (a generator's ``getrandbits``) exactly what ``random.Random`` takes
-    for ``randrange(n)``: ``n.bit_length()`` bits, redrawn while ``>= n``."""
-    try:
-        k = _BITS[n]
-    except IndexError:
-        k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
+# The right shift that keeps the top (n - 1).bit_length() bits of a byte, for 1 <= n <= 256.
+_SHIFT = tuple(8 - (n - 1).bit_length() for n in range(257))
 
 
-def mutate(frame: Frame, rng: random.Random, ops: frozenset[str]) -> Frame:
-    """Apply exactly one rng-chosen mutation to the frame data.
+def _below(draw: Callable[[], int], n: int) -> int:
+    """A uniform draw from ``range(n)``, ``n >= 1``, from the byte stream
+    ``draw`` (each call returns the next byte).
 
-    The draws are those of the ``random.Random`` calls in the comments,
-    in that order; changing either changes every later frame of a
-    campaign.
+    With k = ``(n - 1).bit_length()``, it reads ceil(k / 8) bytes as one
+    big-endian number and keeps its top k bits, and reads again while the
+    value is ``>= n``. So ``n == 1`` reads no byte and gives 0, and
+    ``n == 256`` reads exactly one byte.
+    """
+    if n <= 256:
+        if n == 1:
+            return 0
+        shift = _SHIFT[n]
+        r = draw() >> shift
+        while r >= n:
+            r = draw() >> shift
+        return r
+    k = (n - 1).bit_length()
+    size = (k + 7) // 8
+    shift = 8 * size - k
+    while True:
+        r = int.from_bytes(bytes([draw() for _ in range(size)]), "big") >> shift
+        if r < n:
+            return r
+
+
+def mutate(frame: Frame, draw: Callable[[], int], ops: frozenset[str]) -> Frame:
+    """Apply exactly one mutation, chosen by bytes from ``draw``, to the frame data.
+
+    ``draw`` returns the next byte of a stream. Each choice is one
+    ``_below`` draw, made in the order of the code below; a new byte value
+    is one whole byte, which is ``_below(draw, 256)``. Changing the choices
+    or their order changes every later frame of the probe window.
     """
     if not ops:
         return frame
-    bits = rng.getrandbits
     data = frame.data
     n = len(data)
     order = _op_order(ops)
-    op = order[_below(bits, len(order))]  # choice(order)
+    op = order[_below(draw, len(order))]
     if op == "bit_flip":
         if not n:
             return frame
-        ix = _below(bits, n)  # randrange(n)
-        flipped = data[ix] ^ 1 << _below(bits, 8)  # randrange(8)
+        ix = _below(draw, n)
+        flipped = data[ix] ^ 1 << _below(draw, 8)
         data = data[:ix] + bytes((flipped,)) + data[ix + 1 :]
     elif op == "byte_random":
         if not n:
             return frame
-        value = _below(bits, 256)  # randrange(256), drawn before the index
-        ix = _below(bits, n)  # randrange(n)
+        value = draw()  # drawn before the index
+        ix = _below(draw, n)
         data = data[:ix] + bytes((value,)) + data[ix + 1 :]
     elif op == "length_field_corrupt":
         if not n:
             return frame
-        data = bytes((n + _below(bits, 256 - n),)) + data[1:]  # randint(n, 255)
+        data = bytes((n + _below(draw, 256 - n),)) + data[1:]  # a length byte in [n, 255]
     elif op == "truncate":
-        data = data[: _below(bits, max(1, n))]  # randint(0, max(0, n - 1))
+        data = data[: _below(draw, max(1, n))]  # keeps 0 to max(0, n - 1) bytes
     elif op == "extend":
         room = MAX_DATA_LEN - n
         if room <= 0:
             return frame
-        count = 1 + _below(bits, room)  # randint(1, room), then randrange(256) each
-        data += bytes([_below(bits, 256) for _ in range(count)])
+        grow = 1 + _below(draw, room)  # 1 to room bytes, then each byte's value
+        data += bytes([draw() for _ in range(grow)])
     return Frame(frame.id, data)
 
 
@@ -217,18 +242,14 @@ def run_campaign(config: FuzzConfig, transport: FuzzTransport) -> CampaignResult
     probes = responses = 0
 
     for start in range(0, budget, probe_every):
-        # One probe window. Its seed text names one (seed, start) pair, and
-        # ``random`` hashes a text seed with sha512, whatever
-        # PYTHONHASHSEED is.
-        rng = random.Random(f"{config.seed}:{start}")
-        bits = rng.getrandbits
+        draw = _window_bytes(config.seed, start).__next__
         end = min(start + probe_every, budget)
         for sent in range(start, end):
             if sent % 5 == 0:
                 source = frame = corpus[(sent // 5) % n_corpus]
             else:
-                source = corpus[_below(bits, n_corpus)]
-                frame = mutate(source, rng, ops)
+                source = corpus[_below(draw, n_corpus)]
+                frame = mutate(source, draw, ops)
             responses += send(frame)
             if down():
                 break  # only a restore revives the SUT

@@ -6,9 +6,9 @@ import hashlib
 import itertools
 import json
 import os
-import random
 import subprocess
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import pytest
@@ -24,6 +24,7 @@ from vecuforge.fuzz_engine import (
     FuzzError,
     FuzzFinding,
     _below,
+    _window_bytes,
     minimize,
     mutate,
     run_campaign,
@@ -49,20 +50,63 @@ def corpus(samples_dir):
     return bundled_corpus(samples_dir)
 
 
+def window_stream(seed: int, start: int) -> Iterator[int]:
+    """The bytes of the probe window that starts at frame ``start``, by the
+    documented rule: the blake2b digests of ``f"{seed}:{start}:{block}"``
+    for block 0, 1, 2, ..., one byte at a time."""
+    for block in itertools.count():
+        yield from hashlib.blake2b(f"{seed}:{start}:{block}".encode()).digest()
+
+
+class Tape:
+    """A byte stream handed out one byte per ``draw()``, counting what it gave."""
+
+    def __init__(self, stream: Iterable[int]):
+        self._bytes = iter(stream)
+        self.taken = 0
+
+    def draw(self) -> int:
+        self.taken += 1
+        return next(self._bytes)
+
+
+def tape(seed: int) -> Tape:
+    return Tape(window_stream(seed, 0))
+
+
+def finite_tape(data: bytes) -> Tape:
+    """``data``, then 0, 1, ..., 255 over and over, which ends every redraw."""
+    return Tape(itertools.chain(data, itertools.cycle(range(256))))
+
+
+def randbelow(draw, n: int) -> int:
+    """The documented draw from ``range(n)``: with k = (n - 1).bit_length(),
+    read ceil(k / 8) bytes as one big-endian number, keep its top k bits,
+    and read again while the value is >= n."""
+    k = (n - 1).bit_length()
+    size = (k + 7) // 8
+    while True:
+        value = int.from_bytes(bytes(draw() for _ in range(size)), "big") >> (8 * size - k)
+        if value < n:
+            return value
+
+
 class TestMutate:
     FRAME = Frame(0x7DF, bytes([0x02, 0x01, 0x0D]))
 
     def test_empty_ops_is_identity(self):
-        assert mutate(self.FRAME, random.Random(1), frozenset()) == self.FRAME
+        stream = tape(1)
+        assert mutate(self.FRAME, stream.draw, frozenset()) == self.FRAME
+        assert stream.taken == 0
 
     def test_same_seed_same_mutation(self):
-        a = mutate(self.FRAME, random.Random(7), ALL_OPS)
-        b = mutate(self.FRAME, random.Random(7), ALL_OPS)
+        a = mutate(self.FRAME, tape(7).draw, ALL_OPS)
+        b = mutate(self.FRAME, tape(7).draw, ALL_OPS)
         assert a == b
 
     def test_bit_flip_hamming_distance_one(self):
         for seed in range(50):
-            out = mutate(self.FRAME, random.Random(seed), frozenset({"bit_flip"}))
+            out = mutate(self.FRAME, tape(seed).draw, frozenset({"bit_flip"}))
             assert out.id == self.FRAME.id
             assert len(out.data) == len(self.FRAME.data)
             diff = sum(
@@ -73,110 +117,140 @@ class TestMutate:
     def test_length_field_corrupt_overstates_length(self):
         for seed in range(50):
             out = mutate(
-                self.FRAME, random.Random(seed), frozenset({"length_field_corrupt"})
+                self.FRAME, tape(seed).draw, frozenset({"length_field_corrupt"})
             )
             assert out.data[0] >= len(out.data)
 
     def test_truncate_shortens(self):
         for seed in range(50):
-            out = mutate(self.FRAME, random.Random(seed), frozenset({"truncate"}))
+            out = mutate(self.FRAME, tape(seed).draw, frozenset({"truncate"}))
             assert len(out.data) < len(self.FRAME.data)
 
     def test_extend_grows_within_limit(self):
         for seed in range(50):
-            out = mutate(self.FRAME, random.Random(seed), frozenset({"extend"}))
+            out = mutate(self.FRAME, tape(seed).draw, frozenset({"extend"}))
             assert len(self.FRAME.data) < len(out.data) <= 8
             assert out.data[: len(self.FRAME.data)] == self.FRAME.data
 
     def test_full_frame_extend_is_identity(self):
         frame = Frame(0x7DF, bytes(range(8)))
-        assert mutate(frame, random.Random(3), frozenset({"extend"})) == frame
+        assert mutate(frame, tape(3).draw, frozenset({"extend"})) == frame
 
     @settings(max_examples=200, deadline=None)
     @given(
         data=st.binary(min_size=0, max_size=8),
-        seed=st.integers(min_value=0, max_value=2**32),
+        stream=st.binary(),
         ops=st.frozensets(st.sampled_from(MUTATION_OPS), min_size=1),
     )
-    def test_output_always_well_formed(self, data, seed, ops):
+    def test_output_always_well_formed(self, data, stream, ops):
         frame = Frame(0x7DF, data)
-        out = mutate(frame, random.Random(seed), ops)
+        out = mutate(frame, finite_tape(stream).draw, ops)
         assert out.id == frame.id
         assert 0 <= len(out.data) <= 8
 
 
-def reference_mutate(frame: Frame, rng: random.Random, ops: frozenset[str]) -> Frame:
-    """``mutate`` written with the public ``random.Random`` calls, whose
-    draws the engine must reproduce exactly."""
+def reference_mutate(frame: Frame, draw, ops: frozenset[str]) -> Frame:
+    """``mutate`` written plainly over ``randbelow``, whose draws the engine
+    must reproduce exactly."""
     if not ops:
         return frame
     data = bytearray(frame.data)
-    op = rng.choice(tuple(sorted(ops)))
+    order = sorted(ops)
+    op = order[randbelow(draw, len(order))]
     if op == "bit_flip":
         if not data:
             return frame
-        ix = rng.randrange(len(data))
-        data[ix] ^= 1 << rng.randrange(8)
+        ix = randbelow(draw, len(data))
+        data[ix] ^= 1 << randbelow(draw, 8)
     elif op == "byte_random":
         if not data:
             return frame
-        data[rng.randrange(len(data))] = rng.randrange(256)
+        value = randbelow(draw, 256)
+        data[randbelow(draw, len(data))] = value
     elif op == "length_field_corrupt":
         if not data:
             return frame
-        data[0] = rng.randint(len(data), 0xFF)
+        data[0] = len(data) + randbelow(draw, 256 - len(data))
     elif op == "truncate":
-        data = data[: rng.randint(0, max(0, len(data) - 1))]
+        data = data[: randbelow(draw, max(1, len(data)))]
     elif op == "extend":
         room = MAX_DATA_LEN - len(data)
         if room <= 0:
             return frame
-        data.extend(rng.randrange(256) for _ in range(rng.randint(1, room)))
+        data.extend(randbelow(draw, 256) for _ in range(1 + randbelow(draw, room)))
     return Frame(frame.id, bytes(data))
 
 
 class TestDrawExactness:
-    """The engine's draws are the ones ``random.Random``'s own calls take,
-    so a seed names the same campaign however the engine is written."""
+    """The engine's draws are the ones the documented byte rule gives, so a
+    seed names the same campaign however the engine is written."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**31])
     def test_below_is_randrange(self, seed):
-        ours, theirs = random.Random(seed), random.Random(seed)
+        """``_below(draw, n)`` is the reference ``randbelow`` and takes the
+        same bytes, for n = 1..256 and for two-byte and three-byte n."""
+        ours, theirs = tape(seed), tape(seed)
         for n in range(1, 257):
             for _ in range(20):
-                assert _below(ours.getrandbits, n) == theirs.randrange(n)
-        assert _below(ours.getrandbits, 1000) == theirs.randrange(1000)
-        assert ours.getstate() == theirs.getstate()
+                assert _below(ours.draw, n) == randbelow(theirs.draw, n)
+                assert ours.taken == theirs.taken
+        for n in (257, 1000, 70_000):
+            assert _below(ours.draw, n) == randbelow(theirs.draw, n)
+            assert ours.taken == theirs.taken
+
+    def test_below_one_takes_no_byte(self):
+        stream = tape(1)
+        assert [_below(stream.draw, 1) for _ in range(5)] == [0] * 5
+        assert stream.taken == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 8, 255, 256, 257, 300, 70_000])
+    def test_below_stays_in_range_and_reaches_every_value(self, n):
+        stream = tape(0)
+        values = {_below(stream.draw, n) for _ in range(min(50 * n, 20_000))}
+        assert values <= set(range(n))
+        if n <= 300:
+            assert values == set(range(n))
 
     @settings(max_examples=500, deadline=None)
     @given(
         data=st.binary(min_size=0, max_size=8),
-        seed=st.integers(min_value=0, max_value=2**64),
+        stream=st.binary(),
         ops=st.frozensets(st.sampled_from(MUTATION_OPS), min_size=1),
     )
-    def test_mutate_draws_like_the_random_api(self, data, seed, ops):
-        ours, theirs = random.Random(seed), random.Random(seed)
+    def test_mutate_draws_like_the_random_api(self, data, stream, ops):
+        """``mutate`` equals ``reference_mutate`` on any stream and takes the
+        same bytes from it."""
+        ours, theirs = finite_tape(stream), finite_tape(stream)
         frame = Frame(0x7E0, data)
         for _ in range(3):
-            assert mutate(frame, ours, ops) == reference_mutate(frame, theirs, ops)
-            assert ours.getstate() == theirs.getstate()
+            assert mutate(frame, ours.draw, ops) == reference_mutate(frame, theirs.draw, ops)
+            assert ours.taken == theirs.taken
 
     @pytest.mark.parametrize("ops", OP_SETS, ids=lambda ops: "+".join(sorted(ops)) or "none")
     def test_skip_mutation_draws_like_mutate(self, corpus, ops):
         """Leaving the rest of a dead window undrawn changes none of the
         frames any window offers: the campaign matches the brute-force
-        reference, which draws with the ``random.Random`` API and delivers
-        every frame of every window."""
+        reference, which draws each window's bytes by the documented rule
+        and delivers every frame of every window."""
         config = FuzzConfig(seed=5, budget=1_000, corpus=corpus, probe_every=20,
                             mutation_ops=ops)
         assert_matches_reference(config, vulns=True)
 
+    def test_corpus_picks_reach_past_256_frames(self):
+        """A corpus pick from 300 frames is a two-byte draw; the campaign
+        matches the reference and picks frames past index 255."""
+        corpus = tuple(Frame(0x7DF, bytes([0x03, 0x01, i >> 8, i & 0xFF])) for i in range(300))
+        config = FuzzConfig(seed=3, budget=1_000, corpus=corpus, mutation_ops=frozenset())
+        _, transport, _ = assert_matches_reference(config, vulns=False)
+        picked = {corpus.index(frame) for window in transport.windows for frame in window}
+        assert max(picked) >= 256
+
     # sha256 of json.dumps([stats] + [minimize(f).to_dict() ...]) for seed 1,
     # budget 20,000, probe_every 50, bundled corpus; a change to the draws,
-    # to the per-window stream seeds or to the campaign moves them.
+    # to the per-window streams or to the campaign moves them.
     GOLDEN = {
-        True: "18279710090481812f3da8adb63cf15e5102e3562aa141c2ad17a4958bd64941",
-        False: "4c19bf1d1c06346ba40c8bff030eab27ecc28919d87a8e7a384234300b5864a7",
+        True: "a5c35e2d18a827a420def9f5e224cbc2e53f4c3fb13393fed91866d4b23ecef6",
+        False: "7a8b9c5d5cd4aa136d18f25e59d7b273179b91456ccf016df5207c665c8ed56f",
     }
 
     @pytest.mark.parametrize("vulns", [True, False], ids=["vulns-on", "vulns-off"])
@@ -382,21 +456,22 @@ def reference_campaign(config: FuzzConfig, vulns: bool) -> tuple[list[FuzzFindin
     every window and probe after each one. The trigger is the first frame
     after which the probe goes unanswered; it is a finding when it is new
     and kills the restore point alone. The ECU is restored after each
-    window it died in. Returns the findings and, per window, the frames it
+    window it died in. Each window draws through ``randbelow`` from its own
+    ``window_stream``. Returns the findings and, per window, the frames it
     offered and how many of them a live ECU took up to its trigger."""
     restore_point = state = EcuState(config=SimConfig().with_vulns(vulns))
     corpus = config.corpus
     findings, seen, windows = [], set(), []
     for start in range(0, config.budget, config.probe_every):
-        rng = random.Random(f"{config.seed}:{start}")
+        draw = window_stream(config.seed, start).__next__
         end = min(start + config.probe_every, config.budget)
         offered, sources, trigger_at = [], [], None
         for sent in range(start, end):
             if sent % 5 == 0:
                 source = frame = corpus[(sent // 5) % len(corpus)]
             else:
-                source = corpus[rng.randrange(len(corpus))]
-                frame = reference_mutate(source, rng, config.mutation_ops)
+                source = corpus[randbelow(draw, len(corpus))]
+                frame = reference_mutate(source, draw, config.mutation_ops)
             offered.append(frame)
             sources.append(source)
             state = handle_frame(state, frame)[0]
@@ -564,6 +639,11 @@ class TestWindowStreams:
             assert len(full) == min(probe_every, config.budget - start)
             assert one == full[: len(one)], start
         assert any(len(one) < len(full) for one, full in zip(seeded_windows, control_windows))
+
+    def test_window_stream_known_answer(self):
+        stream = _window_bytes(1, 0)
+        assert bytes(itertools.islice(stream, 64)) == hashlib.blake2b(b"1:0:0").digest()
+        assert bytes(itertools.islice(stream, 64)) == hashlib.blake2b(b"1:0:1").digest()
 
     def test_streams_do_not_follow_the_hash_seed(self):
         script = (
