@@ -15,7 +15,16 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .item_model import Interface, Item, SecurityGoal, declared_services, service_byte
+from .item_model import (
+    Interface,
+    Item,
+    SecurityGoal,
+    checked_object,
+    declared_services,
+    named_entries,
+    required,
+    service_byte,
+)
 
 
 class AnalysisError(ValueError):
@@ -200,38 +209,53 @@ class Catalog:
 
 
 def load_catalog(path: str) -> Catalog:
+    """The threat catalog; a malformed entry is an ``AnalysisError`` naming
+    the file, the entry and the field."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    entries = [
-        ThreatCatalogEntry(
-            id=e["id"],
-            title=e["title"],
-            match_predicate=MatchPredicate(
-                interface_kind=e["match_predicate"].get("interface_kind"),
-                exposure=e["match_predicate"].get("exposure"),
-                service=service_byte(
-                    e["match_predicate"].get("service"),
-                    f"catalog entry {e['id']!r} match_predicate.service",
-                    AnalysisError,
+        doc = checked_object(json.load(fh), path, AnalysisError)
+    entries = []
+    for where, e in named_entries(required(doc, "entries", path, AnalysisError),
+                                  f"{path}: entries", AnalysisError):
+
+        def need(key: str):
+            return required(e, key, where, AnalysisError)
+
+        predicate = checked_object(need("match_predicate"), f"{where} match_predicate",
+                                   AnalysisError)
+        entries.append(
+            ThreatCatalogEntry(
+                id=need("id"),
+                title=need("title"),
+                match_predicate=MatchPredicate(
+                    interface_kind=predicate.get("interface_kind"),
+                    exposure=predicate.get("exposure"),
+                    service=service_byte(
+                        predicate.get("service"), f"{where} match_predicate.service", AnalysisError
+                    ),
+                    goal_property=predicate.get("goal_property"),
                 ),
-                goal_property=e["match_predicate"].get("goal_property"),
-            ),
-            threat_class=e["threat_class"],
-            default_feasibility=e["default_feasibility"],
-            regulation_refs=tuple(e.get("regulation_refs", [])),
+                threat_class=need("threat_class"),
+                default_feasibility=need("default_feasibility"),
+                regulation_refs=tuple(e.get("regulation_refs", [])),
+            )
         )
-        for e in doc["entries"]
-    ]
     hints = {k: VerificationHint(v) for k, v in doc.get("hint_by_class", {}).items()}
     return Catalog(entries, set(doc.get("negative_classes", [])), hints)
 
 
 def load_countermeasures(path: str) -> list[Countermeasure]:
+    """The countermeasures; a malformed entry is an ``AnalysisError`` naming
+    the file, the entry and the field."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = checked_object(json.load(fh), path, AnalysisError)
     return [
-        Countermeasure(id=c["id"], description=c["description"], mitigates=tuple(c["mitigates"]))
-        for c in doc["countermeasures"]
+        Countermeasure(
+            id=required(c, "id", where, AnalysisError),
+            description=required(c, "description", where, AnalysisError),
+            mitigates=tuple(required(c, "mitigates", where, AnalysisError)),
+        )
+        for where, c in named_entries(required(doc, "countermeasures", path, AnalysisError),
+                                      f"{path}: countermeasures", AnalysisError)
     ]
 
 

@@ -231,6 +231,35 @@ def service_byte(raw, where: str, error: type[ValueError] = ItemError) -> int | 
                 "(a number 0-255 or a hex string such as \"0x27\")")
 
 
+def checked_object(value, where: str, error: type[ValueError]) -> dict:
+    """``value`` if it is a JSON object; else ``error``, naming ``where``."""
+    if not isinstance(value, dict):
+        raise error(f"{where} must be an object, got {value!r}")
+    return value
+
+
+def required(entry: dict, key: str, where: str, error: type[ValueError]):
+    """``entry[key]``; ``error`` names ``where`` and the field when it is absent."""
+    if key not in entry:
+        raise error(f"{where} lacks the required field {key!r}")
+    return entry[key]
+
+
+def named_entries(items, where: str, error: type[ValueError]) -> list[tuple[str, dict]]:
+    """The objects of a list read from an input file, each with the text that
+    names it in an error: ``where``, its index and, when it has one, its id."""
+    if not isinstance(items, list):
+        raise error(f"{where} must be a list, got {items!r}")
+    named = []
+    for ix, entry in enumerate(items):
+        name = f"{where}[{ix}]"
+        checked_object(entry, name, error)
+        if isinstance(entry.get("id"), str):
+            name += f" {entry['id']!r}"
+        named.append((name, entry))
+    return named
+
+
 def declared_services(item: Item) -> set[int]:
     """Service bytes the item claims to expose (config key declared_services)."""
     raw = item.config_params.get("declared_services", [])

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .item_model import FingerprintReport, service_byte
+from .item_model import FingerprintReport, checked_object, named_entries, required, service_byte
 
 
 class ScanError(ValueError):
@@ -49,18 +49,20 @@ class VulnDbEntry:
 
 
 def load_vulndb(path: str | Path) -> list[VulnDbEntry]:
+    """The vulnerability database; a malformed entry is a ``ScanError``
+    naming the file, the entry and the field."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = checked_object(json.load(fh), str(path), ScanError)
     entries = []
-    for e in doc.get("entries", []):
-        predicate = e.get("predicate", {})
+    for where, e in named_entries(doc.get("entries", []), f"{path}: entries", ScanError):
+        predicate = checked_object(e.get("predicate", {}), f"{where} predicate", ScanError)
         entries.append(
             VulnDbEntry(
-                id=e["id"],
+                id=required(e, "id", where, ScanError),
                 title=e.get("title", ""),
                 requires_service=service_byte(
                     predicate.get("requires_service"),
-                    f"vulndb entry {e['id']!r} predicate.requires_service",
+                    f"{where} predicate.requires_service",
                     ScanError,
                 ),
                 requires_banner_regex=predicate.get("requires_banner_regex"),

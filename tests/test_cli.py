@@ -409,6 +409,45 @@ class TestMalformedArtifacts:
         assert repr(rel) in capsys.readouterr().err
 
 
+class TestMalformedInputEntries:
+    """An entry of an input file that lacks a field, or has an object field
+    of another type, is a usage error naming the file, the entry and the
+    field, not a traceback with exit 1 ("findings")."""
+
+    @pytest.mark.parametrize(
+        "stage, flag, name, edit, entry, field",
+        [
+            ("analyze", "--catalog", "catalog.json",
+             lambda doc: doc["entries"][0].pop("threat_class"), "entries[0]", "'threat_class'"),
+            ("analyze", "--catalog", "catalog.json",
+             lambda doc: doc["entries"][0].update(match_predicate="x"), "entries[0]",
+             "match_predicate"),
+            ("concept", "--countermeasures", "countermeasures.json",
+             lambda doc: doc["countermeasures"][0].pop("description"), "countermeasures[0]",
+             "'description'"),
+            # Read before execute connects: the endpoint is never dialled.
+            ("execute", "--vulndb", "vulndb.json",
+             lambda doc: doc["entries"][0].pop("id"), "entries[0]", "'id'"),
+        ],
+        ids=["catalog-without-threat-class", "catalog-predicate-string",
+             "countermeasure-without-description", "vulndb-without-id"],
+    )
+    def test_usage_error_names_file_entry_and_field(self, tmp_path, samples_dir, capsys,
+                                                    stage, flag, name, edit, entry, field):
+        doc = json.loads((samples_dir / name).read_text())
+        edit(doc)
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        run = tmp_path / "run"
+        offline_chain(run)
+        capsys.readouterr()
+        code = run_cli(stage, "--run-dir", str(run), flag, str(path),
+                       "--sim-endpoint", "127.0.0.1:1:1")
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE, err
+        assert f"{path}: {entry}" in err and field in err
+
+
 class TestOfflineStages:
     def test_chain_writes_all_artifacts(self, tmp_path):
         offline_chain(tmp_path)
