@@ -16,10 +16,12 @@ depend only on (seed, window start, corpus, ops); the SUT decides only
 how many of them are delivered. A seeded build and a control build
 therefore get the same frames, and a campaign is a pure function of
 (seed, config, SUT config). Every choice, the corpus pick and each
-choice in ``mutate``, is one ``_below`` draw from the window's stream.
-The rest of a window the SUT went down in counts in ``frames_sent`` but
-is neither drawn, built nor delivered, since a crashed SUT answers
-nothing until the next restore.
+choice in ``mutate``, is one ``_below(draw, n)`` draw from the window's
+stream: k = (n - 1).bit_length() bits, read as ceil(k / 8) big-endian
+bytes of which the top k are kept, read again while the value is >= n.
+A choice among one value reads no byte. The rest of a window the SUT
+went down in counts in ``frames_sent`` but is neither drawn, built nor
+delivered, since a crashed SUT answers nothing until the next restore.
 """
 
 from __future__ import annotations
@@ -165,9 +167,11 @@ def mutate(frame: Frame, draw: Callable[[], int], ops: frozenset[str]) -> Frame:
     """Apply exactly one mutation, chosen by bytes from ``draw``, to the frame data.
 
     ``draw`` returns the next byte of a stream. Each choice is one
-    ``_below`` draw, made in the order of the code below; a new byte value
-    is one whole byte, which is ``_below(draw, 256)``. Changing the choices
-    or their order changes every later frame of the probe window.
+    ``_below`` draw from it (the top bits of as many bytes as the choice
+    needs, read again when out of range), made in the order of the code
+    below; a new byte value is one whole byte, which is
+    ``_below(draw, 256)``. Changing the choices or their order changes
+    every later frame of the probe window.
     """
     if not ops:
         return frame
