@@ -19,11 +19,10 @@ from .item_model import (
     Interface,
     Item,
     SecurityGoal,
-    checked_object,
+    ServiceByte,
     declared_services,
-    named_entries,
-    required,
-    service_byte,
+    decode,
+    load_json,
 )
 
 
@@ -43,31 +42,13 @@ class ImpactVector:
     financial: int
     operational: int
     privacy: int
+    level: int = field(init=False)
 
     def __post_init__(self) -> None:
         for name in ("safety", "financial", "operational", "privacy"):
             _check_range(name, getattr(self, name), 0, 4)
-
-    @property
-    def level(self) -> int:
-        return max(self.safety, self.financial, self.operational, self.privacy)
-
-    def to_dict(self) -> dict:
-        return {
-            "safety": self.safety,
-            "financial": self.financial,
-            "operational": self.operational,
-            "privacy": self.privacy,
-            "level": self.level,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ImpactVector":
-        return cls(
-            safety=int(doc["safety"]),
-            financial=int(doc["financial"]),
-            operational=int(doc["operational"]),
-            privacy=int(doc["privacy"]),
+        object.__setattr__(
+            self, "level", max(self.safety, self.financial, self.operational, self.privacy)
         )
 
 
@@ -77,7 +58,7 @@ class MatchPredicate:
 
     interface_kind: str | None = None
     exposure: str | None = None
-    service: int | None = None
+    service: ServiceByte | None = None
     goal_property: str | None = None
 
     def __post_init__(self) -> None:
@@ -118,27 +99,6 @@ class Risk:
     threshold: int
     acceptable: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "threat_ref": self.threat_ref,
-            "impact": self.impact.to_dict(),
-            "probability": self.probability,
-            "value": self.value,
-            "threshold": self.threshold,
-            "acceptable": self.acceptable,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Risk":
-        return cls(
-            threat_ref=doc["threat_ref"],
-            impact=ImpactVector.from_dict(doc["impact"]),
-            probability=int(doc["probability"]),
-            value=int(doc["value"]),
-            threshold=int(doc["threshold"]),
-            acceptable=bool(doc["acceptable"]),
-        )
-
 
 class RequirementKind(str, Enum):
     POSITIVE = "positive"
@@ -166,18 +126,6 @@ class SecurityRequirement:
     def __post_init__(self) -> None:
         if not self.derived_from:
             raise AnalysisError(f"requirement {self.id!r} derives from no threat")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SecurityRequirement":
-        return cls(
-            id=doc["id"],
-            text=doc["text"],
-            kind=RequirementKind(doc["kind"]),
-            derived_from=tuple(doc["derived_from"]),
-            goal_ref=doc["goal_ref"],
-            countermeasure_ref=doc["countermeasure_ref"],
-            verification_hint=VerificationHint(doc["verification_hint"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -208,55 +156,21 @@ class Catalog:
         )
 
 
+@dataclass(frozen=True)
+class CountermeasureLibrary:
+    countermeasures: list[Countermeasure]
+
+
 def load_catalog(path: str) -> Catalog:
-    """The threat catalog; a malformed entry is an ``AnalysisError`` naming
-    the file, the entry and the field."""
-    with open(path, encoding="utf-8") as fh:
-        doc = checked_object(json.load(fh), path, AnalysisError)
-    entries = []
-    for where, e in named_entries(required(doc, "entries", path, AnalysisError),
-                                  f"{path}: entries", AnalysisError):
-
-        def need(key: str):
-            return required(e, key, where, AnalysisError)
-
-        predicate = checked_object(need("match_predicate"), f"{where} match_predicate",
-                                   AnalysisError)
-        entries.append(
-            ThreatCatalogEntry(
-                id=need("id"),
-                title=need("title"),
-                match_predicate=MatchPredicate(
-                    interface_kind=predicate.get("interface_kind"),
-                    exposure=predicate.get("exposure"),
-                    service=service_byte(
-                        predicate.get("service"), f"{where} match_predicate.service", AnalysisError
-                    ),
-                    goal_property=predicate.get("goal_property"),
-                ),
-                threat_class=need("threat_class"),
-                default_feasibility=need("default_feasibility"),
-                regulation_refs=tuple(e.get("regulation_refs", [])),
-            )
-        )
-    hints = {k: VerificationHint(v) for k, v in doc.get("hint_by_class", {}).items()}
-    return Catalog(entries, set(doc.get("negative_classes", [])), hints)
+    """The threat catalog; a malformed one is an ``AnalysisError`` naming the
+    file and the path of the field."""
+    return load_json(Catalog, path, AnalysisError)
 
 
 def load_countermeasures(path: str) -> list[Countermeasure]:
-    """The countermeasures; a malformed entry is an ``AnalysisError`` naming
-    the file, the entry and the field."""
-    with open(path, encoding="utf-8") as fh:
-        doc = checked_object(json.load(fh), path, AnalysisError)
-    return [
-        Countermeasure(
-            id=required(c, "id", where, AnalysisError),
-            description=required(c, "description", where, AnalysisError),
-            mitigates=tuple(required(c, "mitigates", where, AnalysisError)),
-        )
-        for where, c in named_entries(required(doc, "countermeasures", path, AnalysisError),
-                                      f"{path}: countermeasures", AnalysisError)
-    ]
+    """The countermeasures; a malformed file is an ``AnalysisError`` naming
+    the file and the path of the field."""
+    return load_json(CountermeasureLibrary, path, AnalysisError).countermeasures
 
 
 # -- threat enumeration -------------------------------------------------
@@ -340,8 +254,11 @@ def analyze_threats(item: Item, catalog: Catalog) -> tuple[list[Threat], list[Ri
     mapped goal's property; probability is the catalog entry's default
     feasibility; the threshold is config_params.risk_threshold.
     """
-    ratings = item.config_params.get("impact_ratings", {})
-    threshold = int(item.config_params.get("risk_threshold", 4))
+    params, where = item.config_params, f"item {item.id!r} config_params"
+    ratings = decode(dict[str, ImpactVector], params.get("impact_ratings", {}),
+                     f"{where}.impact_ratings", AnalysisError)
+    threshold = decode(int, params.get("risk_threshold", 4), f"{where}.risk_threshold",
+                       AnalysisError)
     goal_index = {g.id: g for g in item.security_goals}
     threats = enumerate_threats(item, catalog.entries)
     risks: list[Risk] = []
@@ -349,7 +266,7 @@ def analyze_threats(item: Item, catalog: Catalog) -> tuple[list[Threat], list[Ri
         prop = goal_index[threat.mapped_goal].property.value
         if prop not in ratings:
             raise AnalysisError(f"no impact rating for goal property {prop!r}")
-        impact = ImpactVector(**ratings[prop])
+        impact = ratings[prop]
         feasibility = catalog.entry_for(threat).default_feasibility
         risks.append(assess_risk(threat, impact, feasibility, threshold))
     return threats, risks

@@ -28,9 +28,9 @@ import shutil
 import subprocess
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Annotated, TypeVar
 
 from .analysis import (
     AnalysisError,
@@ -56,9 +56,10 @@ from .item_model import (
     InterfaceKind,
     Item,
     ItemError,
+    decode,
     fingerprint_sut,
     item_from_dict,
-    load_item,
+    load_json,
     reconcile,
 )
 from .planner import PlannerError, TestPlan, build_plan, load_attack_trees
@@ -140,11 +141,12 @@ class RunStore:
         with open(target, encoding="utf-8") as fh:
             return json.load(fh)
 
-    def decode(self, rel: str, produced_by: str, build: Callable[[dict], T]) -> T:
-        """``build`` applied to an artifact; a malformed one is a usage error."""
+    def decode(self, rel: str, produced_by: str, kind: type[T]) -> T:
+        """An artifact read as ``kind`` by ``item_model.decode``; a malformed one
+        is a usage error."""
         doc = self.read_json(rel, produced_by)
         try:
-            return build(doc)
+            return decode(kind, doc, rel, ValueError)
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(
                 f"malformed artifact {rel!r} ({type(exc).__name__}: {exc}); "
@@ -152,11 +154,11 @@ class RunStore:
             ) from None
 
     def decode_all(self, subdir: str, suffix: str, produced_by: str,
-                   build: Callable[[dict], T]) -> list[T]:
+                   kind: type[T]) -> list[T]:
         """Every artifact in a stage subdirectory, in sorted filename order."""
         directory = self.path(subdir)
         paths = sorted(directory.glob(f"*{suffix}")) if directory.is_dir() else []
-        return [self.decode(f"{subdir}/{p.name}", produced_by, build) for p in paths]
+        return [self.decode(f"{subdir}/{p.name}", produced_by, kind) for p in paths]
 
     def reset_dir(self, subdir: str) -> None:
         """Clear a stage-owned subdirectory so reruns leave no stale files."""
@@ -187,27 +189,43 @@ def _parse_endpoint(text: str | None, *, need_mgmt: bool) -> tuple[str, int, int
     raise UsageError(f"cannot parse --sim-endpoint {text!r}")
 
 
+@dataclass
+class ThreatsArtifact:
+    """``threats.json``: the threats with each one's class and regulation references."""
+
+    threats: list[Threat]
+    threat_class_by_id: dict[str, str]
+    regulation_refs_by_threat: dict[str, list[str]]
+
+
+@dataclass
+class RisksArtifact:
+    risks: list[Risk]
+
+
+@dataclass
+class RequirementsArtifact:
+    requirements: list[SecurityRequirement]
+
+
+# A result file keeps timing apart from content, so it has its own reader.
+_RESULT_FILE = Annotated[TestResult, lambda doc, where, error: TestResult.from_dict(doc)]
+
+
 def _load_item_artifact(store: RunStore) -> Item:
-    return store.decode("item.json", "item", item_from_dict)
+    return store.decode("item.json", "item", Annotated[Item, item_from_dict])
 
 
-def _load_threats(store: RunStore) -> tuple[list[Threat], dict, dict]:
-    """The threats, their threat classes and their regulation references."""
-    return store.decode("threats.json", "analyze", lambda doc: (
-        [Threat(**d) for d in doc["threats"]],
-        doc["threat_class_by_id"],
-        doc["regulation_refs_by_threat"],
-    ))
+def _load_threats(store: RunStore) -> ThreatsArtifact:
+    return store.decode("threats.json", "analyze", ThreatsArtifact)
 
 
 def _load_risks(store: RunStore) -> list[Risk]:
-    return store.decode(
-        "risks.json", "analyze", lambda doc: [Risk.from_dict(d) for d in doc["risks"]]
-    )
+    return store.decode("risks.json", "analyze", RisksArtifact).risks
 
 
 def _load_cases(store: RunStore) -> list[TestCase]:
-    cases = store.decode_all("cases", ".case.json", "tcg", TestCase.from_dict)
+    cases = store.decode_all("cases", ".case.json", "tcg", TestCase)
     if not cases:
         raise UsageError("no .case.json artifacts under 'cases'; run the 'tcg' stage first")
     return cases
@@ -247,9 +265,9 @@ def stage_item(store: RunStore, args) -> int:
     path = Path(args.item)
     if not path.exists():
         raise UsageError(f"item definition {str(path)!r} does not exist")
-    load_item(path)  # full validation before anything is written
-    with open(path, encoding="utf-8") as fh:
-        store.write_json("item.json", json.load(fh))
+    doc = load_json(dict, path, ItemError)
+    item_from_dict(doc, str(path))  # full validation before anything is written
+    store.write_json("item.json", doc)
     return EXIT_OK
 
 
@@ -282,51 +300,41 @@ def stage_fingerprint(store: RunStore, args) -> int:
 def stage_analyze(store: RunStore, args) -> int:
     catalog = load_catalog(args.catalog)
     threats, risks = analyze_threats(_load_item_artifact(store), catalog)
-    store.write_json(
-        "threats.json",
-        {
-            "threats": [asdict(t) for t in threats],
-            "threat_class_by_id": {t.id: catalog.entry_for(t).threat_class for t in threats},
-            "regulation_refs_by_threat": {
-                t.id: list(catalog.entry_for(t).regulation_refs) for t in threats
-            },
-        },
-    )
-    store.write_json("risks.json", {"risks": [r.to_dict() for r in risks]})
+    store.write_json("threats.json", asdict(ThreatsArtifact(
+        threats,
+        {t.id: catalog.entry_for(t).threat_class for t in threats},
+        {t.id: list(catalog.entry_for(t).regulation_refs) for t in threats},
+    )))
+    store.write_json("risks.json", asdict(RisksArtifact(risks)))
     return EXIT_OK
 
 
 def stage_concept(store: RunStore, args) -> int:
-    threats, threat_class_by_id, regulation_refs_by_threat = _load_threats(store)
+    analysis = _load_threats(store)
     risks = _load_risks(store)
     item = _load_item_artifact(store)
     requirements = derive_requirements(
-        threats,
+        analysis.threats,
         risks,
-        threat_class_by_id,
+        analysis.threat_class_by_id,
         load_catalog(args.catalog),
         load_countermeasures(args.countermeasures),
     )
-    store.write_json(
-        "requirements.json",
-        {"requirements": [asdict(r) for r in requirements]},
-    )
+    store.write_json("requirements.json", asdict(RequirementsArtifact(requirements)))
     store.write_json(
         "consistency.json", asdict(check_consistency(requirements, item.security_goals))
     )
-    index = TraceIndex.from_artifacts(threats, risks, requirements, regulation_refs_by_threat)
+    index = TraceIndex.from_artifacts(analysis.threats, risks, requirements,
+                                      analysis.regulation_refs_by_threat)
     store.write_json("trace_index.json", asdict(index))
     return EXIT_OK
 
 
 def stage_plan(store: RunStore, args) -> int:
     item = _load_item_artifact(store)
-    _, threat_class_by_id, _ = _load_threats(store)
+    threat_class_by_id = _load_threats(store).threat_class_by_id
     risks = _load_risks(store)
-    requirements = store.decode(
-        "requirements.json", "concept",
-        lambda doc: [SecurityRequirement.from_dict(d) for d in doc["requirements"]],
-    )
+    requirements = store.decode("requirements.json", "concept", RequirementsArtifact).requirements
     plan, scenarios = build_plan(
         item,
         risks,
@@ -401,10 +409,10 @@ def stage_execute(store: RunStore, args) -> int:
 
 
 def stage_report(store: RunStore, args) -> int:
-    plan = store.decode("plan.json", "plan", lambda doc: TestPlan(**doc))
+    plan = store.decode("plan.json", "plan", TestPlan)
     cases = _load_cases(store)
-    index = store.decode("trace_index.json", "concept", lambda doc: TraceIndex(**doc))
-    results = store.decode_all("results", ".result.json", "execute", TestResult.from_dict)
+    index = store.decode("trace_index.json", "concept", TraceIndex)
+    results = store.decode_all("results", ".result.json", "execute", _RESULT_FILE)
     report = build_report(
         plan, cases, results, index, untested_reason=args.untested_reason
     )

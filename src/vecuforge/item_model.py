@@ -19,11 +19,17 @@ reconcile() will flag against the declaration.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import re
+import sys
+import typing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from types import UnionType
+from typing import Annotated, Union
 
 from .frames import Frame, FrameError, LineClient, parse_line
 
@@ -110,63 +116,10 @@ class Item:
         raise ItemError(f"interface {iface_id!r} not in item {self.id!r}")
 
 
-def _require(doc: dict, key: str, where: str) -> object:
-    if key not in doc:
-        raise ItemError(f"{where} is missing required field {key!r}")
-    return doc[key]
-
-
-def _enum(cls, raw: object, where: str):
-    try:
-        return cls(raw)
-    except ValueError:
-        allowed = ", ".join(e.value for e in cls)
-        raise ItemError(f"{where}: {raw!r} is not one of {allowed}") from None
-
-
-def item_from_dict(doc: dict) -> Item:
-    item = Item(
-        id=str(_require(doc, "id", "item")),
-        name=str(_require(doc, "name", "item")),
-        boundary=str(_require(doc, "boundary", "item")),
-        functions=[
-            Function(
-                id=str(_require(f, "id", "function")),
-                name=str(_require(f, "name", "function")),
-                description=str(f.get("description", "")),
-                kind=str(f.get("kind", "")),
-            )
-            for f in doc.get("functions", [])
-        ],
-        components=[
-            Component(
-                id=str(_require(c, "id", "component")),
-                name=str(_require(c, "name", "component")),
-                description=str(c.get("description", "")),
-            )
-            for c in doc.get("components", [])
-        ],
-        interfaces=[
-            Interface(
-                id=str(_require(i, "id", "interface")),
-                component_ref=str(_require(i, "component_ref", "interface")),
-                kind=_enum(InterfaceKind, _require(i, "kind", "interface"), f"interface {i.get('id')}"),
-                exposure=_enum(Exposure, _require(i, "exposure", "interface"), f"interface {i.get('id')}"),
-                address=tuple(sorted((str(k), str(v)) for k, v in i.get("address", {}).items())),
-            )
-            for i in doc.get("interfaces", [])
-        ],
-        security_goals=[
-            SecurityGoal(
-                id=str(_require(g, "id", "security goal")),
-                property=_enum(SecurityProperty, _require(g, "property", "security goal"), f"goal {g.get('id')}"),
-                target_ref=str(_require(g, "target_ref", "security goal")),
-                statement=str(_require(g, "statement", "security goal")),
-            )
-            for g in doc.get("security_goals", [])
-        ],
-        config_params=dict(doc.get("config_params", {})),
-    )
+def item_from_dict(doc, where: str = "item", error: type[ValueError] = ItemError) -> Item:
+    """The item a JSON document describes, decoded and validated; ``where``
+    names the document in errors."""
+    item = decode(Item, doc, where, error)
     validate_item(item)
     return item
 
@@ -201,15 +154,19 @@ def validate_item(item: Item) -> None:
 
 
 def load_item(path: str) -> Item:
+    return item_from_dict(load_json(dict, path, ItemError), str(path))
+
+
+def load_json(kind, path, error: type[ValueError]):
+    """The JSON file ``path`` read as ``kind`` by ``decode``; a file that does
+    not parse or does not read as ``kind`` is ``error``, naming the file."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ItemError(f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise ItemError(f"{path}: top level must be an object")
-    return item_from_dict(doc)
+        raise error(f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    return decode(kind, doc, str(path), error)
 
 
 _SERVICE_HEX_RE = re.compile(r"(?:0x)?[0-9a-f]{1,2}", re.IGNORECASE)
@@ -231,42 +188,183 @@ def service_byte(raw, where: str, error: type[ValueError] = ItemError) -> int | 
                 "(a number 0-255 or a hex string such as \"0x27\")")
 
 
-def checked_object(value, where: str, error: type[ValueError]) -> dict:
-    """``value`` if it is a JSON object; else ``error``, naming ``where``."""
-    if not isinstance(value, dict):
-        raise error(f"{where} must be an object, got {value!r}")
-    return value
+ServiceByte = Annotated[int, service_byte]
 
 
-def required(entry: dict, key: str, where: str, error: type[ValueError]):
-    """``entry[key]``; ``error`` names ``where`` and the field when it is absent."""
-    if key not in entry:
-        raise error(f"{where} lacks the required field {key!r}")
-    return entry[key]
+class _Invalid(ValueError):
+    """A value that does not read as its type. ``detail`` continues the text
+    of the field's path; ``path`` gathers that path, innermost segment first,
+    while the error unwinds, so a value that reads cleanly builds no text."""
+
+    def __init__(self, detail: str):
+        super().__init__(detail)
+        self.detail = detail
+        self.path: list[str] = []
 
 
-def named_entries(items, where: str, error: type[ValueError]) -> list[tuple[str, dict]]:
-    """The objects of a list read from an input file, each with the text that
-    names it in an error: ``where``, its index and, when it has one, its id."""
-    if not isinstance(items, list):
-        raise error(f"{where} must be a list, got {items!r}")
-    named = []
-    for ix, entry in enumerate(items):
-        name = f"{where}[{ix}]"
-        checked_object(entry, name, error)
-        if isinstance(entry.get("id"), str):
-            name += f" {entry['id']!r}"
-        named.append((name, entry))
-    return named
+def decode(kind, value, where: str, error: type[ValueError]):
+    """``value``, a JSON value, read as the annotated type ``kind`` and checked
+    all the way down; anything else is ``error``, naming ``where`` and the
+    path of the bad field (``entries[0] 'TC-1' match_predicate.service``).
+
+    - A dataclass reads from an object, by field name. A field without a
+      default is required, a key that names no field is an error, and an
+      ``init=False`` field is derived: never required and never read.
+    - ``list[T]``, ``tuple[T, ...]`` and ``set[T]`` read from a list,
+      ``dict[str, T]`` from an object, and ``tuple[tuple[str, T], ...]`` from
+      an object, as its pairs sorted by key.
+    - ``T | None`` reads null as None. An ``Enum`` reads by its value.
+    - ``Annotated[T, read]`` reads through ``read(value, where, error)``, as
+      ``ServiceByte`` does through ``service_byte``.
+    - ``object`` takes any value and a bare ``dict`` any object.
+    - Every other scalar needs its exact JSON type: a bool is no int and
+      ``"3"`` no int; an int is accepted where a float is expected.
+
+    A dataclass's own check (``__post_init__``) that raises ``ValueError``
+    is ``error`` too, prefixed with the path of the record.
+    """
+    try:
+        return _reader(kind)(value)
+    except _Invalid as exc:
+        text, sep = where, ": "
+        for segment in reversed(exc.path):
+            if segment.startswith("["):
+                text, sep = text + segment, " "
+            else:
+                text, sep = f"{text}{sep}{segment}", "."
+        raise error(text + exc.detail) from None
+
+
+_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
+          list: "a list", dict: "an object"}
+
+
+def _wrong(kind, value) -> _Invalid:
+    return _Invalid(f" must be {_NAMES[kind]}, got {value!r}")
+
+
+@functools.cache
+def _reader(kind):
+    """The function that reads a JSON value as ``kind``, built once per type."""
+    if dataclasses.is_dataclass(kind):
+        return _record_reader(kind)
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is Annotated:
+        read = kind.__metadata__[0]
+        return lambda value: read(value, "", _Invalid)
+    if origin in (Union, UnionType):
+        (inner,) = (a for a in args if a is not type(None))
+        read = _reader(inner)
+        return lambda value: None if value is None else read(value)
+    if origin is tuple and typing.get_origin(args[0]) is tuple:
+        return _object_reader(_reader(typing.get_args(args[0])[1]),
+                              lambda pairs: tuple(sorted(pairs.items())))
+    if origin in (list, tuple, set):
+        return _list_reader(_reader(args[0]), origin)
+    if kind is object:
+        return lambda value: value
+    if kind is dict or (origin is dict and args[1] is object):
+        return _object_reader(None, None)
+    if origin is dict:
+        return _object_reader(_reader(args[1]), None)
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        allowed = ", ".join(e.value for e in kind)
+
+        def read_enum(value):
+            try:
+                return kind(value)
+            except ValueError:
+                raise _Invalid(f" must be one of {allowed}, got {value!r}") from None
+        return read_enum
+    exact = (int, float) if kind is float else (kind,)
+    if kind not in _NAMES:
+        raise TypeError(f"decode cannot read {kind!r}")
+
+    def read_scalar(value):
+        if type(value) not in exact:
+            raise _wrong(kind, value)
+        return value
+    return read_scalar
+
+
+def _list_reader(read, build):
+    def read_list(value):
+        if type(value) is not list:
+            raise _wrong(list, value)
+        out = []
+        for ix, element in enumerate(value):
+            try:
+                out.append(read(element))
+            except _Invalid as exc:  # the segment names the element's id when it has one
+                name = element.get("id") if type(element) is dict else None
+                exc.path.append(f"[{ix}] {name!r}" if type(name) is str else f"[{ix}]")
+                raise
+        return out if build is list else build(out)
+    return read_list
+
+
+def _object_reader(read, build):
+    def read_object(value):
+        if type(value) is not dict:
+            raise _wrong(dict, value)
+        if read is None:  # any values: the object itself
+            return value
+        out = {}
+        for key, element in value.items():
+            try:
+                out[key] = read(element)
+            except _Invalid as exc:
+                exc.path.append(key)
+                raise
+        return out if build is None else build(out)
+    return read_object
+
+
+@functools.cache
+def _annotation(text: str, module: str):
+    """A field's annotation string resolved in its module, once per text."""
+    return eval(text, vars(sys.modules[module]))
+
+
+def _record_reader(cls):
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    readers = {
+        f.name: _reader(_annotation(f.type, cls.__module__) if isinstance(f.type, str) else f.type)
+        for f in fields
+    }
+    derived = {f.name for f in dataclasses.fields(cls) if not f.init}
+    required = [f.name for f in fields if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING]
+
+    def read_record(value):
+        if type(value) is not dict:
+            raise _wrong(dict, value)
+        for key in required:
+            if key not in value:
+                raise _Invalid(f" lacks the required field {key!r}")
+        kwargs = {}
+        for key, element in value.items():
+            read = readers.get(key)
+            if read is None:
+                if key in derived:
+                    continue
+                raise _Invalid(f" has the unknown field {key!r}")
+            try:
+                kwargs[key] = read(element)
+            except _Invalid as exc:
+                exc.path.append(key)
+                raise
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise _Invalid(f": {exc}") from None
+    return read_record
 
 
 def declared_services(item: Item) -> set[int]:
     """Service bytes the item claims to expose (config key declared_services)."""
-    raw = item.config_params.get("declared_services", [])
-    where = f"item {item.id!r} config_params.declared_services"
-    if not isinstance(raw, list):
-        raise ItemError(f"{where} must be a list, got {raw!r}")
-    return {service_byte(v, where) for v in raw}
+    return decode(set[ServiceByte], item.config_params.get("declared_services", []),
+                  f"item {item.id!r} config_params.declared_services", ItemError)
 
 
 # -- fingerprinting -----------------------------------------------------

@@ -12,11 +12,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Annotated
 
 from .analysis import Risk, SecurityRequirement, VerificationHint
-from .item_model import Interface, Item
+from .item_model import Interface, Item, decode, load_json
 from .scenario_dsl import (
     EnvInterface,
     EnvSpec,
@@ -64,39 +65,41 @@ class Or:
 Node = Leaf | And | Or
 
 
-@dataclass(frozen=True)
-class AttackTree:
-    root: Node
-    fail_condition: str
-
-
-def _node_from_dict(doc: dict) -> Node:
+def _node_from_dict(doc, where: str, error: type[ValueError]) -> Node:
+    """One node of an attack tree, tagged {and, or, leaf}; ``where`` names it."""
+    doc = decode(dict, doc, where, error)
     kind = doc.get("kind")
     if kind == "leaf":
         pattern = doc.get("pattern", "")
-        if pattern not in PATTERNS:
-            raise PlannerError(f"attack-tree leaf references unknown pattern {pattern!r}")
-        args = tuple(sorted((str(k), literal(str(v))) for k, v in doc.get("args", {}).items()))
-        return Leaf(pattern, args)
+        if type(pattern) is not str or pattern not in PATTERNS:
+            raise error(f"{where}: attack-tree leaf references unknown pattern {pattern!r}")
+        args = decode(dict[str, str], doc.get("args", {}), f"{where}.args", error)
+        return Leaf(pattern, tuple(sorted((k, literal(v)) for k, v in args.items())))
     if kind in ("and", "or"):
-        children = tuple(_node_from_dict(c) for c in doc.get("children", []))
+        children = decode(list[object], doc.get("children", []), f"{where}.children", error)
         if not children:
-            raise PlannerError(f"attack-tree {kind!r} node has no children")
+            raise error(f"{where}: attack-tree {kind!r} node has no children")
+        children = tuple(_node_from_dict(c, f"{where}.children[{ix}]", error)
+                         for ix, c in enumerate(children))
         return And(children) if kind == "and" else Or(children)
-    raise PlannerError(f"attack-tree node kind must be and/or/leaf, got {kind!r}")
+    raise error(f"{where}: attack-tree node kind must be and/or/leaf, got {kind!r}")
+
+
+@dataclass(frozen=True)
+class AttackTree:
+    root: Annotated[Node, _node_from_dict]
+    fail_condition: str
+
+
+@dataclass(frozen=True)
+class AttackTreeFile:
+    trees: dict[str, AttackTree] = field(default_factory=dict)
 
 
 def load_attack_trees(path: str | Path) -> dict[str, AttackTree]:
-    """Threat class -> tree, from a JSON file tagged {and, or, leaf}."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    trees: dict[str, AttackTree] = {}
-    for threat_class, spec in doc.get("trees", {}).items():
-        trees[threat_class] = AttackTree(
-            root=_node_from_dict(spec["root"]),
-            fail_condition=spec["fail_condition"],
-        )
-    return trees
+    """Threat class -> tree; a malformed file is a ``PlannerError`` naming the
+    file and the path of the node (``trees.weak_authentication.root.children[1]``)."""
+    return load_json(AttackTreeFile, path, PlannerError).trees
 
 
 def _walk_leaves(node: Node, out: list[Leaf]) -> None:
@@ -399,7 +402,7 @@ POLICY = RiskPolicy(
 
 
 def risk_snapshot_id(risks: list[Risk]) -> str:
-    canonical = json.dumps([r.to_dict() for r in risks], sort_keys=True)
+    canonical = json.dumps([asdict(r) for r in risks], sort_keys=True)
     return "RISKS-" + hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 

@@ -11,11 +11,11 @@ the executor routes them to internal tool handlers by the first word.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .item_model import decode, load_json
 from .scenario_dsl import PatternStep, ValueKind
 
 _SLOT_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -63,21 +63,6 @@ class TestScript:
                     f"schema param nor a sut_slot"
                 )
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TestScript":
-        return cls(
-            id=doc["id"],
-            implements=doc["implements"],
-            command_template=doc["command_template"],
-            param_schema=tuple(
-                sorted(
-                    (name, ParamSpec(spec.get("type")))
-                    for name, spec in doc.get("param_schema", {}).items()
-                )
-            ),
-            sut_slots=tuple(doc.get("sut_slots", [])),
-        )
-
 
 class ScriptRegistry:
     """Directory of one JSON file per script; the id is the filename stem."""
@@ -86,12 +71,11 @@ class ScriptRegistry:
         self.directory = Path(directory)
         self.scripts: dict[str, TestScript] = {}
         for path in sorted(self.directory.glob("*.json")):
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
+            doc = load_json(dict, path, RegistryError)
             doc.setdefault("id", path.stem)
             if doc["id"] != path.stem:
                 raise RegistryError(f"{path.name}: id {doc['id']!r} must equal the filename stem")
-            script = TestScript.from_dict(doc)
+            script = decode(TestScript, doc, str(path), RegistryError)
             script.check(known_patterns)
             self.scripts[script.id] = script
 

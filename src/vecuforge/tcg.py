@@ -12,11 +12,11 @@ declared type, and that type alone decides its text.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .frames import MAX_FRAME_ID, Frame, FrameError, hex_in, parse_line
+from .item_model import load_json
 from .scenario_dsl import (
     PatternStep,
     Scenario,
@@ -211,10 +211,7 @@ class SutDatabase:
 
 def load_sutdb(path: str | Path) -> SutDatabase:
     """Read a SUT database; a bad value in it is a TcgError."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    optional = ("description", "endpoints", "dictionaries", "domains")
-    return SutDatabase(doc["sut_id"], **{key: doc[key] for key in optional if key in doc})
+    return load_json(SutDatabase, path, TcgError)
 
 
 # -- test cases ------------------------------------------------------------
@@ -250,12 +247,6 @@ class TestCase:
     def __post_init__(self) -> None:
         if not (self.traceability.get("requirement_refs") or self.traceability.get("threat_refs")):
             raise TcgError(f"case {self.id!r} has empty traceability")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TestCase":
-        doc = dict(doc)
-        doc["activities"] = [BoundStep(**a) for a in doc["activities"]]
-        return cls(**doc)
 
 
 _SERVICE = "one hex byte"

@@ -8,12 +8,11 @@ follow-up template emit a follow-up task stub.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .item_model import FingerprintReport, checked_object, named_entries, required, service_byte
+from .item_model import FingerprintReport, ServiceByte, load_json
 
 
 class ScanError(ValueError):
@@ -21,59 +20,49 @@ class ScanError(ValueError):
 
 
 @dataclass(frozen=True)
-class VulnDbEntry:
-    id: str
-    title: str
-    requires_service: int | None = None
+class VulnPredicate:
+    """What a fingerprint must show for an entry to match; None fields are wildcards."""
+
+    requires_service: ServiceByte | None = None
     requires_banner_regex: str | None = None
     requires_session: str | None = None
+
+
+@dataclass(frozen=True)
+class VulnDbEntry:
+    id: str
+    title: str = ""
+    predicate: VulnPredicate = VulnPredicate()
     severity: int = 0
     description: str = ""
     followup: str | None = None
     regulation_refs: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if (
-            self.requires_service is None
-            and self.requires_banner_regex is None
-            and self.requires_session is None
-        ):
+        if self.predicate == VulnPredicate():
             raise ScanError(f"entry {self.id!r} has an empty predicate")
         if not 0 <= self.severity <= 4:
             raise ScanError(f"entry {self.id!r} severity {self.severity} outside 0..4")
-        if self.requires_banner_regex is not None:
+        if self.predicate.requires_banner_regex is not None:
             try:
-                re.compile(self.requires_banner_regex)
+                re.compile(self.predicate.requires_banner_regex)
             except re.error as exc:
                 raise ScanError(f"entry {self.id!r} banner regex invalid: {exc}") from exc
 
+    @property
+    def requires_service(self) -> int | None:
+        return self.predicate.requires_service
+
+
+@dataclass(frozen=True)
+class VulnDb:
+    entries: list[VulnDbEntry] = field(default_factory=list)
+
 
 def load_vulndb(path: str | Path) -> list[VulnDbEntry]:
-    """The vulnerability database; a malformed entry is a ``ScanError``
-    naming the file, the entry and the field."""
-    with open(path, encoding="utf-8") as fh:
-        doc = checked_object(json.load(fh), str(path), ScanError)
-    entries = []
-    for where, e in named_entries(doc.get("entries", []), f"{path}: entries", ScanError):
-        predicate = checked_object(e.get("predicate", {}), f"{where} predicate", ScanError)
-        entries.append(
-            VulnDbEntry(
-                id=required(e, "id", where, ScanError),
-                title=e.get("title", ""),
-                requires_service=service_byte(
-                    predicate.get("requires_service"),
-                    f"{where} predicate.requires_service",
-                    ScanError,
-                ),
-                requires_banner_regex=predicate.get("requires_banner_regex"),
-                requires_session=predicate.get("requires_session"),
-                severity=int(e.get("severity", 0)),
-                description=e.get("description", ""),
-                followup=e.get("followup"),
-                regulation_refs=tuple(e.get("regulation_refs", [])),
-            )
-        )
-    return entries
+    """The vulnerability database; a malformed one is a ``ScanError`` naming
+    the file and the path of the field."""
+    return load_json(VulnDb, path, ScanError).entries
 
 
 @dataclass(frozen=True)
@@ -97,14 +86,15 @@ def _entry_matches(
     entry: VulnDbEntry, fp: FingerprintReport, session: str
 ) -> dict | None:
     """Evidence dict when the full predicate holds, else None."""
+    pred = entry.predicate
     evidence: dict = {}
     if entry.requires_service is not None:
         if entry.requires_service not in fp.supported_services:
             return None
         evidence["service"] = f"0x{entry.requires_service:02x}"
         evidence["banner"] = fp.banners[entry.requires_service].hex()
-    if entry.requires_banner_regex is not None:
-        pattern = re.compile(entry.requires_banner_regex)
+    if pred.requires_banner_regex is not None:
+        pattern = re.compile(pred.requires_banner_regex)
         if entry.requires_service is not None:
             candidates = [entry.requires_service]
         else:
@@ -116,9 +106,9 @@ def _entry_matches(
             return None
         evidence["service"] = f"0x{hit:02x}"
         evidence["banner"] = fp.banners[hit].hex()
-        evidence["banner_regex"] = entry.requires_banner_regex
-    if entry.requires_session is not None:
-        if entry.requires_session != session:
+        evidence["banner_regex"] = pred.requires_banner_regex
+    if pred.requires_session is not None:
+        if pred.requires_session != session:
             return None
         evidence["session"] = session
     return evidence

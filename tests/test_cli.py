@@ -363,6 +363,14 @@ def _drop_timing(doc: dict) -> None:
     del doc["timing"]
 
 
+def _acceptable_as_text(doc: dict) -> None:
+    doc["risks"][0]["acceptable"] = "false"
+
+
+def _probability_as_text(doc: dict) -> None:
+    doc["risks"][0]["probability"] = "3"
+
+
 class TestMalformedArtifacts:
     @pytest.mark.parametrize(
         "rel, edit, stage",
@@ -372,9 +380,12 @@ class TestMalformedArtifacts:
             ("threats.json", _threat_with_extra_key, "concept"),
             ("requirements.json", _bad_verification_hint, "plan"),
             ("results/synthetic.result.json", _drop_timing, "report"),
+            ("risks.json", _acceptable_as_text, "concept"),
+            ("risks.json", _probability_as_text, "concept"),
         ],
         ids=["no-threat-classes-concept", "no-threat-classes-plan",
-             "threat-extra-key", "bad-verification-hint", "result-without-timing"],
+             "threat-extra-key", "bad-verification-hint", "result-without-timing",
+             "risk-acceptable-as-text", "risk-probability-as-text"],
     )
     def test_usage_error_names_the_artifact(self, tmp_path, capsys, rel, edit, stage):
         offline_chain(tmp_path)
@@ -428,9 +439,17 @@ class TestMalformedInputEntries:
             # Read before execute connects: the endpoint is never dialled.
             ("execute", "--vulndb", "vulndb.json",
              lambda doc: doc["entries"][0].pop("id"), "entries[0]", "'id'"),
+            ("execute", "--vulndb", "vulndb.json",
+             lambda doc: doc["entries"][0].update(severity="x"), "entries[0]", "severity"),
+            ("analyze", "--catalog", "catalog.json",
+             lambda doc: doc.update(hint_by_class=[]), "hint_by_class", "object"),
+            ("concept", "--countermeasures", "countermeasures.json",
+             lambda doc: doc["countermeasures"][0].update(mitigates="weak_authentication"),
+             "countermeasures[0]", "mitigates"),
         ],
         ids=["catalog-without-threat-class", "catalog-predicate-string",
-             "countermeasure-without-description", "vulndb-without-id"],
+             "countermeasure-without-description", "vulndb-without-id",
+             "vulndb-severity-string", "catalog-hints-list", "countermeasure-mitigates-string"],
     )
     def test_usage_error_names_file_entry_and_field(self, tmp_path, samples_dir, capsys,
                                                     stage, flag, name, edit, entry, field):

@@ -1,0 +1,106 @@
+"""Single-field mutants of every bundled input end in exit 0 or 2, never a traceback.
+
+Each key of an input, at every depth, is deleted or set to ``null``, ``7``,
+``"x"``, ``[]`` or ``{}`` (mutation-based input fuzzing; Zeller et al., *The
+Fuzzing Book*). Every mutant runs through the stages from the first one that
+reads the file up to ``tcg``. A vulnerability-database mutant runs through
+``execute`` against an endpoint nobody listens on, so a database that reads
+cleanly ends there in exit 3.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from vecuforge.cli import EXIT_INFRA, EXIT_OK, EXIT_USAGE, main
+
+VALUES = (None, 7, "x", [], {})
+UNREACHABLE = "127.0.0.1:1:1"
+
+# input file -> (its flag, the stages that read it or what it produces)
+INPUTS = {
+    "item.json": ("--item", ("item", "analyze", "concept", "plan", "tcg")),
+    "catalog.json": ("--catalog", ("analyze", "concept", "plan", "tcg")),
+    "countermeasures.json": ("--countermeasures", ("concept", "plan", "tcg")),
+    "attack_trees.json": ("--attack-trees", ("plan", "tcg")),
+    "sutdb.json": ("--sutdb", ("tcg",)),
+    "scripts/write-data.json": ("--scripts", ("tcg",)),
+    "vulndb.json": ("--vulndb", ("execute",)),
+}
+
+
+def mutants(doc):
+    """Every single-field mutant of a JSON document, each with its label."""
+    paths = []
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key, child in node.items():
+                paths.append(path + (key,))
+                walk(child, path + (key,))
+        elif isinstance(node, list):
+            for ix, child in enumerate(node):
+                walk(child, path + (ix,))
+
+    walk(doc, ())
+    for path in paths:
+        for value in ("<deleted>",) + VALUES:
+            mutant = copy.deepcopy(doc)
+            parent = mutant
+            for step in path[:-1]:
+                parent = parent[step]
+            if value == "<deleted>":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+            yield f"{'/'.join(map(str, path))}={json.dumps(value)}", mutant
+
+
+@pytest.fixture(scope="module")
+def base_run(tmp_path_factory) -> Path:
+    run = tmp_path_factory.mktemp("base")
+    for stage in ("item", "analyze", "concept", "plan", "tcg"):
+        assert main([stage, "--run-dir", str(run)]) == EXIT_OK
+    return run
+
+
+@pytest.mark.parametrize("name", list(INPUTS))
+def test_no_mutant_escapes(name, samples_dir, base_run, tmp_path, capsys):
+    flag, stages = INPUTS[name]
+    doc = json.loads((samples_dir / name).read_text())
+    allowed = {EXIT_OK, EXIT_USAGE} | ({EXIT_INFRA} if "execute" in stages else set())
+    escapes = []
+    count = 0
+    for label, mutant in mutants(doc):
+        count += 1
+        work = tmp_path / str(count)
+        run = work / "run"
+        shutil.copytree(base_run, run)
+        if name.startswith("scripts/"):
+            target = work / "scripts"
+            shutil.copytree(samples_dir / "scripts", target)
+            (target / Path(name).name).write_text(json.dumps(mutant))
+        else:
+            target = work / name
+            target.write_text(json.dumps(mutant))
+        for stage in stages:
+            try:
+                code = main([stage, "--run-dir", str(run), flag, str(target),
+                             "--sim-endpoint", UNREACHABLE])
+            except Exception as exc:  # noqa: BLE001 - an escape is what the test counts
+                escapes.append(f"{label} at {stage}: {type(exc).__name__}: {exc}")
+                break
+            err = capsys.readouterr().err
+            if code not in allowed or (code == EXIT_USAGE and not err.startswith("error: ")):
+                escapes.append(f"{label} at {stage}: exit {code}: {err!r}")
+                break
+            if code != EXIT_OK:
+                break
+        shutil.rmtree(work)
+    assert count > 0
+    assert escapes == [], f"{len(escapes)} of {count} mutants escaped:\n" + "\n".join(escapes)

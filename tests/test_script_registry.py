@@ -96,13 +96,16 @@ class TestRegister:
         with pytest.raises(RegistryError, match="param type"):
             ParamSpec(type="blob")
 
-    @pytest.mark.parametrize("spec", ['{}', '{"type": "any"}'], ids=["no-type", "any-type"])
-    def test_param_wants_a_known_type(self, tmp_path, spec):
+    @pytest.mark.parametrize("spec, message", [
+        ('{}', "param_schema.targets lacks the required field 'type'"),
+        ('{"type": "any"}', "param type"),
+    ], ids=["no-type", "any-type"])
+    def test_param_wants_a_known_type(self, tmp_path, spec, message):
         (tmp_path / "x.json").write_text(
             '{"implements": "VULN_SCAN", "command_template": "vulnscan {targets}",'
             f' "param_schema": {{"targets": {spec}}}}}'
         )
-        with pytest.raises(RegistryError, match="param type"):
+        with pytest.raises(RegistryError, match=message):
             ScriptRegistry(tmp_path, PATTERNS)
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vecuforge.frames import Frame
+from vecuforge.item_model import decode
 from vecuforge.scenario_dsl import Value, parse_scenario
 from vecuforge.script_registry import ScriptRegistry
 from vecuforge.tcg import (
@@ -538,4 +539,4 @@ class TestGenerateCases:
             )
         )
         for case in generate_cases(scenario, sutdb, registry):
-            assert Case.from_dict(json.loads(json.dumps(asdict(case)))) == case
+            assert decode(Case, json.loads(json.dumps(asdict(case))), "case", TcgError) == case

@@ -9,7 +9,7 @@ import pytest
 
 from vecuforge.item_model import FingerprintReport, ProbeConfig, fingerprint_sut
 from vecuforge.simulator import SimConfig
-from vecuforge.vuln_scanner import ScanError, VulnDbEntry, load_vulndb, scan
+from vecuforge.vuln_scanner import ScanError, VulnDbEntry, VulnPredicate, load_vulndb, scan
 
 
 def fp_with(services: dict[int, bytes]) -> FingerprintReport:
@@ -39,7 +39,7 @@ class TestDatabase:
         assert [e.id for e in db] == ["VDB-HIDDEN-042", "VDB-LEGACY-099", "VDB-DEEPSESSION-042"]
         hidden = db[0]
         assert hidden.requires_service == 0x42
-        assert hidden.requires_banner_regex == "^0262"
+        assert hidden.predicate.requires_banner_regex == "^0262"
         assert hidden.severity == 3
         assert hidden.followup == "followup-hidden-service"
         assert hidden.regulation_refs == ("UNECE R155 Annex 5, 4.3.7",)
@@ -50,11 +50,11 @@ class TestDatabase:
 
     def test_severity_range_enforced(self):
         with pytest.raises(ScanError, match="severity"):
-            VulnDbEntry(id="X", title="t", requires_service=1, severity=5)
+            VulnDbEntry(id="X", title="t", predicate=VulnPredicate(requires_service=1), severity=5)
 
     def test_bad_regex_rejected(self):
         with pytest.raises(ScanError, match="regex"):
-            VulnDbEntry(id="X", title="t", requires_banner_regex="(")
+            VulnDbEntry(id="X", title="t", predicate=VulnPredicate(requires_banner_regex="("))
 
 
 class TestScan:
@@ -88,14 +88,15 @@ class TestScan:
         assert report.findings == [] and report.followups == []
 
     def test_banner_regex_without_service_searches_all(self):
-        entry = VulnDbEntry(id="X", title="t", requires_banner_regex="^0350")
+        entry = VulnDbEntry(id="X", title="t", predicate=VulnPredicate(requires_banner_regex="^0350"))
         fp = fp_with({0x10: bytes.fromhex("035001aa"), 0x3E: bytes.fromhex("017e")})
         report = scan(fp, [entry])
         assert [f.entry_id for f in report.findings] == ["X"]
         assert report.findings[0].evidence["service"] == "0x10"
 
     def test_banner_regex_mismatch(self):
-        entry = VulnDbEntry(id="X", title="t", requires_service=0x42, requires_banner_regex="^ff")
+        entry = VulnDbEntry(id="X", title="t",
+                            predicate=VulnPredicate(requires_service=0x42, requires_banner_regex="^ff"))
         assert scan(DEFAULT_FP, [entry]).findings == []
 
     def test_pure_and_order_stable(self, samples_dir):
@@ -110,6 +111,7 @@ class TestScan:
 
 def brute_force_matches(entry: VulnDbEntry, fp: FingerprintReport, session: str) -> bool:
     """Direct predicate semantics, written separately from the scanner."""
+    entry = entry.predicate
     if entry.requires_service is not None and entry.requires_service not in fp.supported_services:
         return False
     if entry.requires_banner_regex is not None:
@@ -152,7 +154,7 @@ class TestBruteForceSoundness:
                     fields["requires_session"] = rng.choice(["0x01", "0x03"])
                 if not fields:
                     fields["requires_service"] = 0x01
-                db.append(VulnDbEntry(id=f"E{ix}", title="t", **fields))
+                db.append(VulnDbEntry(id=f"E{ix}", title="t", predicate=VulnPredicate(**fields)))
             session = rng.choice(["0x01", "0x03"])
             expected = [e.id for e in db if brute_force_matches(e, fp, session)]
             got = [f.entry_id for f in scan(fp, db, session=session).findings]
