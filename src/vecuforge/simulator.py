@@ -445,9 +445,10 @@ class SimServer:
         if not chunk:
             self._drop(conn, conns)
             return
-        info["in"] += chunk
-        while b"\n" in info["in"]:
-            line, info["in"] = info["in"].split(b"\n", 1)
+        # One split per chunk: the last piece is the partial line after the
+        # final newline, kept for the next chunk.
+        *lines, info["in"] = (info["in"] + chunk).split(b"\n")
+        for line in lines:
             text = line.decode("utf-8", errors="replace").strip()
             if not text:
                 continue

@@ -12,7 +12,8 @@ declared type, and that type alone decides its text.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import mul
 from pathlib import Path
 
 from .frames import MAX_FRAME_ID, Frame, FrameError, hex_in, parse_line
@@ -60,6 +61,17 @@ def covering_array(domains: dict[str, list], t: int) -> CoveringArray:
     then vertically (each leftover tuple fills the don't-care cells of the
     first row it fits, or starts a new row). Don't-care cells still open
     at the end take value position 0.
+
+    Growing column i keeps, for each combo of t-1 earlier columns, one
+    bytearray with a flag per value tuple of the combo plus column i, 1
+    while the tuple is uncovered. A tuple's index is mixed-radix over its
+    columns with column i's value as the last digit (weight 1), so the n
+    flags one row can hit for a combo form one slice, and the gain of
+    every value is a column sum over one slice per combo the row knows.
+    Column i thus costs one pass per row over C(i, t-1) combos, and one
+    byte per t-tuple instead of a tuple object. The leftovers, read combo
+    by combo in combination order with indices ascending, come in the
+    sorted order of the tuples they stand for.
     """
     if not domains:
         raise TcgError("covering array needs at least one parameter")
@@ -81,43 +93,58 @@ def covering_array(domains: dict[str, list], t: int) -> CoveringArray:
     ]
 
     for i in range(t, k):
-        combos = list(itertools.combinations(range(i), t - 1))
-        uncovered = {
-            (combo, vals)
-            for combo in combos
-            for vals in itertools.product(*(range(sizes[c]) for c in combo), range(sizes[i]))
-        }
+        n = sizes[i]
+        # Each combo's flags, with the weight of every earlier column in
+        # their index: its radix in the combo, 0 outside it.
+        table = []
+        for combo in itertools.combinations(range(i), t - 1):
+            size, weights = n, [0] * i
+            for c in reversed(combo):
+                weights[c] = size
+                size *= sizes[c]
+            table.append((combo, bytearray(b"\x01") * size, weights))
 
-        used = [0] * sizes[i]
+        # max over (gain, -used, -v) picks the value that covers the most,
+        # then the least used, then the smallest.
+        minus_used = [0] * n
         for row in rows:
-            known = [combo for combo in combos if all(row[c] is not None for c in combo)]
-            hits = [
-                {(combo, tuple(row[c] for c in combo) + (v,)) for combo in known}
-                for v in range(sizes[i])
-            ]
-            best = max(
-                range(sizes[i]), key=lambda v: (len(hits[v] & uncovered), -used[v], -v)
-            )
+            if None in row:
+                blank = {c for c, x in enumerate(row) if x is None}
+                digits = [x or 0 for x in row]
+                keys = [
+                    (f, sum(map(mul, digits, weights)))
+                    for combo, f, weights in table
+                    if blank.isdisjoint(combo)
+                ]
+            else:
+                keys = [(f, sum(map(mul, row, weights))) for _, f, weights in table]
+            gain = [sum(col) for col in zip(*[f[b:b + n] for f, b in keys])]
+            best = -max(zip(gain, minus_used, range(0, -n, -1)))[2]
             row.append(best)
-            used[best] += 1
-            uncovered -= hits[best]
+            minus_used[best] -= 1
+            for f, b in keys:
+                f[b + best] = 0
 
-        # A row without don't-care cells covers only tuples already removed,
-        # so a leftover tuple fits only an open row with its value in column i.
-        open_rows = [[r for r in rows if r[i] == v and None in r] for v in range(sizes[i])]
-        for combo, vals in sorted(uncovered):
+        # A row without don't-care cells covers only tuples already flagged
+        # covered, so a leftover tuple fits only an open row with its value
+        # in column i.
+        open_rows = [[r for r in rows if r[i] == v and None in r] for v in range(n)]
+        for combo, f, _ in table:
             cells = combo + (i,)
-            fits = open_rows[vals[-1]]
-            fit = next(
-                (r for r in fits if all(r[c] in (None, x) for c, x in zip(cells, vals))),
-                None,
-            )
-            if fit is None:
-                fit = [None] * (i + 1)
-                rows.append(fit)
-                fits.append(fit)
-            for c, x in zip(cells, vals):
-                fit[c] = x
+            for vals in itertools.compress(
+                itertools.product(*(range(sizes[c]) for c in cells)), f
+            ):
+                fits = open_rows[vals[-1]]
+                fit = next(
+                    (r for r in fits if all(r[c] in (None, x) for c, x in zip(cells, vals))),
+                    None,
+                )
+                if fit is None:
+                    fit = [None] * (i + 1)
+                    rows.append(fit)
+                    fits.append(fit)
+                for c, x in zip(cells, vals):
+                    fit[c] = x
 
     return CoveringArray(
         parameters=params,
@@ -281,22 +308,23 @@ def generate_cases(
         name: sutdb.domain_values(declarations.get(name, name)) for name in placeholders
     }
 
-    # Each step with its args as slot texts, kinds checked once per step and
-    # value. A literal's texts are keyed by None, which no binding row holds.
+    # Each step as (kind, name, script_ref, within_ms) with its args as slot
+    # texts, kinds checked once per step and value. A literal's texts are
+    # keyed by None, which no binding row holds.
     steps = []
     for ix, step in enumerate(scenario.steps, 1):
         if isinstance(step, PatternStep):
             script = registry.match_script(step)
             if script is None:
                 raise TcgError(f"no script matches pattern {step.name!r}")
-            head = BoundStep("pattern", step.name, script.id, {})
+            head = ("pattern", step.name, script.id, None)
             types = {arg: spec.type for arg, spec in script.param_schema}
         else:
-            head = BoundStep("expect", step.matcher, None, {}, step.within_ms)
+            head = ("expect", step.matcher, None, step.within_ms)
             types = {"service": _SERVICE} if MATCHERS[step.matcher] is not None else {}
         slots = []
         for arg, value in step.args:
-            where = f"scenario {scenario.id!r} step {ix} {head.name}, slot {arg!r}"
+            where = f"scenario {scenario.id!r} step {ix} {head[1]}, slot {arg!r}"
             ph = str(value.raw) if value.kind is ValueKind.PLACEHOLDER else None
             pairs = domains[ph] if ph else [(None, value)]
             slots.append((arg, ph, {text: _text(v, types.get(arg), where) for text, v in pairs}))
@@ -311,11 +339,25 @@ def generate_cases(
     else:
         binding_rows = [{}]
 
+    # What every case shares is built once; each case still gets its own
+    # dicts and lists, so editing one case leaves the others as they were.
+    method = scenario.method()
+    purpose = f"Verify scenario {scenario.id!r} via the {method} method"
+    sut_description = f"{sutdb.sut_id}: {sutdb.description}".rstrip(": ")
+    interfaces = [
+        (i.logical, i.kind, {n: v.as_text() for n, v in i.params})
+        for i in scenario.env.interfaces
+    ]
+    requirement_refs = scenario.requirement_refs()
+    threat_refs = scenario.threat_refs()
+    risk_ref = scenario.risk_ref()
+
     cases: list[TestCase] = []
     for row_ix, bindings in enumerate(binding_rows):
         activities = [
-            replace(head, bound_args={arg: texts[bindings.get(ph)] for arg, ph, texts in slots})
-            for head, slots in steps
+            BoundStep(kind, name, script_ref,
+                      {arg: texts[bindings.get(ph)] for arg, ph, texts in slots}, within_ms)
+            for (kind, name, script_ref, within_ms), slots in steps
         ]
         expectations = [
             {"matcher": a.name, "args": a.bound_args, "within_ms": a.within_ms}
@@ -326,14 +368,13 @@ def generate_cases(
             TestCase(
                 id=f"{scenario.id}-{row_ix:03d}",
                 scenario_ref=scenario.id,
-                method=scenario.method(),
-                purpose=f"Verify scenario {scenario.id!r} via the {scenario.method()} method",
-                sut_description=f"{sutdb.sut_id}: {sutdb.description}".rstrip(": "),
+                method=method,
+                purpose=purpose,
+                sut_description=sut_description,
                 environmental_needs={
                     "interfaces": [
-                        {"logical": i.logical, "kind": i.kind,
-                         "params": {n: v.as_text() for n, v in i.params}}
-                        for i in scenario.env.interfaces
+                        {"logical": logical, "kind": kind, "params": dict(params)}
+                        for logical, kind, params in interfaces
                     ],
                     "preconditions": list(scenario.env.preconditions),
                 },
@@ -349,9 +390,9 @@ def generate_cases(
                     "expectations": expectations,
                 },
                 traceability={
-                    "requirement_refs": scenario.requirement_refs(),
-                    "threat_refs": scenario.threat_refs(),
-                    "risk_ref": scenario.risk_ref(),
+                    "requirement_refs": list(requirement_refs),
+                    "threat_refs": list(threat_refs),
+                    "risk_ref": risk_ref,
                 },
                 variability=dict(bindings),
             )

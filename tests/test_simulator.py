@@ -506,6 +506,31 @@ class TestBarrier:
         finally:
             c.close()
 
+    def test_lines_split_across_writes_answered_in_order(self, server):
+        probes = ["7df#02010d", "7df#013e", "7df#0142", "7df#021003", "7df#022701",
+                  "7e0#02010d", "7df#0199"]
+        state, sent, expected = fresh(), [], []
+        for n in range(2000):
+            probe = probes[n % len(probes)]
+            state, replies = run(state, probe)
+            sent.append(probe)
+            expected.extend(replies)
+            if n % 50 == 49:
+                sent.append(f"SYNC {n}")
+                expected.append(f"SYNCED {n}")
+        wire = "".join(line + "\n" for line in sent).encode()
+        c = frames.LineClient(*server.data_endpoint)
+        try:
+            for at in range(0, len(wire), 7):
+                c.sock.sendall(wire[at:at + 7])
+            got = []
+            while len(got) < len(expected) and (line := c.recv_line(WAIT)) is not None:
+                got.append(line)
+            assert got == expected
+            assert c.recv_line(0) is None
+        finally:
+            c.close()
+
     def test_crashed_ecu_still_answers_the_barrier(self, server):
         c = frames.LineClient(*server.data_endpoint)
         try:

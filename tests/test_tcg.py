@@ -9,7 +9,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vecuforge.frames import Frame
@@ -39,6 +39,50 @@ def assert_full_coverage(domains: dict[str, list], t: int, rows: list[tuple]) ->
         seen = {tuple(row[positions[p]] for p in subset) for row in rows}
         for combo in itertools.product(*(domains[p] for p in subset)):
             assert combo in seen, f"t-tuple {dict(zip(subset, combo))} not covered"
+
+
+def reference_rows(domains: dict[str, list], t: int) -> list[tuple]:
+    """IPOG as sets of uncovered ``(combo, value-tuple)`` tuples: the same
+    growth and tie-breaks as ``covering_array``, kept here as the reference
+    its coverage flags must reproduce row for row."""
+    params = sorted(domains)
+    sizes = [len(domains[p]) for p in params]
+    rows = [list(start) for start in itertools.product(*(range(n) for n in sizes[:t]))]
+    for i in range(t, len(params)):
+        combos = list(itertools.combinations(range(i), t - 1))
+        uncovered = {
+            (combo, vals)
+            for combo in combos
+            for vals in itertools.product(*(range(sizes[c]) for c in combo), range(sizes[i]))
+        }
+        used = [0] * sizes[i]
+        for row in rows:
+            known = [combo for combo in combos if all(row[c] is not None for c in combo)]
+            hits = [
+                {(combo, tuple(row[c] for c in combo) + (v,)) for combo in known}
+                for v in range(sizes[i])
+            ]
+            best = max(range(sizes[i]), key=lambda v: (len(hits[v] & uncovered), -used[v], -v))
+            row.append(best)
+            used[best] += 1
+            uncovered -= hits[best]
+        open_rows = [[r for r in rows if r[i] == v and None in r] for v in range(sizes[i])]
+        for combo, vals in sorted(uncovered):
+            cells = combo + (i,)
+            fits = open_rows[vals[-1]]
+            fit = next(
+                (r for r in fits if all(r[c] in (None, x) for c, x in zip(cells, vals))),
+                None,
+            )
+            if fit is None:
+                fit = [None] * (i + 1)
+                rows.append(fit)
+                fits.append(fit)
+            for c, x in zip(cells, vals):
+                fit[c] = x
+    return [
+        tuple(domains[p][0 if ix is None else ix] for p, ix in zip(params, row)) for row in rows
+    ]
 
 
 def product_size(domains: dict[str, list]) -> int:
@@ -183,6 +227,33 @@ class TestInParameterOrderGrowth:
     def test_repeated_domain_value_rejected(self):
         with pytest.raises(TcgError, match="'D' repeats value '0x01'"):
             covering_array({"D": ["0x01", "0x01", "0x02"], "E": ["a", "b"]}, 2)
+
+
+def grid_domains(sizes: list[int]) -> dict[str, list[str]]:
+    return {f"P{i:02d}": [f"v{j}" for j in range(n)] for i, n in enumerate(sizes)}
+
+
+class TestEqualsTheReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=7),
+        strength=st.integers(min_value=1, max_value=4),
+    )
+    @example(sizes=[1, 1, 1], strength=2)
+    @example(sizes=[1, 3, 1, 2, 1], strength=3)
+    @example(sizes=[2, 3, 4], strength=3)
+    @example(sizes=[5, 1, 4, 2], strength=4)
+    def test_rows_equal_the_reference(self, sizes, strength):
+        domains = grid_domains(sizes)
+        t = min(strength, len(sizes))
+        assert covering_array(domains, t).rows == reference_rows(domains, t)
+
+    @pytest.mark.parametrize(
+        "k, levels, t", [(6, 4, 2), (7, 3, 2), (5, 3, 3), (12, 4, 2), (8, 3, 3)]
+    )
+    def test_rows_equal_the_reference_on_larger_grids(self, k, levels, t):
+        domains = grid_domains([levels] * k)
+        assert covering_array(domains, t).rows == reference_rows(domains, t)
 
 
 class TestSutDatabase:
@@ -516,6 +587,37 @@ class TestGenerateCases:
         }
         assert case.procedural_requirements
         assert case.expected_results["fail_condition"] == "any_expectation_missed"
+
+    def test_editing_one_case_leaves_the_others_unchanged(self, registry):
+        db = SutDatabase(sut_id="X", domains={"A": ["7d1", "7d2"], "B": ["0x01", "0x02"]})
+        text = scenario_text(
+            meta_extra='    domain_A: "A"\n    domain_B: "B"\n    threat_ref: "T-1"\n',
+            steps=(
+                "    pattern SEND_CAN_MSG(data=$B, id=$A)\n"
+                "    expect RESPONSE(service=0x3e) within 250ms"
+            ),
+        ).replace(
+            "    interface bus canlike\n",
+            "    interface bus canlike bitrate=500\n    interface tester diag\n"
+            "    precondition sut_alive\n",
+        )
+        cases = generate_cases(parse_scenario(text), db, registry, t=2)
+        assert len(cases) == 4
+        assert len(cases[0].environmental_needs["interfaces"]) == 2
+        others = [asdict(c) for c in cases[1:]]
+
+        edited = cases[0]
+        for interface in edited.environmental_needs["interfaces"]:
+            interface["params"]["bitrate"] = "1"
+            interface["kind"] = "debug"
+        edited.environmental_needs["preconditions"].append("env_ready")
+        edited.traceability["requirement_refs"].append("REQ-X")
+        edited.traceability["threat_refs"].append("T-X")
+        for step in edited.activities:
+            step.bound_args["extra"] = "x"
+        edited.expected_results["expectations"][0]["within_ms"] = 1
+        edited.expected_results["expectations"].append({"matcher": "NO_RESPONSE"})
+        assert [asdict(c) for c in cases[1:]] == others
 
     def test_serialization_deterministic(self, sutdb, registry):
         scenario = parse_scenario(
