@@ -14,8 +14,9 @@ security goals, the catalog for entry titles, negative classes and
 verification hints, and the countermeasure library; a threat whose
 catalog entry is missing, or that has no risk, is a usage error.
 
-``demo`` runs the whole pipeline against a self-started simulator
-instance and tears it down afterwards.
+``demo`` runs the whole pipeline against a simulator that it hosts in a
+thread of its own process, over TCP as the standalone stages do, and
+stops it on every exit path.
 """
 
 from __future__ import annotations
@@ -23,11 +24,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import shutil
-import subprocess
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Annotated, TypeVar
@@ -56,7 +54,9 @@ from .item_model import (
     InterfaceKind,
     Item,
     ItemError,
+    ProbeConfig,
     decode,
+    fingerprint_id_range,
     fingerprint_sut,
     item_from_dict,
     load_json,
@@ -72,6 +72,7 @@ from .reporter import (
 )
 from .scenario_dsl import DslError, parse_scenario, serialize
 from .script_registry import RegistryError, ScriptRegistry
+from .simulator import SimConfig, SimServer
 from .tcg import TcgError, TestCase, generate_cases, load_sutdb
 from .vocabulary import PATTERNS
 from .vuln_scanner import ScanError, load_vulndb
@@ -106,7 +107,7 @@ class UsageError(Exception):
 
 
 class InfraError(Exception):
-    """The environment (SUT, network, subprocess) failed, not the inputs."""
+    """The environment (SUT, network, hosted simulator) failed, not the inputs."""
 
 
 # -- run store ---------------------------------------------------------------
@@ -231,33 +232,6 @@ def _load_cases(store: RunStore) -> list[TestCase]:
     return cases
 
 
-@contextmanager
-def _sim_process(vulns: str):
-    """Spawn a simulator subprocess and guarantee its teardown."""
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "vecuforge.simulator", "--vulns", vulns],
-        stdin=subprocess.DEVNULL,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    line = proc.stdout.readline()
-    match = re.match(r"LISTENING data=(\d+) mgmt=(\d+)", line)
-    if not match:
-        proc.kill()
-        _, err = proc.communicate()
-        raise InfraError(f"simulator did not come up (got {line!r}): {err.strip()}")
-    try:
-        yield "127.0.0.1", int(match.group(1)), int(match.group(2))
-    finally:
-        proc.terminate()
-        try:
-            proc.communicate(timeout=5)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.communicate()
-
-
 # -- stages ------------------------------------------------------------------
 
 
@@ -274,6 +248,7 @@ def stage_item(store: RunStore, args) -> int:
 def stage_fingerprint(store: RunStore, args) -> int:
     item = _load_item_artifact(store)
     host, data_port, _ = _parse_endpoint(args.sim_endpoint, need_mgmt=False)
+    probe_cfg = ProbeConfig(id_range=fingerprint_id_range(item))
     fingerprints: dict[str, dict] = {}
     stamps: dict[str, str] = {}
     discrepancies: list[dict] = []
@@ -282,7 +257,7 @@ def stage_fingerprint(store: RunStore, args) -> int:
             continue
         if iface.kind not in (InterfaceKind.CANLIKE, InterfaceKind.DIAG):
             continue
-        fp = fingerprint_sut(iface.id, endpoint=(host, data_port))
+        fp = fingerprint_sut(iface.id, probe_cfg, endpoint=(host, data_port))
         doc = fp.to_dict()
         stamps[iface.id] = doc.pop("timestamp")
         fingerprints[iface.id] = doc
@@ -424,9 +399,14 @@ def stage_report(store: RunStore, args) -> int:
 def stage_demo(store: RunStore, args) -> int:
     # A bad SUT database is a usage error before any stage writes an artifact.
     load_sutdb(args.sutdb)
-    with _sim_process(args.vulns) as (host, data_port, mgmt_port):
+    try:
+        server = SimServer(SimConfig().with_vulns(args.vulns == "on")).start()
+    except OSError as exc:
+        raise InfraError(f"simulator did not come up: {exc}") from None
+    try:
+        host, data_port = server.data_endpoint
         live = argparse.Namespace(**vars(args))
-        live.sim_endpoint = f"{host}:{data_port}:{mgmt_port}"
+        live.sim_endpoint = f"{host}:{data_port}:{server.mgmt_endpoint[1]}"
         stage_item(store, live)
         stage_fingerprint(store, live)
         stage_analyze(store, live)
@@ -435,6 +415,8 @@ def stage_demo(store: RunStore, args) -> int:
         stage_tcg(store, live)
         stage_execute(store, live)
         return stage_report(store, live)
+    finally:
+        server.stop()
 
 
 _STAGES = {

@@ -489,6 +489,8 @@ class _CaseRun:
         for target in targets:
             if target not in self.session.buses:
                 raise ExecutorError(f"vulnscan: no live endpoint for {target!r}")
+            # The item is not an input of execute, so the scan sweeps
+            # ProbeConfig's default ids, not the item's fingerprint_id_range.
             fp = fingerprint_sut(target, endpoint=self.session.endpoint)
             report = scan(fp, self.res.vulndb)
             reports.append((fp.to_dict(), report))

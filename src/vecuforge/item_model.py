@@ -31,7 +31,7 @@ from enum import Enum
 from types import UnionType
 from typing import Annotated, Union
 
-from .frames import Frame, FrameError, LineClient, parse_line
+from .frames import MAX_FRAME_ID, Frame, FrameError, LineClient, hex_in, parse_line
 
 
 class ItemError(ValueError):
@@ -151,6 +151,7 @@ def validate_item(item: Item) -> None:
         if goal.target_ref not in item.element_ids():
             raise ItemError(f"goal {goal.id!r} targets unknown element {goal.target_ref!r}")
     declared_services(item)
+    fingerprint_id_range(item)
 
 
 def load_item(path: str) -> Item:
@@ -365,6 +366,21 @@ def declared_services(item: Item) -> set[int]:
     """Service bytes the item claims to expose (config key declared_services)."""
     return decode(set[ServiceByte], item.config_params.get("declared_services", []),
                   f"item {item.id!r} config_params.declared_services", ItemError)
+
+
+def fingerprint_id_range(item: Item) -> tuple[int, int]:
+    """Request ids the fingerprint sweeps (config key fingerprint_id_range):
+    two hex strings such as ``["0x7d0", "0x7ff"]``, each at most 0x7ff, the
+    lower first. Without the key, ``ProbeConfig``'s default range."""
+    raw = item.config_params.get("fingerprint_id_range")
+    if raw is None:
+        return ProbeConfig().id_range
+    ids = [hex_in(v.removeprefix("0x"), MAX_FRAME_ID) if type(v) is str else None
+           for v in (raw if type(raw) is list and len(raw) == 2 else [None])]
+    if None not in ids and ids[0] <= ids[1]:
+        return ids[0], ids[1]
+    raise ItemError(f"item {item.id!r} config_params.fingerprint_id_range: {raw!r} is not "
+                    f"two 11-bit hex frame ids, the lower first, such as [\"0x7d0\", \"0x7ff\"]")
 
 
 # -- fingerprinting -----------------------------------------------------

@@ -162,9 +162,10 @@ def covering_array(domains: dict[str, list], t: int) -> CoveringArray:
 _HEX_KEYS = {"func_id": MAX_FRAME_ID, "phys_id": MAX_FRAME_ID, "seedkey_const": 0xFF}
 
 
-def _typed_domain(key: str, raw: object) -> list[tuple[str, Value]]:
+def _typed_domain(key: str, raw: object) -> list[tuple[str, Value, bool]]:
     """A domain's texts in order, each with its value by the DSL's literal
-    rule; an integer range expands to the numbers {min, min+1, max-1, max}.
+    rule and whether it was written as a JSON string; an integer range
+    expands to the numbers {min, min+1, max-1, max}.
     A domain is a non-empty list of JSON strings and non-negative integers,
     or ``{"range": [lo, hi]}`` with two JSON integers (a boolean is none),
     or TcgError."""
@@ -175,7 +176,7 @@ def _typed_domain(key: str, raw: object) -> list[tuple[str, Value]]:
             if type(v) is not str and not (type(v) is int and v >= 0):
                 raise TcgError(f"domain {key!r} value {v!r} is not a string or a "
                                f"non-negative integer")
-        return [(str(v), literal(str(v))) for v in raw]
+        return [(str(v), literal(str(v)), type(v) is str) for v in raw]
     bounds = raw.get("range") if isinstance(raw, dict) and set(raw) == {"range"} else None
     if type(bounds) is not list or len(bounds) != 2 or any(type(b) is not int for b in bounds):
         raise TcgError(f"domain {key!r} must be a non-empty list or {{\"range\": [lo, hi]}} "
@@ -184,7 +185,7 @@ def _typed_domain(key: str, raw: object) -> list[tuple[str, Value]]:
     if hi < lo:
         raise TcgError(f"domain {key!r} has an inverted range")
     numbers = sorted({lo, min(lo + 1, hi), max(hi - 1, lo), hi})
-    return [(str(v), Value.number(v)) for v in numbers]
+    return [(str(v), Value.number(v), False) for v in numbers]
 
 
 @dataclass
@@ -200,7 +201,7 @@ class SutDatabase:
     dictionaries: dict[str, object] = field(default_factory=dict)
     domains: dict[str, object] = field(default_factory=dict)
     corpora: dict[str, tuple[Frame, ...]] = field(init=False, repr=False)
-    _typed: dict[str, list[tuple[str, Value]]] = field(init=False, repr=False)
+    _typed: dict[str, list[tuple[str, Value, bool]]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for key, top in _HEX_KEYS.items():
@@ -222,8 +223,9 @@ class SutDatabase:
                     raise TcgError(f"SUT database {key}: {exc}") from None
         self._typed = {key: _typed_domain(key, raw) for key, raw in self.domains.items()}
 
-    def domain_values(self, key: str) -> list[tuple[str, Value]]:
-        """A domain's values in order: each SUT-database text with its typed value."""
+    def domain_values(self, key: str) -> list[tuple[str, Value, bool]]:
+        """A domain's values in order: each SUT-database text with its typed
+        value and whether it was written as a JSON string."""
         if key not in self._typed:
             raise TcgError(f"SUT database has no domain {key!r}")
         return self._typed[key]
@@ -279,9 +281,13 @@ class TestCase:
 _SERVICE = "one hex byte"
 
 
-def _text(value: Value, want: str | None, where: str) -> str:
+def _text(value: Value, want: str | None, where: str, written: str | None = None) -> str:
     """A value as its slot takes it. ``want`` is the slot's declared type,
-    ``_SERVICE`` for a matcher's service, or None for an undeclared slot."""
+    ``_SERVICE`` for a matcher's service, or None for an undeclared slot.
+    ``written`` is the JSON string a SUT-database value was typed from: a
+    ``string`` slot takes that text as written, whatever its literal type."""
+    if want == "string" and written is not None:
+        return written
     fits = service_byte(value) if want == _SERVICE else want in (None, value.kind.value)
     if not fits:
         raise TcgError(f"{where} wants {want}, got {value.kind.value} {value.render()}")
@@ -326,13 +332,16 @@ def generate_cases(
         for arg, value in step.args:
             where = f"scenario {scenario.id!r} step {ix} {head[1]}, slot {arg!r}"
             ph = str(value.raw) if value.kind is ValueKind.PLACEHOLDER else None
-            pairs = domains[ph] if ph else [(None, value)]
-            slots.append((arg, ph, {text: _text(v, types.get(arg), where) for text, v in pairs}))
+            entries = domains[ph] if ph else [(None, value, False)]
+            slots.append((arg, ph, {
+                text: _text(v, types.get(arg), where, text if is_str else None)
+                for text, v, is_str in entries
+            }))
         steps.append((head, slots))
 
     if placeholders:
         array = covering_array(
-            {name: [text for text, _ in values] for name, values in domains.items()},
+            {name: [text for text, *_ in values] for name, values in domains.items()},
             min(t, len(placeholders)),
         )
         binding_rows = array.row_dicts()

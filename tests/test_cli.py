@@ -6,14 +6,17 @@ import json
 import os
 import random
 import shutil
+import socket
 import subprocess
 import sys
+import threading
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
 import vecuforge
+from vecuforge import cli
 from vecuforge.analysis import RequirementKind, SecurityRequirement, VerificationHint
 from vecuforge.cli import (
     EXIT_FINDINGS,
@@ -25,10 +28,9 @@ from vecuforge.cli import (
     RunStore,
     UsageError,
     _STAGES,
-    _sim_process,
     main,
 )
-from vecuforge.simulator import SimConfig
+from vecuforge.simulator import SimConfig, SimServer
 
 OFFLINE_STAGES = ("item", "analyze", "concept", "plan", "tcg")
 
@@ -528,6 +530,40 @@ class TestFingerprintStage:
         kinds = {(d["kind"], d["service"]) for d in disc["discrepancies"]}
         assert ("undeclared_service", "42") in kinds
 
+    @staticmethod
+    def item_with_id_range(tmp_path: Path, samples_dir: Path, raw) -> Path:
+        doc = json.loads((samples_dir / "item.json").read_text())
+        doc["config_params"]["fingerprint_id_range"] = raw
+        item = tmp_path / "item.json"
+        item.write_text(json.dumps(doc))
+        return item
+
+    def test_sweeps_the_items_id_range(self, tmp_path, samples_dir, sim_factory):
+        item = self.item_with_id_range(tmp_path, samples_dir, ["0x700", "0x701"])
+        run_dir = tmp_path / "run"
+        assert run_cli("item", "--run-dir", str(run_dir), "--item", str(item)) == EXIT_OK
+        code = run_cli("fingerprint", "--run-dir", str(run_dir),
+                       "--sim-endpoint", endpoint_of(sim_factory(SimConfig())))
+        assert code == EXIT_OK
+        fp = json.loads((run_dir / "fingerprint.json").read_text())["fingerprints"]["IF-CAN"]
+        assert fp["responding_request_ids"] == []
+        disc = json.loads((run_dir / "discrepancies.json").read_text())["discrepancies"]
+        declared = json.loads(item.read_text())["config_params"]["declared_services"]
+        assert [(d["kind"], d["service"]) for d in disc] == [
+            ("declared_but_silent", s[2:]) for s in declared
+        ]
+
+    @pytest.mark.parametrize("raw", [["0x7ff", "0x7d0"], ["0x7d0", "0x800"], ["0x7d0"],
+                                     ["0x7d0", 2047], "0x7d0-0x7ff", ["0x7d0", "zz"]],
+                             ids=["inverted", "above-11-bit", "one-bound", "number",
+                                  "string", "not-hex"])
+    def test_bad_id_range_stops_the_item_stage(self, tmp_path, samples_dir, capsys, raw):
+        item = self.item_with_id_range(tmp_path, samples_dir, raw)
+        run_dir = tmp_path / "run"
+        assert run_cli("item", "--run-dir", str(run_dir), "--item", str(item)) == EXIT_USAGE
+        assert "config_params.fingerprint_id_range" in capsys.readouterr().err
+        assert not (run_dir / "item.json").exists()
+
     def test_requires_endpoint(self, tmp_path, capsys):
         assert run_cli("item", "--run-dir", str(tmp_path)) == EXIT_OK
         assert run_cli("fingerprint", "--run-dir", str(tmp_path)) == EXIT_USAGE
@@ -691,7 +727,39 @@ class TestDemo:
         assert not (run_dir / "item.json").exists()
         assert not (run_dir / "fingerprint.json").exists()
 
-    def test_simulator_start_failure_carries_its_stderr(self):
-        with pytest.raises(InfraError, match="invalid choice"):
-            with _sim_process("maybe"):
-                pass
+    def test_simulator_that_cannot_bind_is_an_infra_error(self, tmp_path, monkeypatch, capsys):
+        def refuse(host, port):
+            raise OSError(98, "Address already in use")
+
+        monkeypatch.setattr(SimServer, "_listen", staticmethod(refuse))
+        run_dir = tmp_path / "run"
+        assert run_cli("demo", "--run-dir", str(run_dir)) == EXIT_INFRA
+        assert "Address already in use" in capsys.readouterr().err
+        assert not (run_dir / "item.json").exists()
+
+    @pytest.mark.parametrize("error", [InfraError("stage broke"), RuntimeError("stage broke")],
+                             ids=["infra-error", "uncaught"])
+    def test_simulator_stops_when_a_stage_raises(self, tmp_path, monkeypatch, error):
+        def sim_threads() -> set[threading.Thread]:
+            return {t for t in threading.enumerate() if t.name == "sut-sim"}
+
+        before = sim_threads()
+        seen = {}
+
+        def broken_stage(store, args):
+            seen["endpoint"] = args.sim_endpoint
+            seen["hosted"] = sim_threads() - before
+            raise error
+
+        monkeypatch.setattr(cli, "stage_concept", broken_stage)
+        if isinstance(error, InfraError):
+            assert run_cli("demo", "--run-dir", str(tmp_path)) == EXIT_INFRA
+        else:
+            with pytest.raises(RuntimeError, match="stage broke"):
+                run_cli("demo", "--run-dir", str(tmp_path))
+        assert (tmp_path / "fingerprint.json").exists()
+        assert seen["hosted"], "the demo hosts its simulator in a thread of its own process"
+        assert not sim_threads() - before
+        host, data_port, _ = seen["endpoint"].split(":")
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((host, int(data_port)), timeout=2.0).close()

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import base64
 import json
+import os
+import re
+import subprocess
+import sys
 import time
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -560,3 +565,37 @@ class TestBarrier:
         finally:
             client.close()
             srv.stop()
+
+
+class TestEntryPoint:
+    def test_module_serves_both_endpoints_until_terminated(self):
+        """``python -m vecuforge.simulator``, as perfbench and stage-by-stage use start it."""
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "vecuforge.simulator", "--vulns", "off"],
+            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env, text=True,
+        )
+        try:
+            match = re.fullmatch(r"LISTENING data=(\d+) mgmt=(\d+)\n", proc.stdout.readline())
+            assert match, proc.stderr.read() if proc.poll() is not None else "no LISTENING line"
+            data = frames.LineClient("127.0.0.1", int(match.group(1)))
+            mgmt = frames.LineClient("127.0.0.1", int(match.group(2)))
+            try:
+                data.send_line("SYNC 1")
+                assert data.recv_line(WAIT) == "SYNCED 1"
+                mgmt.send_line("DUMP")
+                reply = mgmt.recv_line(WAIT)
+                assert reply is not None and reply.startswith("OK ")
+                assert load_state(reply.split(" ", 1)[1]).config == SimConfig().with_vulns(False)
+            finally:
+                data.close()
+                mgmt.close()
+            proc.terminate()
+            proc.wait(timeout=5)  # TimeoutExpired if SIGTERM does not end it
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.communicate()

@@ -260,9 +260,9 @@ class TestSutDatabase:
     def test_load_bundled(self, samples_dir):
         db = load_sutdb(samples_dir / "sutdb.json")
         assert db.sut_id == "SIM-ECU-01"
-        assert db.domain_values("DID") == [("0xf190", Value.hexbytes(b"\xf1\x90"))]
+        assert db.domain_values("DID") == [("0xf190", Value.hexbytes(b"\xf1\x90"), True)]
         assert db.domain_values("REQ_ID") == [
-            ("7df", Value.string("7df")), ("7e0", Value.string("7e0")),
+            ("7df", Value.string("7df"), True), ("7e0", Value.string("7e0"), True),
         ]
         assert "func_id" in db.slot_values()
         assert db.corpora["fuzz_corpus"][0] == Frame(0x7DF, bytes.fromhex("02010d"))
@@ -270,12 +270,14 @@ class TestSutDatabase:
 
     def test_range_expands_to_boundaries(self):
         db = SutDatabase(sut_id="X", domains={"N": {"range": [0, 10]}})
-        assert db.domain_values("N") == [(str(n), Value.number(n)) for n in (0, 1, 9, 10)]
+        assert db.domain_values("N") == [(str(n), Value.number(n), False)
+                                         for n in (0, 1, 9, 10)]
 
     def test_degenerate_ranges(self):
         db = SutDatabase(sut_id="X", domains={"A": {"range": [5, 5]}, "B": {"range": [5, 6]}})
-        assert db.domain_values("A") == [("5", Value.number(5))]
-        assert db.domain_values("B") == [("5", Value.number(5)), ("6", Value.number(6))]
+        assert db.domain_values("A") == [("5", Value.number(5), False)]
+        assert db.domain_values("B") == [("5", Value.number(5), False),
+                                         ("6", Value.number(6), False)]
 
     @pytest.mark.parametrize(
         "text, value",
@@ -285,7 +287,9 @@ class TestSutDatabase:
          ("12 # note", Value.string("12 # note")), ("\u00b2", Value.string("\u00b2"))],
     )
     def test_domain_values_follow_the_dsl_literal_rule(self, text, value):
-        assert SutDatabase(sut_id="X", domains={"A": [text]}).domain_values("A") == [(text, value)]
+        assert SutDatabase(sut_id="X", domains={"A": [text]}).domain_values("A") == [
+            (text, value, True)
+        ]
 
     def test_unknown_domain_named(self):
         db = SutDatabase(sut_id="X")
@@ -460,6 +464,30 @@ class TestGenerateCases:
         )
         cases = generate_cases(scenario, db, registry)
         assert {c.activities[0].bound_args["id"] for c in cases} == {"7df", "7e0"}
+
+    def test_json_string_of_digits_fills_a_string_slot_as_written(self, registry):
+        db = SutDatabase(sut_id="X", domains={"REQ_ID": ["123", "0x7df"]})
+        scenario = parse_scenario(
+            scenario_text(
+                meta_extra='    domain_REQ_ID: "REQ_ID"\n',
+                steps="    pattern SEND_CAN_MSG(data=0x013e, id=$REQ_ID)",
+            )
+        )
+        cases = generate_cases(scenario, db, registry)
+        assert [c.activities[0].bound_args["id"] for c in cases] == ["123", "0x7df"]
+        assert [c.input_data["bindings"] for c in cases] == [{"REQ_ID": "123"},
+                                                            {"REQ_ID": "0x7df"}]
+
+    def test_json_integer_cannot_fill_a_string_slot(self, registry):
+        db = SutDatabase(sut_id="X", domains={"REQ_ID": [123]})
+        scenario = parse_scenario(
+            scenario_text(
+                meta_extra='    domain_REQ_ID: "REQ_ID"\n',
+                steps="    pattern SEND_CAN_MSG(data=0x013e, id=$REQ_ID)",
+            )
+        )
+        with pytest.raises(TcgError, match="slot 'id' wants string, got number 123"):
+            generate_cases(scenario, db, registry)
 
     def test_slot_type_decides_the_text(self, registry):
         db = SutDatabase(sut_id="X", dictionaries={"bus": "can0"},
