@@ -6,6 +6,4 @@ phrase scenarios in a small DSL, expand them into concrete cases, run
 them against a bundled virtual ECU and fold the results into a report.
 """
 
-from __future__ import annotations
-
 __version__ = "0.1.0"

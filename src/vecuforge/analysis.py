@@ -9,8 +9,6 @@ threat class. The two halves run as separate stages, and the concept is
 derived from the threats and risks the analysis stage wrote.
 """
 
-from __future__ import annotations
-
 import json
 from dataclasses import dataclass, field
 from enum import Enum

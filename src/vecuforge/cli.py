@@ -19,8 +19,6 @@ thread of its own process, over TCP as the standalone stages do, and
 stops it on every exit path.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -179,14 +177,15 @@ def _parse_endpoint(text: str | None, *, need_mgmt: bool) -> tuple[str, int, int
             "this stage talks to a running SUT; pass --sim-endpoint "
             "host:data_port" + (":mgmt_port" if need_mgmt else "[:mgmt_port]")
         )
-    parts = text.split(":")
+    host, *parts = text.split(":")
     try:
-        if len(parts) == 3:
-            return parts[0], int(parts[1]), int(parts[2])
-        if len(parts) == 2 and not need_mgmt:
-            return parts[0], int(parts[1]), 0
+        ports = [int(part) for part in parts]
     except ValueError:
-        pass
+        ports = []
+    if len(ports) == 2 or (len(ports) == 1 and not need_mgmt):
+        if not all(0 < port < 65536 for port in ports):
+            raise UsageError(f"--sim-endpoint {text!r}: a port must be in 1-65535")
+        return host, ports[0], ports[1] if len(ports) == 2 else 0
     raise UsageError(f"cannot parse --sim-endpoint {text!r}")
 
 

@@ -18,8 +18,6 @@ once, and a token that does not parse, as from a hand-edited case or
 script file, gives its case verdict ``error``.
 """
 
-from __future__ import annotations
-
 import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone

@@ -12,8 +12,6 @@ the reply lines before a ``SYNCED`` are all the replies to the frame
 before the matching ``SYNC``: no exchange ends on a guessed idle gap.
 """
 
-from __future__ import annotations
-
 import re
 import socket
 import time

@@ -24,8 +24,6 @@ went down in counts in ``frames_sent`` but is neither drawn, built nor
 delivered, since a crashed SUT answers nothing until the next restore.
 """
 
-from __future__ import annotations
-
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import cache

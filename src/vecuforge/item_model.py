@@ -17,13 +17,10 @@ answer tester present at all; that case reports an empty surface, which
 reconcile() will flag against the declaration.
 """
 
-from __future__ import annotations
-
 import dataclasses
 import functools
 import json
 import re
-import sys
 import typing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -222,7 +219,9 @@ def decode(kind, value, where: str, error: type[ValueError]):
       ``"3"`` no int; an int is accepted where a float is expected.
 
     A dataclass's own check (``__post_init__``) that raises ``ValueError``
-    is ``error`` too, prefixed with the path of the record.
+    is ``error`` too, prefixed with the path of the record. Field types are
+    read as the type objects the class holds, so a module whose records are
+    decoded must not turn annotations into strings.
     """
     try:
         return _reader(kind)(value)
@@ -321,18 +320,9 @@ def _object_reader(read, build):
     return read_object
 
 
-@functools.cache
-def _annotation(text: str, module: str):
-    """A field's annotation string resolved in its module, once per text."""
-    return eval(text, vars(sys.modules[module]))
-
-
 def _record_reader(cls):
     fields = [f for f in dataclasses.fields(cls) if f.init]
-    readers = {
-        f.name: _reader(_annotation(f.type, cls.__module__) if isinstance(f.type, str) else f.type)
-        for f in fields
-    }
+    readers = {f.name: _reader(f.type) for f in fields}
     derived = {f.name for f in dataclasses.fields(cls) if not f.init}
     required = [f.name for f in fields if f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING]

@@ -7,8 +7,6 @@ gets a positive/negative pair around the protected function, fuzzing
 and vulnerability scanning each get one interface-level scenario.
 """
 
-from __future__ import annotations
-
 import hashlib
 import itertools
 import json

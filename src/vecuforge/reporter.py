@@ -10,8 +10,6 @@ section instead. The machine rendering isolates timestamps in one header
 block so reports from equal campaigns diff clean.
 """
 
-from __future__ import annotations
-
 import json
 from dataclasses import dataclass, field
 

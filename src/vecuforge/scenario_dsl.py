@@ -27,23 +27,31 @@ Example::
       }
     }
 
+Lexical rules, one alternative of ``_TOKEN_RE`` per token kind: blanks,
+tabs, carriage returns, newlines and ``#`` comments (to the end of the
+line) separate tokens; punctuation is one of ``{ } ( ) , : = .``; a
+STRING is double-quoted text on one line, in which a backslash escapes a
+double quote or a backslash and nothing else; a PLACEHOLDER is ``$`` and
+a name; an IDENT (keywords included) is a name: a letter or ``_``, then
+letters, digits and ``_``; HEXBYTES is ``0x`` or ``0X`` and an even
+number of hex digits; a NUMBER is decimal digits.
+
 Parsing normalizes argument and meta ordering, so semantically equal
 scenarios serialize to byte-identical canonical text (2-space indent,
-lowercase hex, sorted keys). ``#`` starts a line comment.
+lowercase hex, sorted keys). A scenario id is also a file name, so it
+may not contain ``/`` or be ``.`` or ``..``.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .vocabulary import CONDITIONS, MATCHERS, PATTERNS, PRECONDITIONS
 
 METHODS = ("functional", "interface", "penetration", "vulnscan", "fuzz")
 ENV_KINDS = ("canlike", "diag", "debug")
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _UPPER_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 
 
@@ -195,8 +203,7 @@ class Scenario:
 # -- tokenizer ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -206,92 +213,56 @@ class _Token:
 
 _PUNCT = {"{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
           ",": "COMMA", ":": "COLON", "=": "EQUALS", ".": "DOT"}
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+# One alternative per token kind, tried in this order; MISMATCH is any other
+# character. A STRING without its closing quote still matches, so the
+# scanner can say why it stopped.
+_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("SKIP", r"(?:[ \t\r\n]|#[^\n]*)+"),
+    ("PUNCT", r"[{}(),:=.]"),
+    ("STRING", r'"(?:[^"\\\n]|\\["\\])*(?P<CLOSE>")?'),
+    ("PLACEHOLDER", r"\$" + _NAME),
+    ("HEXBYTES", r"0[xX][0-9a-fA-F]*"),
+    ("NUMBER", r"[0-9]+"),
+    ("IDENT", _NAME),
+    ("MISMATCH", r"(?s:.)"),
+)))
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, tok, start = m.lastgroup, m.group(), m.start()
+        col = start - line_start + 1
+        if kind == "SKIP":
+            if "\n" in tok:
+                line += tok.count("\n")
+                line_start = text.rindex("\n", start, m.end()) + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            out: list[str] = []
-            while j < n:
-                c = text[j]
-                if c == "\\":
-                    if j + 1 >= n or text[j + 1] not in ('"', "\\"):
-                        raise DslError("bad escape in string", line, col + (j - i))
-                    out.append(text[j + 1])
-                    j += 2
-                    continue
-                if c == '"':
-                    break
-                if c == "\n":
-                    raise DslError("unterminated string", line, col)
-                out.append(c)
-                j += 1
-            else:
+        if kind == "PUNCT":
+            kind, value = _PUNCT[tok], None
+        elif kind == "STRING":
+            if m.group("CLOSE") is None:
+                if text.startswith("\\", m.end()):
+                    raise DslError("bad escape in string", line, col + m.end() - start)
                 raise DslError("unterminated string", line, col)
-            if j >= n:
-                raise DslError("unterminated string", line, col)
-            tokens.append(_Token("STRING", text[i : j + 1], line, col, "".join(out)))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch == "$":
-            m = _IDENT_RE.match(text, i + 1)
-            if not m:
-                raise DslError("'$' must be followed by a placeholder name", line, col)
-            tokens.append(_Token("PLACEHOLDER", text[i : m.end()], line, col, m.group()))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if text.startswith("0x", i) or text.startswith("0X", i):
-            j = i + 2
-            while j < n and text[j] in "0123456789abcdefABCDEF":
-                j += 1
-            digits = text[i + 2 : j]
-            if len(digits) % 2 != 0:
-                raise DslError(f"hex bytes need an even digit count, got {len(digits)}", line, col)
-            tokens.append(_Token("HEXBYTES", text[i:j], line, col, bytes.fromhex(digits)))
-            col += j - i
-            i = j
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(_Token("NUMBER", text[i:j], line, col, int(text[i:j])))
-            col += j - i
-            i = j
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("IDENT", m.group(), line, col, m.group()))
-            col += m.end() - i
-            i = m.end()
-            continue
-        raise DslError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+            value = _ESCAPE_RE.sub(r"\1", tok[1:-1])
+        elif kind == "HEXBYTES":
+            if len(tok) % 2:
+                raise DslError(f"hex bytes need an even digit count, got {len(tok) - 2}", line, col)
+            value = bytes.fromhex(tok[2:])
+        elif kind == "NUMBER":
+            value = int(tok)
+        elif kind in ("PLACEHOLDER", "IDENT"):
+            value = tok.removeprefix("$")
+        elif tok == "$":
+            raise DslError("'$' must be followed by a placeholder name", line, col)
+        else:
+            raise DslError(f"unexpected character {tok!r}", line, col)
+        tokens.append(_Token(kind, tok, line, col, value))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -333,8 +304,12 @@ class _Parser:
     def scenario(self) -> Scenario:
         self.keyword("scenario")
         id_tok = self.expect("STRING", "scenario id string")
-        if not str(id_tok.value):
+        if not id_tok.value:
             raise DslError("scenario id must be non-empty", id_tok.line, id_tok.col)
+        if "/" in id_tok.value or id_tok.value in (".", ".."):
+            raise DslError(
+                f"scenario id {id_tok.value!r} is not a plain file name", id_tok.line, id_tok.col
+            )
         self.expect("LBRACE", "'{'")
         meta = self.meta()
         env = self.env()
@@ -344,7 +319,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "EOF":
             raise DslError(f"trailing input {tok.text!r}", tok.line, tok.col)
-        return Scenario(id=str(id_tok.value), meta=meta, env=env, steps=steps, oracle=oracle)
+        return Scenario(id=id_tok.value, meta=meta, env=env, steps=steps, oracle=oracle)
 
     def meta(self) -> Args:
         self.keyword("meta")
@@ -504,15 +479,14 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def literal(text: str) -> Value:
-    """Text from a JSON input, typed by the DSL's literal rule: one whole
-    ``HEXBYTES`` token is hexbytes, one ``NUMBER`` token a number, else a string."""
-    try:
-        tokens = _tokenize(text)
-    except DslError:
-        return Value.string(text)
-    tok = tokens[0]
-    if len(tokens) == 2 and tok.text == text and tok.kind in ("HEXBYTES", "NUMBER"):
-        return Value(ValueKind[tok.kind], tok.value)
+    """Text from a JSON input, typed by the DSL's literal rule: text that is
+    one whole ``HEXBYTES`` token is hexbytes, one ``NUMBER`` token a number,
+    anything else a string."""
+    m = _TOKEN_RE.fullmatch(text)
+    if m and m.lastgroup == "NUMBER":
+        return Value.number(int(text))
+    if m and m.lastgroup == "HEXBYTES" and len(text) % 2 == 0:
+        return Value.hexbytes(bytes.fromhex(text[2:]))
     return Value.string(text)
 
 
@@ -524,7 +498,7 @@ def _render_args(args: Args) -> str:
 
 
 def serialize(scenario: Scenario) -> str:
-    lines = [f'scenario "{scenario.id}" {{']
+    lines = [f"scenario {Value.string(scenario.id).render()} {{"]
     lines.append("  meta {")
     for key, value in scenario.meta:
         lines.append(f"    {key}: {value.render()}")

@@ -9,8 +9,6 @@ decimal, bare lowercase hex). Commands are never given to a real shell;
 the executor routes them to internal tool handlers by the first word.
 """
 
-from __future__ import annotations
-
 import re
 from dataclasses import dataclass
 from pathlib import Path

@@ -32,8 +32,6 @@ and RESET. State dumps are canonical: loading a dump and dumping again
 yields identical bytes.
 """
 
-from __future__ import annotations
-
 import argparse
 import base64
 import json

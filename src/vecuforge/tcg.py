@@ -9,8 +9,6 @@ traceability. A bound value fills a slot only if its kind is the slot's
 declared type, and that type alone decides its text.
 """
 
-from __future__ import annotations
-
 import itertools
 from dataclasses import dataclass, field
 from operator import mul

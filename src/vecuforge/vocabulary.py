@@ -9,8 +9,6 @@ oracle condition to its predicate over the facts that
 ``executor._CaseRun.facts`` records for a case.
 """
 
-from __future__ import annotations
-
 PATTERNS = frozenset(
     {
         "SEND_CAN_MSG",

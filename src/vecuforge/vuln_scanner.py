@@ -6,8 +6,6 @@ entries become findings with concrete evidence; entries that declare a
 follow-up template emit a follow-up task stub.
 """
 
-from __future__ import annotations
-
 import re
 from dataclasses import dataclass, field
 from pathlib import Path

@@ -514,6 +514,34 @@ class TestOfflineStages:
         assert "--run-dir" in capsys.readouterr().err
 
 
+class TestScenarioIdsAreFileNames:
+    """A scenario id names its ``.scn`` file and its cases' files, so an id
+    that is not a plain file name stops the stage before it writes."""
+
+    def test_item_id_with_a_slash_stops_plan(self, tmp_path, samples_dir, capsys):
+        doc = json.loads((samples_dir / "item.json").read_text())
+        doc["id"] = "ECU/01"
+        item = tmp_path / "item.json"
+        item.write_text(json.dumps(doc))
+        run_dir = tmp_path / "run"
+        assert run_cli("item", "--run-dir", str(run_dir), "--item", str(item)) == EXIT_OK
+        for stage in ("analyze", "concept"):
+            assert run_cli(stage, "--run-dir", str(run_dir)) == EXIT_OK
+        assert run_cli("plan", "--run-dir", str(run_dir)) == EXIT_USAGE
+        assert "scenario id 'vulnscan-ecu/01' is not a plain file name" in capsys.readouterr().err
+        assert not (run_dir / "plan.json").exists()
+        assert not (run_dir / "scenarios").exists()
+
+    def test_hand_edited_scenario_id_stops_tcg(self, tmp_path, capsys):
+        offline_chain(tmp_path)
+        cases_before = run_files(tmp_path / "cases")
+        scn = tmp_path / "scenarios" / "fuzz-if-can.scn"
+        scn.write_text(scn.read_text().replace('scenario "fuzz-if-can"', 'scenario "fuzz/if-can"'))
+        assert run_cli("tcg", "--run-dir", str(tmp_path)) == EXIT_USAGE
+        assert "'fuzz/if-can' is not a plain file name" in capsys.readouterr().err
+        assert run_files(tmp_path / "cases") == cases_before
+
+
 class TestFingerprintStage:
     def test_probes_and_reconciles(self, tmp_path, sim_factory):
         server = sim_factory(SimConfig())
@@ -567,6 +595,25 @@ class TestFingerprintStage:
     def test_requires_endpoint(self, tmp_path, capsys):
         assert run_cli("item", "--run-dir", str(tmp_path)) == EXIT_OK
         assert run_cli("fingerprint", "--run-dir", str(tmp_path)) == EXIT_USAGE
+        assert "--sim-endpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offset", [65536, -65536], ids=["above", "negative"])
+    def test_port_outside_the_tcp_range_is_a_usage_error(self, tmp_path, sim_factory,
+                                                         capsys, offset):
+        server = sim_factory(SimConfig())
+        assert run_cli("item", "--run-dir", str(tmp_path)) == EXIT_OK
+        port = server.data_endpoint[1] + offset
+        code = run_cli("fingerprint", "--run-dir", str(tmp_path),
+                       "--sim-endpoint", f"127.0.0.1:{port}")
+        assert code == EXIT_USAGE
+        assert "--sim-endpoint" in capsys.readouterr().err
+        assert not (tmp_path / "fingerprint.json").exists()
+
+    @pytest.mark.parametrize("endpoint", ["127.0.0.1:0:1", "127.0.0.1:1:65536", "127.0.0.1:1:0"])
+    def test_ports_must_be_1_to_65535(self, tmp_path, capsys, endpoint):
+        offline_chain(tmp_path)
+        assert run_cli("execute", "--run-dir", str(tmp_path),
+                       "--sim-endpoint", endpoint) == EXIT_USAGE
         assert "--sim-endpoint" in capsys.readouterr().err
 
     def test_unreachable_sut_is_infrastructure(self, tmp_path):

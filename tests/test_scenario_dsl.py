@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,9 @@ from vecuforge.scenario_dsl import (
     PatternStep,
     Scenario,
     Value,
+    ValueKind,
+    _tokenize,
+    literal,
     parse_scenario,
     serialize,
     validate,
@@ -168,6 +174,13 @@ class TestCanonicalForm:
         assert a == b
         assert serialize(a) == serialize(b)
 
+    def test_id_is_written_as_a_string_literal(self):
+        scn = parse_scenario(MINIMAL.replace('scenario "s"', r'scenario "a\"b\\c"'))
+        assert scn.id == 'a"b\\c'
+        canonical = serialize(scn)
+        assert canonical.startswith('scenario "a\\"b\\\\c" {\n')
+        assert parse_scenario(canonical) == scn
+
     def test_hexbytes_lowercased(self):
         scn = parse_scenario(MINIMAL.replace("pattern TESTER_PRESENT()",
                                              "pattern SEND_CAN_MSG(data=0x02010D)"))
@@ -204,6 +217,17 @@ class TestSemanticRules:
     def test_empty_id(self):
         with pytest.raises(DslError, match="non-empty"):
             parse_scenario(MINIMAL.replace('scenario "s"', 'scenario ""'))
+
+    @pytest.mark.parametrize("ident", ["vulnscan-ecu/01", "/", ".", ".."])
+    def test_id_that_is_not_a_plain_file_name(self, ident):
+        with pytest.raises(DslError, match="is not a plain file name") as exc_info:
+            parse_scenario(MINIMAL.replace('scenario "s"', f'scenario "{ident}"'))
+        assert repr(ident) in exc_info.value.message
+        assert (exc_info.value.line, exc_info.value.col) == (2, 10)
+
+    @pytest.mark.parametrize("ident", ["a.b", "...", ".hidden", "ecu-01"])
+    def test_dotted_ids_that_are_file_names(self, ident):
+        assert parse_scenario(MINIMAL.replace('scenario "s"', f'scenario "{ident}"')).id == ident
 
     def test_lowercase_pattern_name(self):
         with pytest.raises(DslError, match="uppercase"):
@@ -280,8 +304,10 @@ class TestValidate:
 
 lower_name = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
 upper_name = st.from_regex(r"[A-Z][A-Z0-9_]{0,8}", fullmatch=True)
-safe_text = st.text(
-    alphabet=st.sampled_from('abcdefghijklmnopqrstuvwxyz0123456789 _-."\\#:$(){}'), max_size=12
+SAFE_ALPHABET = 'abcdefghijklmnopqrstuvwxyz0123456789 _-."\\#:$(){}'
+safe_text = st.text(alphabet=st.sampled_from(SAFE_ALPHABET), max_size=12)
+scenario_id = st.text(alphabet=st.sampled_from(SAFE_ALPHABET), min_size=1, max_size=12).filter(
+    lambda s: "/" not in s and s not in (".", "..")
 )
 
 value = st.one_of(
@@ -320,7 +346,7 @@ def scenarios(draw):
             steps.append(ExpectStep(draw(upper_name), unique_args(draw), within))
     cond = st.lists(lower_name, min_size=1, max_size=3).map(".".join)
     oracle = OracleSpec(draw(cond), draw(cond))
-    ident = draw(st.from_regex(r"[a-z][a-z0-9\-]{0,10}", fullmatch=True))
+    ident = draw(scenario_id)
     return Scenario(ident, tuple(meta), EnvSpec(interfaces, preconditions), tuple(steps), oracle)
 
 
@@ -335,3 +361,184 @@ def test_parse_serialize_identity(scn):
 def test_canonical_fixpoint(scn):
     canonical = serialize(scn)
     assert serialize(parse_scenario(canonical)) == canonical
+
+
+# -- the token pattern against the character-loop tokenizer it replaced ----
+#
+# ``reference_tokenize`` and ``reference_literal`` are the tokenizer and the
+# literal rule as they were before ``_TOKEN_RE``: one character per loop turn,
+# line and column counted by hand. The scanner must give the same tokens or
+# the same error everywhere, except for the end-of-input column, which the
+# loop never advanced over a comment.
+
+
+@dataclass(frozen=True)
+class RefToken:
+    kind: str
+    text: str
+    line: int
+    col: int
+    value: object = None
+
+
+REF_PUNCT = {"{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
+             ",": "COMMA", ":": "COLON", "=": "EQUALS", ".": "DOT"}
+REF_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def reference_tokenize(text: str) -> list[RefToken]:
+    tokens: list[RefToken] = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch in REF_PUNCT:
+            tokens.append(RefToken(REF_PUNCT[ch], ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch == '"':
+            j = i + 1
+            out: list[str] = []
+            while j < n:
+                c = text[j]
+                if c == "\\":
+                    if j + 1 >= n or text[j + 1] not in ('"', "\\"):
+                        raise DslError("bad escape in string", line, col + (j - i))
+                    out.append(text[j + 1])
+                    j += 2
+                    continue
+                if c == '"':
+                    break
+                if c == "\n":
+                    raise DslError("unterminated string", line, col)
+                out.append(c)
+                j += 1
+            else:
+                raise DslError("unterminated string", line, col)
+            if j >= n:
+                raise DslError("unterminated string", line, col)
+            tokens.append(RefToken("STRING", text[i : j + 1], line, col, "".join(out)))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if ch == "$":
+            m = REF_IDENT_RE.match(text, i + 1)
+            if not m:
+                raise DslError("'$' must be followed by a placeholder name", line, col)
+            tokens.append(RefToken("PLACEHOLDER", text[i : m.end()], line, col, m.group()))
+            col += m.end() - i
+            i = m.end()
+            continue
+        if text.startswith("0x", i) or text.startswith("0X", i):
+            j = i + 2
+            while j < n and text[j] in "0123456789abcdefABCDEF":
+                j += 1
+            digits = text[i + 2 : j]
+            if len(digits) % 2 != 0:
+                raise DslError(f"hex bytes need an even digit count, got {len(digits)}", line, col)
+            tokens.append(RefToken("HEXBYTES", text[i:j], line, col, bytes.fromhex(digits)))
+            col += j - i
+            i = j
+            continue
+        if "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            tokens.append(RefToken("NUMBER", text[i:j], line, col, int(text[i:j])))
+            col += j - i
+            i = j
+            continue
+        m = REF_IDENT_RE.match(text, i)
+        if m:
+            tokens.append(RefToken("IDENT", m.group(), line, col, m.group()))
+            col += m.end() - i
+            i = m.end()
+            continue
+        raise DslError(f"unexpected character {ch!r}", line, col)
+    tokens.append(RefToken("EOF", "", line, col))
+    return tokens
+
+
+def reference_literal(text: str) -> Value:
+    try:
+        tokens = reference_tokenize(text)
+    except DslError:
+        return Value.string(text)
+    tok = tokens[0]
+    if len(tokens) == 2 and tok.text == text and tok.kind in ("HEXBYTES", "NUMBER"):
+        return Value(ValueKind[tok.kind], tok.value)
+    return Value.string(text)
+
+
+def scan(tokenize, text: str):
+    """The tokens as plain tuples, or the error's message and position."""
+    try:
+        return [(t.kind, t.text, t.line, t.col, t.value) for t in tokenize(text)]
+    except DslError as exc:
+        return ("error", exc.message, exc.line, exc.col)
+
+
+def assert_scans_like_reference(text: str) -> None:
+    new, old = scan(_tokenize, text), scan(reference_tokenize, text)
+    if isinstance(new, list) and isinstance(old, list):
+        # The end of input sits one column past the last line's last character.
+        assert new[-1][3] == len(text) - text.rfind("\n")
+        new[-1], old[-1] = new[-1][:3], old[-1][:3]
+    assert new == old, text
+
+
+DSL_ALPHABET = 'abfxzAFXZ_019 \t\r\n#"\\$0x{}(),:=.-é'
+DSL_FRAGMENTS = ["0x", "0X", "0x0", "12", "ab", "$", "$P", '"', '\\"', "\\\\", "\\", "#",
+                 "# c\n", "\n", " ", "\t", "\r", "{", "}", "(", ")", ",", ":", "=", ".",
+                 "-", "é", "scenario", '"s"', "=0x02010d"]
+dsl_text = st.one_of(
+    st.text(alphabet=st.sampled_from(DSL_ALPHABET), max_size=40),
+    st.lists(st.sampled_from(DSL_FRAGMENTS), max_size=20).map("".join),
+)
+CORPUS_FILES = VALID + INVALID
+
+
+class TestScannerMatchesReference:
+    @pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: f"{p.parent.name}-{p.stem}")
+    def test_corpus_file(self, path):
+        assert_scans_like_reference(path.read_text())
+
+    @pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: f"{p.parent.name}-{p.stem}")
+    def test_single_character_insertions(self, path):
+        text = path.read_text()
+        rng = random.Random(path.name)
+        for _ in range(50):
+            at = rng.randrange(len(text) + 1)
+            assert_scans_like_reference(text[:at] + rng.choice(DSL_ALPHABET) + text[at:])
+
+    @given(dsl_text)
+    @settings(max_examples=500)
+    def test_generated_text(self, text):
+        assert_scans_like_reference(text)
+
+    @given(st.one_of(dsl_text, st.sampled_from(
+        ["", "0x", "0X", "0x1", "0xAB", "0xab\n", "12", "012", " 12", "12 ", "0x12#",
+         "1_000", "+1", "-1", "$X", '"a"', "1e3", "0x0x"])))
+    @settings(max_examples=300)
+    def test_literal(self, text):
+        assert literal(text) == reference_literal(text)
+
+    def test_end_of_input_column_counts_a_trailing_comment(self):
+        with pytest.raises(DslError) as exc_info:
+            parse_scenario('scenario "x" { # unfinished')
+        assert (exc_info.value.line, exc_info.value.col) == (1, 28)
+        assert exc_info.value.message == "expected 'meta', got 'end of input'"
