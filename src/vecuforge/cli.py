@@ -7,6 +7,12 @@ codes: 0 success, 1 completed with failed findings, 2 usage or
 configuration error (missing prerequisites name the stage to run
 first), 3 infrastructure error.
 
+A stage that reads the clock writes what it read to its own file under
+``timing/`` (``fingerprint`` the time each interface was probed,
+``execute`` each case's start, duration and step latencies) and nowhere
+else, so two runs with the same inputs and seed leave the same files
+outside ``timing/``.
+
 ``analyze`` reads ``item.json`` and the threat catalog and writes
 ``threats.json`` and ``risks.json``. ``concept`` derives the
 requirements from those two artifacts, reading ``item.json`` for the
@@ -25,6 +31,7 @@ import os
 import shutil
 import sys
 from dataclasses import asdict, dataclass
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Annotated, TypeVar
 
@@ -153,11 +160,13 @@ class RunStore:
             ) from None
 
     def decode_all(self, subdir: str, suffix: str, produced_by: str,
-                   kind: type[T]) -> list[T]:
-        """Every artifact in a stage subdirectory, in sorted filename order."""
+                   kind: type[T]) -> dict[str, T]:
+        """Every artifact in a stage subdirectory by its path, in sorted
+        filename order."""
         directory = self.path(subdir)
         paths = sorted(directory.glob(f"*{suffix}")) if directory.is_dir() else []
-        return [self.decode(f"{subdir}/{p.name}", produced_by, kind) for p in paths]
+        rels = [f"{subdir}/{p.name}" for p in paths]
+        return {rel: self.decode(rel, produced_by, kind) for rel in rels}
 
     def reset_dir(self, subdir: str) -> None:
         """Clear a stage-owned subdirectory so reruns leave no stale files."""
@@ -208,8 +217,11 @@ class RequirementsArtifact:
     requirements: list[SecurityRequirement]
 
 
-# A result file keeps timing apart from content, so it has its own reader.
-_RESULT_FILE = Annotated[TestResult, lambda doc, where, error: TestResult.from_dict(doc)]
+@dataclass
+class ResultArtifact:
+    """``results/<case id>.result.json``."""
+
+    result: TestResult
 
 
 def _load_item_artifact(store: RunStore) -> Item:
@@ -225,7 +237,7 @@ def _load_risks(store: RunStore) -> list[Risk]:
 
 
 def _load_cases(store: RunStore) -> list[TestCase]:
-    cases = store.decode_all("cases", ".case.json", "tcg", TestCase)
+    cases = list(store.decode_all("cases", ".case.json", "tcg", TestCase).values())
     if not cases:
         raise UsageError("no .case.json artifacts under 'cases'; run the 'tcg' stage first")
     return cases
@@ -249,25 +261,22 @@ def stage_fingerprint(store: RunStore, args) -> int:
     host, data_port, _ = _parse_endpoint(args.sim_endpoint, need_mgmt=False)
     probe_cfg = ProbeConfig(id_range=fingerprint_id_range(item))
     fingerprints: dict[str, dict] = {}
-    stamps: dict[str, str] = {}
+    probed_at: dict[str, str] = {}
     discrepancies: list[dict] = []
     for iface in item.interfaces:
         if iface.exposure is not Exposure.EXTERNAL:
             continue
         if iface.kind not in (InterfaceKind.CANLIKE, InterfaceKind.DIAG):
             continue
+        probed_at[iface.id] = datetime.now(timezone.utc).isoformat()
         fp = fingerprint_sut(iface.id, probe_cfg, endpoint=(host, data_port))
-        doc = fp.to_dict()
-        stamps[iface.id] = doc.pop("timestamp")
-        fingerprints[iface.id] = doc
+        fingerprints[iface.id] = fp.to_dict()
         discrepancies.extend(d.to_dict() for d in reconcile(item, fp))
     if not fingerprints:
         raise UsageError("item declares no external protocol interfaces to probe")
-    store.write_json(
-        "fingerprint.json",
-        {"timestamps": stamps, "fingerprints": fingerprints},
-    )
+    store.write_json("fingerprint.json", {"fingerprints": fingerprints})
     store.write_json("discrepancies.json", {"discrepancies": discrepancies})
+    store.write_json("timing/fingerprint.json", {"probed_at": probed_at})
     return EXIT_OK
 
 
@@ -364,19 +373,21 @@ def stage_execute(store: RunStore, args) -> int:
     try:
         for case in cases:
             result = execute_case(case, session, resources, registry)
-            store.write_json(f"results/{case.id}.result.json", result.to_dict())
+            store.write_json(f"results/{case.id}.result.json", asdict(ResultArtifact(result)))
             any_fail = any_fail or result.verdict == "fail"
             cleanup = restore(session)
             cleanups.append({"case_ref": case.id, **asdict(cleanup)})
             if not (cleanup.restored and cleanup.verified):
-                broken = cleanup
+                broken = case.id
                 break
     finally:
         session.close()
         store.write_json("cleanup.json", {"cleanups": cleanups})
+        store.write_json("timing/execute.json",
+                         {"cases": [asdict(timing) for timing in session.timing]})
     if broken is not None:
         raise InfraError(
-            f"SUT state restore failed after {broken.session_ref}: {broken.detail}; "
+            f"SUT state restore failed after case {broken!r}: {cleanup.detail}; "
             "remaining cases skipped"
         )
     return EXIT_FINDINGS if any_fail else EXIT_OK
@@ -386,7 +397,13 @@ def stage_report(store: RunStore, args) -> int:
     plan = store.decode("plan.json", "plan", TestPlan)
     cases = _load_cases(store)
     index = store.decode("trace_index.json", "concept", TraceIndex)
-    results = store.decode_all("results", ".result.json", "execute", _RESULT_FILE)
+    results = []
+    for rel, artifact in store.decode_all("results", ".result.json", "execute",
+                                          ResultArtifact).items():
+        if rel != f"results/{artifact.result.case_ref}.result.json":
+            raise UsageError(f"artifact {rel!r} holds the result of case "
+                             f"{artifact.result.case_ref!r}; re-run the 'execute' stage")
+        results.append(artifact.result)
     report = build_report(
         plan, cases, results, index, untested_reason=args.untested_reason
     )

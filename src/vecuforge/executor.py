@@ -16,30 +16,32 @@ oracle outcome. SUT database values arrive checked and typed (see
 ``tcg.SutDatabase``); a tool handler parses each command-line token
 once, and a token that does not parse, as from a hand-edited case or
 script file, gives its case verdict ``error``.
+
+A ``TestResult`` holds only what the same case against the same SUT
+state gives again. What the clock read while a case ran (its start, its
+duration and each step's latency) goes to the session's ``timing`` log
+instead, which the execute stage writes to ``timing/execute.json``.
 """
 
 import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from typing import Annotated
 
 from . import __version__
 from .frames import MAX_FRAME_ID, ExecutorError, Frame, FrameError, LineClient, hex_in, parse_line
 from .fuzz_engine import PRNG_NAME, FuzzConfig, FuzzError, minimize, run_campaign
-from .item_model import fingerprint_sut
+from .item_model import decode, fingerprint_sut
 from .script_registry import RegistryError, ScriptRegistry, render_command
 from .simulator import SEEDKEY_ALGORITHMS, EcuState, handle_frame, load_state
 from .tcg import SutDatabase, TestCase
 from .vocabulary import CONDITIONS, MATCHERS, PRECONDITIONS
-from .vuln_scanner import VulnDbEntry, scan
+from .vuln_scanner import ScanFinding, VulnDbEntry, scan
 
 MGMT_TIMEOUT = 2.0
 VERDICTS = ("pass", "fail", "error", "inconclusive")
 
 _TESTER_PRESENT = bytes([0x01, 0x3E])
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 def _payload(frame: Frame) -> bytes:
@@ -105,8 +107,19 @@ class MgmtChannel:
 
 
 @dataclass
+class CaseTiming:
+    """What the clock read while one case ran; never part of its result."""
+
+    case_ref: str
+    started_at: str
+    duration_s: float
+    step_latencies_ms: list[float]
+
+
+@dataclass
 class Session:
-    """One data and one management connection plus the pre-attack snapshot.
+    """One data and one management connection plus the pre-attack snapshot,
+    and the timing of each case run in it.
 
     ``buses`` maps each item interface the cases name to its SUT
     database bus. Bus names are checked, but every bus is served by
@@ -118,8 +131,8 @@ class Session:
     mgmt: MgmtChannel
     buses: dict[str, str]
     pre_attack_snapshot: str
-    started_at: str
     func_id: int
+    timing: list[CaseTiming] = field(default_factory=list)
 
     def channel(self, bus: str) -> DataChannel:
         if bus not in self.buses.values():
@@ -181,7 +194,6 @@ def open_session(
         mgmt=mgmt,
         buses=buses,
         pre_attack_snapshot=snapshot,
-        started_at=_now(),
         func_id=func_id,
     )
     try:
@@ -245,6 +257,26 @@ class Resources:
 
 
 @dataclass
+class ScanRecord:
+    """One interface's scan in a vulnscan step's ``detail["scans"]``."""
+
+    target: str
+    session: str
+    fingerprint: dict[str, list[str]]
+    findings: list[ScanFinding]
+    followups: list[str]
+
+
+def _step_detail(value, where: str, error: type[ValueError]) -> dict:
+    """A step's tool-specific detail as read from a result file: any object,
+    with the ``scans`` of a vulnscan step, which the report reads, checked
+    as ``ScanRecord``s."""
+    detail = decode(dict, value, where, error)
+    decode(list[ScanRecord], detail.get("scans", []), f"{where}.scans", error)
+    return detail
+
+
+@dataclass
 class StepRecord:
     step: dict
     command: str | None = None
@@ -252,71 +284,28 @@ class StepRecord:
     rx: list[str] = field(default_factory=list)
     met: bool | None = None
     note: str = ""
-    detail: dict = field(default_factory=dict)
-    latency_ms: float | None = None
+    detail: Annotated[dict, _step_detail] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "command": self.command,
-            "tx": self.tx,
-            "rx": self.rx,
-            "met": self.met,
-            "note": self.note,
-            "detail": self.detail,
-        }
+
+@dataclass
+class ResultMetadata:
+    sut_id: str
+    tools: dict[str, str]
+    prng: str
 
 
 @dataclass
 class TestResult:
     case_ref: str
     verdict: str
-    started_at: str
-    duration_s: float
     step_log: list[StepRecord]
     oracle_evaluation: dict
-    metadata: dict
+    metadata: ResultMetadata
     error: str = ""
 
     def __post_init__(self) -> None:
         if self.verdict not in VERDICTS:
-            raise ExecutorError(f"unknown verdict {self.verdict!r}")
-
-    def to_dict(self) -> dict:
-        """Timing lives apart from the repeatable result content."""
-        return {
-            "timing": {
-                "started_at": self.started_at,
-                "duration_s": self.duration_s,
-                "step_latencies_ms": [r.latency_ms for r in self.step_log],
-            },
-            "result": {
-                "case_ref": self.case_ref,
-                "verdict": self.verdict,
-                "step_log": [r.to_dict() for r in self.step_log],
-                "oracle_evaluation": self.oracle_evaluation,
-                "metadata": self.metadata,
-                "error": self.error,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TestResult":
-        res, timing = doc["result"], doc["timing"]
-        records = [
-            StepRecord(latency_ms=lat, **entry)
-            for entry, lat in zip(res["step_log"], timing["step_latencies_ms"], strict=True)
-        ]
-        return cls(
-            case_ref=res["case_ref"],
-            verdict=res["verdict"],
-            started_at=timing["started_at"],
-            duration_s=timing["duration_s"],
-            step_log=records,
-            oracle_evaluation=res["oracle_evaluation"],
-            metadata=res["metadata"],
-            error=res.get("error", ""),
-        )
+            raise ValueError(f"unknown verdict {self.verdict!r}")
 
 
 def _parse_kv(tokens: list[str], where: str) -> dict[str, str]:
@@ -352,11 +341,9 @@ class _CaseRun:
         self.scan_ran = False
         self.scan_findings = 0
 
-    def _send(self, channel: DataChannel, frame: Frame, record: StepRecord,
-              started: float) -> list[Frame]:
-        """Send one frame and log it; the step's latency runs from ``started``."""
+    def _send(self, channel: DataChannel, frame: Frame, record: StepRecord) -> list[Frame]:
+        """Send one frame and log it."""
         rx = channel.collect(frame)
-        record.latency_ms = (time.monotonic() - started) * 1000.0
         record.tx.append(frame.to_line())
         record.rx.extend(f.to_line() for f in rx)
         self.last_rx = rx
@@ -373,14 +360,14 @@ class _CaseRun:
             frame = parse_line(line)
         except FrameError as exc:
             raise ExecutorError(f"cansend: bad frame {line!r}: {exc}") from None
-        self._send(channel, frame, record, time.monotonic())
+        self._send(channel, frame, record)
 
     def _tool_probe(self, argv: list[str], record: StepRecord) -> None:
         if len(argv) != 1:
             raise ExecutorError(f"probe wants '<bus>', got {argv}")
         channel = self.session.channel(argv[0])
         frame = Frame(self.session.func_id, _TESTER_PRESENT)
-        rx = self._send(channel, frame, record, time.monotonic())
+        rx = self._send(channel, frame, record)
         record.note = "alive" if rx else "silent"
 
     def _tool_seedkey(self, argv: list[str], record: StepRecord) -> None:
@@ -398,8 +385,7 @@ class _CaseRun:
                 f"a hex-byte key constant, got {argv}"
             )
 
-        started = time.monotonic()
-        rx = self._send(channel, Frame(phys, bytes([0x02, 0x27, 0x01])), record, started)
+        rx = self._send(channel, Frame(phys, bytes([0x02, 0x27, 0x01])), record)
         seed = None
         for frame in rx:
             payload = _payload(frame)
@@ -410,7 +396,7 @@ class _CaseRun:
             return
         key = derive(seed, const)
         submit = Frame(phys, bytes([0x04, 0x27, 0x02, key[0], key[1]]))
-        rx2 = self._send(channel, submit, record, started)
+        rx2 = self._send(channel, submit, record)
         unlocked = any(
             _payload(f)[:2] == bytes([0x67, 0x02]) for f in rx2
         )
@@ -439,7 +425,6 @@ class _CaseRun:
         except ValueError as exc:
             raise ExecutorError(f"fuzz: bad campaign configuration: {exc}") from None
 
-        started = time.monotonic()
         # The campaign runs against a fork of the SUT's dumped state, so
         # frame-by-frame behaviour is exactly reproducible; one input per
         # bucket of findings is then confirmed over the wire against the
@@ -465,7 +450,6 @@ class _CaseRun:
             record.tx.append(frame.to_line())
             confirmations.append(not self.session.probe_alive())
             self.session.mgmt.load(campaign_start)
-        record.latency_ms = (time.monotonic() - started) * 1000.0
 
         self.fuzz_findings += len(findings)
         record.note = f"{len(findings)} reproduced trigger(s) in {len(buckets)} bucket(s)"
@@ -482,8 +466,7 @@ class _CaseRun:
         if len(argv) != 1:
             raise ExecutorError(f"vulnscan wants '<targets>', got {argv}")
         targets = [t for t in argv[0].split(",") if t]
-        started = time.monotonic()
-        reports = []
+        scans: list[ScanRecord] = []
         for target in targets:
             if target not in self.session.buses:
                 raise ExecutorError(f"vulnscan: no live endpoint for {target!r}")
@@ -491,29 +474,22 @@ class _CaseRun:
             # ProbeConfig's default ids, not the item's fingerprint_id_range.
             fp = fingerprint_sut(target, endpoint=self.session.endpoint)
             report = scan(fp, self.res.vulndb)
-            reports.append((fp.to_dict(), report))
+            fp_doc = fp.to_dict()
+            scans.append(ScanRecord(
+                target=report.target,
+                session=report.session,
+                fingerprint={key: fp_doc[key]
+                             for key in ("responding_request_ids", "supported_services")},
+                findings=report.findings,
+                followups=report.followups,
+            ))
             self.scan_ran = True
             self.scan_findings += len(report.findings)
-        record.latency_ms = (time.monotonic() - started) * 1000.0
         record.note = (
-            f"{sum(len(r.findings) for _, r in reports)} database match(es) "
+            f"{sum(len(s.findings) for s in scans)} database match(es) "
             f"over {len(targets)} interface(s)"
         )
-        record.detail = {
-            "scans": [
-                {
-                    "target": report.target,
-                    "session": report.session,
-                    "fingerprint": {
-                        key: fp_doc[key]
-                        for key in ("responding_request_ids", "supported_services")
-                    },
-                    "findings": [asdict(f) for f in report.findings],
-                    "followups": report.followups,
-                }
-                for fp_doc, report in reports
-            ]
-        }
+        record.detail = {"scans": [asdict(s) for s in scans]}
         self.last_rx = []
 
     _TOOLS = {
@@ -604,16 +580,16 @@ def execute_case(
     """Run the case's activities in order and evaluate its oracle.
 
     Infrastructure faults surface as verdict ``error`` with whatever
-    partial log exists; oracle outcomes never do.
+    partial log exists; oracle outcomes never do. The case's timing is
+    appended to ``session.timing``.
     """
-    started_at = _now()
+    started_at = datetime.now(timezone.utc).isoformat()
     started = time.monotonic()
+    latencies_ms: list[float] = []
     run = _CaseRun(case, session, resources, registry)
-    metadata = {
-        "sut_id": resources.sutdb.sut_id,
-        "tools": {"vecuforge": __version__},
-        "prng": PRNG_NAME,
-    }
+    metadata = ResultMetadata(
+        sut_id=resources.sutdb.sut_id, tools={"vecuforge": __version__}, prng=PRNG_NAME
+    )
     expected = case.expected_results
     oracle: dict = {
         "pass_condition": expected.get("pass_condition", ""),
@@ -621,11 +597,15 @@ def execute_case(
     }
 
     def finish(verdict: str, error: str = "") -> TestResult:
+        session.timing.append(CaseTiming(
+            case_ref=case.id,
+            started_at=started_at,
+            duration_s=time.monotonic() - started,
+            step_latencies_ms=latencies_ms,
+        ))
         return TestResult(
             case_ref=case.id,
             verdict=verdict,
-            started_at=started_at,
-            duration_s=round(time.monotonic() - started, 3),
             step_log=run.records,
             oracle_evaluation=oracle,
             metadata=metadata,
@@ -646,12 +626,14 @@ def execute_case(
                 "error", "precondition sut_alive failed before the first activity"
             )
         for step in case.activities:
+            step_started = time.monotonic()
             if step.kind == "pattern":
                 run.run_pattern(step)
             elif step.kind == "expect":
                 run.run_expect(step)
             else:
                 raise ExecutorError(f"unknown activity kind {step.kind!r}")
+            latencies_ms.append((time.monotonic() - step_started) * 1000.0)
         final_alive = session.probe_alive()
     except ExecutorError as exc:
         return finish("error", str(exc))
@@ -677,7 +659,6 @@ def execute_case(
 
 @dataclass
 class CleanupReport:
-    session_ref: str
     restored: bool
     verified: bool
     detail: str = ""
@@ -685,15 +666,14 @@ class CleanupReport:
 
 def restore(session: Session) -> CleanupReport:
     """Put the SUT back into the pre-attack snapshot and verify by re-dump."""
-    ref = session.started_at
     try:
         session.mgmt.load(session.pre_attack_snapshot)
         redump = session.mgmt.dump()
     except ExecutorError as exc:
-        return CleanupReport(ref, restored=False, verified=False, detail=str(exc))
+        return CleanupReport(restored=False, verified=False, detail=str(exc))
     if redump != session.pre_attack_snapshot:
         return CleanupReport(
-            ref, restored=True, verified=False,
+            restored=True, verified=False,
             detail="re-dumped state differs from the pre-attack snapshot",
         )
-    return CleanupReport(ref, restored=True, verified=True)
+    return CleanupReport(restored=True, verified=True)

@@ -23,7 +23,6 @@ import json
 import re
 import typing
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from enum import Enum
 from types import UnionType
 from typing import Annotated, Union
@@ -388,7 +387,6 @@ class FingerprintReport:
     responding_request_ids: list[int]
     supported_services: list[int]
     banners: dict[int, bytes]
-    timestamp: str
 
     def __post_init__(self) -> None:
         self.responding_request_ids = sorted(set(self.responding_request_ids))
@@ -403,7 +401,6 @@ class FingerprintReport:
             "responding_request_ids": [f"{i:03x}" for i in self.responding_request_ids],
             "supported_services": [f"{s:02x}" for s in self.supported_services],
             "banners": {f"{s:02x}": b.hex() for s, b in sorted(self.banners.items())},
-            "timestamp": self.timestamp,
         }
 
 
@@ -455,7 +452,6 @@ def fingerprint_sut(
         responding_request_ids=responding,
         supported_services=sorted(services),
         banners=banners,
-        timestamp=datetime.now(timezone.utc).isoformat(),
     )
 
 

@@ -235,7 +235,7 @@ def gen_functional_scenarios(
     """
     if req.verification_hint not in (VerificationHint.FUNCTIONAL, VerificationHint.INTERFACE):
         raise PlannerError(
-            f"requirement {req.id!r} has hint {req.verification_hint}, not functional"
+            f"requirement {req.id!r} has hint {req.verification_hint.value}, not functional"
         )
     goal = next((g for g in item.security_goals if g.id == req.goal_ref), None)
     if goal is None:

@@ -6,12 +6,13 @@ planned-but-unexecuted case as untested with a reason, and resolves
 each finding's link chain finding -> requirement -> threat -> goal
 through a trace index built from the analysis and concept artifacts.
 Broken links never drop a finding; they populate the integrity-violations
-section instead. The machine rendering isolates timestamps in one header
-block so reports from equal campaigns diff clean.
+section instead. A report holds no wall-clock value: the timing of a
+campaign is in ``timing/execute.json``, so equal campaigns render
+byte-identical reports.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .executor import TestResult
 from .planner import TestPlan
@@ -73,8 +74,6 @@ class TraceIndex:
 class TestReport:
     management_summary: str
     sut_description: str
-    start_time: str
-    duration_s: float
     dashboard: dict[str, int]
     methods_used: list[str]
     findings: list[dict]
@@ -88,24 +87,6 @@ class TestReport:
                 f"dashboard must count exactly {sorted(expected)}, "
                 f"got {sorted(self.dashboard)}"
             )
-
-    def to_dict(self) -> dict:
-        """Timestamps isolated in their own block for diffability."""
-        return {
-            "timestamps": {
-                "start_time": self.start_time,
-                "duration_s": self.duration_s,
-            },
-            "report": {
-                "management_summary": self.management_summary,
-                "sut_description": self.sut_description,
-                "dashboard": self.dashboard,
-                "methods_used": self.methods_used,
-                "findings": self.findings,
-                "untested": self.untested,
-                "integrity_violations": self.integrity_violations,
-            },
-        }
 
 
 # -- aggregation -------------------------------------------------------------
@@ -160,7 +141,7 @@ def _resolve_links(
             "requirement": requirement,
             "threat": threat,
             "raw_result": f"{case.id}.result.json",
-            "tools": dict(result.metadata.get("tools", {})),
+            "tools": dict(result.metadata.tools),
         },
         "regulation_conflicts": sorted(conflicts),
     }
@@ -251,8 +232,6 @@ def build_report(
             len(violations),
         ),
         sut_description=plan.sut_overview,
-        start_time=min((r.started_at for r in results), default=""),
-        duration_s=round(sum(r.duration_s for r in results), 3),
         dashboard=dashboard,
         methods_used=sorted({by_id[r.case_ref].method for r in results}),
         findings=findings,
@@ -267,7 +246,7 @@ def build_report(
 def render(report: TestReport, format: str) -> bytes:
     if format == "machine":
         return (
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+            json.dumps({"report": asdict(report)}, indent=2, sort_keys=True) + "\n"
         ).encode()
     if format == "text":
         return _render_text(report).encode()
@@ -291,10 +270,6 @@ def _render_text(report: TestReport) -> str:
     lines.append(report.sut_description)
     methods = ", ".join(report.methods_used) or "none"
     lines.append(f"Methods used: {methods}")
-    lines.append(
-        f"Campaign start: {report.start_time or 'n/a'}; "
-        f"duration: {report.duration_s}s"
-    )
 
     section("Dashboard")
     lines.append(

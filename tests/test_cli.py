@@ -48,6 +48,24 @@ def endpoint_of(server) -> str:
     return f"127.0.0.1:{server.data_endpoint[1]}:{server.mgmt_endpoint[1]}"
 
 
+class LoadRefusingServer(SimServer):
+    """A simulator that answers every LOAD with ERR, so no restore succeeds."""
+
+    def _handle_mgmt_line(self, text: str) -> str:
+        if text.startswith("LOAD "):
+            return "ERR load refused\n"
+        return super()._handle_mgmt_line(text)
+
+
+def synthetic_result(case_id: str) -> dict:
+    """A result file's content for a case that passed without running a step."""
+    return {"result": {
+        "case_ref": case_id, "verdict": "pass", "step_log": [], "oracle_evaluation": {},
+        "metadata": {"sut_id": "SIM-ECU-01", "tools": {"vecuforge": "0.1.0"}, "prng": "p"},
+        "error": "",
+    }}
+
+
 def sutdb_with_func_id(tmp_path: Path, samples_dir: Path, func_id: str) -> Path:
     return sutdb_with(tmp_path, samples_dir, "dictionaries", "func_id", func_id)
 
@@ -361,8 +379,8 @@ def _bad_verification_hint(doc: dict) -> None:
     doc["requirements"][0]["verification_hint"] = "guesswork"
 
 
-def _drop_timing(doc: dict) -> None:
-    del doc["timing"]
+def _result_with_extra_key(doc: dict) -> None:
+    doc["result"]["started_at"] = "2026-01-01T00:00:00+00:00"
 
 
 def _acceptable_as_text(doc: dict) -> None:
@@ -381,24 +399,21 @@ class TestMalformedArtifacts:
             ("threats.json", _drop_threat_classes, "plan"),
             ("threats.json", _threat_with_extra_key, "concept"),
             ("requirements.json", _bad_verification_hint, "plan"),
-            ("results/synthetic.result.json", _drop_timing, "report"),
+            ("results/synthetic.result.json", _result_with_extra_key, "report"),
             ("risks.json", _acceptable_as_text, "concept"),
             ("risks.json", _probability_as_text, "concept"),
         ],
         ids=["no-threat-classes-concept", "no-threat-classes-plan",
-             "threat-extra-key", "bad-verification-hint", "result-without-timing",
+             "threat-extra-key", "bad-verification-hint", "result-unknown-key",
              "risk-acceptable-as-text", "risk-probability-as-text"],
     )
     def test_usage_error_names_the_artifact(self, tmp_path, capsys, rel, edit, stage):
         offline_chain(tmp_path)
         case_id = json.loads(next((tmp_path / "cases").glob("*.case.json")).read_text())["id"]
         (tmp_path / "results").mkdir()
-        (tmp_path / "results" / "synthetic.result.json").write_text(json.dumps({
-            "timing": {"started_at": "2026-01-01T00:00:00+00:00", "duration_s": 0.1,
-                       "step_latencies_ms": []},
-            "result": {"case_ref": case_id, "verdict": "pass", "step_log": [],
-                       "oracle_evaluation": {}, "metadata": {}, "error": ""},
-        }))
+        (tmp_path / "results" / "synthetic.result.json").write_text(json.dumps(
+            synthetic_result(case_id)
+        ))
         doc = json.loads((tmp_path / rel).read_text())
         edit(doc)
         (tmp_path / rel).write_text(json.dumps(doc))
@@ -406,18 +421,13 @@ class TestMalformedArtifacts:
         assert run_cli(stage, "--run-dir", str(tmp_path)) == EXIT_USAGE
         assert repr(rel) in capsys.readouterr().err
 
-    def test_step_latencies_shorter_than_step_log(self, tmp_path, sim_factory, capsys):
-        # A timing list that is shorter than the step log must not drop steps.
-        server = sim_factory(SimConfig())
-        offline_chain(tmp_path, "--budget", "400")
-        assert run_cli("execute", "--run-dir", str(tmp_path),
-                       "--sim-endpoint", endpoint_of(server), "--budget", "400") == EXIT_FINDINGS
-        rel = "results/func-neg-req-tc-sessbypass-if-can-000.result.json"
-        doc = json.loads((tmp_path / rel).read_text())
-        assert doc["result"]["step_log"]
-        doc["timing"]["step_latencies_ms"] = []
-        (tmp_path / rel).write_text(json.dumps(doc))
-        capsys.readouterr()
+    def test_result_filed_under_another_case(self, tmp_path, capsys):
+        offline_chain(tmp_path)
+        case_ids = sorted(json.loads(p.read_text())["id"]
+                          for p in (tmp_path / "cases").glob("*.case.json"))
+        (tmp_path / "results").mkdir()
+        rel = f"results/{case_ids[0]}.result.json"
+        (tmp_path / rel).write_text(json.dumps(synthetic_result(case_ids[1])))
         assert run_cli("report", "--run-dir", str(tmp_path)) == EXIT_USAGE
         assert repr(rel) in capsys.readouterr().err
 
@@ -550,10 +560,12 @@ class TestFingerprintStage:
                        "--sim-endpoint", endpoint_of(server))
         assert code == EXIT_OK
         doc = json.loads((tmp_path / "fingerprint.json").read_text())
-        assert set(doc) == {"timestamps", "fingerprints"}
+        assert set(doc) == {"fingerprints"}
         fp = doc["fingerprints"]["IF-CAN"]
         assert "42" in fp["supported_services"]
         assert "timestamp" not in fp
+        timing = json.loads((tmp_path / "timing" / "fingerprint.json").read_text())
+        assert set(timing["probed_at"]) == {"IF-CAN"}
         disc = json.loads((tmp_path / "discrepancies.json").read_text())
         kinds = {(d["kind"], d["service"]) for d in disc["discrepancies"]}
         assert ("undeclared_service", "42") in kinds
@@ -664,6 +676,24 @@ class TestExecuteAndReport:
                        "--sim-endpoint", "127.0.0.1:1:1")
         assert code == EXIT_INFRA
 
+    def test_failed_restore_stops_after_the_case_it_follows(self, tmp_path, sim_factory,
+                                                             capsys):
+        # The first case is functional and sends no LOAD, so the first LOAD
+        # the SUT refuses is the restore after that case.
+        server = sim_factory(server_cls=LoadRefusingServer)
+        offline_chain(tmp_path)
+        capsys.readouterr()
+        code = run_cli("execute", "--run-dir", str(tmp_path),
+                       "--sim-endpoint", endpoint_of(server))
+        first = "func-neg-req-tc-sessbypass-if-can-000"
+        assert code == EXIT_INFRA
+        assert f"restore failed after case {first!r}" in capsys.readouterr().err
+        cleanups = json.loads((tmp_path / "cleanup.json").read_text())["cleanups"]
+        assert [(c["case_ref"], c["restored"]) for c in cleanups] == [(first, False)]
+        assert list(run_files(tmp_path / "results")) == [Path(f"{first}.result.json")]
+        timing = json.loads((tmp_path / "timing" / "execute.json").read_text())
+        assert [t["case_ref"] for t in timing["cases"]] == [first]
+
     @pytest.mark.parametrize("func_id", ["zz", "800"], ids=["not-hex", "over-11-bits"])
     def test_bad_func_id_is_a_usage_error(self, tmp_path, sim_factory, samples_dir,
                                           capsys, func_id):
@@ -734,21 +764,9 @@ class TestReportStage:
         results_dir.mkdir()
         for case_file in (tmp_path / "cases").glob("*.case.json"):
             case_id = json.loads(case_file.read_text())["id"]
-            (results_dir / f"{case_id}.result.json").write_text(json.dumps({
-                "timing": {
-                    "started_at": "2026-01-01T00:00:00+00:00",
-                    "duration_s": 0.1,
-                    "step_latencies_ms": [],
-                },
-                "result": {
-                    "case_ref": case_id,
-                    "verdict": "pass",
-                    "step_log": [],
-                    "oracle_evaluation": {},
-                    "metadata": {"tools": {"vecuforge": "0.1.0"}},
-                    "error": "",
-                },
-            }))
+            (results_dir / f"{case_id}.result.json").write_text(json.dumps(
+                synthetic_result(case_id)
+            ))
         assert run_cli("report", "--run-dir", str(tmp_path)) == EXIT_OK
         report = json.loads((tmp_path / "report.json").read_text())["report"]
         assert report["dashboard"]["pass"] == 7

@@ -15,6 +15,7 @@ from vecuforge.executor import (
     DataChannel,
     ExecutorError,
     Resources,
+    ResultMetadata,
     Session,
     StateTransport,
     condition_holds,
@@ -24,7 +25,7 @@ from vecuforge.executor import (
 )
 from vecuforge.executor import TestResult as Result
 from vecuforge.frames import Frame
-from vecuforge.item_model import load_item
+from vecuforge.item_model import decode, load_item
 from vecuforge.planner import build_plan, load_attack_trees
 from vecuforge.scenario_dsl import parse_scenario, validate
 from vecuforge.script_registry import ScriptRegistry
@@ -675,7 +676,6 @@ class TestRestore:
         finally:
             session.close()
         assert asdict(cleanup) == {
-            "session_ref": session.started_at,
             "restored": True,
             "verified": True,
             "detail": "",
@@ -715,14 +715,14 @@ class TestDeterminism:
         cases = pipeline_cases["func-neg-req-tc-sessbypass-if-can"]
         case = case_by_binding(cases, SESSION="0x02")
         first, second = self.run_twice(sim_factory, sutdb, resources, registry, case)
-        assert first.to_dict()["result"] == second.to_dict()["result"]
+        assert asdict(first) == asdict(second)
         assert first.verdict == "fail"
 
     def test_fuzz_replay_is_identical(self, sim_factory, sutdb, resources,
                                       registry, pipeline_cases):
         case = pipeline_cases["fuzz-if-can"][0]
         first, second = self.run_twice(sim_factory, sutdb, resources, registry, case)
-        assert first.to_dict()["result"] == second.to_dict()["result"]
+        assert asdict(first) == asdict(second)
         assert first.verdict == "fail"
 
 
@@ -735,9 +735,8 @@ class TestResultSerialization:
             result = execute_case(case, session, resources, registry)
         finally:
             session.close()
-        doc = result.to_dict()
-        again = Result.from_dict(doc)
-        assert again.to_dict() == doc
+        doc = json.loads(json.dumps(asdict(result)))
+        assert asdict(decode(Result, doc, "result", ValueError)) == doc
 
     def test_timing_is_separated_from_result_content(self, sim_factory, sutdb,
                                                      resources, registry):
@@ -748,19 +747,19 @@ class TestResultSerialization:
             result = execute_case(case, session, resources, registry)
         finally:
             session.close()
-        doc = result.to_dict()
-        assert set(doc) == {"timing", "result"}
-        assert "started_at" in doc["timing"]
-        assert "duration_s" in doc["timing"]
-        rendered = json.dumps(doc["result"])
+        (timing,) = session.timing
+        assert timing.case_ref == case.id
+        assert timing.started_at and timing.duration_s >= 0
+        assert len(timing.step_latencies_ms) == len(result.step_log)
+        rendered = json.dumps(asdict(result))
         assert "started_at" not in rendered
         assert "latency" not in rendered
 
     def test_verdict_partition_enforced(self):
-        with pytest.raises(ExecutorError):
+        with pytest.raises(ValueError, match="unknown verdict 'maybe'"):
             Result(
-                case_ref="x", verdict="maybe", started_at="t", duration_s=0.0,
-                step_log=[], oracle_evaluation={}, metadata={},
+                case_ref="x", verdict="maybe", step_log=[], oracle_evaluation={},
+                metadata=ResultMetadata(sut_id="s", tools={}, prng="p"),
             )
 
 

@@ -6,6 +6,9 @@ Fuzzing Book*). Every mutant runs through the stages from the first one that
 reads the file up to ``tcg``. A vulnerability-database mutant runs through
 ``execute`` against an endpoint nobody listens on, so a database that reads
 cleanly ends there in exit 3.
+
+The result files of a seeded demo run are mutated the same way and read by
+``report``: a mutant ends in exit 0 or 1, or in exit 2 naming the file.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from vecuforge.cli import EXIT_INFRA, EXIT_OK, EXIT_USAGE, main
+from vecuforge.cli import EXIT_FINDINGS, EXIT_INFRA, EXIT_OK, EXIT_USAGE, main
 
 VALUES = (None, 7, "x", [], {})
 UNREACHABLE = "127.0.0.1:1:1"
@@ -102,5 +105,44 @@ def test_no_mutant_escapes(name, samples_dir, base_run, tmp_path, capsys):
             if code != EXIT_OK:
                 break
         shutil.rmtree(work)
+    assert count > 0
+    assert escapes == [], f"{len(escapes)} of {count} mutants escaped:\n" + "\n".join(escapes)
+
+
+# One result of each kind of step detail: none, a fuzz campaign, a database scan.
+RESULTS = ("func-neg-req-tc-sessbypass-if-can-000", "fuzz-if-can-000",
+           "vulnscan-item-demo-ecu-000")
+
+
+@pytest.fixture(scope="module")
+def demo_run(tmp_path_factory) -> Path:
+    # A 400-frame budget keeps the fuzz result's findings, all of one shape, few.
+    run = tmp_path_factory.mktemp("demo")
+    assert main(["demo", "--run-dir", str(run), "--budget", "400"]) == EXIT_FINDINGS
+    return run
+
+
+@pytest.mark.parametrize("case_id", RESULTS)
+def test_no_result_mutant_escapes(case_id, demo_run, capsys):
+    path = demo_run / "results" / f"{case_id}.result.json"
+    original = path.read_text()
+    escapes = []
+    count = 0
+    try:
+        for label, mutant in mutants(json.loads(original)):
+            count += 1
+            path.write_text(json.dumps(mutant))
+            try:
+                code = main(["report", "--run-dir", str(demo_run)])
+            except Exception as exc:  # noqa: BLE001 - an escape is what the test counts
+                escapes.append(f"{label}: {type(exc).__name__}: {exc}")
+                continue
+            err = capsys.readouterr().err
+            if code not in (EXIT_OK, EXIT_FINDINGS, EXIT_USAGE) or (
+                code == EXIT_USAGE and path.name not in err
+            ):
+                escapes.append(f"{label}: exit {code}: {err!r}")
+    finally:
+        path.write_text(original)
     assert count > 0
     assert escapes == [], f"{len(escapes)} of {count} mutants escaped:\n" + "\n".join(escapes)

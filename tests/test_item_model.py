@@ -201,8 +201,6 @@ class TestFingerprint:
         cfg = ProbeConfig(id_range=(0x7DE, 0x7E1), service_range=(0x00, 0x4F))
         a = fingerprint_sut("IF1", cfg, endpoint=sim.data_endpoint).to_dict()
         b = fingerprint_sut("IF1", cfg, endpoint=sim.data_endpoint).to_dict()
-        a.pop("timestamp")
-        b.pop("timestamp")
         assert a == b
 
     def test_late_reply_stays_with_its_probe(self, sim_factory):
@@ -233,7 +231,7 @@ class TestFingerprint:
 
     def test_banner_invariant(self):
         with pytest.raises(ItemError, match="banner"):
-            FingerprintReport("IF1", [], [0x3E], {}, "t0")
+            FingerprintReport("IF1", [], [0x3E], {})
 
 
 def fp_for(services: set[int]) -> FingerprintReport:
@@ -242,7 +240,6 @@ def fp_for(services: set[int]) -> FingerprintReport:
         responding_request_ids=[0x7DF],
         supported_services=sorted(services),
         banners={s: b"\x01" for s in services},
-        timestamp="t0",
     )
 
 

@@ -392,6 +392,13 @@ class TestBuildPlan:
         assert "notes" in plan.strategy
         assert "REQ-TC-MALFORMED-IF-CAN" in plan.strategy["notes"]
 
+    def test_note_names_a_hint_by_its_value(self, bundled_plan):
+        # An f-string formats a str-mixin Enum by its name from Python 3.11
+        # on and by its value before; plan.json must read the same on both.
+        plan, _ = bundled_plan
+        assert ("requirement 'REQ-TC-HIDDENSVC-IF-CAN' has hint vulnscan, not functional"
+                in plan.strategy["notes"])
+
     def test_plan_fields_complete(self, bundled_plan, analysis):
         plan, _ = bundled_plan
         assert plan.purpose and plan.sut_overview

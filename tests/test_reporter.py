@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vecuforge.executor import StepRecord
+from vecuforge.executor import ResultMetadata, StepRecord
 from vecuforge.executor import TestResult as Result
 from vecuforge.item_model import load_item
 from vecuforge.planner import build_plan, load_attack_trees
@@ -54,16 +54,13 @@ def pipeline(samples_dir, analysis):
     }
 
 
-def make_result(case_ref: str, verdict: str, *, started_at="2026-01-01T00:00:00+00:00",
-                duration=0.5, step_log=None) -> Result:
+def make_result(case_ref: str, verdict: str, *, step_log=None) -> Result:
     return Result(
         case_ref=case_ref,
         verdict=verdict,
-        started_at=started_at,
-        duration_s=duration,
         step_log=step_log or [],
         oracle_evaluation={},
-        metadata={"tools": {"vecuforge": "0.1.0"}},
+        metadata=ResultMetadata(sut_id="SIM-ECU-01", tools={"vecuforge": "0.1.0"}, prng="p"),
     )
 
 
@@ -123,7 +120,6 @@ class TestBuildReport:
         assert all(u["reason"] == "other" for u in report.untested)
         assert report.findings == []
         assert report.methods_used == []
-        assert report.start_time == ""
 
     def test_untested_reason_configurable_and_validated(self, pipeline):
         report = build_report(
@@ -208,17 +204,11 @@ class TestBuildReport:
                 pipeline["index"],
             )
 
-    def test_methods_and_timing_aggregate(self, pipeline):
+    def test_methods_aggregate(self, pipeline):
         cases = pipeline["cases"]
-        results = [
-            make_result(c.id, "pass", started_at=f"2026-01-01T00:0{i}:00+00:00",
-                        duration=1.0)
-            for i, c in enumerate(cases[:3])
-        ]
+        results = [make_result(c.id, "pass") for c in cases[:3]]
         report = build_report(pipeline["plan"], cases, results, pipeline["index"])
         assert report.methods_used == ["functional"]
-        assert report.start_time == "2026-01-01T00:00:00+00:00"
-        assert report.duration_s == 3.0
 
 
 class TestIntegrityViolations:
@@ -290,25 +280,23 @@ class TestRendering:
         return build_report(pipeline["plan"], cases, results, pipeline["index"])
 
     def test_machine_is_canonical_with_isolated_timestamps(self, report):
-        doc = json.loads(render(report, "machine"))
-        assert set(doc) == {"timestamps", "report"}
-        assert set(doc["timestamps"]) == {"start_time", "duration_s"}
-        rendered = json.dumps(doc["report"])
-        assert "start_time" not in rendered
-        assert "duration_s" not in rendered
+        machine = render(report, "machine")
+        doc = json.loads(machine)
+        assert set(doc) == {"report"}
+        assert machine == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+        assert b"start_time" not in machine and b"duration_s" not in machine
+        assert b"Campaign start" not in render(report, "text")
 
-    def test_equal_campaigns_differ_only_in_timestamps(self, report, pipeline):
+    def test_equal_campaigns_render_identical_reports(self, report, pipeline):
+        # A result holds no timing, so equal campaigns run at other times
+        # give equal results and render the same bytes.
         cases = pipeline["cases"]
-        later = [
-            make_result(c.id, "fail" if "pen-" in c.id else "pass",
-                        started_at="2026-02-02T00:00:00+00:00", duration=9.9)
-            for c in cases[:5]
+        again = [
+            make_result(c.id, "fail" if "pen-" in c.id else "pass") for c in cases[:5]
         ]
-        other = build_report(pipeline["plan"], cases, later, pipeline["index"])
-        doc_a = json.loads(render(report, "machine"))
-        doc_b = json.loads(render(other, "machine"))
-        assert doc_a["report"] == doc_b["report"]
-        assert doc_a["timestamps"] != doc_b["timestamps"]
+        other = build_report(pipeline["plan"], cases, again, pipeline["index"])
+        for fmt in ("machine", "text"):
+            assert render(report, fmt) == render(other, fmt)
 
     def test_text_starts_with_management_summary(self, report):
         text = render(report, "text").decode()
@@ -330,7 +318,7 @@ class TestRendering:
     def test_dashboard_keys_validated(self):
         with pytest.raises(ReporterError, match="dashboard"):
             Report(
-                management_summary="m", sut_description="s", start_time="",
-                duration_s=0.0, dashboard={"pass": 1}, methods_used=[],
+                management_summary="m", sut_description="s",
+                dashboard={"pass": 1}, methods_used=[],
                 findings=[], untested=[], integrity_violations=[],
             )

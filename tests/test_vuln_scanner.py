@@ -18,7 +18,6 @@ def fp_with(services: dict[int, bytes]) -> FingerprintReport:
         responding_request_ids=[0x7DF, 0x7E0],
         supported_services=list(services),
         banners=dict(services),
-        timestamp="2026-01-01T00:00:00Z",
     )
 
 
