@@ -26,11 +26,12 @@ stops it on every exit path.
 """
 
 import argparse
+import functools
 import json
 import os
 import shutil
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Annotated, TypeVar
@@ -61,6 +62,7 @@ from .item_model import (
     ItemError,
     ProbeConfig,
     decode,
+    encode,
     fingerprint_id_range,
     fingerprint_sut,
     item_from_dict,
@@ -133,10 +135,8 @@ class RunStore:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_bytes(data)
 
-    def write_json(self, rel: str, doc: dict) -> None:
-        self.write_bytes(
-            rel, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-        )
+    def write_json(self, rel: str, doc: object) -> None:
+        self.write_bytes(rel, encode(doc))
 
     def read_json(self, rel: str, produced_by: str) -> dict:
         target = self.path(rel)
@@ -283,12 +283,12 @@ def stage_fingerprint(store: RunStore, args) -> int:
 def stage_analyze(store: RunStore, args) -> int:
     catalog = load_catalog(args.catalog)
     threats, risks = analyze_threats(_load_item_artifact(store), catalog)
-    store.write_json("threats.json", asdict(ThreatsArtifact(
+    store.write_json("threats.json", ThreatsArtifact(
         threats,
         {t.id: catalog.entry_for(t).threat_class for t in threats},
         {t.id: list(catalog.entry_for(t).regulation_refs) for t in threats},
-    )))
-    store.write_json("risks.json", asdict(RisksArtifact(risks)))
+    ))
+    store.write_json("risks.json", RisksArtifact(risks))
     return EXIT_OK
 
 
@@ -303,13 +303,11 @@ def stage_concept(store: RunStore, args) -> int:
         load_catalog(args.catalog),
         load_countermeasures(args.countermeasures),
     )
-    store.write_json("requirements.json", asdict(RequirementsArtifact(requirements)))
-    store.write_json(
-        "consistency.json", asdict(check_consistency(requirements, item.security_goals))
-    )
+    store.write_json("requirements.json", RequirementsArtifact(requirements))
+    store.write_json("consistency.json", check_consistency(requirements, item.security_goals))
     index = TraceIndex.from_artifacts(analysis.threats, risks, requirements,
                                       analysis.regulation_refs_by_threat)
-    store.write_json("trace_index.json", asdict(index))
+    store.write_json("trace_index.json", index)
     return EXIT_OK
 
 
@@ -327,7 +325,7 @@ def stage_plan(store: RunStore, args) -> int:
         seed=args.seed,
         fuzz_budget=args.budget,
     )
-    store.write_json("plan.json", asdict(plan))
+    store.write_json("plan.json", plan)
     store.reset_dir("scenarios")
     for scenario in scenarios:
         store.write_bytes(f"scenarios/{scenario.id}.scn", serialize(scenario).encode())
@@ -348,7 +346,7 @@ def stage_tcg(store: RunStore, args) -> int:
         cases.extend(generate_cases(scenario, sutdb, registry, t=args.strength))
     store.reset_dir("cases")
     for case in cases:
-        store.write_json(f"cases/{case.id}.case.json", asdict(case))
+        store.write_json(f"cases/{case.id}.case.json", case)
     return EXIT_OK
 
 
@@ -373,18 +371,17 @@ def stage_execute(store: RunStore, args) -> int:
     try:
         for case in cases:
             result = execute_case(case, session, resources, registry)
-            store.write_json(f"results/{case.id}.result.json", asdict(ResultArtifact(result)))
+            store.write_json(f"results/{case.id}.result.json", ResultArtifact(result))
             any_fail = any_fail or result.verdict == "fail"
             cleanup = restore(session)
-            cleanups.append({"case_ref": case.id, **asdict(cleanup)})
+            cleanups.append({"case_ref": case.id, **vars(cleanup)})
             if not (cleanup.restored and cleanup.verified):
                 broken = case.id
                 break
     finally:
         session.close()
         store.write_json("cleanup.json", {"cleanups": cleanups})
-        store.write_json("timing/execute.json",
-                         {"cases": [asdict(timing) for timing in session.timing]})
+        store.write_json("timing/execute.json", {"cases": session.timing})
     if broken is not None:
         raise InfraError(
             f"SUT state restore failed after case {broken!r}: {cleanup.detail}; "
@@ -451,19 +448,16 @@ _STAGES = {
 # -- argument parsing ----------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # One flat parser: every stage accepts every flag and ignores the ones
-    # it does not use. Built per call, so $VECUFORGE_RUN_DIR is read then.
+    # it does not use. Built once, so ``main`` reads $VECUFORGE_RUN_DIR.
     parser = argparse.ArgumentParser(
         prog="vecuforge",
         description="automated security-testing pipeline for diagnostic ECUs",
     )
     parser.add_argument("stage", choices=_STAGES)
-    parser.add_argument(
-        "--run-dir",
-        default=os.environ.get(RUN_DIR_ENV),
-        help=f"artifact directory (default: ${RUN_DIR_ENV})",
-    )
+    parser.add_argument("--run-dir", help=f"artifact directory (default: ${RUN_DIR_ENV})")
     parser.add_argument("--item", default=str(_SAMPLES / "item.json"))
     parser.add_argument("--catalog", default=str(_SAMPLES / "catalog.json"))
     parser.add_argument("--countermeasures", default=str(_SAMPLES / "countermeasures.json"))
@@ -486,6 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.run_dir is None:
+        args.run_dir = os.environ.get(RUN_DIR_ENV)
     if not args.run_dir:
         print(
             f"error: no run directory; pass --run-dir or set ${RUN_DIR_ENV}",

@@ -34,8 +34,8 @@ from .fuzz_engine import PRNG_NAME, FuzzConfig, FuzzError, minimize, run_campaig
 from .item_model import decode, fingerprint_sut
 from .script_registry import RegistryError, ScriptRegistry, render_command
 from .simulator import SEEDKEY_ALGORITHMS, EcuState, handle_frame, load_state
-from .tcg import SutDatabase, TestCase
-from .vocabulary import CONDITIONS, MATCHERS, PRECONDITIONS
+from .tcg import BoundStep, SutDatabase, TestCase
+from .vocabulary import CONDITIONS, MATCHERS
 from .vuln_scanner import ScanFinding, VulnDbEntry, scan
 
 MGMT_TIMEOUT = 2.0
@@ -155,26 +155,15 @@ def open_session(
     data_port: int,
     mgmt_port: int,
 ) -> Session:
-    """Merge the cases' needs, connect, snapshot the SUT, check preconditions.
-
-    The snapshot is taken before any test traffic.
-    """
+    """Connect, snapshot the SUT before any test traffic, and probe it when a
+    case needs ``sut_alive``."""
     if not cases:
         raise ExecutorError("cannot open a session for zero cases")
     buses: dict[str, str] = {}
-    preconditions: list[str] = []
     for case in cases:
-        needs = case.environmental_needs
-        for iface in needs.get("interfaces", []):
-            item_ref = iface.get("params", {}).get("item_ref", iface["logical"])
-            endpoint = sutdb.endpoints.get(item_ref, {})
-            buses.setdefault(item_ref, endpoint.get("bus", iface["logical"]))
-        for pre in needs.get("preconditions", []):
-            if pre not in preconditions:
-                preconditions.append(pre)
-    if not buses:
-        raise ExecutorError("cannot open a session: the cases name no interface")
-    func_id = sutdb.func_id()
+        for iface in case.environmental_needs.interfaces:
+            endpoint = sutdb.endpoints.get(iface.item_ref, {})
+            buses.setdefault(iface.item_ref, endpoint.get("bus", iface.logical))
 
     mgmt = MgmtChannel(host, mgmt_port)
     try:
@@ -188,20 +177,12 @@ def open_session(
         mgmt.close()
         raise
 
-    session = Session(
-        endpoint=(host, data_port),
-        data=data,
-        mgmt=mgmt,
-        buses=buses,
-        pre_attack_snapshot=snapshot,
-        func_id=func_id,
-    )
+    session = Session(endpoint=(host, data_port), data=data, mgmt=mgmt, buses=buses,
+                      pre_attack_snapshot=snapshot, func_id=sutdb.func_id())
     try:
-        for pre in preconditions:
-            if pre not in PRECONDITIONS:
-                raise ExecutorError(f"unknown precondition {pre!r}")
-            if pre == "sut_alive" and not session.probe_alive():
-                raise ExecutorError("precondition sut_alive failed: no probe response")
+        if (any("sut_alive" in case.environmental_needs.preconditions for case in cases)
+                and not session.probe_alive()):
+            raise ExecutorError("precondition sut_alive failed: no probe response")
     except ExecutorError:
         session.close()
         raise
@@ -278,7 +259,7 @@ def _step_detail(value, where: str, error: type[ValueError]) -> dict:
 
 @dataclass
 class StepRecord:
-    step: dict
+    step: BoundStep
     command: str | None = None
     tx: list[str] = field(default_factory=list)
     rx: list[str] = field(default_factory=list)
@@ -503,7 +484,7 @@ class _CaseRun:
     # -- step execution ----------------------------------------------------
 
     def run_pattern(self, step) -> None:
-        record = StepRecord(step=asdict(step))
+        record = StepRecord(step=step)
         if step.script_ref is None or step.script_ref not in self.registry.scripts:
             raise ExecutorError(
                 f"case {self.case.id!r}: no script registered as {step.script_ref!r}"
@@ -525,7 +506,7 @@ class _CaseRun:
 
     def run_expect(self, step) -> None:
         """Match the frames the preceding stimulus drew; they are final."""
-        record = StepRecord(step=asdict(step))
+        record = StepRecord(step=step)
         if not self.records:
             raise ExecutorError("expect step without a preceding stimulus")
         if step.name not in MATCHERS:
@@ -545,10 +526,8 @@ class _CaseRun:
     # -- oracle ------------------------------------------------------------
 
     def facts(self, final_probe_alive: bool) -> dict:
-        all_rx = [
-            parse_line(line) for r in self.records for line in r.rx
-        ]
-        expectations = [r.met for r in self.records if r.step["kind"] == "expect"]
+        all_rx = [parse_line(line) for r in self.records for line in r.rx]
+        expectations = [r.met for r in self.records if r.step.kind == "expect"]
         return {
             "expectations": expectations,
             "unlock_achieved": any(
@@ -590,10 +569,9 @@ def execute_case(
     metadata = ResultMetadata(
         sut_id=resources.sutdb.sut_id, tools={"vecuforge": __version__}, prng=PRNG_NAME
     )
-    expected = case.expected_results
     oracle: dict = {
-        "pass_condition": expected.get("pass_condition", ""),
-        "fail_condition": expected.get("fail_condition", ""),
+        "pass_condition": case.expected_results.pass_condition,
+        "fail_condition": case.expected_results.fail_condition,
     }
 
     def finish(verdict: str, error: str = "") -> TestResult:
@@ -612,10 +590,7 @@ def execute_case(
             error=error,
         )
 
-    needed = {
-        i.get("params", {}).get("item_ref", i["logical"])
-        for i in case.environmental_needs.get("interfaces", [])
-    }
+    needed = {iface.item_ref for iface in case.environmental_needs.interfaces}
     missing = sorted(needed - session.buses.keys())
     if missing:
         return finish("error", f"interface module missing for {missing}")

@@ -166,6 +166,16 @@ def load_json(kind, path, error: type[ValueError]):
     return decode(kind, doc, str(path), error)
 
 
+def encode(doc) -> bytes:
+    """``doc`` as canonical JSON: indented, keys sorted, one closing newline. A
+    dataclass is written as the object of its fields, the shape ``decode`` reads."""
+    return (json.dumps(doc, indent=2, sort_keys=True, default=_fields) + "\n").encode()
+
+
+def _fields(record) -> dict:
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
 _SERVICE_HEX_RE = re.compile(r"(?:0x)?[0-9a-f]{1,2}", re.IGNORECASE)
 
 

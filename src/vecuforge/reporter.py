@@ -11,10 +11,10 @@ campaign is in ``timing/execute.json``, so equal campaigns render
 byte-identical reports.
 """
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
-from .executor import TestResult
+from .executor import VERDICTS, TestResult
+from .item_model import encode
 from .planner import TestPlan
 from .tcg import TestCase
 
@@ -81,7 +81,7 @@ class TestReport:
     integrity_violations: list[dict]
 
     def __post_init__(self) -> None:
-        expected = {"pass", "fail", "error", "inconclusive", "untested"}
+        expected = {*VERDICTS, "untested"}
         if set(self.dashboard) != expected:
             raise ReporterError(
                 f"dashboard must count exactly {sorted(expected)}, "
@@ -108,9 +108,8 @@ def _resolve_links(
     index: TraceIndex,
     violations: list[dict],
 ) -> dict:
-    trace = case.traceability
-    requirement = next(iter(trace.get("requirement_refs", [])), "")
-    threat = next(iter(trace.get("threat_refs", [])), "")
+    requirement = next(iter(case.traceability.requirement_refs), "")
+    threat = next(iter(case.traceability.threat_refs), "")
 
     def violation(kind: str, detail: str) -> None:
         violations.append({"case_ref": case.id, "kind": kind, "detail": detail})
@@ -213,13 +212,8 @@ def build_report(
         for case in cases
         if case.id not in executed
     ]
-    dashboard = {
-        "pass": sum(1 for f in findings if f["verdict"] == "pass"),
-        "fail": sum(1 for f in findings if f["verdict"] == "fail"),
-        "error": sum(1 for f in findings if f["verdict"] == "error"),
-        "inconclusive": sum(1 for f in findings if f["verdict"] == "inconclusive"),
-        "untested": len(untested),
-    }
+    dashboard = {v: sum(f["verdict"] == v for f in findings) for v in VERDICTS}
+    dashboard["untested"] = len(untested)
     max_severity = max(
         (f["severity"] for f in findings if f["verdict"] == "fail"), default=0
     )
@@ -245,9 +239,7 @@ def build_report(
 
 def render(report: TestReport, format: str) -> bytes:
     if format == "machine":
-        return (
-            json.dumps({"report": asdict(report)}, indent=2, sort_keys=True) + "\n"
-        ).encode()
+        return encode({"report": report})
     if format == "text":
         return _render_text(report).encode()
     raise ReporterError(
@@ -273,8 +265,7 @@ def _render_text(report: TestReport) -> str:
 
     section("Dashboard")
     lines.append(
-        "  ".join(f"{k}: {report.dashboard[k]}"
-                  for k in ("pass", "fail", "error", "inconclusive", "untested"))
+        "  ".join(f"{k}: {report.dashboard[k]}" for k in (*VERDICTS, "untested"))
     )
 
     section("Findings")

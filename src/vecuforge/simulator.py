@@ -369,6 +369,8 @@ class SimServer:
         self._sel = selectors.DefaultSelector()
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
+        # A byte on this pair ends the loop's wait, so ``stop`` need not poll.
+        self._wake_in, self._wake_out = socket.socketpair()
 
     @staticmethod
     def _listen(host: str, port: int) -> socket.socket:
@@ -390,12 +392,14 @@ class SimServer:
     def start(self) -> "SimServer":
         self._sel.register(self._data_listener, selectors.EVENT_READ, ("listen", "data"))
         self._sel.register(self._mgmt_listener, selectors.EVENT_READ, ("listen", "mgmt"))
+        self._sel.register(self._wake_in, selectors.EVENT_READ, ("wake", None))
         self._thread = threading.Thread(target=self._run, name="sut-sim", daemon=True)
         self._thread.start()
         return self
 
     def stop(self) -> None:
         self._stop.set()
+        self._wake_out.send(b"\0")
         if self._thread is not None:
             self._thread.join(timeout=5)
         for key in list(self._sel.get_map().values()):
@@ -404,13 +408,14 @@ class SimServer:
             except OSError:
                 pass
         self._sel.close()
+        self._wake_out.close()
 
     # -- event loop ---------------------------------------------------
 
     def _run(self) -> None:
         conns: dict[socket.socket, dict] = {}
         while not self._stop.is_set():
-            events = self._sel.select(timeout=0.05)
+            events = self._sel.select()
             for key, mask in events:
                 kind, role = key.data
                 if kind == "listen":

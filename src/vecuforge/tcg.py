@@ -6,7 +6,9 @@ value combination occurs in at least one case. Its cost grows with the
 number of t-tuples, not with the full product of the domains. Each row
 becomes one fully bound, directly executable test case with complete
 traceability. A bound value fills a slot only if its kind is the slot's
-declared type, and that type alone decides its text.
+declared type, and that type alone decides its text. A case is a typed
+record whose needs check themselves: at least one interface, and only
+preconditions from the vocabulary.
 """
 
 import itertools
@@ -27,7 +29,7 @@ from .scenario_dsl import (
 )
 from .script_registry import ScriptRegistry
 from .simulator import SEEDKEY_ALGORITHMS
-from .vocabulary import MATCHERS
+from .vocabulary import MATCHERS, PRECONDITIONS
 
 
 class TcgError(ValueError):
@@ -257,22 +259,65 @@ class BoundStep:
 
 
 @dataclass
+class CaseInterface:
+    """An interface a case needs, as its scenario names it."""
+
+    logical: str
+    kind: str
+    params: dict[str, str]
+
+    @property
+    def item_ref(self) -> str:
+        """The item interface it stands for: ``params["item_ref"]`` or its name."""
+        return self.params.get("item_ref", self.logical)
+
+
+@dataclass
+class EnvironmentalNeeds:
+    """At least one interface, and preconditions from the vocabulary, or TcgError."""
+
+    interfaces: list[CaseInterface]
+    preconditions: list[str]
+
+    def __post_init__(self) -> None:
+        if not self.interfaces:
+            raise TcgError("a case needs at least one interface")
+        for pre in self.preconditions:
+            if pre not in PRECONDITIONS:
+                raise TcgError(f"unknown precondition {pre!r}")
+
+
+@dataclass
+class ExpectedResults:
+    pass_condition: str
+    fail_condition: str
+    expectations: list[dict]
+
+
+@dataclass
+class Traceability:
+    requirement_refs: list[str]
+    threat_refs: list[str]
+    risk_ref: str | None
+
+
+@dataclass
 class TestCase:
     id: str
     scenario_ref: str
     method: str
     purpose: str
     sut_description: str
-    environmental_needs: dict
+    environmental_needs: EnvironmentalNeeds
     procedural_requirements: str
     activities: list[BoundStep]
-    input_data: dict
-    expected_results: dict
-    traceability: dict
-    variability: dict
+    input_data: dict[str, dict[str, str]]
+    expected_results: ExpectedResults
+    traceability: Traceability
+    variability: dict[str, str]
 
     def __post_init__(self) -> None:
-        if not (self.traceability.get("requirement_refs") or self.traceability.get("threat_refs")):
+        if not (self.traceability.requirement_refs or self.traceability.threat_refs):
             raise TcgError(f"case {self.id!r} has empty traceability")
 
 
@@ -371,6 +416,12 @@ def generate_cases(
             for a in activities
             if a.kind == "expect"
         ]
+        try:
+            needs = EnvironmentalNeeds([CaseInterface(logical, kind, dict(params))
+                                        for logical, kind, params in interfaces],
+                                       list(scenario.env.preconditions))
+        except TcgError as exc:
+            raise TcgError(f"scenario {scenario.id!r}: {exc}") from None
         cases.append(
             TestCase(
                 id=f"{scenario.id}-{row_ix:03d}",
@@ -378,29 +429,16 @@ def generate_cases(
                 method=method,
                 purpose=purpose,
                 sut_description=sut_description,
-                environmental_needs={
-                    "interfaces": [
-                        {"logical": logical, "kind": kind, "params": dict(params)}
-                        for logical, kind, params in interfaces
-                    ],
-                    "preconditions": list(scenario.env.preconditions),
-                },
+                environmental_needs=needs,
                 procedural_requirements=(
                     "Run activities strictly in order against a snapshotted SUT; "
                     "restore state afterwards."
                 ),
                 activities=activities,
                 input_data={"bindings": dict(bindings)},
-                expected_results={
-                    "pass_condition": scenario.oracle.pass_condition,
-                    "fail_condition": scenario.oracle.fail_condition,
-                    "expectations": expectations,
-                },
-                traceability={
-                    "requirement_refs": list(requirement_refs),
-                    "threat_refs": list(threat_refs),
-                    "risk_ref": risk_ref,
-                },
+                expected_results=ExpectedResults(scenario.oracle.pass_condition,
+                                                 scenario.oracle.fail_condition, expectations),
+                traceability=Traceability(list(requirement_refs), list(threat_refs), risk_ref),
                 variability=dict(bindings),
             )
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -10,7 +11,8 @@ import socket
 import subprocess
 import sys
 import threading
-from dataclasses import asdict, replace
+import typing
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -97,7 +99,7 @@ class TestRunStore:
         assert store.path("x.json").read_bytes() == first
 
     def test_dataclass_fields_encode_as_plain_json(self, tmp_path):
-        # Artifacts are written as asdict(record): str-valued enums must
+        # Artifacts are written from their records: str-valued enums must
         # encode as their value and tuples as lists.
         req = SecurityRequirement(
             id="REQ-1",
@@ -109,7 +111,7 @@ class TestRunStore:
             verification_hint=VerificationHint.FUZZ,
         )
         store = RunStore(tmp_path)
-        store.write_json("req.json", asdict(req))
+        store.write_json("req.json", req)
         assert store.path("req.json").read_bytes() == (
             b'{\n'
             b'  "countermeasure_ref": null,\n'
@@ -131,6 +133,56 @@ class TestRunStore:
         store.reset_dir("cases")
         assert store.path("cases").is_dir()
         assert list(store.path("cases").iterdir()) == []
+
+
+def types_in(kind):
+    """``kind`` and every type argument in it, all the way down."""
+    yield kind
+    for arg in typing.get_args(kind):
+        yield from types_in(arg)
+
+
+class TestOpenFields:
+    # Each record field, reachable from an artifact a stage decodes, whose type
+    # lets ``decode`` take any JSON value somewhere in it: a bare ``dict`` or
+    # ``object``. No type checks what such a field holds, so a new one is an
+    # edit of this list.
+    OPEN = [
+        "ExpectedResults.expectations",
+        "Item.config_params",
+        "StepRecord.detail",
+        "TestPlan.environment",
+        "TestPlan.termination",
+        "TestResult.oracle_evaluation",
+    ]
+
+    def test_open_fields_are_pinned(self, tmp_path, monkeypatch):
+        kinds = []
+        decode = RunStore.decode
+
+        def recording(store, rel, produced_by, kind):
+            kinds.append(kind)
+            return decode(store, rel, produced_by, kind)
+
+        monkeypatch.setattr(RunStore, "decode", recording)
+        assert run_cli("demo", "--run-dir", str(tmp_path), "--budget", "400") == EXIT_FINDINGS
+        found, seen = set(), set()
+
+        def visit(kind):
+            for record in types_in(kind):
+                if not dataclasses.is_dataclass(record) or record in seen:
+                    continue
+                seen.add(record)
+                for f in dataclasses.fields(record):
+                    if f.init:
+                        if any(t is dict or t is object for t in types_in(f.type)):
+                            found.add(f"{record.__name__}.{f.name}")
+                        visit(f.type)
+
+        for kind in kinds:
+            visit(kind)
+        assert {"TestCase", "TestResult", "TestPlan", "Item"} <= {k.__name__ for k in seen}
+        assert sorted(found) == self.OPEN
 
 
 class TestStageOrdering:
@@ -205,6 +257,19 @@ class TestStageOrdering:
         capsys.readouterr()
         assert run_cli("tcg", "--run-dir", str(tmp_path)) == EXIT_USAGE
         assert "wants service=<hex byte>" in capsys.readouterr().err
+        assert not (tmp_path / "cases").exists()
+
+    def test_tcg_rejects_a_scenario_without_an_interface(self, tmp_path, capsys):
+        for stage in OFFLINE_STAGES[:-1]:
+            assert run_cli(stage, "--run-dir", str(tmp_path)) == EXIT_OK
+        path = tmp_path / "scenarios" / "fuzz-if-can.scn"
+        line = '    interface bus canlike item_ref="IF-CAN"\n'
+        assert line in path.read_text()
+        path.write_text(path.read_text().replace(line, ""))
+        capsys.readouterr()
+        assert run_cli("tcg", "--run-dir", str(tmp_path)) == EXIT_USAGE
+        assert ("scenario 'fuzz-if-can': a case needs at least one interface"
+                in capsys.readouterr().err)
         assert not (tmp_path / "cases").exists()
 
     @pytest.mark.parametrize(
@@ -693,6 +758,30 @@ class TestExecuteAndReport:
         assert list(run_files(tmp_path / "results")) == [Path(f"{first}.result.json")]
         timing = json.loads((tmp_path / "timing" / "execute.json").read_text())
         assert [t["case_ref"] for t in timing["cases"]] == [first]
+
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [("interfaces", [], "a case needs at least one interface"),
+         ("preconditions", ["sut_alive", "moon_phase"], "unknown precondition 'moon_phase'")],
+        ids=["no-interface", "unknown-precondition"],
+    )
+    def test_bad_case_needs_are_a_usage_error_naming_the_file(
+        self, tmp_path, sim_factory, capsys, field, value, reason
+    ):
+        offline_chain(tmp_path)
+        paths = sorted((tmp_path / "cases").glob("*.case.json"))
+        for path in paths:
+            doc = json.loads(path.read_text())
+            doc["environmental_needs"][field] = value
+            path.write_text(json.dumps(doc))
+        server = sim_factory(SimConfig())
+        capsys.readouterr()
+        code = run_cli("execute", "--run-dir", str(tmp_path),
+                       "--sim-endpoint", endpoint_of(server))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert f"cases/{paths[0].name}" in err and reason in err
+        assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("func_id", ["zz", "800"], ids=["not-hex", "over-11-bits"])
     def test_bad_func_id_is_a_usage_error(self, tmp_path, sim_factory, samples_dir,

@@ -30,7 +30,17 @@ from vecuforge.planner import build_plan, load_attack_trees
 from vecuforge.scenario_dsl import parse_scenario, validate
 from vecuforge.script_registry import ScriptRegistry
 from vecuforge.simulator import EcuState, SimConfig, SimServer, dump_state, load_state
-from vecuforge.tcg import BoundStep, SutDatabase, generate_cases, load_sutdb
+from vecuforge.tcg import (
+    BoundStep,
+    CaseInterface,
+    EnvironmentalNeeds,
+    ExpectedResults,
+    SutDatabase,
+    TcgError,
+    Traceability,
+    generate_cases,
+    load_sutdb,
+)
 from vecuforge.tcg import TestCase as Case
 from vecuforge.vocabulary import PATTERNS
 from vecuforge.vuln_scanner import load_vulndb
@@ -83,12 +93,9 @@ def speed_read_case() -> Case:
         method="functional",
         purpose="Read the current speed over the diagnostic channel",
         sut_description="bundled simulator",
-        environmental_needs={
-            "interfaces": [
-                {"logical": "bus", "kind": "canlike", "params": {"item_ref": "IF-CAN"}}
-            ],
-            "preconditions": ["sut_alive"],
-        },
+        environmental_needs=EnvironmentalNeeds(
+            [CaseInterface("bus", "canlike", {"item_ref": "IF-CAN"})], ["sut_alive"]
+        ),
         procedural_requirements="run in order",
         activities=[
             BoundStep(
@@ -101,11 +108,8 @@ def speed_read_case() -> Case:
             ),
         ],
         input_data={},
-        expected_results={
-            "pass_condition": "all_expectations_met",
-            "fail_condition": "any_expectation_missed",
-        },
-        traceability={"requirement_refs": ["REQ-SPEED"], "threat_refs": [], "risk_ref": None},
+        expected_results=ExpectedResults("all_expectations_met", "any_expectation_missed", []),
+        traceability=Traceability(["REQ-SPEED"], [], None),
         variability={},
     )
 
@@ -122,9 +126,7 @@ def make_session(server, sutdb, cases) -> Session:
 def case_on(bus: str, item_ref: str) -> Case:
     """The speed read, sent on ``bus`` through the item interface ``item_ref``."""
     case = speed_read_case()
-    case.environmental_needs["interfaces"] = [
-        {"logical": bus, "kind": "canlike", "params": {"item_ref": item_ref}}
-    ]
+    case.environmental_needs.interfaces = [CaseInterface(bus, "canlike", {"item_ref": item_ref})]
     case.activities[0].bound_args["bus"] = bus
     return case
 
@@ -162,7 +164,7 @@ class TestPrepareEnv:
     def test_merges_case_needs(self, sim_factory, sutdb):
         server = sim_factory(SimConfig())
         diag = case_on("diag0", "IF-DIAG")
-        diag.environmental_needs["preconditions"] = ["env_ready", "sut_alive"]
+        diag.environmental_needs.preconditions = ["env_ready", "sut_alive"]
         session = make_session(server, sutdb, [speed_read_case(), speed_read_case(), diag])
         try:
             # IF-CAN's bus comes from the SUT database, IF-DIAG has no entry there
@@ -172,18 +174,14 @@ class TestPrepareEnv:
         finally:
             session.close()
 
-    def test_unknown_precondition_rejected(self, sim_factory, sutdb):
-        server = sim_factory(SimConfig())
-        odd = speed_read_case()
-        odd.environmental_needs["preconditions"] = ["moon_phase"]
-        with pytest.raises(ExecutorError, match="unknown precondition 'moon_phase'"):
-            make_session(server, sutdb, [speed_read_case(), odd])
+    # A case's needs check themselves, so no session ever sees these.
+    def test_unknown_precondition_rejected(self):
+        with pytest.raises(TcgError, match="unknown precondition 'moon_phase'"):
+            EnvironmentalNeeds([CaseInterface("bus", "canlike", {})], ["moon_phase"])
 
-    def test_cases_without_interfaces_rejected(self, sutdb):
-        case = speed_read_case()
-        case.environmental_needs["interfaces"] = []
-        with pytest.raises(ExecutorError, match="no interface"):
-            open_session([case], sutdb, host="h", data_port=1, mgmt_port=2)
+    def test_cases_without_interfaces_rejected(self):
+        with pytest.raises(TcgError, match="at least one interface"):
+            EnvironmentalNeeds([], ["sut_alive"])
 
     def test_zero_cases_rejected(self, sutdb):
         with pytest.raises(ExecutorError):
@@ -491,12 +489,9 @@ class TestErrorVerdicts:
         server = sim_factory(SimConfig())
         case = speed_read_case()
         ghost = speed_read_case()
-        ghost.environmental_needs = {
-            "interfaces": [
-                {"logical": "bus", "kind": "canlike", "params": {"item_ref": "IF-GHOST"}}
-            ],
-            "preconditions": [],
-        }
+        ghost.environmental_needs = EnvironmentalNeeds(
+            [CaseInterface("bus", "canlike", {"item_ref": "IF-GHOST"})], []
+        )
         session = make_session(server, sutdb, [case])
         try:
             result = execute_case(ghost, session, resources, registry)
@@ -557,7 +552,7 @@ class TestErrorVerdicts:
     def test_sut_without_barrier_is_infrastructure(self, barrierless_sim, sutdb,
                                                    resources, registry):
         case = speed_read_case()
-        case.environmental_needs["preconditions"] = []
+        case.environmental_needs.preconditions = []
         session = make_session(barrierless_sim, sutdb, [case])
         try:
             result = execute_case(case, session, resources, registry)
@@ -649,10 +644,7 @@ class TestRestore:
                       script_ref="cansend-frame",
                       bound_args={"id": "7df", "data": "0401"}),
         ]
-        case.expected_results = {
-            "pass_condition": "sut.alive",
-            "fail_condition": "write.accepted",
-        }
+        case.expected_results = ExpectedResults("sut.alive", "write.accepted", [])
         session = make_session(server, sutdb, [case])
         try:
             result = execute_case(case, session, resources, registry)

@@ -8,7 +8,9 @@ reads the file up to ``tcg``. A vulnerability-database mutant runs through
 cleanly ends there in exit 3.
 
 The result files of a seeded demo run are mutated the same way and read by
-``report``: a mutant ends in exit 0 or 1, or in exit 2 naming the file.
+``report``, and its case files are mutated and run through ``execute``,
+against an in-thread simulator, and then ``report``: a mutant ends in exit 0
+or 1, or in exit 2 naming the file.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from vecuforge.cli import EXIT_FINDINGS, EXIT_INFRA, EXIT_OK, EXIT_USAGE, main
+from vecuforge.simulator import SimConfig
 
 VALUES = (None, 7, "x", [], {})
 UNREACHABLE = "127.0.0.1:1:1"
@@ -144,5 +147,45 @@ def test_no_result_mutant_escapes(case_id, demo_run, capsys):
                 escapes.append(f"{label}: exit {code}: {err!r}")
     finally:
         path.write_text(original)
+    assert count > 0
+    assert escapes == [], f"{len(escapes)} of {count} mutants escaped:\n" + "\n".join(escapes)
+
+
+# Every case of the seeded demo: one per scenario, and the three bindings of
+# the negative functional scenario.
+CASES = ("func-neg-req-tc-sessbypass-if-can-000", "func-neg-req-tc-sessbypass-if-can-001",
+         "func-neg-req-tc-sessbypass-if-can-002", "func-pos-req-tc-sessbypass-if-can-000",
+         "fuzz-if-can-000", "pen-req-tc-weakkey-if-can-00-000", "vulnscan-item-demo-ecu-000")
+
+
+@pytest.mark.parametrize("case_id", CASES)
+def test_no_case_mutant_escapes(case_id, demo_run, sim_factory, tmp_path, capsys):
+    # A run directory whose only case is the one mutated, so each mutant runs alone.
+    run = tmp_path / "run"
+    shutil.copytree(demo_run, run, ignore=shutil.ignore_patterns("cases", "results"))
+    path = run / "cases" / f"{case_id}.case.json"
+    path.parent.mkdir()
+    original = json.loads((demo_run / "cases" / path.name).read_text())
+    server = sim_factory(SimConfig())
+    endpoint = f"127.0.0.1:{server.data_endpoint[1]}:{server.mgmt_endpoint[1]}"
+    escapes = []
+    count = 0
+    for label, mutant in mutants(original):
+        count += 1
+        path.write_text(json.dumps(mutant))
+        for stage in ("execute", "report"):
+            try:
+                code = main([stage, "--run-dir", str(run), "--sim-endpoint", endpoint])
+            except Exception as exc:  # noqa: BLE001 - an escape is what the test counts
+                escapes.append(f"{label} at {stage}: {type(exc).__name__}: {exc}")
+                break
+            err = capsys.readouterr().err
+            if code not in (EXIT_OK, EXIT_FINDINGS, EXIT_USAGE) or (
+                code == EXIT_USAGE and path.name not in err
+            ):
+                escapes.append(f"{label} at {stage}: exit {code}: {err!r}")
+                break
+            if code == EXIT_USAGE:
+                break
     assert count > 0
     assert escapes == [], f"{len(escapes)} of {count} mutants escaped:\n" + "\n".join(escapes)

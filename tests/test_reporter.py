@@ -22,7 +22,15 @@ from vecuforge.reporter import (
 )
 from vecuforge.reporter import TestReport as Report
 from vecuforge.script_registry import ScriptRegistry
-from vecuforge.tcg import BoundStep, generate_cases, load_sutdb
+from vecuforge.tcg import (
+    BoundStep,
+    CaseInterface,
+    EnvironmentalNeeds,
+    ExpectedResults,
+    Traceability,
+    generate_cases,
+    load_sutdb,
+)
 from vecuforge.tcg import TestCase as Case
 from vecuforge.vocabulary import PATTERNS
 
@@ -72,19 +80,19 @@ def make_case(ident: str, requirement: str = "REQ-TC-SESSBYPASS-IF-CAN",
         method="functional",
         purpose="p",
         sut_description="s",
-        environmental_needs={"interfaces": [], "preconditions": []},
+        environmental_needs=EnvironmentalNeeds([CaseInterface("bus", "canlike", {})], []),
         procedural_requirements="in order",
         activities=[
             BoundStep(kind="pattern", name="SEND_CAN_MSG",
                       script_ref="cansend-frame", bound_args={}),
         ],
         input_data={},
-        expected_results={"pass_condition": "sut.alive", "fail_condition": "sut.crashed"},
-        traceability={
-            "requirement_refs": [requirement] if requirement else [],
-            "threat_refs": [threat] if threat else [],
-            "risk_ref": "RISKS-X",
-        },
+        expected_results=ExpectedResults("sut.alive", "sut.crashed", []),
+        traceability=Traceability(
+            requirement_refs=[requirement] if requirement else [],
+            threat_refs=[threat] if threat else [],
+            risk_ref="RISKS-X",
+        ),
         variability={},
     )
 
@@ -170,7 +178,8 @@ class TestBuildReport:
     def test_scan_regulation_refs_merge_into_conflicts(self, pipeline):
         case = pipeline["cases"][0]
         record = StepRecord(
-            step={"kind": "pattern", "name": "VULN_SCAN"},
+            step=BoundStep(kind="pattern", name="VULN_SCAN", script_ref="vulnscan",
+                           bound_args={}),
             detail={
                 "scans": [
                     {

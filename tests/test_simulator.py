@@ -377,6 +377,22 @@ class TestSocketServer:
         finally:
             c.close()
 
+    def test_stop_does_not_wait_out_a_poll(self):
+        # A few milliseconds after a reply the loop is back in its wait: stop
+        # must end that wait at once. The fastest of three stops rules out a
+        # slow machine.
+        took = []
+        for _ in range(3):
+            srv = SimServer(SimConfig()).start()
+            client = frames.LineClient(*srv.data_endpoint)
+            assert client.exchange(["7df#013e"]) == [["7e8#017e"]]
+            time.sleep(0.005)
+            started = time.monotonic()
+            srv.stop()
+            took.append(time.monotonic() - started)
+            client.close()
+        assert min(took) < 0.02
+
     def test_mgmt_dump_load_reset(self, server):
         data = frames.LineClient(*server.data_endpoint)
         mgmt = frames.LineClient(*server.mgmt_endpoint)

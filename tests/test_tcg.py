@@ -17,8 +17,10 @@ from vecuforge.item_model import decode
 from vecuforge.scenario_dsl import Value, parse_scenario
 from vecuforge.script_registry import ScriptRegistry
 from vecuforge.tcg import (
+    CaseInterface,
     SutDatabase,
     TcgError,
+    Traceability,
     covering_array,
     generate_cases,
     load_sutdb,
@@ -560,26 +562,29 @@ class TestGenerateCases:
         assert expect.name == "RESPONSE"
         assert expect.within_ms == 250
         assert expect.script_ref is None
-        assert case.expected_results["expectations"] == [
+        assert case.expected_results.expectations == [
             {"matcher": "RESPONSE", "args": {"service": "3e"}, "within_ms": 250}
         ]
-        assert case.expected_results["pass_condition"] == "all_expectations_met"
+        assert case.expected_results.pass_condition == "all_expectations_met"
 
     def test_traceability_copied_from_meta(self, sutdb, registry):
         scenario = parse_scenario(
             scenario_text(meta_extra='    threat_ref: "T-1"\n    risk_ref: "R-abc"\n')
         )
         case = generate_cases(scenario, sutdb, registry)[0]
-        assert case.traceability == {
-            "requirement_refs": ["REQ-1"],
-            "threat_refs": ["T-1"],
-            "risk_ref": "R-abc",
-        }
+        assert case.traceability == Traceability(
+            requirement_refs=["REQ-1"], threat_refs=["T-1"], risk_ref="R-abc"
+        )
 
     def test_empty_traceability_rejected(self, sutdb, registry):
         text = scenario_text().replace('    requirement_ref: "REQ-1"\n', "")
         scenario = parse_scenario(text)
         with pytest.raises(TcgError, match="empty traceability"):
+            generate_cases(scenario, sutdb, registry)
+
+    def test_scenario_without_interface_rejected(self, sutdb, registry):
+        scenario = parse_scenario(scenario_text().replace("    interface bus canlike\n", ""))
+        with pytest.raises(TcgError, match="'scn-t': a case needs at least one interface"):
             generate_cases(scenario, sutdb, registry)
 
     def test_missing_script_names_pattern(self, sutdb, tmp_path):
@@ -608,13 +613,9 @@ class TestGenerateCases:
         case = generate_cases(parse_scenario(scenario_text()), sutdb, registry)[0]
         assert case.purpose
         assert case.sut_description.startswith("SIM-ECU-01")
-        assert case.environmental_needs["interfaces"][0] == {
-            "logical": "bus",
-            "kind": "canlike",
-            "params": {},
-        }
+        assert case.environmental_needs.interfaces[0] == CaseInterface("bus", "canlike", {})
         assert case.procedural_requirements
-        assert case.expected_results["fail_condition"] == "any_expectation_missed"
+        assert case.expected_results.fail_condition == "any_expectation_missed"
 
     def test_editing_one_case_leaves_the_others_unchanged(self, registry):
         db = SutDatabase(sut_id="X", domains={"A": ["7d1", "7d2"], "B": ["0x01", "0x02"]})
@@ -631,20 +632,20 @@ class TestGenerateCases:
         )
         cases = generate_cases(parse_scenario(text), db, registry, t=2)
         assert len(cases) == 4
-        assert len(cases[0].environmental_needs["interfaces"]) == 2
+        assert len(cases[0].environmental_needs.interfaces) == 2
         others = [asdict(c) for c in cases[1:]]
 
         edited = cases[0]
-        for interface in edited.environmental_needs["interfaces"]:
-            interface["params"]["bitrate"] = "1"
-            interface["kind"] = "debug"
-        edited.environmental_needs["preconditions"].append("env_ready")
-        edited.traceability["requirement_refs"].append("REQ-X")
-        edited.traceability["threat_refs"].append("T-X")
+        for interface in edited.environmental_needs.interfaces:
+            interface.params["bitrate"] = "1"
+            interface.kind = "debug"
+        edited.environmental_needs.preconditions.append("env_ready")
+        edited.traceability.requirement_refs.append("REQ-X")
+        edited.traceability.threat_refs.append("T-X")
         for step in edited.activities:
             step.bound_args["extra"] = "x"
-        edited.expected_results["expectations"][0]["within_ms"] = 1
-        edited.expected_results["expectations"].append({"matcher": "NO_RESPONSE"})
+        edited.expected_results.expectations[0]["within_ms"] = 1
+        edited.expected_results.expectations.append({"matcher": "NO_RESPONSE"})
         assert [asdict(c) for c in cases[1:]] == others
 
     def test_serialization_deterministic(self, sutdb, registry):
