@@ -10,10 +10,11 @@ from pathlib import Path
 
 import vecuforge
 from vecuforge.item_model import (
+    Item,
+    ItemError,
     ProbeConfig,
-    declared_services,
     fingerprint_sut,
-    load_item,
+    load_json,
     reconcile,
 )
 from vecuforge.simulator import SimConfig, SimServer
@@ -22,9 +23,9 @@ SAMPLES = Path(vecuforge.__file__).parent / "samples"
 
 
 def main() -> None:
-    item = load_item(str(SAMPLES / "item.json"))
+    item = load_json(Item, SAMPLES / "item.json", ItemError)
     iface = item.interface("IF-CAN")
-    declared = sorted(declared_services(item))
+    declared = sorted(item.config_params.declared_services)
     print(f"item {item.id!r} declares diagnostic services: "
           + " ".join(f"0x{s:02x}" for s in declared))
 

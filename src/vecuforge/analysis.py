@@ -9,45 +9,22 @@ threat class. The two halves run as separate stages, and the concept is
 derived from the threats and risks the analysis stage wrote.
 """
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .item_model import (
+    ImpactVector,
     Interface,
     Item,
     SecurityGoal,
     ServiceByte,
-    declared_services,
-    decode,
+    check_range,
     load_json,
 )
 
 
 class AnalysisError(ValueError):
     """Out-of-range rating or malformed catalog/countermeasure data."""
-
-
-def _check_range(name: str, value: int, lo: int, hi: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or not lo <= value <= hi:
-        raise AnalysisError(f"{name} must be an integer in [{lo},{hi}], got {value!r}")
-    return value
-
-
-@dataclass(frozen=True)
-class ImpactVector:
-    safety: int
-    financial: int
-    operational: int
-    privacy: int
-    level: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        for name in ("safety", "financial", "operational", "privacy"):
-            _check_range(name, getattr(self, name), 0, 4)
-        object.__setattr__(
-            self, "level", max(self.safety, self.financial, self.operational, self.privacy)
-        )
 
 
 @dataclass(frozen=True)
@@ -77,7 +54,7 @@ class ThreatCatalogEntry:
     regulation_refs: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_range("default_feasibility", self.default_feasibility, 0, 4)
+        check_range("default_feasibility", self.default_feasibility, 0, 4, AnalysisError)
 
 
 @dataclass(frozen=True)
@@ -200,7 +177,7 @@ def _predicate_matches(entry: ThreatCatalogEntry, element, item: Item) -> bool:
         return False
     if pred.service is not None:
         carries_services = is_iface and element.kind.value in ("canlike", "diag")
-        if not carries_services or pred.service not in declared_services(item):
+        if not carries_services or pred.service not in item.config_params.declared_services:
             return False
     if pred.goal_property is not None and not any(
         g.property.value == pred.goal_property for g in item.security_goals
@@ -232,8 +209,8 @@ def enumerate_threats(item: Item, entries: list[ThreatCatalogEntry]) -> list[Thr
 
 
 def assess_risk(threat: Threat, impact: ImpactVector, probability: int, threshold: int = 4) -> Risk:
-    _check_range("probability", probability, 0, 4)
-    _check_range("threshold", threshold, 1, 16)
+    check_range("probability", probability, 0, 4, AnalysisError)
+    check_range("threshold", threshold, 1, 16, AnalysisError)
     value = impact.level * probability
     return Risk(
         threat_ref=threat.id,
@@ -252,21 +229,17 @@ def analyze_threats(item: Item, catalog: Catalog) -> tuple[list[Threat], list[Ri
     mapped goal's property; probability is the catalog entry's default
     feasibility; the threshold is config_params.risk_threshold.
     """
-    params, where = item.config_params, f"item {item.id!r} config_params"
-    ratings = decode(dict[str, ImpactVector], params.get("impact_ratings", {}),
-                     f"{where}.impact_ratings", AnalysisError)
-    threshold = decode(int, params.get("risk_threshold", 4), f"{where}.risk_threshold",
-                       AnalysisError)
+    config = item.config_params
     goal_index = {g.id: g for g in item.security_goals}
     threats = enumerate_threats(item, catalog.entries)
     risks: list[Risk] = []
     for threat in threats:
         prop = goal_index[threat.mapped_goal].property.value
-        if prop not in ratings:
+        if prop not in config.impact_ratings:
             raise AnalysisError(f"no impact rating for goal property {prop!r}")
-        impact = ratings[prop]
         feasibility = catalog.entry_for(threat).default_feasibility
-        risks.append(assess_risk(threat, impact, feasibility, threshold))
+        risks.append(assess_risk(threat, config.impact_ratings[prop], feasibility,
+                                 config.risk_threshold))
     return threats, risks
 
 

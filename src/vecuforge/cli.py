@@ -27,14 +27,13 @@ stops it on every exit path.
 
 import argparse
 import functools
-import json
 import os
 import shutil
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Annotated, TypeVar
+from typing import TypeVar
 
 from .analysis import (
     AnalysisError,
@@ -63,9 +62,7 @@ from .item_model import (
     ProbeConfig,
     decode,
     encode,
-    fingerprint_id_range,
     fingerprint_sut,
-    item_from_dict,
     load_json,
     reconcile,
 )
@@ -104,7 +101,6 @@ _CONFIG_ERRORS = (
     RegistryError,
     ScanError,
     ReporterError,
-    json.JSONDecodeError,
     OSError,
 )
 
@@ -139,24 +135,21 @@ class RunStore:
         self.write_bytes(rel, encode(doc))
 
     def read_json(self, rel: str, produced_by: str) -> dict:
+        return self.decode(rel, produced_by, dict)
+
+    def decode(self, rel: str, produced_by: str, kind: type[T]) -> T:
+        """An artifact read as ``kind`` by ``item_model.load_json``; a missing
+        or malformed one is a usage error naming the stage that writes it."""
         target = self.path(rel)
         if not target.exists():
             raise UsageError(
                 f"missing artifact {rel!r}; run the {produced_by!r} stage first"
             )
-        with open(target, encoding="utf-8") as fh:
-            return json.load(fh)
-
-    def decode(self, rel: str, produced_by: str, kind: type[T]) -> T:
-        """An artifact read as ``kind`` by ``item_model.decode``; a malformed one
-        is a usage error."""
-        doc = self.read_json(rel, produced_by)
         try:
-            return decode(kind, doc, rel, ValueError)
-        except (KeyError, TypeError, ValueError) as exc:
+            return load_json(kind, target, ValueError)
+        except ValueError as exc:
             raise UsageError(
-                f"malformed artifact {rel!r} ({type(exc).__name__}: {exc}); "
-                f"re-run the {produced_by!r} stage"
+                f"malformed artifact {rel!r} ({exc}); re-run the {produced_by!r} stage"
             ) from None
 
     def decode_all(self, subdir: str, suffix: str, produced_by: str,
@@ -225,7 +218,7 @@ class ResultArtifact:
 
 
 def _load_item_artifact(store: RunStore) -> Item:
-    return store.decode("item.json", "item", Annotated[Item, item_from_dict])
+    return store.decode("item.json", "item", Item)
 
 
 def _load_threats(store: RunStore) -> ThreatsArtifact:
@@ -251,7 +244,7 @@ def stage_item(store: RunStore, args) -> int:
     if not path.exists():
         raise UsageError(f"item definition {str(path)!r} does not exist")
     doc = load_json(dict, path, ItemError)
-    item_from_dict(doc, str(path))  # full validation before anything is written
+    decode(Item, doc, str(path), ItemError)  # the whole item, checked before anything is written
     store.write_json("item.json", doc)
     return EXIT_OK
 
@@ -259,7 +252,7 @@ def stage_item(store: RunStore, args) -> int:
 def stage_fingerprint(store: RunStore, args) -> int:
     item = _load_item_artifact(store)
     host, data_port, _ = _parse_endpoint(args.sim_endpoint, need_mgmt=False)
-    probe_cfg = ProbeConfig(id_range=fingerprint_id_range(item))
+    probe_cfg = ProbeConfig(id_range=item.config_params.fingerprint_id_range)
     fingerprints: dict[str, dict] = {}
     probed_at: dict[str, str] = {}
     discrepancies: list[dict] = []

@@ -509,8 +509,6 @@ class _CaseRun:
         record = StepRecord(step=step)
         if not self.records:
             raise ExecutorError("expect step without a preceding stimulus")
-        if step.name not in MATCHERS:
-            raise ExecutorError(f"unknown matcher {step.name!r}")
         prefix_for = MATCHERS[step.name]
         examined = self.last_rx
         if prefix_for is None:
@@ -545,8 +543,6 @@ class _CaseRun:
 
 def condition_holds(name: str, facts: dict) -> bool:
     """Evaluate one oracle condition against the recorded execution facts."""
-    if name not in CONDITIONS:
-        raise ExecutorError(f"unknown oracle condition {name!r}")
     return CONDITIONS[name](facts)
 
 
@@ -604,21 +600,16 @@ def execute_case(
             step_started = time.monotonic()
             if step.kind == "pattern":
                 run.run_pattern(step)
-            elif step.kind == "expect":
-                run.run_expect(step)
             else:
-                raise ExecutorError(f"unknown activity kind {step.kind!r}")
+                run.run_expect(step)
             latencies_ms.append((time.monotonic() - step_started) * 1000.0)
         final_alive = session.probe_alive()
     except ExecutorError as exc:
         return finish("error", str(exc))
     facts = run.facts(final_alive)
     oracle["facts"] = facts
-    try:
-        fail_holds = condition_holds(oracle["fail_condition"], facts)
-        pass_holds = condition_holds(oracle["pass_condition"], facts)
-    except ExecutorError as exc:
-        return finish("error", str(exc))
+    fail_holds = condition_holds(oracle["fail_condition"], facts)
+    pass_holds = condition_holds(oracle["pass_condition"], facts)
     oracle["pass_holds"] = pass_holds
     oracle["fail_holds"] = fail_holds
 

@@ -1,8 +1,13 @@
 """Item definition: what we believe the unit under test looks like.
 
 An item file (JSON) declares the boundary, functions, components,
-interfaces and security goals. Fingerprinting then asks the live SUT
-what is actually there, and reconcile() reports where declaration and
+interfaces and security goals, and in ``config_params`` the settings the
+later stages read: the declared services, the request ids the fingerprint
+sweeps, the risk threshold and an impact rating per goal property. The
+whole file is one ``Item`` record that ``decode`` reads and checks, cross
+references included, so a defect in it stops the ``item`` stage, before
+any stage that uses it runs. Fingerprinting then asks the live SUT what
+is actually there, and reconcile() reports where declaration and
 observation disagree.
 
 Fingerprinting strategy: sweep request ids over a configurable range
@@ -54,6 +59,79 @@ class SecurityProperty(str, Enum):
     NON_REPUDIATION = "non_repudiation"
 
 
+_SERVICE_HEX_RE = re.compile(r"(?:0x)?[0-9a-f]{1,2}", re.IGNORECASE)
+
+
+def service_byte(raw, where: str, error: type[ValueError] = ItemError) -> int | None:
+    """A service byte as written in input files, or None when absent.
+
+    Both a JSON number and a hex string name one: ``39`` and ``"0x27"`` are
+    0x27. Anything else raises ``error``, naming the field ``where``.
+    """
+    if raw is None:
+        return None
+    if isinstance(raw, str) and _SERVICE_HEX_RE.fullmatch(raw):
+        return int(raw, 16)
+    if type(raw) is int and 0 <= raw <= 0xFF:
+        return raw
+    raise error(f"{where}: {raw!r} is not a service byte "
+                "(a number 0-255 or a hex string such as \"0x27\")")
+
+
+ServiceByte = Annotated[int, service_byte]
+
+
+def _id_range(raw, where: str, error: type[ValueError]) -> tuple[int, int]:
+    """Two hex strings such as ``["0x7d0", "0x7ff"]``, each at most 0x7ff,
+    the lower first."""
+    ids = [hex_in(v.removeprefix("0x"), MAX_FRAME_ID) if type(v) is str else None
+           for v in (raw if type(raw) is list and len(raw) == 2 else [None])]
+    if None not in ids and ids[0] <= ids[1]:
+        return ids[0], ids[1]
+    raise error(f"{where}: {raw!r} is not two 11-bit hex frame ids, the lower first, "
+                "such as [\"0x7d0\", \"0x7ff\"]")
+
+
+def check_range(name: str, value, lo: int, hi: int, error: type[ValueError] = ItemError) -> int:
+    """``value`` when it is an integer (not a bool) in ``lo``-``hi``, else ``error``."""
+    if not isinstance(value, int) or isinstance(value, bool) or not lo <= value <= hi:
+        raise error(f"{name} must be an integer in [{lo},{hi}], got {value!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class ImpactVector:
+    """Impact ratings, 0-4 each; ``level`` is the highest of them."""
+
+    safety: int
+    financial: int
+    operational: int
+    privacy: int
+    level: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        for name in ("safety", "financial", "operational", "privacy"):
+            check_range(name, getattr(self, name), 0, 4)
+        object.__setattr__(
+            self, "level", max(self.safety, self.financial, self.operational, self.privacy)
+        )
+
+
+@dataclass
+class ItemConfig:
+    """``config_params``: the service bytes the item claims to expose, the
+    request ids the fingerprint sweeps, the risk threshold (1-16) and the
+    impact ratings by goal property. Any other key is an error."""
+
+    declared_services: set[ServiceByte] = field(default_factory=set)
+    fingerprint_id_range: Annotated[tuple[int, int], _id_range] = (0x7D0, 0x7FF)
+    risk_threshold: int = 4
+    impact_ratings: dict[str, ImpactVector] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        check_range("risk_threshold", self.risk_threshold, 1, 16)
+
+
 @dataclass(frozen=True)
 class Function:
     id: str
@@ -88,6 +166,11 @@ class SecurityGoal:
 
 @dataclass
 class Item:
+    """An item definition. Construction checks the cross references: a
+    non-blank boundary, at least one interface, unique element ids, known
+    components behind interfaces, an address on every external interface
+    and a known element behind every goal."""
+
     id: str
     name: str
     boundary: str
@@ -95,15 +178,29 @@ class Item:
     components: list[Component] = field(default_factory=list)
     interfaces: list[Interface] = field(default_factory=list)
     security_goals: list[SecurityGoal] = field(default_factory=list)
-    config_params: dict = field(default_factory=dict)
+    config_params: ItemConfig = field(default_factory=ItemConfig)
 
-    def element_ids(self) -> set[str]:
-        return (
-            {f.id for f in self.functions}
-            | {c.id for c in self.components}
-            | {i.id for i in self.interfaces}
-            | {g.id for g in self.security_goals}
-        )
+    def __post_init__(self) -> None:
+        if not self.boundary.strip():
+            raise ItemError(f"item {self.id!r}: boundary must be non-empty")
+        if not self.interfaces:
+            raise ItemError(f"item {self.id!r}: at least one interface is required")
+        seen: set[str] = set()
+        for element in self.functions + self.components + self.interfaces + self.security_goals:
+            if element.id in seen:
+                raise ItemError(f"duplicate id {element.id!r} within item {self.id!r}")
+            seen.add(element.id)
+        component_ids = {c.id for c in self.components}
+        for iface in self.interfaces:
+            if iface.component_ref not in component_ids:
+                raise ItemError(
+                    f"interface {iface.id!r} references unknown component {iface.component_ref!r}"
+                )
+            if iface.exposure is Exposure.EXTERNAL and not iface.address:
+                raise ItemError(f"external interface {iface.id!r} needs a non-empty address")
+        for goal in self.security_goals:
+            if goal.target_ref not in seen:
+                raise ItemError(f"goal {goal.id!r} targets unknown element {goal.target_ref!r}")
 
     def interface(self, iface_id: str) -> Interface:
         for iface in self.interfaces:
@@ -112,55 +209,17 @@ class Item:
         raise ItemError(f"interface {iface_id!r} not in item {self.id!r}")
 
 
-def item_from_dict(doc, where: str = "item", error: type[ValueError] = ItemError) -> Item:
-    """The item a JSON document describes, decoded and validated; ``where``
-    names the document in errors."""
-    item = decode(Item, doc, where, error)
-    validate_item(item)
-    return item
-
-
-def validate_item(item: Item) -> None:
-    if not item.boundary.strip():
-        raise ItemError(f"item {item.id!r}: boundary must be non-empty")
-    if not item.interfaces:
-        raise ItemError(f"item {item.id!r}: at least one interface is required")
-    seen: set[str] = set()
-    for eid in (
-        [f.id for f in item.functions]
-        + [c.id for c in item.components]
-        + [i.id for i in item.interfaces]
-        + [g.id for g in item.security_goals]
-    ):
-        if eid in seen:
-            raise ItemError(f"duplicate id {eid!r} within item {item.id!r}")
-        seen.add(eid)
-    component_ids = {c.id for c in item.components}
-    for iface in item.interfaces:
-        if iface.component_ref not in component_ids:
-            raise ItemError(
-                f"interface {iface.id!r} references unknown component {iface.component_ref!r}"
-            )
-        if iface.exposure is Exposure.EXTERNAL and not iface.address:
-            raise ItemError(f"external interface {iface.id!r} needs a non-empty address")
-    for goal in item.security_goals:
-        if goal.target_ref not in item.element_ids():
-            raise ItemError(f"goal {goal.id!r} targets unknown element {goal.target_ref!r}")
-    declared_services(item)
-    fingerprint_id_range(item)
-
-
-def load_item(path: str) -> Item:
-    return item_from_dict(load_json(dict, path, ItemError), str(path))
-
-
 def load_json(kind, path, error: type[ValueError]):
-    """The JSON file ``path`` read as ``kind`` by ``decode``; a file that does
-    not parse or does not read as ``kind`` is ``error``, naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    """The JSON file ``path`` read as ``kind`` by ``decode``; a file that is
+    not UTF-8, does not parse or does not read as ``kind`` is ``error``,
+    naming the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: byte {data[exc.start]:#04x} at offset "
+                    f"{exc.start}") from None
     except json.JSONDecodeError as exc:
         raise error(f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     return decode(kind, doc, str(path), error)
@@ -174,28 +233,6 @@ def encode(doc) -> bytes:
 
 def _fields(record) -> dict:
     return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
-
-
-_SERVICE_HEX_RE = re.compile(r"(?:0x)?[0-9a-f]{1,2}", re.IGNORECASE)
-
-
-def service_byte(raw, where: str, error: type[ValueError] = ItemError) -> int | None:
-    """A service byte as written in input files, or None when absent.
-
-    Both a JSON number and a hex string name one: ``39`` and ``"0x27"`` are
-    0x27. Anything else raises ``error``, naming the field ``where``.
-    """
-    if raw is None:
-        return None
-    if isinstance(raw, str) and _SERVICE_HEX_RE.fullmatch(raw):
-        return int(raw, 16)
-    if type(raw) is int and 0 <= raw <= 0xFF:
-        return raw
-    raise error(f"{where}: {raw!r} is not a service byte "
-                "(a number 0-255 or a hex string such as \"0x27\")")
-
-
-ServiceByte = Annotated[int, service_byte]
 
 
 class _Invalid(ValueError):
@@ -361,33 +398,12 @@ def _record_reader(cls):
     return read_record
 
 
-def declared_services(item: Item) -> set[int]:
-    """Service bytes the item claims to expose (config key declared_services)."""
-    return decode(set[ServiceByte], item.config_params.get("declared_services", []),
-                  f"item {item.id!r} config_params.declared_services", ItemError)
-
-
-def fingerprint_id_range(item: Item) -> tuple[int, int]:
-    """Request ids the fingerprint sweeps (config key fingerprint_id_range):
-    two hex strings such as ``["0x7d0", "0x7ff"]``, each at most 0x7ff, the
-    lower first. Without the key, ``ProbeConfig``'s default range."""
-    raw = item.config_params.get("fingerprint_id_range")
-    if raw is None:
-        return ProbeConfig().id_range
-    ids = [hex_in(v.removeprefix("0x"), MAX_FRAME_ID) if type(v) is str else None
-           for v in (raw if type(raw) is list and len(raw) == 2 else [None])]
-    if None not in ids and ids[0] <= ids[1]:
-        return ids[0], ids[1]
-    raise ItemError(f"item {item.id!r} config_params.fingerprint_id_range: {raw!r} is not "
-                    f"two 11-bit hex frame ids, the lower first, such as [\"0x7d0\", \"0x7ff\"]")
-
-
 # -- fingerprinting -----------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    id_range: tuple[int, int] = (0x7D0, 0x7FF)
+    id_range: tuple[int, int] = ItemConfig.fingerprint_id_range
     service_range: tuple[int, int] = (0x00, 0x7F)
 
 
@@ -486,7 +502,7 @@ class Discrepancy:
 def reconcile(item: Item, fp: FingerprintReport) -> list[Discrepancy]:
     """Exact symmetric difference between declared and observed services."""
     item.interface(fp.probed_interface)
-    declared = declared_services(item)
+    declared = item.config_params.declared_services
     observed = set(fp.supported_services)
     out: list[Discrepancy] = []
     for svc in sorted(observed - declared):

@@ -7,8 +7,9 @@ number of t-tuples, not with the full product of the domains. Each row
 becomes one fully bound, directly executable test case with complete
 traceability. A bound value fills a slot only if its kind is the slot's
 declared type, and that type alone decides its text. A case is a typed
-record whose needs check themselves: at least one interface, and only
-preconditions from the vocabulary.
+record that checks its own vocabulary: at least one interface, and only
+preconditions, oracle conditions, activity kinds and matchers that the
+vocabulary defines, so the executor never meets a name it cannot run.
 """
 
 import itertools
@@ -29,7 +30,7 @@ from .scenario_dsl import (
 )
 from .script_registry import ScriptRegistry
 from .simulator import SEEDKEY_ALGORITHMS
-from .vocabulary import MATCHERS, PRECONDITIONS
+from .vocabulary import CONDITIONS, MATCHERS, PRECONDITIONS
 
 
 class TcgError(ValueError):
@@ -289,9 +290,16 @@ class EnvironmentalNeeds:
 
 @dataclass
 class ExpectedResults:
+    """The oracle: two conditions from the vocabulary, or TcgError."""
+
     pass_condition: str
     fail_condition: str
     expectations: list[dict]
+
+    def __post_init__(self) -> None:
+        for condition in (self.pass_condition, self.fail_condition):
+            if condition not in CONDITIONS:
+                raise TcgError(f"unknown oracle condition {condition!r}")
 
 
 @dataclass
@@ -319,6 +327,11 @@ class TestCase:
     def __post_init__(self) -> None:
         if not (self.traceability.requirement_refs or self.traceability.threat_refs):
             raise TcgError(f"case {self.id!r} has empty traceability")
+        for step in self.activities:
+            if step.kind not in ("pattern", "expect"):
+                raise TcgError(f"case {self.id!r}: unknown activity kind {step.kind!r}")
+            if step.kind == "expect" and step.name not in MATCHERS:
+                raise TcgError(f"case {self.id!r}: unknown matcher {step.name!r}")
 
 
 _SERVICE = "one hex byte"

@@ -1,8 +1,8 @@
 """The standard vocabulary: one table per concept.
 
-Scenarios are validated against these tables and the executor evaluates
-them, so each name is defined once, here. The script registry maps the
-patterns to concrete scripts. ``MATCHERS`` maps a matcher to the
+Scenarios and case files are validated against these tables and the
+executor evaluates them, so each name is defined once, here. The script
+registry maps the patterns to concrete scripts. ``MATCHERS`` maps a matcher to the
 reply-payload prefix it accepts for a given service; ``None`` means the
 matcher is met only when no frame came back. ``CONDITIONS`` maps an
 oracle condition to its predicate over the facts that

@@ -7,14 +7,14 @@ from types import SimpleNamespace
 import pytest
 
 import vecuforge
-from vecuforge import frames
+from vecuforge import frames, item_model
 from vecuforge.analysis import (
     analyze_threats,
     derive_requirements,
     load_catalog,
     load_countermeasures,
 )
-from vecuforge.item_model import load_item
+from vecuforge.item_model import Item, ItemError
 from vecuforge.simulator import SimConfig, SimServer
 
 SAMPLES = Path(vecuforge.__file__).parent / "samples"
@@ -29,7 +29,8 @@ def samples_dir() -> Path:
 def analysis(samples_dir) -> SimpleNamespace:
     """The bundled samples through the analyze stage's call, then the concept stage's."""
     catalog = load_catalog(samples_dir / "catalog.json")
-    threats, risks = analyze_threats(load_item(samples_dir / "item.json"), catalog)
+    item = item_model.load_json(Item, samples_dir / "item.json", ItemError)
+    threats, risks = analyze_threats(item, catalog)
     threat_class_by_id = {t.id: catalog.entry_for(t).threat_class for t in threats}
     library = load_countermeasures(samples_dir / "countermeasures.json")
     return SimpleNamespace(

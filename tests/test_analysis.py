@@ -27,7 +27,7 @@ from vecuforge.analysis import (
     enumerate_threats,
     load_catalog,
 )
-from vecuforge.item_model import Interface, Item, item_from_dict, load_item
+from vecuforge.item_model import Interface, Item, ItemError, decode, load_json
 
 rating = st.integers(min_value=0, max_value=4)
 
@@ -78,7 +78,7 @@ class TestRiskMath:
             assess_risk(threat, ImpactVector(1, 1, 1, 1), 2, bad)
 
     def test_impact_dimension_range_enforced(self):
-        with pytest.raises(AnalysisError):
+        with pytest.raises(ItemError):
             ImpactVector(5, 0, 0, 0)
 
 
@@ -101,7 +101,7 @@ def small_item(goals=None, ifaces=None) -> Item:
         "security_goals": goals or [],
         "config_params": {"declared_services": ["0x27"]},
     }
-    return item_from_dict(doc)
+    return decode(Item, doc, "item", ItemError)
 
 
 def entry(eid="TC-1", tclass="weak_authentication", feas=3, **pred) -> ThreatCatalogEntry:
@@ -163,8 +163,6 @@ class TestEnumerateThreats:
 
 def brute_force_threats(item: Item, entries) -> set[tuple[str, str]]:
     """Independent predicate evaluation over the full cross product."""
-    from vecuforge.item_model import declared_services
-
     pairs = set()
     for e in entries:
         for el in list(item.interfaces) + list(item.components):
@@ -179,7 +177,7 @@ def brute_force_threats(item: Item, entries) -> set[tuple[str, str]]:
                     ok
                     and isinstance(el, Interface)
                     and el.kind.value in ("canlike", "diag")
-                    and p.service in declared_services(item)
+                    and p.service in item.config_params.declared_services
                 )
             if p.goal_property is not None:
                 ok = ok and any(g.property.value == p.goal_property for g in item.security_goals)
@@ -192,7 +190,7 @@ def brute_force_threats(item: Item, entries) -> set[tuple[str, str]]:
 
 class TestBruteForceOracle:
     def test_bundled_sample_equals_brute_force(self, samples_dir):
-        item = load_item(str(samples_dir / "item.json"))
+        item = load_json(Item, samples_dir / "item.json", ItemError)
         catalog = load_catalog(str(samples_dir / "catalog.json"))
         got = {(t.catalog_ref, t.target) for t in enumerate_threats(item, catalog.entries)}
         assert got == brute_force_threats(item, catalog.entries)
@@ -391,7 +389,7 @@ class TestBundledSampleAnalysis:
             assert req.goal_ref in goal_ids
 
     def test_consistency_clean(self, analysis, samples_dir):
-        goals = load_item(str(samples_dir / "item.json")).security_goals
+        goals = load_json(Item, samples_dir / "item.json", ItemError).security_goals
         assert check_consistency(analysis.requirements, goals) == ConsistencyReport([], [])
 
     def test_hints_follow_catalog(self, analysis):

@@ -149,7 +149,6 @@ class TestOpenFields:
     # edit of this list.
     OPEN = [
         "ExpectedResults.expectations",
-        "Item.config_params",
         "StepRecord.detail",
         "TestPlan.environment",
         "TestPlan.termination",
@@ -486,6 +485,36 @@ class TestMalformedArtifacts:
         assert run_cli(stage, "--run-dir", str(tmp_path)) == EXIT_USAGE
         assert repr(rel) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [b'{"trunc', b'{"id": "\xff"}'],
+                             ids=["truncated", "not-utf-8"])
+    @pytest.mark.parametrize(
+        "rel, stage, produced_by, flag",
+        [("item.json", "analyze", "item", None),
+         ("threats.json", "concept", "analyze", None),
+         ("plan.json", "tcg", "plan", None),
+         ("results/synthetic.result.json", "report", "execute", None),
+         ("input.json", "item", None, "--item"),
+         ("input.json", "analyze", None, "--catalog")],
+        ids=["item-artifact", "threats-artifact", "plan-artifact", "result-artifact",
+             "item-input", "catalog-input"],
+    )
+    def test_unreadable_json_names_the_file(self, tmp_path, capsys, rel, stage, produced_by,
+                                            flag, content):
+        """A JSON file that is cut short or not UTF-8 is a usage error naming
+        the file, and for an artifact the stage that writes it."""
+        run = tmp_path / "run"
+        offline_chain(run)
+        (run / "results").mkdir()
+        path = (tmp_path if flag else run) / rel
+        path.write_bytes(content)
+        capsys.readouterr()
+        code = run_cli(stage, "--run-dir", str(run), *((flag, str(path)) if flag else ()))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert str(path) in err
+        if produced_by:
+            assert f"re-run the {produced_by!r} stage" in err
+
     def test_result_filed_under_another_case(self, tmp_path, capsys):
         offline_chain(tmp_path)
         case_ids = sorted(json.loads(p.read_text())["id"]
@@ -577,6 +606,25 @@ class TestOfflineStages:
         bad.write_text("{not json")
         assert run_cli("item", "--run-dir", str(tmp_path / "run"),
                        "--item", str(bad)) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [("risk_treshold", 4, "config_params has the unknown field 'risk_treshold'"),
+         ("declared_request_ids", ["0x7df"],
+          "config_params has the unknown field 'declared_request_ids'"),
+         ("risk_threshold", 0, "risk_threshold must be an integer in [1,16], got 0")],
+        ids=["misspelled-key", "dropped-key", "threshold-out-of-range"],
+    )
+    def test_bad_config_param_stops_the_item_stage(self, tmp_path, samples_dir, capsys, key,
+                                                   value, reason):
+        doc = json.loads((samples_dir / "item.json").read_text())
+        doc["config_params"][key] = value
+        item = tmp_path / "item.json"
+        item.write_text(json.dumps(doc))
+        run_dir = tmp_path / "run"
+        assert run_cli("item", "--run-dir", str(run_dir), "--item", str(item)) == EXIT_USAGE
+        assert reason in capsys.readouterr().err
+        assert not (run_dir / "item.json").exists()
 
     def test_run_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv(RUN_DIR_ENV, str(tmp_path / "envrun"))
@@ -781,6 +829,32 @@ class TestExecuteAndReport:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert f"cases/{paths[0].name}" in err and reason in err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [(lambda doc: doc["expected_results"].update(pass_condition="x"),
+          "unknown oracle condition 'x'"),
+         (lambda doc: doc["activities"][0].update(kind="x"), "unknown activity kind 'x'"),
+         (lambda doc: next(a for a in doc["activities"] if a["kind"] == "expect").update(name="x"),
+          "unknown matcher 'x'")],
+        ids=["pass-condition", "activity-kind", "matcher"],
+    )
+    def test_unknown_case_vocabulary_is_a_usage_error_naming_the_file(
+        self, tmp_path, sim_factory, capsys, edit, reason
+    ):
+        offline_chain(tmp_path)
+        path = tmp_path / "cases" / "func-pos-req-tc-sessbypass-if-can-000.case.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        server = sim_factory(SimConfig())
+        capsys.readouterr()
+        code = run_cli("execute", "--run-dir", str(tmp_path),
+                       "--sim-endpoint", endpoint_of(server))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert f"cases/{path.name}" in err and reason in err
         assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("func_id", ["zz", "800"], ids=["not-hex", "over-11-bits"])

@@ -25,7 +25,7 @@ from vecuforge.executor import (
 )
 from vecuforge.executor import TestResult as Result
 from vecuforge.frames import Frame
-from vecuforge.item_model import decode, load_item
+from vecuforge.item_model import Item, ItemError, decode, load_json
 from vecuforge.planner import build_plan, load_attack_trees
 from vecuforge.scenario_dsl import parse_scenario, validate
 from vecuforge.script_registry import ScriptRegistry
@@ -64,7 +64,7 @@ def resources(samples_dir, sutdb) -> Resources:
 @pytest.fixture(scope="module")
 def pipeline_cases(samples_dir, sutdb, registry, analysis) -> dict[str, list[Case]]:
     """Scenario id -> generated cases, over the bundled sample set."""
-    item = load_item(samples_dir / "item.json")
+    item = load_json(Item, samples_dir / "item.json", ItemError)
     _, scenarios = build_plan(
         item,
         analysis.risks,
@@ -804,8 +804,8 @@ class TestConditionTable:
         )
 
     def test_unknown_condition(self):
-        with pytest.raises(ExecutorError):
-            condition_holds("moon.phase", self.facts())
+        with pytest.raises(TcgError, match="unknown oracle condition 'moon.phase'"):
+            ExpectedResults("moon.phase", "any_expectation_missed", [])
 
 
 class TestOneVocabulary:

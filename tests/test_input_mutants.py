@@ -112,6 +112,35 @@ def test_no_mutant_escapes(name, samples_dir, base_run, tmp_path, capsys):
     assert escapes == [], f"{len(escapes)} of {count} mutants escaped:\n" + "\n".join(escapes)
 
 
+# The item mutants whose defect only the catalog makes one: no impact rating
+# for a goal property that a threat maps to.
+MISSING_RATINGS = {
+    'config_params="<deleted>"', "config_params={}",
+    'config_params/impact_ratings="<deleted>"', "config_params/impact_ratings={}",
+    *(f'config_params/impact_ratings/{prop}="<deleted>"'
+      for prop in ("authentication", "authorization", "confidentiality", "availability")),
+}
+
+
+def test_item_stage_stops_what_analyze_would(samples_dir, tmp_path, capsys):
+    """An item mutant that ``item`` accepts, ``analyze`` accepts too, unless
+    it lacks an impact rating the catalog's threats need."""
+    doc = json.loads((samples_dir / "item.json").read_text())
+    late = set()
+    for count, (label, mutant) in enumerate(mutants(doc)):
+        work = tmp_path / str(count)
+        work.mkdir()
+        target = work / "item.json"
+        target.write_text(json.dumps(mutant))
+        run = str(work / "run")
+        if (main(["item", "--run-dir", run, "--item", str(target)]) == EXIT_OK
+                and main(["analyze", "--run-dir", run]) != EXIT_OK):
+            late.add(label)
+        shutil.rmtree(work)
+    capsys.readouterr()
+    assert late == MISSING_RATINGS
+
+
 # One result of each kind of step detail: none, a fuzz campaign, a database scan.
 RESULTS = ("func-neg-req-tc-sessbypass-if-can-000", "fuzz-if-can-000",
            "vulnscan-item-demo-ecu-000")

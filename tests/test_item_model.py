@@ -20,10 +20,9 @@ from vecuforge.item_model import (
     Item,
     ItemError,
     ProbeConfig,
-    declared_services,
+    decode,
     fingerprint_sut,
-    item_from_dict,
-    load_item,
+    load_json,
     reconcile,
 )
 from vecuforge.simulator import SimConfig, SimServer
@@ -52,7 +51,7 @@ def minimal_doc(**overrides) -> dict:
 
 class TestLoadAndValidate:
     def test_sample_item_echoes_elements(self, samples_dir):
-        item = load_item(str(samples_dir / "item.json"))
+        item = load_json(Item, samples_dir / "item.json", ItemError)
         assert item.id == "ITEM-DEMO-ECU"
         assert {c.id for c in item.components} == {"C-APP", "C-DIAG"}
         assert {i.id for i in item.interfaces} == {"IF-CAN", "IF-DEBUG"}
@@ -61,58 +60,58 @@ class TestLoadAndValidate:
         assert can.kind is InterfaceKind.CANLIKE
         assert can.exposure is Exposure.EXTERNAL
         assert dict(can.address)["bus"] == "can0"
-        assert declared_services(item) == {0x01, 0x10, 0x27, 0x2E, 0x3E}
+        assert item.config_params.declared_services == {0x01, 0x10, 0x27, 0x2E, 0x3E}
 
     def test_duplicate_id_names_offender(self):
         doc = minimal_doc(components=[{"id": "ECU1", "name": "a"}, {"id": "ECU1", "name": "b"}])
         doc["interfaces"][0]["component_ref"] = "ECU1"
         with pytest.raises(ItemError, match="ECU1"):
-            item_from_dict(doc)
+            decode(Item, doc, "item", ItemError)
 
     def test_missing_boundary(self):
         doc = minimal_doc()
         del doc["boundary"]
         with pytest.raises(ItemError, match="boundary"):
-            item_from_dict(doc)
+            decode(Item, doc, "item", ItemError)
 
     def test_blank_boundary(self):
         with pytest.raises(ItemError, match="boundary"):
-            item_from_dict(minimal_doc(boundary="   "))
+            decode(Item, minimal_doc(boundary="   "), "item", ItemError)
 
     def test_interface_unknown_component(self):
         doc = minimal_doc()
         doc["interfaces"][0]["component_ref"] = "GHOST"
         with pytest.raises(ItemError, match="GHOST"):
-            item_from_dict(doc)
+            decode(Item, doc, "item", ItemError)
 
     def test_no_interfaces_rejected(self):
         with pytest.raises(ItemError, match="interface"):
-            item_from_dict(minimal_doc(interfaces=[]))
+            decode(Item, minimal_doc(interfaces=[]), "item", ItemError)
 
     def test_external_interface_needs_address(self):
         doc = minimal_doc()
         doc["interfaces"][0]["address"] = {}
         with pytest.raises(ItemError, match="address"):
-            item_from_dict(doc)
+            decode(Item, doc, "item", ItemError)
 
     def test_goal_target_must_resolve(self):
         doc = minimal_doc(
             security_goals=[{"id": "G1", "property": "integrity", "target_ref": "NOPE", "statement": "s"}]
         )
         with pytest.raises(ItemError, match="NOPE"):
-            item_from_dict(doc)
+            decode(Item, doc, "item", ItemError)
 
     def test_bad_enum_value(self):
         doc = minimal_doc()
         doc["interfaces"][0]["kind"] = "wireless"
         with pytest.raises(ItemError, match="wireless"):
-            item_from_dict(doc)
+            decode(Item, doc, "item", ItemError)
 
     def test_parse_error_positions(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text('{\n  "id": "x",\n}\n')
         with pytest.raises(ItemError, match=r"line \d+ column \d+"):
-            load_item(str(p))
+            load_json(Item, p, ItemError)
 
 
 class TestServiceByte:
@@ -127,9 +126,10 @@ class TestServiceByte:
         vulndb.write_text(json.dumps({"entries": [
             {"id": "V-1", "predicate": {"requires_service": raw}},
         ]}))
-        item = item_from_dict(minimal_doc(config_params={"declared_services": [raw]}))
+        doc = minimal_doc(config_params={"declared_services": [raw]})
+        item = decode(Item, doc, "item", ItemError)
         assert load_catalog(str(catalog)).entries[0].match_predicate.service == 0x27
-        assert declared_services(item) == {0x27}
+        assert item.config_params.declared_services == {0x27}
         assert load_vulndb(vulndb)[0].requires_service == 0x27
 
     @pytest.mark.parametrize("raw", ["zz", 300, True, -1, 1.5, "0x100"])
@@ -144,7 +144,8 @@ class TestServiceByte:
             {"id": "V-1", "predicate": {"requires_service": raw}},
         ]}))
         with pytest.raises(ItemError, match="declared_services"):
-            item_from_dict(minimal_doc(config_params={"declared_services": ["0x10", raw]}))
+            decode(Item, minimal_doc(config_params={"declared_services": ["0x10", raw]}),
+                   "item", ItemError)
         with pytest.raises(AnalysisError, match="'TC-1' match_predicate.service"):
             load_catalog(str(catalog))
         with pytest.raises(ScanError, match="'V-1' predicate.requires_service"):
@@ -152,7 +153,8 @@ class TestServiceByte:
 
     def test_declared_services_must_be_a_list(self):
         with pytest.raises(ItemError, match="declared_services must be a list"):
-            item_from_dict(minimal_doc(config_params={"declared_services": "27"}))
+            decode(Item, minimal_doc(config_params={"declared_services": "27"}),
+                   "item", ItemError)
 
 
 class LateSessionReplyServer(SimServer):
@@ -244,8 +246,11 @@ def fp_for(services: set[int]) -> FingerprintReport:
 
 
 def item_declaring(services: set[int]) -> Item:
-    return item_from_dict(
-        minimal_doc(config_params={"declared_services": [f"0x{s:02x}" for s in sorted(services)]})
+    return decode(
+        Item,
+        minimal_doc(config_params={"declared_services": [f"0x{s:02x}" for s in sorted(services)]}),
+        "item",
+        ItemError,
     )
 
 

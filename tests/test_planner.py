@@ -16,7 +16,7 @@ from vecuforge.analysis import (
     SecurityRequirement,
     VerificationHint,
 )
-from vecuforge.item_model import load_item
+from vecuforge.item_model import Item, ItemError, load_json
 from vecuforge.planner import (
     And,
     AttackTree,
@@ -197,7 +197,7 @@ class TestLoadTrees:
 
 @pytest.fixture(scope="module")
 def item(samples_dir):
-    return load_item(samples_dir / "item.json")
+    return load_json(Item, samples_dir / "item.json", ItemError)
 
 
 def req_for(analysis, req_id: str) -> SecurityRequirement:
@@ -321,7 +321,7 @@ class TestGenVulnscan:
         assert_round_trips(scn)
 
     def test_internal_only_item_rejected(self, samples_dir):
-        item = load_item(samples_dir / "item.json")
+        item = load_json(Item, samples_dir / "item.json", ItemError)
         internal = [i for i in item.interfaces if i.exposure.value == "internal"]
         item.interfaces = internal
         with pytest.raises(PlannerError, match="no external interface"):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from vecuforge.executor import ResultMetadata, StepRecord
 from vecuforge.executor import TestResult as Result
-from vecuforge.item_model import load_item
+from vecuforge.item_model import Item, ItemError, load_json
 from vecuforge.planner import build_plan, load_attack_trees
 from vecuforge.reporter import (
     UNTESTED_REASONS,
@@ -37,7 +37,7 @@ from vecuforge.vocabulary import PATTERNS
 
 @pytest.fixture(scope="module")
 def pipeline(samples_dir, analysis):
-    item = load_item(samples_dir / "item.json")
+    item = load_json(Item, samples_dir / "item.json", ItemError)
     plan, scenarios = build_plan(
         item,
         analysis.risks,
