@@ -30,6 +30,7 @@ import functools
 import os
 import shutil
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -64,6 +65,7 @@ from .item_model import (
     encode,
     fingerprint_sut,
     load_json,
+    read_text,
     reconcile,
 )
 from .planner import PlannerError, TestPlan, build_plan, load_attack_trees
@@ -74,7 +76,7 @@ from .reporter import (
     build_report,
     render,
 )
-from .scenario_dsl import DslError, parse_scenario, serialize
+from .scenario_dsl import DslError, Scenario, parse_scenario, serialize
 from .script_registry import RegistryError, ScriptRegistry
 from .simulator import SimConfig, SimServer
 from .tcg import TcgError, TestCase, generate_cases, load_sutdb
@@ -138,15 +140,20 @@ class RunStore:
         return self.decode(rel, produced_by, dict)
 
     def decode(self, rel: str, produced_by: str, kind: type[T]) -> T:
-        """An artifact read as ``kind`` by ``item_model.load_json``; a missing
-        or malformed one is a usage error naming the stage that writes it."""
+        """An artifact read as ``kind`` by ``item_model.load_json``."""
+        return self.read(rel, produced_by, lambda target: load_json(kind, target, ValueError))
+
+    def read(self, rel: str, produced_by: str, parse: Callable[[Path], T]) -> T:
+        """``parse`` of an artifact's path; a missing artifact, or one that
+        ``parse`` rejects with a ``ValueError``, is a usage error naming the
+        stage that writes it."""
         target = self.path(rel)
         if not target.exists():
             raise UsageError(
                 f"missing artifact {rel!r}; run the {produced_by!r} stage first"
             )
         try:
-            return load_json(kind, target, ValueError)
+            return parse(target)
         except ValueError as exc:
             raise UsageError(
                 f"malformed artifact {rel!r} ({exc}); re-run the {produced_by!r} stage"
@@ -325,6 +332,13 @@ def stage_plan(store: RunStore, args) -> int:
     return EXIT_OK
 
 
+def _read_scenario(path: Path) -> Scenario:
+    try:
+        return parse_scenario(read_text(path, ValueError))
+    except DslError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def stage_tcg(store: RunStore, args) -> int:
     store.read_json("plan.json", "plan")
     scenario_dir = store.path("scenarios")
@@ -335,7 +349,7 @@ def stage_tcg(store: RunStore, args) -> int:
     registry = ScriptRegistry(args.scripts, PATTERNS)
     cases: list[TestCase] = []
     for path in paths:
-        scenario = parse_scenario(path.read_text(encoding="utf-8"))
+        scenario = store.read(f"scenarios/{path.name}", "plan", _read_scenario)
         cases.extend(generate_cases(scenario, sutdb, registry, t=args.strength))
     store.reset_dir("cases")
     for case in cases:

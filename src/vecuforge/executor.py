@@ -204,26 +204,61 @@ class StateTransport:
     state: ``handle_frame`` keeps a crashed ECU crashed until a restore,
     and a live ECU answers the probe whenever it answered it once (the
     services it serves never change), so ``down`` is exact.
+
+    A ``send`` made right after ``restore`` (or construction) starts from
+    the restore point, so its outcome depends on the frame alone: it is
+    read from a memo keyed by ``(frame.id, frame.data)`` that holds the
+    state after and the reply count, and ``handle_frame`` runs only on a
+    miss. This is exact because ``handle_frame`` is pure and states are
+    immutable. Every other ``send`` and every ``alive`` runs
+    ``handle_frame`` and ends the "fresh" mark. An outcome that equals one
+    already held is replaced by that object, so every crash from the
+    restore point shares one outcome and one state, and the memo costs
+    little more than its keys: one per distinct frame sent right after a
+    restore.
     """
 
     _PROBE = Frame(0x7DF, _TESTER_PRESENT)
 
     def __init__(self, state: EcuState):
         self._start = self.state = state
+        self._fresh = True
+        self._memo: dict[tuple[int, bytes], tuple[EcuState, int]] = {}
+        self._held: dict[tuple, tuple[EcuState, int]] = {}
 
     def send(self, frame: Frame) -> int:
+        if self._fresh:
+            self._fresh = False
+            key = (frame.id, frame.data)
+            outcome = self._memo.get(key)
+            if outcome is None:
+                state, responses = handle_frame(self._start, frame)
+                outcome = self._memo[key] = self._intern(state, len(responses))
+            self.state, count = outcome
+            return count
         self.state, responses = handle_frame(self.state, frame)
         return len(responses)
+
+    def _intern(self, state: EcuState, count: int) -> tuple[EcuState, int]:
+        """The held outcome equal to ``(state, count)``, which is held from now
+        on if none is."""
+        # A state's fields in order, with its dicts as item sets: equal keys
+        # are equal states.
+        key = (count, *(frozenset(v.items()) if isinstance(v, dict) else v
+                        for v in vars(state).values()))
+        return self._held.setdefault(key, (state, count))
 
     def down(self) -> bool:
         return not self.state.alive
 
     def alive(self) -> bool:
+        self._fresh = False
         self.state, responses = handle_frame(self.state, self._PROBE)
         return bool(responses)
 
     def restore(self) -> None:
         self.state = self._start
+        self._fresh = True
 
 
 # -- execution -------------------------------------------------------------

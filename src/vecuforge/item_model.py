@@ -209,17 +209,23 @@ class Item:
         raise ItemError(f"interface {iface_id!r} not in item {self.id!r}")
 
 
+def read_text(path, error: type[ValueError]) -> str:
+    """The text of the UTF-8 file ``path``; other bytes are ``error``, naming the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: byte {data[exc.start]:#04x} at offset "
+                    f"{exc.start}") from None
+
+
 def load_json(kind, path, error: type[ValueError]):
     """The JSON file ``path`` read as ``kind`` by ``decode``; a file that is
     not UTF-8, does not parse or does not read as ``kind`` is ``error``,
     naming the file."""
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
-        doc = json.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text: byte {data[exc.start]:#04x} at offset "
-                    f"{exc.start}") from None
+        doc = json.loads(read_text(path, error))
     except json.JSONDecodeError as exc:
         raise error(f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     return decode(kind, doc, str(path), error)

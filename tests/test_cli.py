@@ -515,6 +515,28 @@ class TestMalformedArtifacts:
         if produced_by:
             assert f"re-run the {produced_by!r} stage" in err
 
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [(lambda text: b'scenario "\xff"', "not UTF-8 text: byte 0xff at offset 10"),
+         (lambda text: text.replace(b"steps {", b"stepz {"), "expected 'steps', got 'stepz'")],
+        ids=["not-utf-8", "unparsable"],
+    )
+    def test_unreadable_scenario_names_the_file(self, tmp_path, capsys, edit, detail):
+        """A ``.scn`` artifact that is not UTF-8 or does not parse stops
+        ``tcg`` with a usage error naming the file and the 'plan' stage,
+        before it touches the cases."""
+        offline_chain(tmp_path)
+        cases_before = run_files(tmp_path / "cases")
+        scn = tmp_path / "scenarios" / "fuzz-if-can.scn"
+        scn.write_bytes(edit(scn.read_bytes()))
+        capsys.readouterr()
+        assert run_cli("tcg", "--run-dir", str(tmp_path)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"'scenarios/fuzz-if-can.scn' ({scn}: " in err
+        assert detail in err
+        assert "re-run the 'plan' stage" in err
+        assert run_files(tmp_path / "cases") == cases_before
+
     def test_result_filed_under_another_case(self, tmp_path, capsys):
         offline_chain(tmp_path)
         case_ids = sorted(json.loads(p.read_text())["id"]

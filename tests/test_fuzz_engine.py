@@ -9,12 +9,15 @@ import os
 import subprocess
 import sys
 from collections.abc import Iterable, Iterator
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vecuforge import executor
 from vecuforge.executor import StateTransport
 from vecuforge.frames import MAX_DATA_LEN, Frame, parse_line
 from vecuforge.fuzz_engine import (
@@ -619,6 +622,97 @@ class TestSkipDifferential:
         sends = sum(map(len, skipping.windows))
         delivering_sends = sum(len(offered) for offered, _ in windows) + len(result.findings)
         assert sends < delivering_sends
+
+
+def probe_moves_state(state: EcuState, frame: Frame) -> tuple[EcuState, list[Frame]]:
+    """``handle_frame``, except that an answered probe also advances the seed
+    counter: a pure transition under which ``alive`` changes the state,
+    which no probe of the bundled ECU does."""
+    state, replies = handle_frame(state, frame)
+    if frame == PROBE and replies:
+        state = replace(state, seed_counter=state.seed_counter + 1)
+    return state, replies
+
+
+class FreshSends(StateTransport):
+    """Records each distinct frame sent right after construction or a restore."""
+
+    def __init__(self, state: EcuState):
+        super().__init__(state)
+        self.fresh = True
+        self.fresh_frames: set[tuple[int, bytes]] = set()
+
+    def send(self, frame: Frame) -> int:
+        if self.fresh:
+            self.fresh_frames.add((frame.id, frame.data))
+        self.fresh = False
+        return super().send(frame)
+
+    def alive(self) -> bool:
+        self.fresh = False
+        return super().alive()
+
+    def restore(self) -> None:
+        self.fresh = True
+        super().restore()
+
+
+class TestStateTransportMemo:
+    """A send right after a restore reads its outcome from a memo; every
+    return value and every state equals a fold of the transition function."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), vulns=st.booleans(), moving_probe=st.booleans())
+    def test_memo_equals_the_fold(self, corpus, data, vulns, moving_probe):
+        frames = st.one_of(
+            st.sampled_from(corpus),
+            st.builds(lambda frame, stream: mutate(frame, finite_tape(stream).draw, ALL_OPS),
+                      st.sampled_from(corpus), st.binary(max_size=8)),
+        )
+        steps = st.lists(st.one_of(st.tuples(st.just("send"), frames),
+                                   st.sampled_from([("alive",), ("restore",), ("down",)])),
+                         max_size=30)
+        step = probe_moves_state if moving_probe else handle_frame
+        start = EcuState(config=SimConfig().with_vulns(vulns))
+        for frame in data.draw(st.lists(frames, max_size=4), label="prefix"):
+            start = step(start, frame)[0]
+        with mock.patch.object(executor, "handle_frame", step):
+            transport = StateTransport(start)
+            state = start
+            for op, *frame in data.draw(steps, label="steps"):
+                if op == "send":
+                    state, replies = step(state, frame[0])
+                    assert transport.send(frame[0]) == len(replies)
+                elif op == "alive":
+                    state, replies = step(state, PROBE)
+                    assert transport.alive() == bool(replies)
+                elif op == "restore":
+                    state = start
+                    transport.restore()
+                else:
+                    assert transport.down() == (not state.alive)
+                assert transport.state == state
+
+    def test_campaign_and_minimization_counts(self, corpus):
+        """Seed 1, budget 20,000: without the memo the campaign and the
+        minimization of its findings call ``handle_frame`` 5,251 times."""
+        calls = []
+
+        def counted(state, frame):
+            calls.append(None)
+            return handle_frame(state, frame)
+
+        with mock.patch.object(executor, "handle_frame", counted):
+            transport = FreshSends(EcuState(config=SimConfig()))
+            result = run_campaign(FuzzConfig(seed=1, budget=20_000, corpus=corpus), transport)
+            for finding in result.findings:
+                minimize(finding, transport)
+        assert len(result.findings) == 252
+        assert len(calls) == 3_420
+        assert len(transport._memo) == len(transport.fresh_frames) == 352
+        # Equal outcomes are one object: the crash, the restore point with no
+        # reply and with one, and the seed issued.
+        assert len({id(outcome) for outcome in transport._memo.values()}) == 4
 
 
 class TestWindowStreams:
