@@ -46,6 +46,9 @@ class MatchPredicate:
 
 @dataclass(frozen=True)
 class ThreatCatalogEntry:
+    """A catalog threat: what it matches in an item, its class, its default
+    feasibility (0-4) and its regulation references."""
+
     id: str
     title: str
     match_predicate: MatchPredicate
@@ -59,6 +62,8 @@ class ThreatCatalogEntry:
 
 @dataclass(frozen=True)
 class Threat:
+    """One catalog entry matched on one item element, with the goal it endangers."""
+
     id: str
     catalog_ref: str
     target: str
@@ -67,6 +72,9 @@ class Threat:
 
 @dataclass(frozen=True)
 class Risk:
+    """A threat's risk: impact times probability (0-4), and whether that value
+    is below the threshold, which makes it acceptable."""
+
     threat_ref: str
     impact: ImpactVector
     probability: int
@@ -90,6 +98,9 @@ class VerificationHint(str, Enum):
 
 @dataclass(frozen=True)
 class SecurityRequirement:
+    """A requirement derived from an unacceptable risk: its text and kind, the
+    threats and goal it traces to, its countermeasure and how to verify it."""
+
     id: str
     text: str
     kind: RequirementKind
@@ -105,6 +116,8 @@ class SecurityRequirement:
 
 @dataclass(frozen=True)
 class Countermeasure:
+    """A library countermeasure and the threat classes it mitigates."""
+
     id: str
     description: str
     mitigates: tuple[str, ...]
@@ -116,6 +129,9 @@ class Countermeasure:
 
 @dataclass
 class Catalog:
+    """The threat catalog: its entries, the threat classes that give negative
+    requirements and the verification hint of each class."""
+
     entries: list[ThreatCatalogEntry]
     negative_classes: set[str] = field(default_factory=set)
     hint_by_class: dict[str, VerificationHint] = field(default_factory=dict)
@@ -133,6 +149,8 @@ class Catalog:
 
 @dataclass(frozen=True)
 class CountermeasureLibrary:
+    """The countermeasure library file: its countermeasures in order."""
+
     countermeasures: list[Countermeasure]
 
 
@@ -299,6 +317,8 @@ def derive_requirements(
 
 @dataclass
 class ConsistencyReport:
+    """Requirements whose goal the item lacks, and goals no requirement covers."""
+
     orphan_requirements: list[str]
     uncovered_goals: list[str]
 

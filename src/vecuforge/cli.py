@@ -50,7 +50,6 @@ from .analysis import (
 from .executor import (
     ExecutorError,
     Resources,
-    TestResult,
     execute_case,
     open_session,
     restore,
@@ -79,7 +78,7 @@ from .reporter import (
 from .scenario_dsl import DslError, Scenario, parse_scenario, serialize
 from .script_registry import RegistryError, ScriptRegistry
 from .simulator import SimConfig, SimServer
-from .tcg import TcgError, TestCase, generate_cases, load_sutdb
+from .tcg import TcgError, TestCase, TestResult, generate_cases, load_sutdb
 from .vocabulary import PATTERNS
 from .vuln_scanner import ScanError, load_vulndb
 
@@ -209,11 +208,15 @@ class ThreatsArtifact:
 
 @dataclass
 class RisksArtifact:
+    """``risks.json``: the risk of every threat."""
+
     risks: list[Risk]
 
 
 @dataclass
 class RequirementsArtifact:
+    """``requirements.json``: the derived security requirements."""
+
     requirements: list[SecurityRequirement]
 
 

@@ -8,38 +8,40 @@ bus is served by the one data connection. Cases run as their bound
 activity list, strictly in order; each pattern step renders its script
 command and is routed by the first word to an internal tool handler
 (cansend, probe, seedkey, fuzz, vulnscan). Every frame sent to the SUT
-ends on its own barrier (see ``frames``), so the frames a stimulus drew
-are known once its barrier returns; expect steps examine exactly those
-and never wait. Verdicts partition into pass/fail/error/inconclusive;
-error is reserved for infrastructure faults and never encodes an
-oracle outcome. SUT database values arrive checked and typed (see
-``tcg.SutDatabase``); a tool handler parses each command-line token
-once, and a token that does not parse, as from a hand-edited case or
-script file, gives its case verdict ``error``.
+goes through ``frames.DataChannel`` and ends on its own barrier, so the
+frames a stimulus drew are known once its barrier returns; expect steps
+examine exactly those and never wait. Verdicts partition into
+pass/fail/error/inconclusive; error is reserved for infrastructure
+faults and never encodes an oracle outcome. SUT database values arrive
+checked and typed (see ``tcg.SutDatabase``); a tool handler parses each
+command-line token once, and a token that does not parse, as from a
+hand-edited case or script file, gives its case verdict ``error``. The
+seedkey tool derives keys with the tester's own
+``vocabulary.SEEDKEY_ALGORITHMS``, never with the SUT's code.
 
-A ``TestResult`` holds only what the same case against the same SUT
-state gives again. What the clock read while a case ran (its start, its
-duration and each step's latency) goes to the session's ``timing`` log
-instead, which the execute stage writes to ``timing/execute.json``.
+The executor fills ``tcg.TestResult`` records. A result holds only what
+the same case against the same SUT state gives again. What the clock
+read while a case ran (its start, its duration and each step's latency)
+goes to the session's ``timing`` log instead, which the execute stage
+writes to ``timing/execute.json``.
 """
 
 import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from typing import Annotated
 
 from . import __version__
-from .frames import MAX_FRAME_ID, ExecutorError, Frame, FrameError, LineClient, hex_in, parse_line
+from .frames import (MAX_FRAME_ID, DataChannel, ExecutorError, Frame, FrameError, LineClient,
+                     hex_in, parse_line)
 from .fuzz_engine import PRNG_NAME, FuzzConfig, FuzzError, minimize, run_campaign
-from .item_model import decode, fingerprint_sut
+from .item_model import fingerprint_sut
 from .script_registry import RegistryError, ScriptRegistry, render_command
-from .simulator import SEEDKEY_ALGORITHMS, EcuState, handle_frame, load_state
-from .tcg import BoundStep, SutDatabase, TestCase
-from .vocabulary import CONDITIONS, MATCHERS
-from .vuln_scanner import ScanFinding, VulnDbEntry, scan
+from .simulator import EcuState, handle_frame, load_state
+from .tcg import ResultMetadata, ScanRecord, StepRecord, SutDatabase, TestCase, TestResult
+from .vocabulary import CONDITIONS, MATCHERS, SEEDKEY_ALGORITHMS
+from .vuln_scanner import VulnDbEntry, scan
 
 MGMT_TIMEOUT = 2.0
-VERDICTS = ("pass", "fail", "error", "inconclusive")
 
 _TESTER_PRESENT = bytes([0x01, 0x3E])
 
@@ -51,28 +53,7 @@ def _payload(frame: Frame) -> bytes:
     return frame.data[1 : 1 + frame.data[0]]
 
 
-# -- line-framed TCP channels -------------------------------------------
-
-
-class DataChannel:
-    """Frame traffic to the SUT's data port, for every bus."""
-
-    def __init__(self, host: str, port: int):
-        self.client = LineClient(host, port)
-
-    def collect(self, frame: Frame) -> list[Frame]:
-        """Send one frame; the frames the SUT answered before its barrier."""
-        (lines,) = self.client.exchange([frame.to_line()])
-        frames: list[Frame] = []
-        for line in lines:
-            try:
-                frames.append(parse_line(line))
-            except FrameError:
-                pass
-        return frames
-
-    def close(self) -> None:
-        self.client.close()
+# -- management channel ---------------------------------------------------
 
 
 class MgmtChannel:
@@ -270,58 +251,6 @@ class Resources:
 
     sutdb: SutDatabase
     vulndb: list[VulnDbEntry] = field(default_factory=list)
-
-
-@dataclass
-class ScanRecord:
-    """One interface's scan in a vulnscan step's ``detail["scans"]``."""
-
-    target: str
-    session: str
-    fingerprint: dict[str, list[str]]
-    findings: list[ScanFinding]
-    followups: list[str]
-
-
-def _step_detail(value, where: str, error: type[ValueError]) -> dict:
-    """A step's tool-specific detail as read from a result file: any object,
-    with the ``scans`` of a vulnscan step, which the report reads, checked
-    as ``ScanRecord``s."""
-    detail = decode(dict, value, where, error)
-    decode(list[ScanRecord], detail.get("scans", []), f"{where}.scans", error)
-    return detail
-
-
-@dataclass
-class StepRecord:
-    step: BoundStep
-    command: str | None = None
-    tx: list[str] = field(default_factory=list)
-    rx: list[str] = field(default_factory=list)
-    met: bool | None = None
-    note: str = ""
-    detail: Annotated[dict, _step_detail] = field(default_factory=dict)
-
-
-@dataclass
-class ResultMetadata:
-    sut_id: str
-    tools: dict[str, str]
-    prng: str
-
-
-@dataclass
-class TestResult:
-    case_ref: str
-    verdict: str
-    step_log: list[StepRecord]
-    oracle_evaluation: dict
-    metadata: ResultMetadata
-    error: str = ""
-
-    def __post_init__(self) -> None:
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
 
 
 def _parse_kv(tokens: list[str], where: str) -> dict[str, str]:
@@ -660,6 +589,9 @@ def execute_case(
 
 @dataclass
 class CleanupReport:
+    """Whether a restore loaded the pre-attack snapshot and a re-dump verified
+    it, and if not, why."""
+
     restored: bool
     verified: bool
     detail: str = ""

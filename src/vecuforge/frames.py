@@ -1,4 +1,4 @@
-"""CAN-like frame type, the line-oriented wire codec and its TCP client.
+"""CAN-like frame type, the line-oriented wire codec and its TCP clients.
 
 One frame per line, lowercase hex: ``<id-3-hex>#<data-hex-pairs>``,
 e.g. ``7df#02010d``. Ids are 11 bit, payloads are 0-8 bytes. The
@@ -10,6 +10,9 @@ answers with ``SYNCED <n>`` once it has answered every line sent before
 it. An exchange sends each frame line followed by its own barrier, so
 the reply lines before a ``SYNCED`` are all the replies to the frame
 before the matching ``SYNC``: no exchange ends on a guessed idle gap.
+``DataChannel`` is the one frame exchange on the data port: the
+executor's steps and the fingerprint's sweeps both send through it, and
+it reads the reply lines as frames.
 """
 
 import re
@@ -66,7 +69,7 @@ def hex_in(text: str | None, top: int) -> int | None:
     return value if value <= top else None
 
 
-# -- line-framed TCP client ----------------------------------------------
+# -- line-framed TCP clients ---------------------------------------------
 
 
 class ExecutorError(RuntimeError):
@@ -153,3 +156,30 @@ class LineClient:
             self.sock.close()
         except OSError:
             pass
+
+
+class DataChannel:
+    """Frame traffic to the SUT's data port, for every bus."""
+
+    def __init__(self, host: str, port: int):
+        self.client = LineClient(host, port)
+
+    def exchange(self, frames: list[Frame]) -> list[list[Frame]]:
+        """Send every frame in one pipelined exchange; per frame, the frames the
+        SUT answered before its barrier. Reply lines that are not frames are
+        dropped."""
+        out: list[list[Frame]] = [[] for _ in frames]
+        for replies, lines in zip(out, self.client.exchange([f.to_line() for f in frames])):
+            for line in lines:
+                try:
+                    replies.append(parse_line(line))
+                except FrameError:
+                    pass
+        return out
+
+    def collect(self, frame: Frame) -> list[Frame]:
+        """Send one frame; the frames the SUT answered before its barrier."""
+        return self.exchange([frame])[0]
+
+    def close(self) -> None:
+        self.client.close()

@@ -65,6 +65,9 @@ class FuzzTransport(Protocol):
 
 @dataclass(frozen=True)
 class FuzzConfig:
+    """A campaign: PRNG seed, frame budget, seed corpus, mutation operators and
+    the number of frames between liveness probes."""
+
     seed: int
     budget: int
     corpus: tuple[Frame, ...]
@@ -95,6 +98,10 @@ class FuzzConfig:
 
 @dataclass(frozen=True)
 class FuzzFinding:
+    """A frame after which the SUT stopped answering: the trigger, the corpus
+    frame it came from, its position, the evidence, whether it killed the
+    SUT again alone, and its minimized form."""
+
     trigger_input: Frame
     source_input: Frame
     position: int
@@ -209,6 +216,8 @@ def mutate(frame: Frame, draw: Callable[[], int], ops: frozenset[str]) -> Frame:
 
 @dataclass
 class CampaignResult:
+    """A campaign's findings in order, and its counts in ``stats``."""
+
     findings: list[FuzzFinding]
     stats: dict = field(default_factory=dict)
 

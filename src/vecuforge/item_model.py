@@ -12,14 +12,17 @@ observation disagree.
 
 Fingerprinting strategy: sweep request ids over a configurable range
 with tester-present probes, then sweep single service bytes 0x00-0x7F
-on every id that answered. Each sweep is one pipelined exchange: every
-probe is followed by its own ``SYNC <n>`` barrier, all sent at once, and
-a reply belongs to the probe whose barrier follows it. Attribution thus
-needs no protocol knowledge and no timing: a late reply still lands on
-its own probe. Single-byte probes cannot mutate SUT state, so the SUT is
-left in its initial session. The sweep is blind when the SUT does not
-answer tester present at all; that case reports an empty surface, which
-reconcile() will flag against the declaration.
+on every id that answered. Each sweep is one pipelined exchange through
+``frames.DataChannel``: every probe is followed by its own ``SYNC <n>``
+barrier, all sent at once, and a reply belongs to the probe whose
+barrier follows it. Attribution thus needs no protocol knowledge and no
+timing: a late reply still lands on its own probe. A probe answers when
+it draws at least one frame; reply lines that are not frames are
+ignored, and a service's banner is its first reply frame. Single-byte
+probes cannot mutate SUT state, so the SUT is left in its initial
+session. The sweep is blind when the SUT does not answer tester present
+at all; that case reports an empty surface, which reconcile() will flag
+against the declaration.
 """
 
 import dataclasses
@@ -32,7 +35,7 @@ from enum import Enum
 from types import UnionType
 from typing import Annotated, Union
 
-from .frames import MAX_FRAME_ID, Frame, FrameError, LineClient, hex_in, parse_line
+from .frames import MAX_FRAME_ID, DataChannel, Frame, hex_in
 
 
 class ItemError(ValueError):
@@ -134,6 +137,8 @@ class ItemConfig:
 
 @dataclass(frozen=True)
 class Function:
+    """A function the item performs."""
+
     id: str
     name: str
     description: str = ""
@@ -142,6 +147,8 @@ class Function:
 
 @dataclass(frozen=True)
 class Component:
+    """A component inside the item's boundary."""
+
     id: str
     name: str
     description: str = ""
@@ -149,6 +156,9 @@ class Component:
 
 @dataclass(frozen=True)
 class Interface:
+    """An item interface: the component behind it, its kind, its exposure and
+    its address."""
+
     id: str
     component_ref: str
     kind: InterfaceKind
@@ -158,6 +168,8 @@ class Interface:
 
 @dataclass(frozen=True)
 class SecurityGoal:
+    """A security property the item must keep for one of its elements."""
+
     id: str
     property: SecurityProperty
     target_ref: str
@@ -409,12 +421,18 @@ def _record_reader(cls):
 
 @dataclass(frozen=True)
 class ProbeConfig:
+    """The request ids and the service bytes a fingerprint sweeps, both ranges
+    inclusive."""
+
     id_range: tuple[int, int] = ItemConfig.fingerprint_id_range
     service_range: tuple[int, int] = (0x00, 0x7F)
 
 
 @dataclass
 class FingerprintReport:
+    """What a fingerprint saw on one interface: the request ids and service
+    bytes that answered, and each service's first reply data (``banners``)."""
+
     probed_interface: str
     responding_request_ids: list[int]
     supported_services: list[int]
@@ -447,37 +465,25 @@ def fingerprint_sut(
     ``interface_id`` names the probed interface in the report;
     ``endpoint`` is the (host, port) of the live SUT's data channel.
     """
-    client = LineClient(*endpoint)
-
-    def sweep(frames: list[Frame]) -> list[Frame | None]:
-        """One exchange; per probe, its first reply line if that parses."""
-        replies = client.exchange([f.to_line() for f in frames])
-        out: list[Frame | None] = []
-        for lines in replies:
-            try:
-                out.append(parse_line(lines[0]) if lines else None)
-            except FrameError:
-                out.append(None)
-        return out
-
+    channel = DataChannel(*endpoint)
     try:
         lo, hi = probe_cfg.id_range
         ids = range(lo, hi + 1)
-        replies = sweep([Frame(frame_id, bytes([0x01, 0x3E])) for frame_id in ids])
-        responding = [frame_id for frame_id, resp in zip(ids, replies) if resp is not None]
+        replies = channel.exchange([Frame(frame_id, bytes([0x01, 0x3E])) for frame_id in ids])
+        responding = [frame_id for frame_id, resp in zip(ids, replies) if resp]
 
         services: set[int] = set()
         banners: dict[int, bytes] = {}
         s_lo, s_hi = probe_cfg.service_range
         svcs = range(s_lo, s_hi + 1)
         for frame_id in responding:
-            replies = sweep([Frame(frame_id, bytes([0x01, svc])) for svc in svcs])
+            replies = channel.exchange([Frame(frame_id, bytes([0x01, svc])) for svc in svcs])
             for svc, resp in zip(svcs, replies):
-                if resp is not None:
+                if resp:
                     services.add(svc)
-                    banners.setdefault(svc, resp.data)
+                    banners.setdefault(svc, resp[0].data)
     finally:
-        client.close()
+        channel.close()
 
     return FingerprintReport(
         probed_interface=interface_id,
@@ -497,6 +503,8 @@ class DiscrepancyKind(str, Enum):
 
 @dataclass(frozen=True)
 class Discrepancy:
+    """One service on which the item's declaration and the fingerprint disagree."""
+
     kind: DiscrepancyKind
     service: int
     detail: str

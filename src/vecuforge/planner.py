@@ -46,17 +46,23 @@ MAX_DURATION_S = 120  # a plan's termination bound
 
 @dataclass(frozen=True)
 class Leaf:
+    """An attack-tree step: one pattern with its arguments."""
+
     pattern: str
     args: tuple[tuple[str, Value], ...] = ()
 
 
 @dataclass(frozen=True)
 class And:
+    """An attack-tree node whose children all run, in order."""
+
     children: tuple["Node", ...]
 
 
 @dataclass(frozen=True)
 class Or:
+    """An attack-tree node of which any one child is an attack."""
+
     children: tuple["Node", ...]
 
 
@@ -85,12 +91,17 @@ def _node_from_dict(doc, where: str, error: type[ValueError]) -> Node:
 
 @dataclass(frozen=True)
 class AttackTree:
+    """The attack tree of one threat class, and the oracle condition that holds
+    when the attack succeeded."""
+
     root: Annotated[Node, _node_from_dict]
     fail_condition: str
 
 
 @dataclass(frozen=True)
 class AttackTreeFile:
+    """An attack-tree file: the tree of each threat class."""
+
     trees: dict[str, AttackTree] = field(default_factory=dict)
 
 
@@ -374,6 +385,8 @@ def gen_vulnscan_scenario(
 
 @dataclass(frozen=True)
 class PolicyBand:
+    """A band of risk values, both ends inclusive, and the test methods it calls for."""
+
     low: int
     high: int
     methods: tuple[str, ...]
@@ -381,6 +394,8 @@ class PolicyBand:
 
 @dataclass(frozen=True)
 class RiskPolicy:
+    """The risk bands that pick the test methods for a risk value."""
+
     bands: tuple[PolicyBand, ...]
 
     def methods_for(self, value: int) -> tuple[str, ...]:
@@ -406,6 +421,9 @@ def risk_snapshot_id(risks: list[Risk]) -> str:
 
 @dataclass
 class TestPlan:
+    """A test plan: purpose, SUT overview, scope, the risk snapshot it answers,
+    strategy, environment, case specifications and termination criteria."""
+
     purpose: str
     sut_overview: str
     scope: list[str]

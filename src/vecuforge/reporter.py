@@ -13,10 +13,9 @@ byte-identical reports.
 
 from dataclasses import dataclass, field
 
-from .executor import VERDICTS, TestResult
 from .item_model import encode
 from .planner import TestPlan
-from .tcg import TestCase
+from .tcg import VERDICTS, TestCase, TestResult
 
 UNTESTED_REASONS = (
     "not_planned",
@@ -72,6 +71,9 @@ class TraceIndex:
 
 @dataclass
 class TestReport:
+    """A test report: summary, SUT, verdict counts, methods, one finding per
+    executed case, the untested cases and the broken trace links."""
+
     management_summary: str
     sut_description: str
     dashboard: dict[str, int]

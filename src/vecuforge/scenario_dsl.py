@@ -76,6 +76,8 @@ class ValueKind(str, Enum):
 
 @dataclass(frozen=True)
 class Value:
+    """A DSL value: its kind and its raw content."""
+
     kind: ValueKind
     raw: object
 
@@ -117,6 +119,8 @@ Args = tuple[tuple[str, Value], ...]
 
 @dataclass(frozen=True)
 class PatternStep:
+    """A stimulus step: one pattern with its arguments."""
+
     name: str
     args: Args
 
@@ -140,6 +144,8 @@ Step = PatternStep | ExpectStep
 
 @dataclass(frozen=True)
 class EnvInterface:
+    """An interface a scenario needs: its logical name, kind and parameters."""
+
     logical: str
     kind: str
     params: Args
@@ -147,18 +153,24 @@ class EnvInterface:
 
 @dataclass(frozen=True)
 class EnvSpec:
+    """A scenario's environment: the interfaces it needs and its preconditions."""
+
     interfaces: tuple[EnvInterface, ...] = ()
     preconditions: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class OracleSpec:
+    """A scenario's oracle: the condition for pass and the one for fail."""
+
     pass_condition: str
     fail_condition: str
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """A parsed scenario: id, meta entries, environment, steps in order and oracle."""
+
     id: str
     meta: Args
     env: EnvSpec
@@ -536,6 +548,8 @@ def service_byte(value: Value) -> bool:
 
 @dataclass(frozen=True)
 class Issue:
+    """One problem ``validate`` found in a scenario: a code and its detail."""
+
     code: str
     detail: str
 

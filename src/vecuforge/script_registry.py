@@ -26,6 +26,8 @@ class RegistryError(ValueError):
 
 @dataclass(frozen=True)
 class ParamSpec:
+    """A script parameter's declared value type."""
+
     type: str
 
     def __post_init__(self) -> None:
@@ -35,6 +37,9 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class TestScript:
+    """A registered script: the pattern it implements, its command template,
+    its parameter types and the SUT database slots it reads."""
+
     id: str
     implements: str
     command_template: str

@@ -120,10 +120,6 @@ def official_key(seed: tuple[int, int], const: int) -> tuple[int, int]:
     return ((seed[0] + 0x3B) & 0xFF) ^ const, ((seed[1] + 0xC7) & 0xFF) ^ const
 
 
-# The key derivations a SUT database's ``seedkey_algorithm`` may name.
-SEEDKEY_ALGORITHMS = {"add_xor": official_key, "weak_xor": weak_key}
-
-
 def seed_for_counter(counter: int) -> tuple[int, int]:
     """Deterministic seed sequence; counter is part of the dumped state."""
     return (0x13 + 0x2F * counter) & 0xFF, (0x7A + 0x51 * counter) & 0xFF

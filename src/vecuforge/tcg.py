@@ -10,15 +10,19 @@ declared type, and that type alone decides its text. A case is a typed
 record that checks its own vocabulary: at least one interface, and only
 preconditions, oracle conditions, activity kinds and matchers that the
 vocabulary defines, so the executor never meets a name it cannot run.
+
+The result records the executor fills and the report reads
+(``TestResult`` and its step log) sit next to the case records.
 """
 
 import itertools
 from dataclasses import dataclass, field
 from operator import mul
 from pathlib import Path
+from typing import Annotated
 
 from .frames import MAX_FRAME_ID, Frame, FrameError, hex_in, parse_line
-from .item_model import load_json
+from .item_model import decode, load_json
 from .scenario_dsl import (
     PatternStep,
     Scenario,
@@ -29,8 +33,8 @@ from .scenario_dsl import (
     validate,
 )
 from .script_registry import ScriptRegistry
-from .simulator import SEEDKEY_ALGORITHMS
-from .vocabulary import CONDITIONS, MATCHERS, PRECONDITIONS
+from .vocabulary import CONDITIONS, MATCHERS, PRECONDITIONS, SEEDKEY_ALGORITHMS
+from .vuln_scanner import ScanFinding
 
 
 class TcgError(ValueError):
@@ -42,6 +46,9 @@ class TcgError(ValueError):
 
 @dataclass
 class CoveringArray:
+    """A covering array: its parameters in order, their domains, its strength
+    and its rows."""
+
     parameters: tuple[str, ...]
     domains: dict[str, tuple]
     strength: int
@@ -304,6 +311,8 @@ class ExpectedResults:
 
 @dataclass
 class Traceability:
+    """The requirements, threats and risk a case traces to."""
+
     requirement_refs: list[str]
     threat_refs: list[str]
     risk_ref: str | None
@@ -311,6 +320,9 @@ class Traceability:
 
 @dataclass
 class TestCase:
+    """A fully bound test case: what it verifies, what it needs, its activities
+    in order, its oracle and what it traces to."""
+
     id: str
     scenario_ref: str
     method: str
@@ -456,3 +468,69 @@ def generate_cases(
             )
         )
     return cases
+
+
+# -- test results ----------------------------------------------------------
+
+VERDICTS = ("pass", "fail", "error", "inconclusive")
+
+
+@dataclass
+class ScanRecord:
+    """One interface's scan in a vulnscan step's ``detail["scans"]``."""
+
+    target: str
+    session: str
+    fingerprint: dict[str, list[str]]
+    findings: list[ScanFinding]
+    followups: list[str]
+
+
+def _step_detail(value, where: str, error: type[ValueError]) -> dict:
+    """A step's tool-specific detail as read from a result file: any object,
+    with the ``scans`` of a vulnscan step, which the report reads, checked
+    as ``ScanRecord``s."""
+    detail = decode(dict, value, where, error)
+    decode(list[ScanRecord], detail.get("scans", []), f"{where}.scans", error)
+    return detail
+
+
+@dataclass
+class StepRecord:
+    """One executed step: the command it rendered, the frames sent and received,
+    whether an expect step was met, a note and tool-specific detail."""
+
+    step: BoundStep
+    command: str | None = None
+    tx: list[str] = field(default_factory=list)
+    rx: list[str] = field(default_factory=list)
+    met: bool | None = None
+    note: str = ""
+    detail: Annotated[dict, _step_detail] = field(default_factory=dict)
+
+
+@dataclass
+class ResultMetadata:
+    """What a result was produced against and with: the SUT id, the tool
+    versions and the PRNG."""
+
+    sut_id: str
+    tools: dict[str, str]
+    prng: str
+
+
+@dataclass
+class TestResult:
+    """A case's outcome: its verdict, its step log, the oracle's evaluation,
+    the run's metadata and, for verdict error, the fault."""
+
+    case_ref: str
+    verdict: str
+    step_log: list[StepRecord]
+    oracle_evaluation: dict
+    metadata: ResultMetadata
+    error: str = ""
+
+    def __post_init__(self) -> None:
+        if self.verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict {self.verdict!r}")

@@ -6,7 +6,11 @@ registry maps the patterns to concrete scripts. ``MATCHERS`` maps a matcher to t
 reply-payload prefix it accepts for a given service; ``None`` means the
 matcher is met only when no frame came back. ``CONDITIONS`` maps an
 oracle condition to its predicate over the facts that
-``executor._CaseRun.facts`` records for a case.
+``executor._CaseRun.facts`` records for a case. ``SEEDKEY_ALGORITHMS``
+maps a SUT database's ``seedkey_algorithm`` to the tester's derivation of
+a security-access key from a seed and a key constant. The SUT derives
+its keys with its own code: a tester that ran the SUT's code could never
+see that code wrong.
 """
 
 PATTERNS = frozenset(
@@ -40,3 +44,9 @@ CONDITIONS = {
 }
 
 PRECONDITIONS = frozenset({"sut_alive", "env_ready"})
+
+SEEDKEY_ALGORITHMS = {
+    "add_xor": lambda seed, const: (((seed[0] + 0x3B) & 0xFF) ^ const,
+                                    ((seed[1] + 0xC7) & 0xFF) ^ const),
+    "weak_xor": lambda seed, const: (seed[0] ^ const, seed[1] ^ const),
+}

@@ -28,6 +28,9 @@ class VulnPredicate:
 
 @dataclass(frozen=True)
 class VulnDbEntry:
+    """A vulnerability database entry: the predicate a fingerprint must meet,
+    its severity (0-4), a follow-up and regulation references."""
+
     id: str
     title: str = ""
     predicate: VulnPredicate = VulnPredicate()
@@ -54,6 +57,8 @@ class VulnDbEntry:
 
 @dataclass(frozen=True)
 class VulnDb:
+    """A vulnerability database file: its entries in order."""
+
     entries: list[VulnDbEntry] = field(default_factory=list)
 
 
@@ -65,6 +70,8 @@ def load_vulndb(path: str | Path) -> list[VulnDbEntry]:
 
 @dataclass(frozen=True)
 class ScanFinding:
+    """An entry a fingerprint matched, with the evidence it matched on."""
+
     entry_id: str
     severity: int
     evidence: dict
@@ -74,6 +81,9 @@ class ScanFinding:
 
 @dataclass
 class ScanReport:
+    """The scan of one interface's fingerprint in one session: the entries
+    it matched and the follow-ups they name."""
+
     target: str
     session: str
     findings: list[ScanFinding] = field(default_factory=list)

@@ -167,6 +167,16 @@ class LateSessionReplyServer(SimServer):
         return out
 
 
+class NoisyServer(SimServer):
+    """Writes a line that is not a frame before every reply frame."""
+
+    def _handle_data_line(self, text: str) -> str:
+        out = super()._handle_data_line(text)
+        if text.startswith("SYNC "):
+            return out
+        return "".join(f"noise\n{line}\n" for line in out.splitlines())
+
+
 class TestFingerprint:
     def test_exact_service_set(self, sim_factory):
         cfg = SimConfig(services=frozenset({0x01, 0x10, 0x27, 0x3E, 0x42}))
@@ -213,6 +223,15 @@ class TestFingerprint:
         assert late.supported_services == prompt.supported_services
         assert late.banners == prompt.banners
         assert 0x10 in late.supported_services and 0x11 not in late.supported_services
+
+    def test_reply_lines_that_are_not_frames_are_skipped(self, sim_factory):
+        cfg = ProbeConfig(id_range=(0x7DD, 0x7E2))
+        plain = fingerprint_sut("IF1", cfg, endpoint=sim_factory().data_endpoint)
+        noisy_sim = sim_factory(server_cls=NoisyServer)
+        noisy = fingerprint_sut("IF1", cfg, endpoint=noisy_sim.data_endpoint)
+        assert noisy.responding_request_ids == plain.responding_request_ids == [0x7DF, 0x7E0]
+        assert noisy.supported_services == plain.supported_services != []
+        assert noisy.banners == plain.banners
 
     def test_sut_without_barrier_is_infrastructure(self, barrierless_sim):
         with pytest.raises(ExecutorError, match="did not answer the barrier"):

@@ -9,8 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vecuforge.executor import ResultMetadata, StepRecord
-from vecuforge.executor import TestResult as Result
 from vecuforge.item_model import Item, ItemError, load_json
 from vecuforge.planner import build_plan, load_attack_trees
 from vecuforge.reporter import (
@@ -27,11 +25,14 @@ from vecuforge.tcg import (
     CaseInterface,
     EnvironmentalNeeds,
     ExpectedResults,
+    ResultMetadata,
+    StepRecord,
     Traceability,
     generate_cases,
     load_sutdb,
 )
 from vecuforge.tcg import TestCase as Case
+from vecuforge.tcg import TestResult as Result
 from vecuforge.vocabulary import PATTERNS
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import os
 import re
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vecuforge import frames
+from vecuforge import frames, vocabulary
 from vecuforge.frames import ExecutorError, Frame, FrameError, parse_line
 from vecuforge.simulator import (
     EcuState,
@@ -170,6 +171,15 @@ class TestSecurityAccess:
     def test_weak_never_equals_official(self, counter, const):
         seed = seed_for_counter(counter)
         assert weak_key(seed, const) != official_key(seed, const)
+
+    @pytest.mark.parametrize("const", [0x00, 0xA5, 0xFF])
+    def test_tester_derivations_equal_the_sut_s(self, const):
+        """The tester derives keys with its own code; on every seed it agrees
+        with the SUT's derivation of the same name."""
+        tester = vocabulary.SEEDKEY_ALGORITHMS
+        seeds = list(itertools.product(range(256), repeat=2))
+        assert [s for s in seeds if tester["add_xor"](s, const) != official_key(s, const)] == []
+        assert [s for s in seeds if tester["weak_xor"](s, const) != weak_key(s, const)] == []
 
 
 def unlock(state: EcuState) -> EcuState:
