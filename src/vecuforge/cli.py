@@ -385,18 +385,18 @@ def stage_execute(store: RunStore, args) -> int:
             any_fail = any_fail or result.verdict == "fail"
             cleanup = restore(session)
             cleanups.append({"case_ref": case.id, **vars(cleanup)})
+            if session.lost:
+                broken = f"the SUT dropped the connection during case {case.id!r}: {session.lost}"
+                break
             if not (cleanup.restored and cleanup.verified):
-                broken = case.id
+                broken = f"SUT state restore failed after case {case.id!r}: {cleanup.detail}"
                 break
     finally:
         session.close()
         store.write_json("cleanup.json", {"cleanups": cleanups})
         store.write_json("timing/execute.json", {"cases": session.timing})
     if broken is not None:
-        raise InfraError(
-            f"SUT state restore failed after case {broken!r}: {cleanup.detail}; "
-            "remaining cases skipped"
-        )
+        raise InfraError(f"{broken}; remaining cases skipped")
     return EXIT_FINDINGS if any_fail else EXIT_OK
 
 

@@ -31,8 +31,8 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__
-from .frames import (MAX_FRAME_ID, DataChannel, ExecutorError, Frame, FrameError, LineClient,
-                     hex_in, parse_line)
+from .frames import (MAX_FRAME_ID, ConnectionLost, DataChannel, ExecutorError, Frame,
+                     FrameError, LineClient, hex_in, parse_line)
 from .fuzz_engine import PRNG_NAME, FuzzConfig, FuzzError, minimize, run_campaign
 from .item_model import fingerprint_sut
 from .script_registry import RegistryError, ScriptRegistry, render_command
@@ -57,15 +57,24 @@ def _payload(frame: Frame) -> bytes:
 
 
 class MgmtChannel:
-    """State management: dump and load opaque snapshots."""
+    """State management: dump and load opaque snapshots.
+
+    A command that times out may still be answered later, and that reply
+    would then be read as the answer to the next command. So a timeout
+    drops the connection, and the next command opens a new one.
+    """
 
     def __init__(self, host: str, port: int):
-        self.client = LineClient(host, port)
+        self.endpoint = (host, port)
+        self.client: LineClient | None = LineClient(host, port)
 
     def _command(self, line: str) -> str:
+        if self.client is None:
+            self.client = LineClient(*self.endpoint)
         self.client.send_line(line)
         reply = self.client.recv_line(MGMT_TIMEOUT)
         if reply is None:
+            self.close()
             raise ExecutorError(f"management channel timed out on {line.split()[0]}")
         if not reply.startswith("OK"):
             raise ExecutorError(f"management command failed: {reply}")
@@ -81,7 +90,9 @@ class MgmtChannel:
         self._command("LOAD " + blob)
 
     def close(self) -> None:
-        self.client.close()
+        if self.client is not None:
+            self.client.close()
+            self.client = None
 
 
 # -- sessions ------------------------------------------------------------
@@ -104,7 +115,9 @@ class Session:
 
     ``buses`` maps each item interface the cases name to its SUT
     database bus. Bus names are checked, but every bus is served by
-    ``data``: the ``<id>#<hex>`` codec carries no bus field.
+    ``data``: the ``<id>#<hex>`` codec carries no bus field. ``lost`` says
+    why the SUT dropped a connection during a case, once it has: no later
+    case can run.
     """
 
     endpoint: tuple[str, int]
@@ -114,6 +127,7 @@ class Session:
     pre_attack_snapshot: str
     func_id: int
     timing: list[CaseTiming] = field(default_factory=list)
+    lost: str = ""
 
     def channel(self, bus: str) -> DataChannel:
         if bus not in self.buses.values():
@@ -519,7 +533,8 @@ def execute_case(
     """Run the case's activities in order and evaluate its oracle.
 
     Infrastructure faults surface as verdict ``error`` with whatever
-    partial log exists; oracle outcomes never do. The case's timing is
+    partial log exists; oracle outcomes never do. A connection the SUT
+    dropped is also noted in ``session.lost``. The case's timing is
     appended to ``session.timing``.
     """
     started_at = datetime.now(timezone.utc).isoformat()
@@ -568,6 +583,9 @@ def execute_case(
                 run.run_expect(step)
             latencies_ms.append((time.monotonic() - step_started) * 1000.0)
         final_alive = session.probe_alive()
+    except ConnectionLost as exc:
+        session.lost = str(exc)
+        return finish("error", str(exc))
     except ExecutorError as exc:
         return finish("error", str(exc))
     facts = run.facts(final_alive)

@@ -18,6 +18,7 @@ it reads the reply lines as frames.
 import re
 import socket
 import time
+from collections import deque
 from dataclasses import dataclass
 
 MAX_FRAME_ID = 0x7FF
@@ -76,8 +77,17 @@ class ExecutorError(RuntimeError):
     """Infrastructure fault: connectivity, configuration or protocol."""
 
 
+class ConnectionLost(ExecutorError):
+    """The SUT closed or reset a connection: nothing more can be sent on it."""
+
+
 class LineClient:
-    """Newline-framed TCP client with per-read deadlines and barrier exchanges."""
+    """Newline-framed TCP client with per-read deadlines and barrier exchanges.
+
+    Each received chunk is split into lines once: its whole lines are
+    decoded together and queued, and the partial line after its last
+    newline waits in ``buf`` for the next chunk.
+    """
 
     def __init__(self, host: str, port: int):
         try:
@@ -88,6 +98,7 @@ class LineClient:
             ) from None
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.buf = b""
+        self.lines: deque[str] = deque()
         self.token = 0
 
     def send_line(self, line: str) -> None:
@@ -95,7 +106,7 @@ class LineClient:
             self.sock.settimeout(2.0)
             self.sock.sendall(line.encode() + b"\n")
         except OSError as exc:
-            raise ExecutorError(f"connection lost while sending: {exc}") from None
+            raise ConnectionLost(f"connection lost while sending: {exc}") from None
 
     def exchange(self, lines: list[str]) -> list[list[str]]:
         """Send each line followed by its own barrier; the replies to each line.
@@ -113,14 +124,15 @@ class LineClient:
         self.send_line("\n".join(f"{line}\nSYNC {first + i}" for i, line in enumerate(lines)))
         replies: list[list[str]] = [[] for _ in lines]
         pending: list[str] = []
+        queued = self.lines
         deadline = time.monotonic() + BARRIER_TIMEOUT
         while True:
-            line = self.recv_line(deadline - time.monotonic())
-            if line is None:
+            if not queued and not self._receive(deadline):
                 raise ExecutorError(
                     f"SUT did not answer the barrier SYNC {self.token} "
                     f"within {BARRIER_TIMEOUT}s"
                 )
+            line = queued.popleft()
             word, _, arg = line.partition(" ")
             if word != "SYNCED":
                 pending.append(line)
@@ -135,21 +147,26 @@ class LineClient:
 
     def recv_line(self, timeout: float) -> str | None:
         """Next line within ``timeout``; zero sweeps already-delivered bytes."""
-        deadline = time.monotonic() + timeout
-        while b"\n" not in self.buf:
-            remaining = deadline - time.monotonic()
+        if not self.lines and not self._receive(time.monotonic() + timeout):
+            return None
+        return self.lines.popleft()
+
+    def _receive(self, deadline: float) -> bool:
+        """Receive until a whole line is queued; False when ``deadline`` passes first."""
+        while not self.lines:
             try:
-                self.sock.settimeout(max(remaining, 0.0))
-                chunk = self.sock.recv(4096)
+                self.sock.settimeout(max(deadline - time.monotonic(), 0.0))
+                chunk = self.sock.recv(65536)
             except (BlockingIOError, socket.timeout):
-                return None
+                return False
             except OSError as exc:
-                raise ExecutorError(f"connection lost while reading: {exc}") from None
+                raise ConnectionLost(f"connection lost while reading: {exc}") from None
             if not chunk:
-                raise ExecutorError("peer closed the connection")
-            self.buf += chunk
-        line, self.buf = self.buf.split(b"\n", 1)
-        return line.decode(errors="replace")
+                raise ConnectionLost("peer closed the connection")
+            whole, newline, self.buf = (self.buf + chunk).rpartition(b"\n")
+            if newline:
+                self.lines.extend(whole.decode(errors="replace").split("\n"))
+        return True
 
     def close(self) -> None:
         try:

@@ -245,12 +245,111 @@ def load_json(kind, path, error: type[ValueError]):
 
 def encode(doc) -> bytes:
     """``doc`` as canonical JSON: indented, keys sorted, one closing newline. A
-    dataclass is written as the object of its fields, the shape ``decode`` reads."""
-    return (json.dumps(doc, indent=2, sort_keys=True, default=_fields) + "\n").encode()
+    dataclass is written as the object of its fields, the shape ``decode`` reads.
+
+    The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True,
+    default=_fields)`` plus the newline. ``json`` writes indented text in
+    pure Python through one generator per container; this writer makes one
+    pass that appends to one list, joined once. It converts as ``json``
+    does: strings through ``encode_basestring_ascii``, numbers through
+    ``int.__repr__`` and ``float.__repr__`` (with ``json``'s ``NaN`` and
+    ``Infinity``), keys sorted before they are converted, tuples as lists.
+    """
+    out: list[str] = []
+    _write(doc, out, "\n")
+    out.append("\n")
+    return "".join(out).encode()
 
 
 def _fields(record) -> dict:
     return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
+_quote = json.encoder.encode_basestring_ascii
+_int_text = int.__repr__
+_float_text = float.__repr__
+_INFINITY = float("inf")
+
+
+def _number(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return _float_text(value)
+
+
+def _key(key) -> str:
+    """An object key as ``json`` converts it: a str, float, bool, None or int."""
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, float):
+        return _quote(_number(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return '"' + _int_text(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+# The text of a value of exactly these types; subclasses (str enums) and
+# containers go through ``_write``.
+_SCALARS = {str: _quote, int: _int_text, float: _number, bool: {True: "true", False: "false"}.get,
+            type(None): lambda _: "null"}
+
+
+def _write(value, out: list[str], newline: str) -> None:
+    """Append ``value`` to ``out``; ``newline`` starts a line at its depth."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        opener = "{" + inner
+        for key, item in sorted(value.items()):
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                out.append(opener + _key(key) + ": ")
+                _write(item, out, inner)
+            else:
+                out.append(opener + _key(key) + ": " + scalar(item))
+            opener = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        opener = "[" + inner
+        for item in value:
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                out.append(opener)
+                _write(item, out, inner)
+            else:
+                out.append(opener + scalar(item))
+            opener = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(_int_text(value))
+    elif isinstance(value, float):
+        out.append(_number(value))
+    else:
+        _write(_fields(value), out, newline)
 
 
 class _Invalid(ValueError):

@@ -444,19 +444,14 @@ class SimServer:
         if not chunk:
             self._drop(conn, conns)
             return
-        # One split per chunk: the last piece is the partial line after the
-        # final newline, kept for the next chunk.
-        *lines, info["in"] = (info["in"] + chunk).split(b"\n")
-        for line in lines:
-            text = line.decode("utf-8", errors="replace").strip()
-            if not text:
-                continue
-            if info["role"] == "data":
-                out = self._handle_data_line(text)
-            else:
-                out = self._handle_mgmt_line(text)
-            if out:
-                info["out"] += out.encode()
+        # One split per chunk: the whole lines are decoded together, and the
+        # partial line after the final newline is kept for the next chunk.
+        # The replies to the chunk's lines are joined and encoded once.
+        whole, _, info["in"] = (info["in"] + chunk).rpartition(b"\n")
+        handle = self._handle_data_line if info["role"] == "data" else self._handle_mgmt_line
+        replies = [handle(text) for line in whole.decode("utf-8", errors="replace").split("\n")
+                   if (text := line.strip())]
+        info["out"] += "".join(replies).encode()
         if info["out"]:
             self._flush(conn, info, conns)
 

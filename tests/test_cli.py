@@ -59,6 +59,32 @@ class LoadRefusingServer(SimServer):
         return super()._handle_mgmt_line(text)
 
 
+class EmptyDumpServer(SimServer):
+    """A simulator that answers DUMP with a bare OK: no state."""
+
+    def _handle_mgmt_line(self, text: str) -> str:
+        if text == "DUMP":
+            return "OK\n"
+        return super()._handle_mgmt_line(text)
+
+
+class DataDropServer(SimServer):
+    """A simulator that closes a data connection once it has read 40 lines."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.data_lines = 0
+
+    def _handle_data_line(self, text: str) -> str:
+        self.data_lines += 1
+        return super()._handle_data_line(text)
+
+    def _read(self, conn, info, conns) -> None:
+        super()._read(conn, info, conns)
+        if info["role"] == "data" and self.data_lines >= 40:
+            self._drop(conn, conns)
+
+
 def synthetic_result(case_id: str) -> dict:
     """A result file's content for a case that passed without running a step."""
     return {"result": {
@@ -828,6 +854,45 @@ class TestExecuteAndReport:
         assert list(run_files(tmp_path / "results")) == [Path(f"{first}.result.json")]
         timing = json.loads((tmp_path / "timing" / "execute.json").read_text())
         assert [t["case_ref"] for t in timing["cases"]] == [first]
+
+    def test_dropped_data_connection_stops_after_its_case(self, tmp_path, sim_factory, capsys):
+        server = sim_factory(SimConfig().with_vulns(False), server_cls=DataDropServer)
+        offline_chain(tmp_path)
+        capsys.readouterr()
+        code = run_cli("execute", "--run-dir", str(tmp_path),
+                       "--sim-endpoint", endpoint_of(server))
+        err = capsys.readouterr().err
+        cleanups = json.loads((tmp_path / "cleanup.json").read_text())["cleanups"]
+        last = cleanups[-1]["case_ref"]
+        assert code == EXIT_INFRA
+        assert f"the SUT dropped the connection during case {last!r}" in err
+        assert err.endswith("; remaining cases skipped\n")
+        assert "Traceback" not in err
+        assert len(cleanups) < 7
+        results = run_files(tmp_path / "results")
+        assert sorted(results) == sorted(Path(f"{c['case_ref']}.result.json") for c in cleanups)
+        assert json.loads(results[Path(f"{last}.result.json")])["result"]["verdict"] == "error"
+
+    @pytest.mark.parametrize("refuse, cause", [
+        ("dump", "SUT does not support state snapshots: SUT returned an empty state dump"),
+        ("data", "SUT unreachable: cannot connect to 127.0.0.1:"),
+    ], ids=["dump", "data"])
+    def test_session_that_cannot_open_writes_no_results(self, tmp_path, sim_factory, capsys,
+                                                        refuse, cause):
+        server = sim_factory(server_cls=EmptyDumpServer if refuse == "dump" else SimServer)
+        endpoint = endpoint_of(server)
+        if refuse == "data":
+            closed = socket.socket()
+            closed.bind(("127.0.0.1", 0))
+            port = closed.getsockname()[1]
+            closed.close()
+            endpoint = f"127.0.0.1:{port}:{server.mgmt_endpoint[1]}"
+        offline_chain(tmp_path)
+        capsys.readouterr()
+        code = run_cli("execute", "--run-dir", str(tmp_path), "--sim-endpoint", endpoint)
+        assert code == EXIT_INFRA
+        assert f"cannot prepare the test environment: {cause}" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize(
         "field, value, reason",

@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 from dataclasses import asdict, replace
 
 import pytest
 
-from vecuforge import vocabulary
+from vecuforge import executor, vocabulary
 from vecuforge.executor import (
     CleanupReport,
     DataChannel,
@@ -684,6 +685,38 @@ class TestRestore:
         assert cleanup.restored is False
         assert cleanup.verified is False
         assert cleanup.detail
+
+    def test_reply_after_a_timeout_is_not_read_as_the_next(self, sim_factory, sutdb,
+                                                         monkeypatch):
+        monkeypatch.setattr(executor, "MGMT_TIMEOUT", 0.1)
+        server = sim_factory(server_cls=LateLoadServer)
+        session = make_session(server, sutdb, [speed_read_case()])
+        try:
+            timed_out = restore(session)
+            assert server.answered_late.wait(2)
+            after = restore(session)
+        finally:
+            session.close()
+        assert asdict(timed_out) == {
+            "restored": False, "verified": False,
+            "detail": "management channel timed out on LOAD",
+        }
+        assert asdict(after) == {"restored": True, "verified": True, "detail": ""}
+
+
+class LateLoadServer(SimServer):
+    """Answers its first LOAD 0.3 s late."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.answered_late = threading.Event()
+
+    def _handle_mgmt_line(self, text: str) -> str:
+        out = super()._handle_mgmt_line(text)
+        if text.startswith("LOAD ") and not self.answered_late.is_set():
+            time.sleep(0.3)
+            self.answered_late.set()
+        return out
 
 
 # -- determinism and serialization ---------------------------------------

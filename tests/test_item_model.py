@@ -6,21 +6,29 @@ import itertools
 import json
 import socket
 import time
+from dataclasses import dataclass
+from enum import Enum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecuforge.analysis import AnalysisError, load_catalog
 from vecuforge.executor import ExecutorError
+from vecuforge.frames import DataChannel, Frame
 from vecuforge.item_model import (
     Discrepancy,
     DiscrepancyKind,
     Exposure,
     FingerprintReport,
+    ImpactVector,
     InterfaceKind,
     Item,
     ItemError,
     ProbeConfig,
+    _fields,
     decode,
+    encode,
     fingerprint_sut,
     load_json,
     reconcile,
@@ -157,6 +165,55 @@ class TestServiceByte:
                    "item", ItemError)
 
 
+class Shade(str, Enum):
+    PALE = "pale"
+    DEEP = "d\u00e9ep\n"
+
+
+@dataclass
+class Swatch:
+    name: str
+    shade: Shade
+    tones: tuple
+    extra: object
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.sampled_from(["\u00e9t\u00e9", "\x00\x1f\x7f", "tab\tquote\"back\\slash",
+                     "\u2028\ud7ff\U0001f600"]),
+    st.sampled_from(Shade),
+)
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        *(st.dictionaries(keys, children, max_size=4) for keys in (
+            st.text(), st.integers(), st.floats(), st.booleans(), st.none(),
+            st.sampled_from(Shade))),
+        st.builds(Swatch, st.text(max_size=3), st.sampled_from(Shade),
+                  st.lists(children, max_size=3).map(tuple), children),
+        st.builds(ImpactVector, *[st.integers(0, 4)] * 4),
+    )
+
+
+DOCS = st.recursive(SCALARS, containers, max_leaves=25)
+
+
+class TestEncode:
+    @settings(max_examples=500, deadline=None)
+    @given(DOCS)
+    def test_bytes_are_those_of_json_dumps(self, doc):
+        reference = json.dumps(doc, indent=2, sort_keys=True, default=_fields) + "\n"
+        assert encode(doc) == reference.encode()
+
+    def test_a_key_json_cannot_convert_is_a_type_error(self):
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+            encode({(1, 2): "pair"})
+
+
 class LateSessionReplyServer(SimServer):
     """Delays its reply to the single-byte session-control probe by 20 ms."""
 
@@ -175,6 +232,66 @@ class NoisyServer(SimServer):
         if text.startswith("SYNC "):
             return out
         return "".join(f"noise\n{line}\n" for line in out.splitlines())
+
+
+class ByteAtATimeServer(SimServer):
+    """Writes its replies one byte per ``send``."""
+
+    def _flush(self, conn, info, conns) -> None:
+        out = bytes(info["out"])
+        info["out"].clear()
+        try:
+            conn.setblocking(True)
+            for at in range(len(out)):
+                conn.sendall(out[at:at + 1])
+            conn.setblocking(False)
+        except OSError:
+            pass
+        super()._flush(conn, info, conns)
+
+
+class WholeSweepServer(SimServer):
+    """Holds its replies until it has answered 128 barriers, then writes them
+    all in one ``send``."""
+
+    def _flush(self, conn, info, conns) -> None:
+        if info["out"].count(b"SYNCED ") >= 128:
+            super()._flush(conn, info, conns)
+
+
+class NonUtf8Server(SimServer):
+    """Writes a line that is not UTF-8 before every barrier reply."""
+
+    def _flush(self, conn, info, conns) -> None:
+        info["out"][:] = info["out"].replace(b"SYNCED ", b"\xc3\x28\xff\nSYNCED ")
+        super()._flush(conn, info, conns)
+
+
+class TestReplyFraming:
+    """However the SUT cuts its reply stream into writes, each probe gets the
+    same replies."""
+
+    SWEEP = [Frame(0x7DF, bytes([0x01, svc])) for svc in range(0x80)]
+    IDS = ProbeConfig(id_range=(0x780, 0x7FF))  # 128 ids, so every sweep is 128 probes
+
+    @staticmethod
+    def sweep(server) -> list[list[Frame]]:
+        channel = DataChannel(*server.data_endpoint)
+        try:
+            return channel.exchange(TestReplyFraming.SWEEP)
+        finally:
+            channel.close()
+
+    @pytest.mark.parametrize("server_cls", [ByteAtATimeServer, WholeSweepServer, NonUtf8Server])
+    def test_exchange_and_fingerprint_match_the_plain_server(self, sim_factory, server_cls):
+        plain, odd = sim_factory(), sim_factory(server_cls=server_cls)
+        expected = self.sweep(plain)
+        assert sum(map(len, expected)) >= 5
+        assert self.sweep(odd) == expected
+        fingerprint = fingerprint_sut("IF1", self.IDS, endpoint=odd.data_endpoint).to_dict()
+        assert fingerprint == fingerprint_sut("IF1", self.IDS,
+                                              endpoint=plain.data_endpoint).to_dict()
+        assert fingerprint["responding_request_ids"] == ["7df", "7e0"]
 
 
 class TestFingerprint:
