@@ -9,6 +9,7 @@ nobody reviewed, a declared-but-silent one is a broken assumption.
 from pathlib import Path
 
 import vecuforge
+from vecuforge.frames import DataChannel
 from vecuforge.item_model import (
     Item,
     ItemError,
@@ -34,11 +35,12 @@ def main() -> None:
         host, port = server.data_endpoint
         print(f"\nvirtual ECU up at {host}:{port}; probing request ids "
               f"0x7d8..0x7e4, then service bytes on every responder...")
-        fp = fingerprint_sut(
-            iface.id,
-            ProbeConfig(id_range=(0x7D8, 0x7E4)),
-            endpoint=server.data_endpoint,
-        )
+        channel = DataChannel(host, port)
+        try:
+            fp = fingerprint_sut(iface.id, ProbeConfig(id_range=(0x7D8, 0x7E4)),
+                                 channel=channel)
+        finally:
+            channel.close()
         print("responding request ids: "
               + " ".join(f"0x{i:03x}" for i in fp.responding_request_ids))
         print("supported services:     "

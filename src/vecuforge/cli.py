@@ -54,6 +54,7 @@ from .executor import (
     open_session,
     restore,
 )
+from .frames import DataChannel
 from .item_model import (
     Exposure,
     InterfaceKind,
@@ -134,9 +135,6 @@ class RunStore:
 
     def write_json(self, rel: str, doc: object) -> None:
         self.write_bytes(rel, encode(doc))
-
-    def read_json(self, rel: str, produced_by: str) -> dict:
-        return self.decode(rel, produced_by, dict)
 
     def decode(self, rel: str, produced_by: str, kind: type[T]) -> T:
         """An artifact read as ``kind`` by ``item_model.load_json``."""
@@ -262,21 +260,24 @@ def stage_item(store: RunStore, args) -> int:
 def stage_fingerprint(store: RunStore, args) -> int:
     item = _load_item_artifact(store)
     host, data_port, _ = _parse_endpoint(args.sim_endpoint, need_mgmt=False)
+    probed = [iface.id for iface in item.interfaces
+              if iface.exposure is Exposure.EXTERNAL
+              and iface.kind in (InterfaceKind.CANLIKE, InterfaceKind.DIAG)]
+    if not probed:
+        raise UsageError("item declares no external protocol interfaces to probe")
     probe_cfg = ProbeConfig(id_range=item.config_params.fingerprint_id_range)
     fingerprints: dict[str, dict] = {}
     probed_at: dict[str, str] = {}
     discrepancies: list[dict] = []
-    for iface in item.interfaces:
-        if iface.exposure is not Exposure.EXTERNAL:
-            continue
-        if iface.kind not in (InterfaceKind.CANLIKE, InterfaceKind.DIAG):
-            continue
-        probed_at[iface.id] = datetime.now(timezone.utc).isoformat()
-        fp = fingerprint_sut(iface.id, probe_cfg, endpoint=(host, data_port))
-        fingerprints[iface.id] = fp.to_dict()
-        discrepancies.extend(d.to_dict() for d in reconcile(item, fp))
-    if not fingerprints:
-        raise UsageError("item declares no external protocol interfaces to probe")
+    channel = DataChannel(host, data_port)
+    try:
+        for iface_id in probed:
+            probed_at[iface_id] = datetime.now(timezone.utc).isoformat()
+            fp = fingerprint_sut(iface_id, probe_cfg, channel=channel)
+            fingerprints[iface_id] = fp.to_dict()
+            discrepancies.extend(d.to_dict() for d in reconcile(item, fp))
+    finally:
+        channel.close()
     store.write_json("fingerprint.json", {"fingerprints": fingerprints})
     store.write_json("discrepancies.json", {"discrepancies": discrepancies})
     store.write_json("timing/fingerprint.json", {"probed_at": probed_at})
@@ -343,7 +344,7 @@ def _read_scenario(path: Path) -> Scenario:
 
 
 def stage_tcg(store: RunStore, args) -> int:
-    store.read_json("plan.json", "plan")
+    store.decode("plan.json", "plan", TestPlan)
     scenario_dir = store.path("scenarios")
     paths = sorted(scenario_dir.glob("*.scn")) if scenario_dir.is_dir() else []
     if not paths:

@@ -4,10 +4,11 @@ A session is one data connection and one management connection to a SUT
 instance, plus a state snapshot taken before any test traffic. The bus
 names the cases use are checked against the SUT database, but they open
 no connections of their own: the wire codec has no bus field, so every
-bus is served by the one data connection. Cases run as their bound
-activity list, strictly in order; each pattern step renders its script
-command and is routed by the first word to an internal tool handler
-(cansend, probe, seedkey, fuzz, vulnscan). Every frame sent to the SUT
+bus, and the vulnscan tool's fingerprint sweep, is served by the one
+data connection. Cases run as their bound activity list, strictly in
+order; each pattern step renders its script command and is routed by
+the first word to an internal tool handler (cansend, probe, seedkey,
+fuzz, vulnscan). Every frame sent to the SUT
 goes through ``frames.DataChannel`` and ends on its own barrier, so the
 frames a stimulus drew are known once its barrier returns; expect steps
 examine exactly those and never wait. Verdicts partition into
@@ -120,7 +121,6 @@ class Session:
     case can run.
     """
 
-    endpoint: tuple[str, int]
     data: DataChannel
     mgmt: MgmtChannel
     buses: dict[str, str]
@@ -172,8 +172,8 @@ def open_session(
         mgmt.close()
         raise
 
-    session = Session(endpoint=(host, data_port), data=data, mgmt=mgmt, buses=buses,
-                      pre_attack_snapshot=snapshot, func_id=sutdb.func_id())
+    session = Session(data=data, mgmt=mgmt, buses=buses, pre_attack_snapshot=snapshot,
+                      func_id=sutdb.func_id())
     try:
         if (any("sut_alive" in case.environmental_needs.preconditions for case in cases)
                 and not session.probe_alive()):
@@ -430,8 +430,9 @@ class _CaseRun:
             if target not in self.session.buses:
                 raise ExecutorError(f"vulnscan: no live endpoint for {target!r}")
             # The item is not an input of execute, so the scan sweeps
-            # ProbeConfig's default ids, not the item's fingerprint_id_range.
-            fp = fingerprint_sut(target, endpoint=self.session.endpoint)
+            # ProbeConfig's default ids, not the item's fingerprint_id_range,
+            # over the session's one data connection.
+            fp = fingerprint_sut(target, channel=self.session.data)
             report = scan(fp, self.res.vulndb)
             fp_doc = fp.to_dict()
             scans.append(ScanRecord(
@@ -519,11 +520,6 @@ class _CaseRun:
         }
 
 
-def condition_holds(name: str, facts: dict) -> bool:
-    """Evaluate one oracle condition against the recorded execution facts."""
-    return CONDITIONS[name](facts)
-
-
 def execute_case(
     case: TestCase,
     session: Session,
@@ -590,8 +586,8 @@ def execute_case(
         return finish("error", str(exc))
     facts = run.facts(final_alive)
     oracle["facts"] = facts
-    fail_holds = condition_holds(oracle["fail_condition"], facts)
-    pass_holds = condition_holds(oracle["pass_condition"], facts)
+    fail_holds = CONDITIONS[oracle["fail_condition"]](facts)
+    pass_holds = CONDITIONS[oracle["pass_condition"]](facts)
     oracle["pass_holds"] = pass_holds
     oracle["fail_holds"] = fail_holds
 

@@ -109,7 +109,8 @@ class LineClient:
             raise ConnectionLost(f"connection lost while sending: {exc}") from None
 
     def exchange(self, lines: list[str]) -> list[list[str]]:
-        """Send each line followed by its own barrier; the replies to each line.
+        """Send each of ``lines`` (at least one) followed by its own barrier;
+        the replies to each line.
 
         Every line gets a fresh ``SYNC <token>``, all in one write. Reply
         lines are gathered until the barrier of the last line returns. The
@@ -117,8 +118,6 @@ class LineClient:
         dropped. Waiting longer than ``BARRIER_TIMEOUT`` for the next
         barrier raises ``ExecutorError``.
         """
-        if not lines:
-            return []
         first = self.token + 1
         self.token += len(lines)
         self.send_line("\n".join(f"{line}\nSYNC {first + i}" for i, line in enumerate(lines)))

@@ -12,17 +12,18 @@ observation disagree.
 
 Fingerprinting strategy: sweep request ids over a configurable range
 with tester-present probes, then sweep single service bytes 0x00-0x7F
-on every id that answered. Each sweep is one pipelined exchange through
-``frames.DataChannel``: every probe is followed by its own ``SYNC <n>``
-barrier, all sent at once, and a reply belongs to the probe whose
-barrier follows it. Attribution thus needs no protocol knowledge and no
-timing: a late reply still lands on its own probe. A probe answers when
-it draws at least one frame; reply lines that are not frames are
-ignored, and a service's banner is its first reply frame. Single-byte
-probes cannot mutate SUT state, so the SUT is left in its initial
-session. The sweep is blind when the SUT does not answer tester present
-at all; that case reports an empty surface, which reconcile() will flag
-against the declaration.
+on every id that answered. Each sweep is one pipelined exchange over a
+``frames.DataChannel`` that the caller opened and closes; this module
+opens no connection of its own. Every probe is followed by its own
+``SYNC <n>`` barrier, all sent at once, and a reply belongs to the probe
+whose barrier follows it. Attribution thus needs no protocol knowledge
+and no timing: a late reply still lands on its own probe. A probe
+answers when it draws at least one frame; reply lines that are not
+frames are ignored, and a service's banner is its first reply frame.
+Single-byte probes cannot mutate SUT state, so a sweep leaves the SUT in
+the session it found it in. The sweep is blind when the SUT does not
+answer tester present at all; that case reports an empty surface, which
+reconcile() will flag against the declaration.
 """
 
 import dataclasses
@@ -557,32 +558,29 @@ def fingerprint_sut(
     interface_id: str,
     probe_cfg: ProbeConfig = ProbeConfig(),
     *,
-    endpoint: tuple[str, int],
+    channel: DataChannel,
 ) -> FingerprintReport:
     """Actively enumerate responding request ids and service bytes.
 
-    ``interface_id`` names the probed interface in the report;
-    ``endpoint`` is the (host, port) of the live SUT's data channel.
+    ``interface_id`` names the probed interface in the report; the sweeps
+    go over ``channel``, the caller's connection to the live SUT's data
+    port, which the caller also closes.
     """
-    channel = DataChannel(*endpoint)
-    try:
-        lo, hi = probe_cfg.id_range
-        ids = range(lo, hi + 1)
-        replies = channel.exchange([Frame(frame_id, bytes([0x01, 0x3E])) for frame_id in ids])
-        responding = [frame_id for frame_id, resp in zip(ids, replies) if resp]
+    lo, hi = probe_cfg.id_range
+    ids = range(lo, hi + 1)
+    replies = channel.exchange([Frame(frame_id, bytes([0x01, 0x3E])) for frame_id in ids])
+    responding = [frame_id for frame_id, resp in zip(ids, replies) if resp]
 
-        services: set[int] = set()
-        banners: dict[int, bytes] = {}
-        s_lo, s_hi = probe_cfg.service_range
-        svcs = range(s_lo, s_hi + 1)
-        for frame_id in responding:
-            replies = channel.exchange([Frame(frame_id, bytes([0x01, svc])) for svc in svcs])
-            for svc, resp in zip(svcs, replies):
-                if resp:
-                    services.add(svc)
-                    banners.setdefault(svc, resp[0].data)
-    finally:
-        channel.close()
+    services: set[int] = set()
+    banners: dict[int, bytes] = {}
+    s_lo, s_hi = probe_cfg.service_range
+    svcs = range(s_lo, s_hi + 1)
+    for frame_id in responding:
+        replies = channel.exchange([Frame(frame_id, bytes([0x01, svc])) for svc in svcs])
+        for svc, resp in zip(svcs, replies):
+            if resp:
+                services.add(svc)
+                banners.setdefault(svc, resp[0].data)
 
     return FingerprintReport(
         probed_interface=interface_id,

@@ -522,8 +522,6 @@ def build_plan(
                 elif method == "vulnscan":
                     scan_reqs.append((req, risk.threat_ref))
                     produced += 1
-                else:
-                    raise PlannerError(f"policy names unknown method {method!r}")
             if produced == 0:
                 raise PlannerError(
                     f"requirement {req.id!r}: no applicable method produced scenarios"

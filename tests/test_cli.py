@@ -85,6 +85,52 @@ class DataDropServer(SimServer):
             self._drop(conn, conns)
 
 
+class DriftingLoadServer(SimServer):
+    """A simulator that loads each state blob with its seed counter moved on by
+    one, so a re-dump after a LOAD never equals the blob loaded."""
+
+    def _handle_mgmt_line(self, text: str) -> str:
+        reply = super()._handle_mgmt_line(text)
+        if text.startswith("LOAD ") and reply == "OK\n":
+            self.state = replace(self.state, seed_counter=self.state.seed_counter + 1)
+        return reply
+
+
+class ConnectionCountingServer(SimServer):
+    """A simulator that lists the port role of each connection it reads from,
+    in the order of their first reads.
+
+    A connection is listed at its first read, which comes before any reply
+    the client waits for; the read of its close comes later and does not
+    list it again. Only the server's thread appends to ``roles``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen: set = set()
+        self.roles: list[str] = []
+
+    def _read(self, conn, info, conns) -> None:
+        if conn not in self.seen:
+            self.seen.add(conn)
+            self.roles.append(info["role"])
+        super()._read(conn, info, conns)
+
+    def opened_since(self, start: int) -> dict[str, int]:
+        """The connections listed after the first ``start``, by port role."""
+        new = self.roles[start:]
+        return {"data": new.count("data"), "mgmt": new.count("mgmt")}
+
+
+def closed_port() -> int:
+    """A local TCP port that nothing listens on."""
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return port
+
+
 def synthetic_result(case_id: str) -> dict:
     """A result file's content for a case that passed without running a step."""
     return {"result": {
@@ -115,7 +161,7 @@ class TestRunStore:
     def test_missing_artifact_names_the_stage(self, tmp_path):
         store = RunStore(tmp_path)
         with pytest.raises(UsageError, match="'plan'"):
-            store.read_json("plan.json", "plan")
+            store.decode("plan.json", "plan", dict)
 
     def test_canonical_json_is_stable(self, tmp_path):
         store = RunStore(tmp_path)
@@ -481,6 +527,10 @@ def _probability_as_text(doc: dict) -> None:
     doc["risks"][0]["probability"] = "3"
 
 
+def _plan_without_purpose(doc: dict) -> None:
+    doc["purpose"] = ""
+
+
 class TestMalformedArtifacts:
     @pytest.mark.parametrize(
         "rel, edit, stage",
@@ -492,10 +542,11 @@ class TestMalformedArtifacts:
             ("results/synthetic.result.json", _result_with_extra_key, "report"),
             ("risks.json", _acceptable_as_text, "concept"),
             ("risks.json", _probability_as_text, "concept"),
+            ("plan.json", _plan_without_purpose, "tcg"),
         ],
         ids=["no-threat-classes-concept", "no-threat-classes-plan",
              "threat-extra-key", "bad-verification-hint", "result-unknown-key",
-             "risk-acceptable-as-text", "risk-probability-as-text"],
+             "risk-acceptable-as-text", "risk-probability-as-text", "plan-without-purpose"],
     )
     def test_usage_error_names_the_artifact(self, tmp_path, capsys, rel, edit, stage):
         offline_chain(tmp_path)
@@ -789,6 +840,32 @@ class TestFingerprintStage:
                        "--sim-endpoint", endpoint) == EXIT_USAGE
         assert "--sim-endpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("endpoint", ["127.0.0.1:abc", "127.0.0.1:1:2:3", "127.0.0.1"],
+                             ids=["port-not-a-number", "three-ports", "no-port"])
+    def test_unparsable_endpoint_is_a_usage_error(self, tmp_path, capsys, endpoint):
+        assert run_cli("item", "--run-dir", str(tmp_path)) == EXIT_OK
+        capsys.readouterr()
+        code = run_cli("fingerprint", "--run-dir", str(tmp_path), "--sim-endpoint", endpoint)
+        assert code == EXIT_USAGE
+        assert f"cannot parse --sim-endpoint {endpoint!r}" in capsys.readouterr().err
+
+    def test_item_without_an_external_protocol_interface_connects_to_nothing(
+        self, tmp_path, samples_dir, capsys
+    ):
+        doc = json.loads((samples_dir / "item.json").read_text())
+        for iface in doc["interfaces"]:
+            iface["exposure"] = "internal"
+        item = tmp_path / "item.json"
+        item.write_text(json.dumps(doc))
+        run_dir = tmp_path / "run"
+        assert run_cli("item", "--run-dir", str(run_dir), "--item", str(item)) == EXIT_OK
+        capsys.readouterr()
+        code = run_cli("fingerprint", "--run-dir", str(run_dir),
+                       "--sim-endpoint", f"127.0.0.1:{closed_port()}")
+        assert code == EXIT_USAGE
+        assert "item declares no external protocol interfaces to probe" in capsys.readouterr().err
+        assert not (run_dir / "fingerprint.json").exists()
+
     def test_unreachable_sut_is_infrastructure(self, tmp_path):
         assert run_cli("item", "--run-dir", str(tmp_path)) == EXIT_OK
         code = run_cli("fingerprint", "--run-dir", str(tmp_path),
@@ -855,6 +932,39 @@ class TestExecuteAndReport:
         timing = json.loads((tmp_path / "timing" / "execute.json").read_text())
         assert [t["case_ref"] for t in timing["cases"]] == [first]
 
+    def test_restore_that_does_not_verify_stops_after_the_case_it_follows(
+        self, tmp_path, sim_factory, capsys
+    ):
+        server = sim_factory(server_cls=DriftingLoadServer)
+        offline_chain(tmp_path)
+        capsys.readouterr()
+        code = run_cli("execute", "--run-dir", str(tmp_path),
+                       "--sim-endpoint", endpoint_of(server))
+        first = "func-neg-req-tc-sessbypass-if-can-000"
+        assert code == EXIT_INFRA
+        assert (f"SUT state restore failed after case {first!r}: re-dumped state differs "
+                "from the pre-attack snapshot; remaining cases skipped") in capsys.readouterr().err
+        cleanups = json.loads((tmp_path / "cleanup.json").read_text())["cleanups"]
+        assert cleanups == [{"case_ref": first, "restored": True, "verified": False,
+                             "detail": "re-dumped state differs from the pre-attack snapshot"}]
+        assert list(run_files(tmp_path / "results")) == [Path(f"{first}.result.json")]
+
+    def test_each_stage_opens_one_connection_per_channel(self, tmp_path, sim_factory):
+        """A session is one data and one management connection, and the
+        scan case's sweep runs on that data connection."""
+        server = sim_factory(server_cls=ConnectionCountingServer)
+        offline_chain(tmp_path, "--budget", "400")
+        assert server.roles == []
+        assert run_cli("fingerprint", "--run-dir", str(tmp_path),
+                       "--sim-endpoint", endpoint_of(server)) == EXIT_OK
+        assert server.opened_since(0) == {"data": 1, "mgmt": 0}
+        start = len(server.roles)
+        assert run_cli("execute", "--run-dir", str(tmp_path), "--sim-endpoint",
+                       endpoint_of(server)) == EXIT_FINDINGS
+        results = {p.name for p in (tmp_path / "results").glob("*.result.json")}
+        assert "vulnscan-item-demo-ecu-000.result.json" in results
+        assert server.opened_since(start) == {"data": 1, "mgmt": 1}
+
     def test_dropped_data_connection_stops_after_its_case(self, tmp_path, sim_factory, capsys):
         server = sim_factory(SimConfig().with_vulns(False), server_cls=DataDropServer)
         offline_chain(tmp_path)
@@ -882,11 +992,7 @@ class TestExecuteAndReport:
         server = sim_factory(server_cls=EmptyDumpServer if refuse == "dump" else SimServer)
         endpoint = endpoint_of(server)
         if refuse == "data":
-            closed = socket.socket()
-            closed.bind(("127.0.0.1", 0))
-            port = closed.getsockname()[1]
-            closed.close()
-            endpoint = f"127.0.0.1:{port}:{server.mgmt_endpoint[1]}"
+            endpoint = f"127.0.0.1:{closed_port()}:{server.mgmt_endpoint[1]}"
         offline_chain(tmp_path)
         capsys.readouterr()
         code = run_cli("execute", "--run-dir", str(tmp_path), "--sim-endpoint", endpoint)

@@ -19,7 +19,6 @@ from vecuforge.executor import (
     ResultMetadata,
     Session,
     StateTransport,
-    condition_holds,
     execute_case,
     open_session,
     restore,
@@ -43,7 +42,7 @@ from vecuforge.tcg import (
     load_sutdb,
 )
 from vecuforge.tcg import TestCase as Case
-from vecuforge.vocabulary import PATTERNS
+from vecuforge.vocabulary import CONDITIONS, PATTERNS
 from vecuforge.vuln_scanner import load_vulndb
 
 
@@ -170,7 +169,6 @@ class TestPrepareEnv:
         try:
             # IF-CAN's bus comes from the SUT database, IF-DIAG has no entry there
             assert session.buses == {"IF-CAN": "can0", "IF-DIAG": "diag0"}
-            assert session.endpoint == server.data_endpoint
             assert session.func_id == 0x7DF
         finally:
             session.close()
@@ -306,6 +304,26 @@ class TestExecuteFunctional:
         assert result.verdict == "pass"
         assert "7e8#037f2e33" in result.step_log[1].rx
 
+    @pytest.mark.parametrize("data, met, verdict", [("0100", True, "pass"),
+                                                    ("02010d", False, "fail")],
+                             ids=["undeclared-service", "speed-read"])
+    def test_no_response_is_met_only_by_a_silent_frame(self, sim_factory, sutdb, resources,
+                                                       registry, data, met, verdict):
+        server = sim_factory(SimConfig())
+        case = speed_read_case()
+        case.activities[0].bound_args["data"] = data
+        case.activities[1] = BoundStep(kind="expect", name="NO_RESPONSE", script_ref=None,
+                                       bound_args={}, within_ms=500)
+        session = make_session(server, sutdb, [case])
+        try:
+            result = execute_case(case, session, resources, registry)
+        finally:
+            session.close()
+        assert result.verdict == verdict, result.error
+        send, expect = result.step_log
+        assert bool(send.rx) is not met
+        assert expect.met is met and expect.rx == send.rx
+
     def test_locked_sessions_reject_the_write(self, sim_factory, sutdb, resources,
                                               registry, pipeline_cases):
         server = sim_factory(SimConfig())
@@ -350,6 +368,24 @@ class TestExecutePenetration:
         assert result.verdict == "pass"
         assert result.step_log[0].note == "key rejected"
         assert result.oracle_evaluation["facts"]["unlock_achieved"] is False
+
+    def test_sut_without_security_access_grants_no_seed(self, sim_factory, sutdb,
+                                                         resources, registry,
+                                                         pipeline_cases):
+        services = SimConfig().services - {0x27}
+        server = sim_factory(SimConfig(services=services))
+        case = pipeline_cases["pen-req-tc-weakkey-if-can-00"][0]
+        session = make_session(server, sutdb, [case])
+        try:
+            result = execute_case(case, session, resources, registry)
+        finally:
+            session.close()
+        seedkey_step = result.step_log[0]
+        assert seedkey_step.note == "no seed granted"
+        assert seedkey_step.tx == ["7e0#022701"] and seedkey_step.rx == []
+        assert seedkey_step.detail == {}
+        assert result.oracle_evaluation["facts"]["unlock_achieved"] is False
+        assert result.verdict == "pass"
 
 
 class ProbeDeafDumpServer(SimServer):
@@ -805,36 +841,34 @@ class TestConditionTable:
         return merged
 
     def test_expectation_conditions(self):
-        assert condition_holds("all_expectations_met", self.facts())
-        assert not condition_holds("any_expectation_missed", self.facts())
+        assert CONDITIONS["all_expectations_met"](self.facts())
+        assert not CONDITIONS["any_expectation_missed"](self.facts())
         met_and_missed = self.facts(expectations=[True, False])
-        assert not condition_holds("all_expectations_met", met_and_missed)
-        assert condition_holds("any_expectation_missed", met_and_missed)
+        assert not CONDITIONS["all_expectations_met"](met_and_missed)
+        assert CONDITIONS["any_expectation_missed"](met_and_missed)
         all_met = self.facts(expectations=[True, True])
-        assert condition_holds("all_expectations_met", all_met)
+        assert CONDITIONS["all_expectations_met"](all_met)
 
     def test_liveness_conditions(self):
-        assert condition_holds("sut.alive", self.facts())
-        assert not condition_holds("sut.crashed", self.facts())
+        assert CONDITIONS["sut.alive"](self.facts())
+        assert not CONDITIONS["sut.crashed"](self.facts())
         dead = self.facts(final_probe_alive=False)
-        assert not condition_holds("sut.alive", dead)
-        assert condition_holds("sut.crashed", dead)
+        assert not CONDITIONS["sut.alive"](dead)
+        assert CONDITIONS["sut.crashed"](dead)
         fuzzed = self.facts(fuzz_findings=2)
-        assert not condition_holds("sut.alive", fuzzed)
-        assert condition_holds("sut.crashed", fuzzed)
+        assert not CONDITIONS["sut.alive"](fuzzed)
+        assert CONDITIONS["sut.crashed"](fuzzed)
 
     def test_access_conditions(self):
-        assert condition_holds("unlock.achieved", self.facts(unlock_achieved=True))
-        assert not condition_holds("unlock.achieved", self.facts())
-        assert condition_holds("write.accepted", self.facts(write_accepted=True))
+        assert CONDITIONS["unlock.achieved"](self.facts(unlock_achieved=True))
+        assert not CONDITIONS["unlock.achieved"](self.facts())
+        assert CONDITIONS["write.accepted"](self.facts(write_accepted=True))
 
     def test_scan_conditions_require_a_scan(self):
-        assert not condition_holds("scan.clean", self.facts())
-        assert not condition_holds("scan.findings", self.facts())
-        assert condition_holds("scan.clean", self.facts(scan_ran=True))
-        assert condition_holds(
-            "scan.findings", self.facts(scan_ran=True, scan_findings=1)
-        )
+        assert not CONDITIONS["scan.clean"](self.facts())
+        assert not CONDITIONS["scan.findings"](self.facts())
+        assert CONDITIONS["scan.clean"](self.facts(scan_ran=True))
+        assert CONDITIONS["scan.findings"](self.facts(scan_ran=True, scan_findings=1))
 
     def test_unknown_condition(self):
         with pytest.raises(TcgError, match="unknown oracle condition 'moon.phase'"):
@@ -872,8 +906,8 @@ class TestOneVocabulary:
         )
         scenario = parse_scenario(self.SCENARIO)
         assert validate(scenario) == []
-        assert condition_holds("speed.read", {"expectations": [True]})
-        assert not condition_holds("speed.read", {"expectations": [False]})
+        assert CONDITIONS["speed.read"]({"expectations": [True]})
+        assert not CONDITIONS["speed.read"]({"expectations": [False]})
 
         (case,) = generate_cases(scenario, sutdb, registry)
         server = sim_factory(SimConfig())

@@ -6,6 +6,7 @@ import itertools
 import json
 import socket
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from enum import Enum
 
@@ -267,6 +268,13 @@ class NonUtf8Server(SimServer):
         super()._flush(conn, info, conns)
 
 
+def fingerprint_at(endpoint: tuple[str, int], cfg: ProbeConfig) -> FingerprintReport:
+    """``fingerprint_sut`` of interface IF1 over a data connection opened to
+    ``endpoint`` for it and closed after."""
+    with closing(DataChannel(*endpoint)) as channel:
+        return fingerprint_sut("IF1", cfg, channel=channel)
+
+
 class TestReplyFraming:
     """However the SUT cuts its reply stream into writes, each probe gets the
     same replies."""
@@ -288,9 +296,8 @@ class TestReplyFraming:
         expected = self.sweep(plain)
         assert sum(map(len, expected)) >= 5
         assert self.sweep(odd) == expected
-        fingerprint = fingerprint_sut("IF1", self.IDS, endpoint=odd.data_endpoint).to_dict()
-        assert fingerprint == fingerprint_sut("IF1", self.IDS,
-                                              endpoint=plain.data_endpoint).to_dict()
+        fingerprint = fingerprint_at(odd.data_endpoint, self.IDS).to_dict()
+        assert fingerprint == fingerprint_at(plain.data_endpoint, self.IDS).to_dict()
         assert fingerprint["responding_request_ids"] == ["7df", "7e0"]
 
 
@@ -298,22 +305,14 @@ class TestFingerprint:
     def test_exact_service_set(self, sim_factory):
         cfg = SimConfig(services=frozenset({0x01, 0x10, 0x27, 0x3E, 0x42}))
         sim = sim_factory(cfg)
-        report = fingerprint_sut(
-            "IF1",
-            ProbeConfig(id_range=(0x7DD, 0x7E2)),
-            endpoint=sim.data_endpoint,
-        )
+        report = fingerprint_at(sim.data_endpoint, ProbeConfig(id_range=(0x7DD, 0x7E2)))
         assert set(report.supported_services) == {0x01, 0x10, 0x27, 0x3E, 0x42}
         assert report.responding_request_ids == [0x7DF, 0x7E0]
         assert report.banners[0x3E] == bytes.fromhex("017e")
 
     def test_all_disabled_empty(self, sim_factory):
         sim = sim_factory(SimConfig(services=frozenset()))
-        report = fingerprint_sut(
-            "IF1",
-            ProbeConfig(id_range=(0x7DF, 0x7E0)),
-            endpoint=sim.data_endpoint,
-        )
+        report = fingerprint_at(sim.data_endpoint, ProbeConfig(id_range=(0x7DF, 0x7E0)))
         assert report.supported_services == []
         assert report.responding_request_ids == []
 
@@ -323,47 +322,40 @@ class TestFingerprint:
         port = probe.getsockname()[1]
         probe.close()
         with pytest.raises(ExecutorError, match="unreachable"):
-            fingerprint_sut("IF1", ProbeConfig(), endpoint=("127.0.0.1", port))
+            fingerprint_at(("127.0.0.1", port), ProbeConfig())
 
     def test_idempotent_modulo_timestamp(self, sim_factory):
         sim = sim_factory()
         cfg = ProbeConfig(id_range=(0x7DE, 0x7E1), service_range=(0x00, 0x4F))
-        a = fingerprint_sut("IF1", cfg, endpoint=sim.data_endpoint).to_dict()
-        b = fingerprint_sut("IF1", cfg, endpoint=sim.data_endpoint).to_dict()
+        a = fingerprint_at(sim.data_endpoint, cfg).to_dict()
+        b = fingerprint_at(sim.data_endpoint, cfg).to_dict()
         assert a == b
 
     def test_late_reply_stays_with_its_probe(self, sim_factory):
         cfg = ProbeConfig(id_range=(0x7DD, 0x7E2))
-        prompt = fingerprint_sut("IF1", cfg, endpoint=sim_factory().data_endpoint)
+        prompt = fingerprint_at(sim_factory().data_endpoint, cfg)
         late_sim = sim_factory(server_cls=LateSessionReplyServer)
-        late = fingerprint_sut("IF1", cfg, endpoint=late_sim.data_endpoint)
+        late = fingerprint_at(late_sim.data_endpoint, cfg)
         assert late.supported_services == prompt.supported_services
         assert late.banners == prompt.banners
         assert 0x10 in late.supported_services and 0x11 not in late.supported_services
 
     def test_reply_lines_that_are_not_frames_are_skipped(self, sim_factory):
         cfg = ProbeConfig(id_range=(0x7DD, 0x7E2))
-        plain = fingerprint_sut("IF1", cfg, endpoint=sim_factory().data_endpoint)
+        plain = fingerprint_at(sim_factory().data_endpoint, cfg)
         noisy_sim = sim_factory(server_cls=NoisyServer)
-        noisy = fingerprint_sut("IF1", cfg, endpoint=noisy_sim.data_endpoint)
+        noisy = fingerprint_at(noisy_sim.data_endpoint, cfg)
         assert noisy.responding_request_ids == plain.responding_request_ids == [0x7DF, 0x7E0]
         assert noisy.supported_services == plain.supported_services != []
         assert noisy.banners == plain.banners
 
     def test_sut_without_barrier_is_infrastructure(self, barrierless_sim):
         with pytest.raises(ExecutorError, match="did not answer the barrier"):
-            fingerprint_sut(
-                "IF1", ProbeConfig(id_range=(0x7DF, 0x7E0)),
-                endpoint=barrierless_sim.data_endpoint,
-            )
+            fingerprint_at(barrierless_sim.data_endpoint, ProbeConfig(id_range=(0x7DF, 0x7E0)))
 
     def test_leaves_initial_session(self, sim_factory):
         sim = sim_factory()
-        fingerprint_sut(
-            "IF1",
-            ProbeConfig(id_range=(0x7DF, 0x7DF)),
-            endpoint=sim.data_endpoint,
-        )
+        fingerprint_at(sim.data_endpoint, ProbeConfig(id_range=(0x7DF, 0x7DF)))
         assert sim.state.session == 0x01
         assert sim.state.seed_counter == 0
 

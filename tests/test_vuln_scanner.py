@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 import re
+from contextlib import closing
 
 import pytest
 
+from vecuforge.frames import DataChannel
 from vecuforge.item_model import FingerprintReport, ProbeConfig, fingerprint_sut
 from vecuforge.simulator import SimConfig
 from vecuforge.vuln_scanner import ScanError, VulnDbEntry, VulnPredicate, load_vulndb, scan
@@ -163,12 +165,8 @@ class TestBruteForceSoundness:
 class TestLiveFingerprint:
     def test_scan_of_live_sim_finds_seeded_vuln(self, samples_dir, sim_factory):
         sim = sim_factory(SimConfig())
-        host, port = sim.data_endpoint
-        fp = fingerprint_sut(
-            "IF-CAN",
-            ProbeConfig(id_range=(0x7DD, 0x7E2)),
-            endpoint=(host, port),
-        )
+        with closing(DataChannel(*sim.data_endpoint)) as channel:
+            fp = fingerprint_sut("IF-CAN", ProbeConfig(id_range=(0x7DD, 0x7E2)), channel=channel)
         db = load_vulndb(samples_dir / "vulndb.json")
         report = scan(fp, db)
         assert [f.entry_id for f in report.findings] == ["VDB-HIDDEN-042"]
@@ -176,11 +174,7 @@ class TestLiveFingerprint:
 
     def test_control_sim_yields_clean_scan(self, samples_dir, sim_factory):
         sim = sim_factory(SimConfig().with_vulns(False))
-        host, port = sim.data_endpoint
-        fp = fingerprint_sut(
-            "IF-CAN",
-            ProbeConfig(id_range=(0x7DD, 0x7E2)),
-            endpoint=(host, port),
-        )
+        with closing(DataChannel(*sim.data_endpoint)) as channel:
+            fp = fingerprint_sut("IF-CAN", ProbeConfig(id_range=(0x7DD, 0x7E2)), channel=channel)
         report = scan(fp, load_vulndb(samples_dir / "vulndb.json"))
         assert report.findings == []
