@@ -28,8 +28,9 @@ writes to ``timing/execute.json``.
 """
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
+from operator import attrgetter
 
 from . import __version__
 from .frames import (MAX_FRAME_ID, ConnectionLost, DataChannel, ExecutorError, Frame,
@@ -186,6 +187,9 @@ def open_session(
 
 # -- in-process campaign transport ---------------------------------------
 
+# The fields of an ECU state, in field order, read in one call.
+_state_fields = attrgetter(*(f.name for f in fields(EcuState)))
+
 
 class StateTransport:
     """Fuzz transport over an in-process ECU state.
@@ -240,7 +244,7 @@ class StateTransport:
         # A state's fields in order, with its dicts as item sets: equal keys
         # are equal states.
         key = (count, *(frozenset(v.items()) if isinstance(v, dict) else v
-                        for v in vars(state).values()))
+                        for v in _state_fields(state)))
         return self._held.setdefault(key, (state, count))
 
     def down(self) -> bool:

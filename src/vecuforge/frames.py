@@ -33,21 +33,33 @@ class FrameError(ValueError):
     """Raised for malformed frame lines or out-of-range frame fields."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Frame:
-    """A single bus frame: 11-bit id plus 0-8 data bytes."""
+    """A single bus frame: 11-bit id plus 0-8 data bytes.
+
+    The constructor checks its arguments once and stores them through the
+    slots, so a frame is built in one step; every other dataclass method
+    (``eq``, ``hash``, ``repr``, ``replace``, the frozen ``__setattr__``)
+    is the generated one.
+    """
 
     id: int
     data: bytes = b""
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.id <= MAX_FRAME_ID:
-            raise FrameError(f"frame id {self.id:#x} exceeds 11 bits")
-        if len(self.data) > MAX_DATA_LEN:
-            raise FrameError(f"frame data is {len(self.data)} bytes, max is {MAX_DATA_LEN}")
+    def __init__(self, id: int, data: bytes = b"") -> None:
+        if not 0 <= id <= MAX_FRAME_ID:
+            raise FrameError(f"frame id {id:#x} exceeds 11 bits")
+        if len(data) > MAX_DATA_LEN:
+            raise FrameError(f"frame data is {len(data)} bytes, max is {MAX_DATA_LEN}")
+        _set_id(self, id)
+        _set_data(self, data)
 
     def to_line(self) -> str:
         return f"{self.id:03x}#{self.data.hex()}"
+
+
+_set_id = Frame.__dict__["id"].__set__
+_set_data = Frame.__dict__["data"].__set__
 
 
 def parse_line(line: str) -> Frame:
@@ -113,10 +125,12 @@ class LineClient:
         the replies to each line.
 
         Every line gets a fresh ``SYNC <token>``, all in one write. Reply
-        lines are gathered until the barrier of the last line returns. The
-        lines before an older barrier belong to an aborted exchange and are
-        dropped. Waiting longer than ``BARRIER_TIMEOUT`` for the next
-        barrier raises ``ExecutorError``.
+        lines are gathered until the barrier of the last line returns. A
+        barrier reply is ``SYNCED`` and a decimal token; any other line,
+        such as ``SYNCED ²``, is a reply line. The lines before an older
+        barrier belong to an aborted exchange and are dropped. Waiting
+        longer than ``BARRIER_TIMEOUT`` for the next barrier raises
+        ``ExecutorError``.
         """
         first = self.token + 1
         self.token += len(lines)
@@ -133,10 +147,10 @@ class LineClient:
                 )
             line = queued.popleft()
             word, _, arg = line.partition(" ")
-            if word != "SYNCED":
+            if word != "SYNCED" or not arg.isdecimal():
                 pending.append(line)
                 continue
-            n = int(arg) if arg.isdigit() else 0
+            n = int(arg)
             if first <= n <= self.token:
                 replies[n - first] = pending
                 if n == self.token:

@@ -90,7 +90,7 @@ class SimConfig:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EcuState:
     """Complete, serializable ECU state; a dump reconstructs behaviour exactly.
 
@@ -99,6 +99,10 @@ class EcuState:
     snapshot. ``data_ids`` is never mutated in place either; a write
     builds a new dict. ``handle_frame`` builds states with positional
     arguments, in field order.
+
+    The constructor stores its arguments through the slots in one step. A
+    ``config`` or ``data_ids`` left out (or None) is a new ``SimConfig()``
+    or a new empty dict, as the fields' factories give.
     """
 
     config: SimConfig = field(default_factory=SimConfig)
@@ -108,6 +112,27 @@ class EcuState:
     seed_counter: int = 0
     alive: bool = True
     data_ids: dict[int, bytes] = field(default_factory=dict)
+
+    def __init__(self, config: SimConfig | None = None, session: int = 0x01,
+                 locked: bool = True, last_seed: tuple[int, int] | None = None,
+                 seed_counter: int = 0, alive: bool = True,
+                 data_ids: dict[int, bytes] | None = None) -> None:
+        _set_config(self, SimConfig() if config is None else config)
+        _set_session(self, session)
+        _set_locked(self, locked)
+        _set_last_seed(self, last_seed)
+        _set_seed_counter(self, seed_counter)
+        _set_alive(self, alive)
+        _set_data_ids(self, {} if data_ids is None else data_ids)
+
+
+_set_config = EcuState.__dict__["config"].__set__
+_set_session = EcuState.__dict__["session"].__set__
+_set_locked = EcuState.__dict__["locked"].__set__
+_set_last_seed = EcuState.__dict__["last_seed"].__set__
+_set_seed_counter = EcuState.__dict__["seed_counter"].__set__
+_set_alive = EcuState.__dict__["alive"].__set__
+_set_data_ids = EcuState.__dict__["data_ids"].__set__
 
 
 def weak_key(seed: tuple[int, int], const: int) -> tuple[int, int]:

@@ -1024,6 +1024,35 @@ class TestExecuteAndReport:
         assert f"cases/{paths[0].name}" in err and reason in err
         assert not (tmp_path / "results").exists()
 
+    def test_expect_step_first_is_an_error_and_later_cases_run(self, tmp_path, sim_factory):
+        """A case whose first activity is an expect step has no frames to
+        examine: that case alone gets verdict ``error``."""
+        offline_chain(tmp_path, "--budget", "400")
+        first = "func-neg-req-tc-sessbypass-if-can-000"
+        path = tmp_path / "cases" / f"{first}.case.json"
+        doc = json.loads(path.read_text())
+        doc["activities"] = [a for a in doc["activities"] if a["kind"] == "expect"]
+        path.write_text(json.dumps(doc))
+        server = sim_factory(SimConfig())
+        code = run_cli("execute", "--run-dir", str(tmp_path),
+                       "--sim-endpoint", endpoint_of(server), "--budget", "400")
+        assert code == EXIT_FINDINGS
+        results = {p.name.removesuffix(".result.json"): json.loads(p.read_text())["result"]
+                   for p in (tmp_path / "results").glob("*.result.json")}
+        assert results[first]["verdict"] == "error"
+        assert results[first]["error"] == "expect step without a preceding stimulus"
+        assert {case: r["verdict"] for case, r in results.items() if case != first} == {
+            "func-neg-req-tc-sessbypass-if-can-001": "fail",
+            "func-neg-req-tc-sessbypass-if-can-002": "pass",
+            "func-pos-req-tc-sessbypass-if-can-000": "pass",
+            "fuzz-if-can-000": "fail",
+            "pen-req-tc-weakkey-if-can-00-000": "fail",
+            "vulnscan-item-demo-ecu-000": "fail",
+        }
+        cleanups = json.loads((tmp_path / "cleanup.json").read_text())["cleanups"]
+        assert len(cleanups) == 7 and cleanups[0]["case_ref"] == first
+        assert all(c["restored"] and c["verified"] for c in cleanups)
+
     @pytest.mark.parametrize(
         "edit, reason",
         [(lambda doc: doc["expected_results"].update(pass_condition="x"),

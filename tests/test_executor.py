@@ -6,7 +6,7 @@ import json
 import socket
 import threading
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 
@@ -938,6 +938,25 @@ class TestStateTransport:
         assert transport.state.data_ids == {0xF190: bytes.fromhex("be3f")}
         transport.restore()
         assert transport.state.data_ids == {}
+
+    # For each field of an ECU state, a value other than a fresh state's.
+    CHANGED = {"config": SimConfig().with_vulns(False), "session": 0x03, "locked": False,
+               "last_seed": (0x13, 0x7A), "seed_counter": 1, "alive": False,
+               "data_ids": {0xF190: bytes.fromhex("be3f")}}
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(EcuState)])
+    def test_held_outcomes_key_on_every_field(self, name):
+        """Outcomes that differ in one field are held apart; equal ones,
+        with equal but distinct ``data_ids`` dicts, are one object."""
+        base = EcuState()
+        other = replace(base, **{name: self.CHANGED[name]})
+        transport = StateTransport(base)
+        held = transport._intern(base, 1)
+        apart = transport._intern(other, 1)
+        assert apart[0] is other and held[0] is base
+        assert transport._intern(replace(base, data_ids=dict(base.data_ids)), 1) is held
+        assert transport._intern(replace(other, data_ids=dict(other.data_ids)), 1) is apart
+        assert transport._intern(base, 0) is not held
 
 
 class TestDataChannel:

@@ -268,6 +268,15 @@ class NonUtf8Server(SimServer):
         super()._flush(conn, info, conns)
 
 
+class StrayBarrierServer(SimServer):
+    """Writes ``SYNCED ²`` before every barrier reply: ``²`` is a digit to
+    ``str.isdigit`` but not to ``int``, so the line is no barrier."""
+
+    def _handle_data_line(self, text: str) -> str:
+        out = super()._handle_data_line(text)
+        return "SYNCED ²\n" + out if text.startswith("SYNC ") else out
+
+
 def fingerprint_at(endpoint: tuple[str, int], cfg: ProbeConfig) -> FingerprintReport:
     """``fingerprint_sut`` of interface IF1 over a data connection opened to
     ``endpoint`` for it and closed after."""
@@ -290,7 +299,8 @@ class TestReplyFraming:
         finally:
             channel.close()
 
-    @pytest.mark.parametrize("server_cls", [ByteAtATimeServer, WholeSweepServer, NonUtf8Server])
+    @pytest.mark.parametrize("server_cls", [ByteAtATimeServer, WholeSweepServer, NonUtf8Server,
+                                            StrayBarrierServer])
     def test_exchange_and_fingerprint_match_the_plain_server(self, sim_factory, server_cls):
         plain, odd = sim_factory(), sim_factory(server_cls=server_cls)
         expected = self.sweep(plain)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import base64
+import dataclasses
+import inspect
 import itertools
 import json
 import os
@@ -10,7 +12,7 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import FrozenInstanceError
+from dataclasses import MISSING, FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -354,6 +356,74 @@ class TestStatesAreValues:
             return out
 
         assert replies(meddle=True) == replies(meddle=False) == replies(meddle=False)
+
+
+# One value per class with a hand-written constructor, each field away from
+# its default, and for each field a second value to put there.
+BUILT = {
+    Frame: (Frame(0x7DF, bytes.fromhex("021003")), {"id": 0x7E0, "data": b""}),
+    EcuState: (
+        EcuState(SimConfig().with_vulns(False), 0x03, False, (0x13, 0x7A), 1, False,
+                 {0xF190: bytes.fromhex("be3f")}),
+        {"config": SimConfig(), "session": 0x02, "locked": True, "last_seed": None,
+         "seed_counter": 2, "alive": True, "data_ids": {}},
+    ),
+}
+
+
+class TestHandWrittenConstructors:
+    """``Frame`` and ``EcuState`` build themselves in one step; the rest of
+    each class is the dataclass's own."""
+
+    @pytest.mark.parametrize("cls", list(BUILT), ids=lambda cls: cls.__name__)
+    def test_signature_is_the_field_list(self, cls):
+        params = inspect.signature(cls).parameters
+        assert list(params) == [f.name for f in dataclasses.fields(cls)]
+        for f in dataclasses.fields(cls):
+            if f.default_factory is not MISSING:
+                # Left out, it is the factory's value, made afresh.
+                assert params[f.name].default is None
+            elif f.default is MISSING:
+                assert params[f.name].default is inspect.Parameter.empty
+            else:
+                assert params[f.name].default == f.default
+
+    def test_left_out_fields_are_the_factories_values(self):
+        first, second = EcuState(), EcuState()
+        assert first.config == SimConfig() and first.data_ids == {}
+        assert first.data_ids is not second.data_ids
+        assert Frame(0x7DF).data == b""
+
+    @pytest.mark.parametrize("cls", list(BUILT), ids=lambda cls: cls.__name__)
+    def test_every_field_is_frozen(self, cls):
+        value, _ = BUILT[cls]
+        assert not hasattr(value, "__dict__")
+        for f in dataclasses.fields(cls):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(value, f.name)
+
+    @pytest.mark.parametrize("cls", list(BUILT), ids=lambda cls: cls.__name__)
+    def test_replace_round_trips(self, cls):
+        value, others = BUILT[cls]
+        assert dataclasses.replace(value) == value
+        assert list(others) == [f.name for f in dataclasses.fields(cls)]
+        for name, other in others.items():
+            changed = dataclasses.replace(value, **{name: other})
+            assert getattr(changed, name) == other and changed != value
+            assert dataclasses.replace(changed, **{name: getattr(value, name)}) == value
+
+    @pytest.mark.parametrize("args, message", [
+        ((0x800,), "frame id 0x800 exceeds 11 bits"),
+        ((-1,), "frame id -0x1 exceeds 11 bits"),
+        ((0x7DF, bytes(9)), "frame data is 9 bytes, max is 8"),
+    ], ids=["id", "negative-id", "data"])
+    def test_frame_checks_its_fields(self, args, message):
+        with pytest.raises(FrameError, match=f"^{re.escape(message)}$"):
+            Frame(*args)
+        with pytest.raises(FrameError):
+            dataclasses.replace(Frame(0x7DF), **dict(zip(("id", "data"), args)))
 
 
 # Generous wait for a reply line; recv_line reads None when it passes.
