@@ -102,8 +102,11 @@ class LineClient:
     """
 
     def __init__(self, host: str, port: int):
+        # ``getaddrinfo`` IDNA-encodes a str host, which imports three codec
+        # modules on a process's first connection; an ASCII host needs none.
+        address = host.encode("ascii") if host.isascii() else host
         try:
-            self.sock = socket.create_connection((host, port), timeout=2.0)
+            self.sock = socket.create_connection((address, port), timeout=2.0)
         except OSError as exc:
             raise ExecutorError(
                 f"SUT unreachable: cannot connect to {host}:{port}: {exc}"

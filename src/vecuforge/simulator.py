@@ -24,7 +24,7 @@ The data endpoint takes one frame line per request (``frames`` codec)
 and answers each with zero or more frame lines. It also answers a
 barrier line ``SYNC <n>`` with ``SYNCED <n>``, before any frame parsing,
 so a crashed ECU still answers it. Each connection's lines are handled
-in arrival order and their output is queued in that order, so every
+in arrival order and their replies written in that order, so every
 reply to a frame goes out before the ``SYNCED`` of a later barrier.
 
 A management channel accepts line commands DUMP (base64 state), LOAD
@@ -36,9 +36,9 @@ import argparse
 import base64
 import json
 import re
-import selectors
 import socket
 import threading
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import cache
 
@@ -265,14 +265,12 @@ def handle_frame(state: EcuState, frame: Frame) -> tuple[EcuState, list[Frame]]:
                        True, {**state.data_ids, did: bytes(args[2:])})
         return nxt, [_resp([0x6E, args[0], args[1]])]
 
-    if service == SVC_UNDOCUMENTED:
-        if not config.v4_hidden_service:
-            return state, []
-        if len(args) != 0:
-            return state, [_NEGATIVES[service, NRC_LENGTH]]
-        return state, [_HIDDEN_SERVICE_REPLY]
-
-    return state, []
+    # SVC_UNDOCUMENTED, the one implemented service left.
+    if not config.v4_hidden_service:
+        return state, []
+    if len(args) != 0:
+        return state, [_NEGATIVES[service, NRC_LENGTH]]
+    return state, [_HIDDEN_SERVICE_REPLY]
 
 
 def dump_state(state: EcuState) -> str:
@@ -375,23 +373,26 @@ def load_state(blob: str) -> EcuState:
 class SimServer:
     """Socket front-end around the pure state machine.
 
-    One selector loop owns the state, so event order equals arrival order.
-    The data endpoint speaks the frame wire codec and the SYNC barrier; the
-    management endpoint speaks DUMP/LOAD/RESET lines.
+    Each listener has a thread that accepts connections, and each accepted
+    connection has a thread of its own that reads its lines and writes
+    their replies. One lock orders the transitions: the lines of a chunk
+    are handled under it together, so each connection's lines reach the
+    state in arrival order. A handler that raises closes its own
+    connection only. The data endpoint speaks the frame wire codec and the
+    SYNC barrier; the management endpoint speaks DUMP/LOAD/RESET lines.
     """
 
     def __init__(self, config: SimConfig | None = None, host: str = "127.0.0.1",
                  data_port: int = 0, mgmt_port: int = 0):
         self._initial = EcuState(config=config or SimConfig())
         self.state = self._initial
-        self._host = host
         self._data_listener = self._listen(host, data_port)
         self._mgmt_listener = self._listen(host, mgmt_port)
-        self._sel = selectors.DefaultSelector()
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
-        # A byte on this pair ends the loop's wait, so ``stop`` need not poll.
-        self._wake_in, self._wake_out = socket.socketpair()
+        # Held while lines are handled and while ``_conns`` or a connection
+        # in it changes.
+        self._lock = threading.Lock()
+        self._accepting: list[threading.Thread] = []
+        self._conns: dict[socket.socket, threading.Thread] = {}
 
     @staticmethod
     def _listen(host: str, port: int) -> socket.socket:
@@ -399,7 +400,6 @@ class SimServer:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((host, port))
         sock.listen(16)
-        sock.setblocking(False)
         return sock
 
     @property
@@ -411,100 +411,85 @@ class SimServer:
         return self._mgmt_listener.getsockname()
 
     def start(self) -> "SimServer":
-        self._sel.register(self._data_listener, selectors.EVENT_READ, ("listen", "data"))
-        self._sel.register(self._mgmt_listener, selectors.EVENT_READ, ("listen", "mgmt"))
-        self._sel.register(self._wake_in, selectors.EVENT_READ, ("wake", None))
-        self._thread = threading.Thread(target=self._run, name="sut-sim", daemon=True)
-        self._thread.start()
+        for listener, handle in ((self._data_listener, self._handle_data_line),
+                                 (self._mgmt_listener, self._handle_mgmt_line)):
+            thread = threading.Thread(target=self._accept, args=(listener, handle),
+                                      name="sut-sim", daemon=True)
+            thread.start()
+            self._accepting.append(thread)
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        self._wake_out.send(b"\0")
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-        for key in list(self._sel.get_map().values()):
+        """Close both listeners, then every open connection, and wait for
+        each of their threads to end.
+
+        ``shutdown`` wakes a thread blocked in ``accept`` or ``recv`` at
+        once. Once the accept threads have ended, no connection is added.
+        """
+        for listener in (self._data_listener, self._mgmt_listener):
+            listener.shutdown(socket.SHUT_RDWR)
+            listener.close()
+        for thread in self._accepting:
+            thread.join()
+        with self._lock:
+            serving = list(self._conns.values())
+            for conn in self._conns:
+                with suppress(OSError):  # closed already, or reset by the peer
+                    conn.shutdown(socket.SHUT_RDWR)
+        for thread in serving:
+            thread.join()
+
+    # -- connections ----------------------------------------------------
+
+    def _accept(self, listener: socket.socket, handle) -> None:
+        """Serve each connection ``listener`` accepts in a thread of its own,
+        until ``accept`` fails, as it does once ``stop`` shuts the listener
+        down."""
+        while True:
             try:
-                key.fileobj.close()
+                conn, _ = listener.accept()
             except OSError:
-                pass
-        self._sel.close()
-        self._wake_out.close()
+                return
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            thread = threading.Thread(target=self._serve, args=(conn, handle),
+                                      name="sut-sim", daemon=True)
+            # A connection stays listed until its thread has ended, so that
+            # ``stop`` joins every thread still running. The thread starts
+            # under the lock: an unstarted thread is not alive either, and
+            # would be dropped.
+            with self._lock:
+                self._conns = {c: t for c, t in self._conns.items() if t.is_alive()}
+                self._conns[conn] = thread
+                thread.start()
 
-    # -- event loop ---------------------------------------------------
+    def _serve(self, conn: socket.socket, handle) -> None:
+        """Answer the lines that arrive on ``conn`` with ``handle`` until the
+        peer closes it, ``stop`` shuts it down or ``handle`` raises; then
+        close it.
 
-    def _run(self) -> None:
-        conns: dict[socket.socket, dict] = {}
-        while not self._stop.is_set():
-            events = self._sel.select()
-            for key, mask in events:
-                kind, role = key.data
-                if kind == "listen":
-                    try:
-                        conn, _ = key.fileobj.accept()
-                    except OSError:
-                        continue
-                    conn.setblocking(False)
-                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                    conns[conn] = {"role": role, "in": b"", "out": bytearray()}
-                    self._sel.register(conn, selectors.EVENT_READ, ("conn", role))
-                    continue
-                conn = key.fileobj
-                info = conns.get(conn)
-                if info is None:
-                    continue
-                if mask & selectors.EVENT_READ:
-                    self._read(conn, info, conns)
-                if conn in conns and mask & selectors.EVENT_WRITE:
-                    self._flush(conn, info, conns)
-
-    def _read(self, conn: socket.socket, info: dict, conns: dict) -> None:
+        Each chunk is split once: its whole lines are handled together, and
+        the partial line after its final newline waits for the next chunk.
+        Their replies go out in one write.
+        """
+        pending = b""
         try:
-            chunk = conn.recv(65536)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            self._drop(conn, conns)
-            return
-        if not chunk:
-            self._drop(conn, conns)
-            return
-        # One split per chunk: the whole lines are decoded together, and the
-        # partial line after the final newline is kept for the next chunk.
-        # The replies to the chunk's lines are joined and encoded once.
-        whole, _, info["in"] = (info["in"] + chunk).rpartition(b"\n")
-        handle = self._handle_data_line if info["role"] == "data" else self._handle_mgmt_line
-        replies = [handle(text) for line in whole.decode("utf-8", errors="replace").split("\n")
-                   if (text := line.strip())]
-        info["out"] += "".join(replies).encode()
-        if info["out"]:
-            self._flush(conn, info, conns)
-
-    def _flush(self, conn: socket.socket, info: dict, conns: dict) -> None:
-        try:
-            sent = conn.send(bytes(info["out"]))
-            del info["out"][:sent]
-        except (BlockingIOError, InterruptedError):
-            sent = 0
-        except OSError:
-            self._drop(conn, conns)
-            return
-        want = selectors.EVENT_READ | (selectors.EVENT_WRITE if info["out"] else 0)
-        try:
-            self._sel.modify(conn, want, ("conn", info["role"]))
-        except (KeyError, ValueError):
-            pass
-
-    def _drop(self, conn: socket.socket, conns: dict) -> None:
-        try:
-            self._sel.unregister(conn)
-        except (KeyError, ValueError):
-            pass
-        conns.pop(conn, None)
-        try:
-            conn.close()
+            while chunk := conn.recv(65536):
+                whole, _, pending = (pending + chunk).rpartition(b"\n")
+                with self._lock:
+                    replies = "".join([handle(text) for line in
+                                       whole.decode("utf-8", errors="replace").split("\n")
+                                       if (text := line.strip())])
+                if replies:
+                    self._write(conn, replies.encode())
         except OSError:
             pass
+        finally:
+            with self._lock:  # not while ``stop`` shuts it down
+                conn.close()
+
+    def _write(self, conn: socket.socket, data: bytes) -> None:
+        """Write the replies to one chunk's lines to ``conn``."""
+        conn.sendall(data)
 
     def _handle_data_line(self, text: str) -> str:
         word, _, token = text.partition(" ")
@@ -524,8 +509,8 @@ class SimServer:
         if cmd == "DUMP":
             return "OK " + dump_state(self.state) + "\n"
         if cmd == "LOAD":
-            # Any blob of the wrong shape is the client's error; raising
-            # here would end the selector thread and hang every connection.
+            # Any blob of the wrong shape is the client's error, which it
+            # reads as ERR; raising here would close its connection.
             try:
                 self.state = load_state(arg)
             except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
@@ -551,10 +536,7 @@ def main(argv: list[str] | None = None) -> int:
     server.start()
     print(f"LISTENING data={server.data_endpoint[1]} mgmt={server.mgmt_endpoint[1]}", flush=True)
     try:
-        while True:
-            server._stop.wait(3600)
-            if server._stop.is_set():
-                break
+        threading.Event().wait()
     except KeyboardInterrupt:
         pass
     finally:

@@ -50,10 +50,6 @@ class VulnDbEntry:
             except re.error as exc:
                 raise ScanError(f"entry {self.id!r} banner regex invalid: {exc}") from exc
 
-    @property
-    def requires_service(self) -> int | None:
-        return self.predicate.requires_service
-
 
 @dataclass(frozen=True)
 class VulnDb:
@@ -96,15 +92,15 @@ def _entry_matches(
     """Evidence dict when the full predicate holds, else None."""
     pred = entry.predicate
     evidence: dict = {}
-    if entry.requires_service is not None:
-        if entry.requires_service not in fp.supported_services:
+    if pred.requires_service is not None:
+        if pred.requires_service not in fp.supported_services:
             return None
-        evidence["service"] = f"0x{entry.requires_service:02x}"
-        evidence["banner"] = fp.banners[entry.requires_service].hex()
+        evidence["service"] = f"0x{pred.requires_service:02x}"
+        evidence["banner"] = fp.banners[pred.requires_service].hex()
     if pred.requires_banner_regex is not None:
         pattern = re.compile(pred.requires_banner_regex)
-        if entry.requires_service is not None:
-            candidates = [entry.requires_service]
+        if pred.requires_service is not None:
+            candidates = [pred.requires_service]
         else:
             candidates = sorted(fp.banners)
         hit = next(

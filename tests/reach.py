@@ -2,9 +2,9 @@
 
 Runs the tier-1 tests in this process under a line tracer
 (``sys.settrace`` for this thread, ``threading.settrace`` for the
-threads the tests start, such as each ``SimServer`` loop), then prints,
-for each module of ``src/vecuforge``, the executable lines that never
-ran, and the total. A line is executable when some code object compiled
+threads the tests start, such as each ``SimServer`` accept and
+connection thread), then prints, for each module of ``src/vecuforge``,
+the executable lines that never ran, and the total. A line is executable when some code object compiled
 from the module starts a line there (``dis.findlinestarts``). Only the
 standard library is used.
 

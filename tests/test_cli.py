@@ -79,10 +79,10 @@ class DataDropServer(SimServer):
         self.data_lines += 1
         return super()._handle_data_line(text)
 
-    def _read(self, conn, info, conns) -> None:
-        super()._read(conn, info, conns)
-        if info["role"] == "data" and self.data_lines >= 40:
-            self._drop(conn, conns)
+    def _write(self, conn, data: bytes) -> None:
+        super()._write(conn, data)
+        if conn.getsockname() == self.data_endpoint and self.data_lines >= 40:
+            conn.shutdown(socket.SHUT_RDWR)
 
 
 class DriftingLoadServer(SimServer):
@@ -97,24 +97,20 @@ class DriftingLoadServer(SimServer):
 
 
 class ConnectionCountingServer(SimServer):
-    """A simulator that lists the port role of each connection it reads from,
-    in the order of their first reads.
+    """A simulator that lists the port role of each connection it serves, in
+    the order their threads start.
 
-    A connection is listed at its first read, which comes before any reply
-    the client waits for; the read of its close comes later and does not
-    list it again. Only the server's thread appends to ``roles``.
+    A connection is listed before its thread reads, so before any reply the
+    client waits for.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.seen: set = set()
         self.roles: list[str] = []
 
-    def _read(self, conn, info, conns) -> None:
-        if conn not in self.seen:
-            self.seen.add(conn)
-            self.roles.append(info["role"])
-        super()._read(conn, info, conns)
+    def _serve(self, conn, handle) -> None:
+        self.roles.append("data" if handle == self._handle_data_line else "mgmt")
+        super()._serve(conn, handle)
 
     def opened_since(self, start: int) -> dict[str, int]:
         """The connections listed after the first ``start``, by port role."""

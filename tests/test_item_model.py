@@ -139,7 +139,7 @@ class TestServiceByte:
         item = decode(Item, doc, "item", ItemError)
         assert load_catalog(str(catalog)).entries[0].match_predicate.service == 0x27
         assert item.config_params.declared_services == {0x27}
-        assert load_vulndb(vulndb)[0].requires_service == 0x27
+        assert load_vulndb(vulndb)[0].predicate.requires_service == 0x27
 
     @pytest.mark.parametrize("raw", ["zz", 300, True, -1, 1.5, "0x100"])
     def test_malformed_byte_is_each_loaders_error(self, tmp_path, raw):
@@ -238,34 +238,32 @@ class NoisyServer(SimServer):
 class ByteAtATimeServer(SimServer):
     """Writes its replies one byte per ``send``."""
 
-    def _flush(self, conn, info, conns) -> None:
-        out = bytes(info["out"])
-        info["out"].clear()
-        try:
-            conn.setblocking(True)
-            for at in range(len(out)):
-                conn.sendall(out[at:at + 1])
-            conn.setblocking(False)
-        except OSError:
-            pass
-        super()._flush(conn, info, conns)
+    def _write(self, conn, data: bytes) -> None:
+        for at in range(len(data)):
+            super()._write(conn, data[at:at + 1])
 
 
 class WholeSweepServer(SimServer):
-    """Holds its replies until it has answered 128 barriers, then writes them
-    all in one ``send``."""
+    """Holds each connection's replies until it has answered 128 barriers,
+    then writes them all in one ``send``."""
 
-    def _flush(self, conn, info, conns) -> None:
-        if info["out"].count(b"SYNCED ") >= 128:
-            super()._flush(conn, info, conns)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.held: dict = {}
+
+    def _write(self, conn, data: bytes) -> None:
+        held = self.held.pop(conn, b"") + data
+        if held.count(b"SYNCED ") >= 128:
+            super()._write(conn, held)
+        else:
+            self.held[conn] = held
 
 
 class NonUtf8Server(SimServer):
     """Writes a line that is not UTF-8 before every barrier reply."""
 
-    def _flush(self, conn, info, conns) -> None:
-        info["out"][:] = info["out"].replace(b"SYNCED ", b"\xc3\x28\xff\nSYNCED ")
-        super()._flush(conn, info, conns)
+    def _write(self, conn, data: bytes) -> None:
+        super()._write(conn, data.replace(b"SYNCED ", b"\xc3\x28\xff\nSYNCED "))
 
 
 class StrayBarrierServer(SimServer):

@@ -9,9 +9,13 @@ import itertools
 import json
 import os
 import re
+import socket
+import struct
 import subprocess
 import sys
+import threading
 import time
+from contextlib import closing
 from dataclasses import MISSING, FrozenInstanceError
 from pathlib import Path
 
@@ -473,6 +477,21 @@ class TestSocketServer:
             client.close()
         assert min(took) < 0.02
 
+    def test_stop_waits_for_a_connection_its_client_just_closed(self):
+        # The client's close leaves that connection's thread ending while
+        # ``stop`` runs; ``stop`` must still wait for it.
+        def sim_threads() -> set[threading.Thread]:
+            return {t for t in threading.enumerate() if t.name == "sut-sim"}
+
+        before = sim_threads()
+        for _ in range(200):
+            srv = SimServer(SimConfig()).start()
+            client = frames.LineClient(*srv.data_endpoint)
+            assert client.exchange(["7df#013e"]) == [["7e8#017e"]]
+            client.close()
+            srv.stop()
+            assert not sim_threads() - before
+
     def test_mgmt_dump_load_reset(self, server):
         data = frames.LineClient(*server.data_endpoint)
         mgmt = frames.LineClient(*server.mgmt_endpoint)
@@ -585,6 +604,92 @@ class TestSocketServer:
             data.close()
             mgmt.close()
 
+    def test_line_that_is_no_frame_gets_no_reply(self, server):
+        client = frames.LineClient(*server.data_endpoint)
+        try:
+            # Not a frame line, an id above 11 bits, nine data bytes.
+            assert client.exchange(["hello", "800#01", "7df#" + "00" * 9, "7df#013e"]) == [
+                [], [], [], ["7e8#017e"],
+            ]
+        finally:
+            client.close()
+
+    def test_handler_fault_closes_only_its_own_connection(self, monkeypatch):
+        faults = []
+        monkeypatch.setattr(threading, "excepthook", faults.append)
+        srv = FaultyHandlerServer(SimConfig()).start()
+        faulty, other = (frames.DataChannel(*srv.data_endpoint) for _ in range(2))
+        mgmt = frames.LineClient(*srv.mgmt_endpoint)
+        present, present_reply = Frame(0x7DF, b"\x01\x3e"), [Frame(0x7E8, b"\x01\x7e")]
+        try:
+            started = time.monotonic()
+            with pytest.raises(frames.ConnectionLost):
+                faulty.collect(Frame(0x7DF, b"\x01\x42"))
+            assert time.monotonic() - started < frames.BARRIER_TIMEOUT / 4
+            mgmt.send_line("DUMP")
+            assert mgmt.recv_line(WAIT).startswith("OK ")
+            assert other.collect(present) == present_reply
+            with closing(frames.DataChannel(*srv.data_endpoint)) as new:
+                assert new.collect(present) == present_reply
+        finally:
+            for client in (faulty, other, mgmt):
+                client.close()
+            srv.stop()
+        assert [str(fault.exc_value) for fault in faults] == ["handler fault"]
+
+    def test_connection_reset_by_its_peer_is_no_fault(self, monkeypatch):
+        faults = []
+        monkeypatch.setattr(threading, "excepthook", faults.append)
+        srv = SimServer(SimConfig()).start()
+        try:
+            peer = socket.create_connection(srv.data_endpoint)
+            peer.sendall(b"7df#013e\n")
+            # A zero linger time makes close send a reset, not a FIN.
+            peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            peer.close()
+            with closing(frames.LineClient(*srv.data_endpoint)) as client:
+                assert client.exchange(["7df#013e"]) == [["7e8#017e"]]
+        finally:
+            srv.stop()
+        assert faults == []
+
+    def test_concurrent_connections_lose_no_transition(self, server):
+        # Every seed request advances the seed counter by one. Connections
+        # that read and replace the state outside the lock would lose some.
+        clients, requests = 8, 500
+        answered: list[int] = []
+
+        def request_seeds():
+            client = frames.LineClient(*server.data_endpoint)
+            try:
+                replies = client.exchange(["7df#022701"] * requests)
+                answered.append(sum(reply[0].startswith("7e8#046701") for reply in replies))
+            finally:
+                client.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=request_seeds) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answered == [requests] * clients
+        assert server.state.seed_counter == clients * requests
+
+
+class FaultyHandlerServer(SimServer):
+    """Raises from its data handler on the undocumented-service request."""
+
+    def _handle_data_line(self, text: str) -> str:
+        if text == "7df#0142":
+            raise RuntimeError("handler fault")
+        return super()._handle_data_line(text)
+
 
 class SlowSpeedServer(SimServer):
     """Holds its reply to the speed request back for 0.2 s."""
@@ -661,6 +766,29 @@ class TestBarrier:
         finally:
             client.close()
             srv.stop()
+
+
+class TestLineClient:
+    def test_connecting_to_an_ascii_host_imports_no_idna_codec(self):
+        """``getaddrinfo`` IDNA-encodes a str host, which imports
+        ``encodings.idna``, ``stringprep`` and ``unicodedata`` on a
+        process's first connection."""
+        script = (
+            "import socket, sys\n"
+            "from vecuforge.frames import LineClient\n"
+            "listener = socket.socket()\n"
+            "listener.bind(('127.0.0.1', 0))\n"
+            "listener.listen(1)\n"
+            "LineClient('127.0.0.1', listener.getsockname()[1]).close()\n"
+            "print(sorted(m for m in ('encodings.idna', 'stringprep', 'unicodedata')"
+            " if m in sys.modules))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.stdout == "[]\n", done.stderr
 
 
 class TestEntryPoint:

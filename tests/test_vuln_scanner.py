@@ -39,7 +39,7 @@ class TestDatabase:
         db = load_vulndb(samples_dir / "vulndb.json")
         assert [e.id for e in db] == ["VDB-HIDDEN-042", "VDB-LEGACY-099", "VDB-DEEPSESSION-042"]
         hidden = db[0]
-        assert hidden.requires_service == 0x42
+        assert hidden.predicate.requires_service == 0x42
         assert hidden.predicate.requires_banner_regex == "^0262"
         assert hidden.severity == 3
         assert hidden.followup == "followup-hidden-service"
