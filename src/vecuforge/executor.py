@@ -6,18 +6,19 @@ names the cases use are checked against the SUT database, but they open
 no connections of their own: the wire codec has no bus field, so every
 bus, and the vulnscan tool's fingerprint sweep, is served by the one
 data connection. Cases run as their bound activity list, strictly in
-order; each pattern step renders its script command and is routed by
-the first word to an internal tool handler (cansend, probe, seedkey,
-fuzz, vulnscan). Every frame sent to the SUT
-goes through ``frames.DataChannel`` and ends on its own barrier, so the
-frames a stimulus drew are known once its barrier returns; expect steps
-examine exactly those and never wait. Verdicts partition into
-pass/fail/error/inconclusive; error is reserved for infrastructure
-faults and never encodes an oracle outcome. SUT database values arrive
-checked and typed (see ``tcg.SutDatabase``); a tool handler parses each
-command-line token once, and a token that does not parse, as from a
-hand-edited case or script file, gives its case verdict ``error``. The
-seedkey tool derives keys with the tester's own
+order; each pattern step renders its script command as a list of words
+and is routed by the first word to an internal tool handler (cansend,
+probe, seedkey, fuzz, vulnscan). The other words are the handler's
+arguments, one word each, checked once against its parameters. Every
+frame sent to the SUT goes through ``frames.DataChannel`` and ends on its
+own barrier, so the frames a stimulus drew are known once its barrier
+returns; expect steps examine exactly those and never wait. Verdicts
+partition into pass/fail/error/inconclusive; error is reserved for
+infrastructure faults and never encodes an oracle outcome. SUT database
+values arrive checked and typed (see ``tcg.SutDatabase``); a tool handler
+parses each argument once, and an argument count or word that does not
+parse, as from a hand-edited case or script file, gives its case verdict
+``error``. The seedkey tool derives keys with the tester's own
 ``vocabulary.SEEDKEY_ALGORITHMS``, never with the SUT's code.
 
 The executor fills ``tcg.TestResult`` records. A result holds only what
@@ -27,6 +28,7 @@ goes to the session's ``timing`` log instead, which the execute stage
 writes to ``timing/execute.json``.
 """
 
+import inspect
 import time
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
@@ -271,7 +273,7 @@ class Resources:
     vulndb: list[VulnDbEntry] = field(default_factory=list)
 
 
-def _parse_kv(tokens: list[str], where: str) -> dict[str, str]:
+def _parse_kv(tokens: tuple[str, ...], where: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for tok in tokens:
         if "=" not in tok:
@@ -314,10 +316,7 @@ class _CaseRun:
 
     # -- tool handlers ---------------------------------------------------
 
-    def _tool_cansend(self, argv: list[str], record: StepRecord) -> None:
-        if len(argv) != 2:
-            raise ExecutorError(f"cansend wants '<bus> <id>#<data>', got {argv}")
-        bus, line = argv
+    def _tool_cansend(self, record: StepRecord, bus: str, line: str) -> None:
         channel = self.session.channel(bus)
         try:
             frame = parse_line(line)
@@ -325,27 +324,21 @@ class _CaseRun:
             raise ExecutorError(f"cansend: bad frame {line!r}: {exc}") from None
         self._send(channel, frame, record)
 
-    def _tool_probe(self, argv: list[str], record: StepRecord) -> None:
-        if len(argv) != 1:
-            raise ExecutorError(f"probe wants '<bus>', got {argv}")
-        channel = self.session.channel(argv[0])
+    def _tool_probe(self, record: StepRecord, bus: str) -> None:
+        channel = self.session.channel(bus)
         frame = Frame(self.session.func_id, _TESTER_PRESENT)
         rx = self._send(channel, frame, record)
         record.note = "alive" if rx else "silent"
 
-    def _tool_seedkey(self, argv: list[str], record: StepRecord) -> None:
-        if len(argv) != 4:
-            raise ExecutorError(
-                f"seedkey wants '<bus> <phys_id> <algorithm> <const>', got {argv}"
-            )
-        bus, phys_hex, algorithm, const_hex = argv
+    def _tool_seedkey(self, record: StepRecord, bus: str, phys_hex: str, algorithm: str,
+                      const_hex: str) -> None:
         channel = self.session.channel(bus)
         phys, const = hex_in(phys_hex, MAX_FRAME_ID), hex_in(const_hex, 0xFF)
         derive = SEEDKEY_ALGORITHMS.get(algorithm)
         if phys is None or const is None or derive is None:
             raise ExecutorError(
                 f"seedkey wants an 11-bit hex phys_id, {' or '.join(SEEDKEY_ALGORITHMS)} and "
-                f"a hex-byte key constant, got {argv}"
+                f"a hex-byte key constant, got {[phys_hex, algorithm, const_hex]}"
             )
 
         rx = self._send(channel, Frame(phys, bytes([0x02, 0x27, 0x01])), record)
@@ -371,10 +364,8 @@ class _CaseRun:
         }
         self.last_rx = rx + rx2
 
-    def _tool_fuzz(self, argv: list[str], record: StepRecord) -> None:
-        if not argv:
-            raise ExecutorError("fuzz wants '<bus> key=value...'")
-        bus, kv = argv[0], _parse_kv(argv[1:], "fuzz")
+    def _tool_fuzz(self, record: StepRecord, bus: str, *options: str) -> None:
+        kv = _parse_kv(options, "fuzz")
         channel = self.session.channel(bus)
         try:
             config = FuzzConfig(
@@ -425,12 +416,10 @@ class _CaseRun:
         }
         self.last_rx = []
 
-    def _tool_vulnscan(self, argv: list[str], record: StepRecord) -> None:
-        if len(argv) != 1:
-            raise ExecutorError(f"vulnscan wants '<targets>', got {argv}")
-        targets = [t for t in argv[0].split(",") if t]
+    def _tool_vulnscan(self, record: StepRecord, targets: str) -> None:
+        names = [t for t in targets.split(",") if t]
         scans: list[ScanRecord] = []
-        for target in targets:
+        for target in names:
             if target not in self.session.buses:
                 raise ExecutorError(f"vulnscan: no live endpoint for {target!r}")
             # The item is not an input of execute, so the scan sweeps
@@ -451,7 +440,7 @@ class _CaseRun:
             self.scan_findings += len(report.findings)
         record.note = (
             f"{sum(len(s.findings) for s in scans)} database match(es) "
-            f"over {len(targets)} interface(s)"
+            f"over {len(names)} interface(s)"
         )
         record.detail = {"scans": [asdict(s) for s in scans]}
         self.last_rx = []
@@ -474,17 +463,21 @@ class _CaseRun:
             )
         script = self.registry.scripts[step.script_ref]
         try:
-            command = render_command(
-                script, step.bound_args, self.res.sutdb.slot_values()
-            )
+            words = render_command(script, step.bound_args, self.res.sutdb.slot_values())
         except RegistryError as exc:
             raise ExecutorError(str(exc)) from None
-        record.command = command
-        tool, *argv = command.split()
+        record.command = " ".join(words)
+        tool, *argv = words
         handler = self._TOOLS.get(tool)
         if handler is None:
             raise ExecutorError(f"no interface module handles tool {tool!r}")
-        handler(self, argv, record)
+        signature = inspect.signature(handler)
+        try:
+            signature.bind(self, record, *argv)
+        except TypeError as exc:
+            wants = " ".join(f"<{name}>" for name in list(signature.parameters)[2:])
+            raise ExecutorError(f"{tool} wants '{wants}': {exc}, got {argv}") from None
+        handler(self, record, *argv)
         self.records.append(record)
 
     def run_expect(self, step) -> None:

@@ -271,7 +271,7 @@ def gen_functional_scenarios(
                     "WRITE_DATA",
                     (("did", Value.placeholder("DID")), ("value", Value.placeholder("VALUE"))),
                 ),
-                ExpectStep("RESPONSE", (("service", Value.hexbytes(b"\x2e")),), 500),
+                ExpectStep("RESPONSE", (("service", Value.hexbytes(b"\x2e")),)),
             ),
             oracle=OracleSpec("all_expectations_met", "any_expectation_missed"),
         )
@@ -291,7 +291,7 @@ def gen_functional_scenarios(
                     "WRITE_DATA",
                     (("did", Value.placeholder("DID")), ("value", Value.placeholder("VALUE"))),
                 ),
-                ExpectStep("NEG_RESPONSE", (("service", Value.hexbytes(b"\x2e")),), 500),
+                ExpectStep("NEG_RESPONSE", (("service", Value.hexbytes(b"\x2e")),)),
             ),
             oracle=OracleSpec("all_expectations_met", "write.accepted"),
         )
@@ -347,7 +347,7 @@ def gen_fuzz_scenario(
                 ),
             ),
             PatternStep("TESTER_PRESENT", ()),
-            ExpectStep("RESPONSE", (("service", Value.hexbytes(b"\x3e")),), 500),
+            ExpectStep("RESPONSE", (("service", Value.hexbytes(b"\x3e")),)),
         ),
         oracle=OracleSpec("sut.alive", "sut.crashed"),
     )

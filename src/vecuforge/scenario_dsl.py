@@ -19,7 +19,7 @@ Example::
       }
       steps {
         pattern SEND_CAN_MSG(data=0x02010d, id="7df")   # speed read
-        expect RESPONSE(service=0x01) within 500ms
+        expect RESPONSE(service=0x01)
       }
       oracle {
         pass: all_expectations_met
@@ -127,16 +127,10 @@ class PatternStep:
 
 @dataclass(frozen=True)
 class ExpectStep:
-    """A matcher over the replies the preceding stimulus drew.
-
-    ``within_ms`` is kept as a documented requirement on reply latency;
-    it is carried into the case files but not enforced, because every
-    exchange ends on a barrier and verdicts must not depend on timing.
-    """
+    """A matcher over the replies the preceding stimulus drew."""
 
     matcher: str
     args: Args
-    within_ms: int | None = None
 
 
 Step = PatternStep | ExpectStep
@@ -412,15 +406,7 @@ class _Parser:
             elif self.at_keyword("expect"):
                 self.next()
                 name, args = self.call()
-                within = None
-                if self.at_keyword("within"):
-                    self.next()
-                    num = self.expect("NUMBER", "duration")
-                    self.keyword("ms")
-                    if int(num.value) <= 0:
-                        raise DslError("expect deadline must be positive", num.line, num.col)
-                    within = int(num.value)
-                out.append(ExpectStep(name, args, within))
+                out.append(ExpectStep(name, args))
             else:
                 tok = self.peek()
                 raise DslError(
@@ -527,8 +513,7 @@ def serialize(scenario: Scenario) -> str:
         if isinstance(step, PatternStep):
             lines.append(f"    pattern {step.name}({_render_args(step.args)})")
         else:
-            suffix = f" within {step.within_ms}ms" if step.within_ms is not None else ""
-            lines.append(f"    expect {step.matcher}({_render_args(step.args)}){suffix}")
+            lines.append(f"    expect {step.matcher}({_render_args(step.args)})")
     lines.append("  }")
     lines.append("  oracle {")
     lines.append(f"    pass: {scenario.oracle.pass_condition}")

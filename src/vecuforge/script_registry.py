@@ -1,12 +1,16 @@
 """Script database: concrete, parameterized implementations of patterns.
 
-A script binds a pattern name to a shell-form command template such as
-``cansend {bus} {id}#{data}``. Slots are filled from pattern arguments
-and from SUT-database dictionary keys (sut_slots). Each schema param is
-required and has one type, ``string``, ``number`` or ``hexbytes``: only a
-value of that kind binds, and the type alone decides its text (the string,
-decimal, bare lowercase hex). Commands are never given to a real shell;
-the executor routes them to internal tool handlers by the first word.
+A script binds a pattern name to a command template such as
+``cansend {bus} {id}#{data}``: words separated by whitespace, whose slots
+are filled from pattern arguments and from SUT-database dictionary keys
+(sut_slots). Each schema param is required and has one type, ``string``,
+``number`` or ``hexbytes``: only a value of that kind binds, and the type
+alone decides its text (the string, decimal, bare lowercase hex). A
+rendered command is a list of words: the template is split first and each
+word is filled on its own, so a value stays inside the word of its slot and
+never adds, removes or joins an argument, whatever it contains. Commands
+are never given to a real shell; the executor routes them to internal tool
+handlers by the first word.
 """
 
 import re
@@ -94,13 +98,15 @@ class ScriptRegistry:
         return None
 
 
-def render_command(script: TestScript, bound_args: dict[str, str], slot_values: dict[str, str]) -> str:
-    """Fill every template slot; a leftover slot is an error, never emitted."""
-    values = dict(slot_values)
-    values.update(bound_args)
-    out = _SLOT_RE.sub(lambda m: str(values[m.group(1)]) if m.group(1) in values else m.group(0),
-                       script.command_template)
-    leftover = _SLOT_RE.findall(out)
-    if leftover:
-        raise RegistryError(f"script {script.id!r}: unbound slots {leftover} in {out!r}")
-    return out
+def render_command(script: TestScript, bound_args: dict[str, str],
+                   slot_values: dict[str, str]) -> list[str]:
+    """The template's words, each with its slots filled; an unbound slot is an
+    error, never emitted."""
+    values = {**slot_values, **bound_args}
+    unbound = [slot for slot in script.slots() if slot not in values]
+    if unbound:
+        raise RegistryError(
+            f"script {script.id!r}: unbound slots {unbound} in {script.command_template!r}"
+        )
+    return [_SLOT_RE.sub(lambda m: str(values[m.group(1)]), word)
+            for word in script.command_template.split()]

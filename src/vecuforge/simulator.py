@@ -425,7 +425,10 @@ class SimServer:
 
         ``shutdown`` wakes a thread blocked in ``accept`` or ``recv`` at
         once. Once the accept threads have ended, no connection is added.
+        A closed listener means a stop has run, and a repeat does nothing.
         """
+        if self._data_listener.fileno() == -1:
+            return
         for listener in (self._data_listener, self._mgmt_listener):
             listener.shutdown(socket.SHUT_RDWR)
             listener.close()

@@ -256,14 +256,12 @@ def load_sutdb(path: str | Path) -> SutDatabase:
 
 @dataclass
 class BoundStep:
-    """One activity of a case. ``within_ms`` is an expect step's latency
-    requirement, carried from the scenario and not enforced."""
+    """One activity of a case."""
 
     kind: str  # "pattern" | "expect"
     name: str
     script_ref: str | None
     bound_args: dict[str, str]
-    within_ms: int | None = None
 
 
 @dataclass
@@ -301,7 +299,6 @@ class ExpectedResults:
 
     pass_condition: str
     fail_condition: str
-    expectations: list[dict]
 
     def __post_init__(self) -> None:
         for condition in (self.pass_condition, self.fail_condition):
@@ -382,7 +379,7 @@ def generate_cases(
         name: sutdb.domain_values(declarations.get(name, name)) for name in placeholders
     }
 
-    # Each step as (kind, name, script_ref, within_ms) with its args as slot
+    # Each step as (kind, name, script_ref) with its args as slot
     # texts, kinds checked once per step and value. A literal's texts are
     # keyed by None, which no binding row holds.
     steps = []
@@ -391,10 +388,10 @@ def generate_cases(
             script = registry.match_script(step)
             if script is None:
                 raise TcgError(f"no script matches pattern {step.name!r}")
-            head = ("pattern", step.name, script.id, None)
+            head = ("pattern", step.name, script.id)
             types = {arg: spec.type for arg, spec in script.param_schema}
         else:
-            head = ("expect", step.matcher, None, step.within_ms)
+            head = ("expect", step.matcher, None)
             types = {"service": _SERVICE} if MATCHERS[step.matcher] is not None else {}
         slots = []
         for arg, value in step.args:
@@ -433,13 +430,8 @@ def generate_cases(
     for row_ix, bindings in enumerate(binding_rows):
         activities = [
             BoundStep(kind, name, script_ref,
-                      {arg: texts[bindings.get(ph)] for arg, ph, texts in slots}, within_ms)
-            for (kind, name, script_ref, within_ms), slots in steps
-        ]
-        expectations = [
-            {"matcher": a.name, "args": a.bound_args, "within_ms": a.within_ms}
-            for a in activities
-            if a.kind == "expect"
+                      {arg: texts[bindings.get(ph)] for arg, ph, texts in slots})
+            for (kind, name, script_ref), slots in steps
         ]
         try:
             needs = EnvironmentalNeeds([CaseInterface(logical, kind, dict(params))
@@ -462,7 +454,7 @@ def generate_cases(
                 activities=activities,
                 input_data={"bindings": dict(bindings)},
                 expected_results=ExpectedResults(scenario.oracle.pass_condition,
-                                                 scenario.oracle.fail_condition, expectations),
+                                                 scenario.oracle.fail_condition),
                 traceability=Traceability(list(requirement_refs), list(threat_refs), risk_ref),
                 variability=dict(bindings),
             )

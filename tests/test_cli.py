@@ -216,7 +216,6 @@ class TestOpenFields:
     # ``object``. No type checks what such a field holds, so a new one is an
     # edit of this list.
     OPEN = [
-        "ExpectedResults.expectations",
         "StepRecord.detail",
         "TestPlan.environment",
         "TestPlan.termination",
@@ -591,8 +590,10 @@ class TestMalformedArtifacts:
     @pytest.mark.parametrize(
         "edit, detail",
         [(lambda text: b'scenario "\xff"', "not UTF-8 text: byte 0xff at offset 10"),
-         (lambda text: text.replace(b"steps {", b"stepz {"), "expected 'steps', got 'stepz'")],
-        ids=["not-utf-8", "unparsable"],
+         (lambda text: text.replace(b"steps {", b"stepz {"), "expected 'steps', got 'stepz'"),
+         (lambda text: text.replace(b"(service=0x3e)", b"(service=0x3e) within 500ms"),
+          "line 15 column 35: expected 'pattern' or 'expect', got 'within'")],
+        ids=["not-utf-8", "unparsable", "within-clause"],
     )
     def test_unreadable_scenario_names_the_file(self, tmp_path, capsys, edit, detail):
         """A ``.scn`` artifact that is not UTF-8 or does not parse stops
@@ -898,6 +899,27 @@ class TestExecuteAndReport:
         assert (tmp_path / "report.txt").read_text().startswith(
             "=== Management Summary ==="
         )
+
+    def test_bound_value_cannot_add_a_tool_argument(self, tmp_path, sim_factory):
+        """A corpus name with a space in it is one argument, which names no
+        corpus: the campaign never runs with the ``seed=`` inside it."""
+        assert run_cli("demo", "--run-dir", str(tmp_path), "--budget", "400") == EXIT_FINDINGS
+        scn = tmp_path / "scenarios" / "fuzz-if-can.scn"
+        scn.write_text(scn.read_text().replace('corpus="fuzz_corpus"',
+                                               'corpus="fuzz_corpus seed=99"'))
+        assert run_cli("tcg", "--run-dir", str(tmp_path)) == EXIT_OK
+        case = json.loads((tmp_path / "cases" / "fuzz-if-can-000.case.json").read_text())
+        fuzz_args = case["activities"][0]["bound_args"]
+        assert (fuzz_args["seed"], fuzz_args["corpus"]) == ("1", "fuzz_corpus seed=99")
+
+        server = sim_factory(SimConfig())
+        code = run_cli("execute", "--run-dir", str(tmp_path), "--sim-endpoint", endpoint_of(server))
+        assert code == EXIT_FINDINGS, "the other cases ran, and three of them fail"
+        result = json.loads(
+            (tmp_path / "results" / "fuzz-if-can-000.result.json").read_text())["result"]
+        assert result["verdict"] == "error"
+        assert result["error"] == "fuzz: no argument or SUT database corpus 'fuzz_corpus seed=99'"
+        assert result["step_log"] == []
 
     def test_execute_requires_endpoint(self, tmp_path, capsys):
         offline_chain(tmp_path)

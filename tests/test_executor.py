@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import socket
 import threading
@@ -28,7 +29,7 @@ from vecuforge.frames import Frame
 from vecuforge.item_model import Item, ItemError, decode, load_json
 from vecuforge.planner import build_plan, load_attack_trees
 from vecuforge.scenario_dsl import parse_scenario, validate
-from vecuforge.script_registry import ScriptRegistry
+from vecuforge.script_registry import ScriptRegistry, render_command
 from vecuforge.simulator import EcuState, SimConfig, SimServer, dump_state, load_state
 from vecuforge.tcg import (
     BoundStep,
@@ -104,11 +105,11 @@ def speed_read_case() -> Case:
             ),
             BoundStep(
                 kind="expect", name="RESPONSE", script_ref=None,
-                bound_args={"service": "01"}, within_ms=500,
+                bound_args={"service": "01"},
             ),
         ],
         input_data={},
-        expected_results=ExpectedResults("all_expectations_met", "any_expectation_missed", []),
+        expected_results=ExpectedResults("all_expectations_met", "any_expectation_missed"),
         traceability=Traceability(["REQ-SPEED"], [], None),
         variability={},
     )
@@ -129,6 +130,16 @@ def case_on(bus: str, item_ref: str) -> Case:
     case.environmental_needs.interfaces = [CaseInterface(bus, "canlike", {"item_ref": item_ref})]
     case.activities[0].bound_args["bus"] = bus
     return case
+
+
+def edited_registry(tmp_path, samples_dir, script_id: str, template: str) -> ScriptRegistry:
+    """The bundled scripts, with the template of ``script_id`` edited by hand."""
+    for path in (samples_dir / "scripts").glob("*.json"):
+        doc = json.loads(path.read_text())
+        if path.stem == script_id:
+            doc["command_template"] = template
+        (tmp_path / path.name).write_text(json.dumps(doc))
+    return ScriptRegistry(tmp_path, PATTERNS)
 
 
 def raw_send_frames(server, *lines: str) -> None:
@@ -313,7 +324,7 @@ class TestExecuteFunctional:
         case = speed_read_case()
         case.activities[0].bound_args["data"] = data
         case.activities[1] = BoundStep(kind="expect", name="NO_RESPONSE", script_ref=None,
-                                       bound_args={}, within_ms=500)
+                                       bound_args={})
         session = make_session(server, sutdb, [case])
         try:
             result = execute_case(case, session, resources, registry)
@@ -386,6 +397,29 @@ class TestExecutePenetration:
         assert seedkey_step.detail == {}
         assert result.oracle_evaluation["facts"]["unlock_achieved"] is False
         assert result.verdict == "pass"
+
+    def test_empty_seed_reply_grants_no_seed(self, sim_factory, sutdb, resources, registry,
+                                             pipeline_cases):
+        server = sim_factory(SimConfig(), server_cls=EmptySeedReplyServer)
+        case = pipeline_cases["pen-req-tc-weakkey-if-can-00"][0]
+        session = make_session(server, sutdb, [case])
+        try:
+            result = execute_case(case, session, resources, registry)
+        finally:
+            session.close()
+        seedkey_step = result.step_log[0]
+        assert seedkey_step.note == "no seed granted"
+        assert seedkey_step.rx == ["7e8#"]
+        assert result.verdict == "pass"
+
+
+class EmptySeedReplyServer(SimServer):
+    """Answers the seed request with a frame that carries no data."""
+
+    def _handle_data_line(self, text: str) -> str:
+        if text == "7e0#022701":
+            return "7e8#\n"
+        return super()._handle_data_line(text)
 
 
 class ProbeDeafDumpServer(SimServer):
@@ -652,6 +686,67 @@ class TestErrorVerdicts:
         assert result.verdict == "error"
         assert "did not answer the barrier" in result.error
 
+    @pytest.mark.parametrize(
+        "args, reason",
+        [({"id": "7df 7e0"}, "cansend: bad frame '7df 7e0#02010d'"),
+         ({"bus": "", "id": "can0 7df"}, "no interface module for bus ''")],
+        ids=["space-in-id", "empty-bus"],
+    )
+    def test_a_value_is_one_argument(self, sim_factory, sutdb, resources, registry,
+                                     args, reason):
+        """A value with a space stays in its word, and an empty one is still a
+        word: neither moves another argument into its place."""
+        server = sim_factory(SimConfig())
+        case = speed_read_case()
+        case.activities[0].bound_args.update(args)
+        session = make_session(server, sutdb, [case])
+        try:
+            result = execute_case(case, session, resources, registry)
+        finally:
+            session.close()
+        assert result.verdict == "error"
+        assert reason in result.error
+        assert result.step_log == []
+
+    @pytest.mark.parametrize(
+        "script_id, template, case_ref, reason",
+        [("probe-tester-present", "probe {bus} extra", "fuzz-if-can",
+          "probe wants '<bus>': too many positional arguments, got ['can0', 'extra']"),
+         ("seedkey-weak-attack", "seedkey {bus} {phys_id} weak_xor",
+          "pen-req-tc-weakkey-if-can-00",
+          "seedkey wants '<bus> <phys_hex> <algorithm> <const_hex>': "
+          "missing a required argument: 'const_hex', got ['can0', '7e0', 'weak_xor']"),
+         ("fuzz-campaign",
+          "fuzz {bus} budget={budget} seed={seed} probe_every={probe_every} {corpus}",
+          "fuzz-if-can", "fuzz: expected key=value, got 'fuzz_corpus'")],
+        ids=["word-too-many", "word-missing", "option-without-key"],
+    )
+    def test_hand_edited_template_is_an_error(self, sim_factory, sutdb, resources, tmp_path,
+                                              samples_dir, pipeline_cases, script_id,
+                                              template, case_ref, reason):
+        registry = edited_registry(tmp_path, samples_dir, script_id, template)
+        case = pipeline_cases[case_ref][0]
+        server = sim_factory(SimConfig().with_vulns(False))
+        session = make_session(server, sutdb, [case])
+        try:
+            result = execute_case(case, session, resources, registry)
+        finally:
+            session.close()
+        assert result.verdict == "error"
+        assert result.error == reason
+        assert script_id not in [r.step.script_ref for r in result.step_log]
+
+
+class TestBundledScripts:
+    def test_every_script_fits_its_tool(self, registry, sutdb):
+        """Each bundled template renders to a tool word and words that tool
+        takes, so an edit that breaks one fails here, not in a demo."""
+        for script in registry.scripts.values():
+            args = {name: "1" for name in script.params}
+            tool, *argv = render_command(script, args, sutdb.slot_values())
+            handler = executor._CaseRun._TOOLS[tool]
+            inspect.signature(handler).bind(None, None, *argv)
+
 
 # -- restore ---------------------------------------------------------------
 
@@ -681,7 +776,7 @@ class TestRestore:
                       script_ref="cansend-frame",
                       bound_args={"id": "7df", "data": "0401"}),
         ]
-        case.expected_results = ExpectedResults("sut.alive", "write.accepted", [])
+        case.expected_results = ExpectedResults("sut.alive", "write.accepted")
         session = make_session(server, sutdb, [case])
         try:
             result = execute_case(case, session, resources, registry)
@@ -872,7 +967,7 @@ class TestConditionTable:
 
     def test_unknown_condition(self):
         with pytest.raises(TcgError, match="unknown oracle condition 'moon.phase'"):
-            ExpectedResults("moon.phase", "any_expectation_missed", [])
+            ExpectedResults("moon.phase", "any_expectation_missed")
 
 
 class TestOneVocabulary:

@@ -88,7 +88,7 @@ def make_case(ident: str, requirement: str = "REQ-TC-SESSBYPASS-IF-CAN",
                       script_ref="cansend-frame", bound_args={}),
         ],
         input_data={},
-        expected_results=ExpectedResults("sut.alive", "sut.crashed", []),
+        expected_results=ExpectedResults("sut.alive", "sut.crashed"),
         traceability=Traceability(
             requirement_refs=[requirement] if requirement else [],
             threat_refs=[threat] if threat else [],

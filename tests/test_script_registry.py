@@ -30,7 +30,7 @@ class TestMatch:
         assert script is not None
         assert script.id == "cansend-frame"
         cmd = render_command(script, {"id": "7df", "data": "02010d"}, {"bus": "can0"})
-        assert cmd == "cansend can0 7df#02010d"
+        assert cmd == ["cansend", "can0", "7df#02010d"]
 
     def test_miss_is_none(self, registry):
         assert registry.match_script(pattern("SEND_CAN_MSG")) is None
@@ -119,8 +119,9 @@ class TestRender:
         }
         for script in registry.scripts.values():
             args = {n: "1" for n in script.params}
-            cmd = render_command(script, args, slot_values)
-            assert "{" not in cmd and "}" not in cmd
+            words = render_command(script, args, slot_values)
+            assert len(words) == len(script.command_template.split())
+            assert not any("{" in word or "}" in word for word in words)
 
     def test_leftover_slot_raises(self, registry):
         script = registry.scripts["cansend-frame"]

@@ -492,6 +492,15 @@ class TestSocketServer:
             srv.stop()
             assert not sim_threads() - before
 
+    def test_second_stop_does_nothing(self):
+        # A ``finally`` may stop a server that its stage already stopped.
+        srv = SimServer(SimConfig()).start()
+        endpoint = srv.data_endpoint
+        srv.stop()
+        srv.stop()
+        with pytest.raises(frames.ExecutorError, match="SUT unreachable"):
+            frames.LineClient(*endpoint)
+
     def test_mgmt_dump_load_reset(self, server):
         data = frames.LineClient(*server.data_endpoint)
         mgmt = frames.LineClient(*server.mgmt_endpoint)

@@ -17,6 +17,7 @@ from vecuforge.item_model import decode
 from vecuforge.scenario_dsl import Value, parse_scenario
 from vecuforge.script_registry import ScriptRegistry
 from vecuforge.tcg import (
+    BoundStep,
     CaseInterface,
     SutDatabase,
     TcgError,
@@ -552,19 +553,13 @@ class TestGenerateCases:
             scenario_text(
                 steps=(
                     "    pattern TESTER_PRESENT()\n"
-                    "    expect RESPONSE(service=0x3e) within 250ms"
+                    "    expect RESPONSE(service=0x3e)"
                 )
             )
         )
         case = generate_cases(scenario, sutdb, registry)[0]
         assert [a.kind for a in case.activities] == ["pattern", "expect"]
-        expect = case.activities[1]
-        assert expect.name == "RESPONSE"
-        assert expect.within_ms == 250
-        assert expect.script_ref is None
-        assert case.expected_results.expectations == [
-            {"matcher": "RESPONSE", "args": {"service": "3e"}, "within_ms": 250}
-        ]
+        assert case.activities[1] == BoundStep("expect", "RESPONSE", None, {"service": "3e"})
         assert case.expected_results.pass_condition == "all_expectations_met"
 
     def test_traceability_copied_from_meta(self, sutdb, registry):
@@ -623,7 +618,7 @@ class TestGenerateCases:
             meta_extra='    domain_A: "A"\n    domain_B: "B"\n    threat_ref: "T-1"\n',
             steps=(
                 "    pattern SEND_CAN_MSG(data=$B, id=$A)\n"
-                "    expect RESPONSE(service=0x3e) within 250ms"
+                "    expect RESPONSE(service=0x3e)"
             ),
         ).replace(
             "    interface bus canlike\n",
@@ -644,8 +639,6 @@ class TestGenerateCases:
         edited.traceability.threat_refs.append("T-X")
         for step in edited.activities:
             step.bound_args["extra"] = "x"
-        edited.expected_results.expectations[0]["within_ms"] = 1
-        edited.expected_results.expectations.append({"matcher": "NO_RESPONSE"})
         assert [asdict(c) for c in cases[1:]] == others
 
     def test_serialization_deterministic(self, sutdb, registry):
@@ -665,7 +658,7 @@ class TestGenerateCases:
                 meta_extra='    domain_DID: "DID"\n    domain_VALUE: "VALUE"\n',
                 steps=(
                     "    pattern WRITE_DATA(did=$DID, value=$VALUE)\n"
-                    "    expect RESPONSE(service=0x2e) within 500ms"
+                    "    expect RESPONSE(service=0x2e)"
                 ),
             )
         )
