@@ -194,8 +194,8 @@ def _predicate_matches(entry: ThreatCatalogEntry, element, item: Item) -> bool:
     if pred.exposure is not None and (not is_iface or element.exposure.value != pred.exposure):
         return False
     if pred.service is not None:
-        carries_services = is_iface and element.kind.value in ("canlike", "diag")
-        if not carries_services or pred.service not in item.config_params.declared_services:
+        declared = item.config_params.declared_services
+        if not (is_iface and element.carries_protocol) or pred.service not in declared:
             return False
     if pred.goal_property is not None and not any(
         g.property.value == pred.goal_property for g in item.security_goals

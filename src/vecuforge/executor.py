@@ -41,9 +41,9 @@ from .fuzz_engine import PRNG_NAME, FuzzConfig, FuzzError, minimize, run_campaig
 from .item_model import fingerprint_sut
 from .script_registry import RegistryError, ScriptRegistry, render_command
 from .simulator import EcuState, handle_frame, load_state
-from .tcg import ResultMetadata, ScanRecord, StepRecord, SutDatabase, TestCase, TestResult
+from .tcg import ResultMetadata, StepRecord, SutDatabase, TestCase, TestResult
 from .vocabulary import CONDITIONS, MATCHERS, SEEDKEY_ALGORITHMS
-from .vuln_scanner import VulnDbEntry, scan
+from .vuln_scanner import ScanRecord, VulnDbEntry, scan
 
 MGMT_TIMEOUT = 2.0
 
@@ -425,19 +425,10 @@ class _CaseRun:
             # The item is not an input of execute, so the scan sweeps
             # ProbeConfig's default ids, not the item's fingerprint_id_range,
             # over the session's one data connection.
-            fp = fingerprint_sut(target, channel=self.session.data)
-            report = scan(fp, self.res.vulndb)
-            fp_doc = fp.to_dict()
-            scans.append(ScanRecord(
-                target=report.target,
-                session=report.session,
-                fingerprint={key: fp_doc[key]
-                             for key in ("responding_request_ids", "supported_services")},
-                findings=report.findings,
-                followups=report.followups,
-            ))
+            scans.append(scan(fingerprint_sut(target, channel=self.session.data),
+                              self.res.vulndb))
             self.scan_ran = True
-            self.scan_findings += len(report.findings)
+            self.scan_findings += len(scans[-1].findings)
         record.note = (
             f"{sum(len(s.findings) for s in scans)} database match(es) "
             f"over {len(names)} interface(s)"

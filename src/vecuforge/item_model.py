@@ -66,14 +66,13 @@ class SecurityProperty(str, Enum):
 _SERVICE_HEX_RE = re.compile(r"(?:0x)?[0-9a-f]{1,2}", re.IGNORECASE)
 
 
-def service_byte(raw, where: str, error: type[ValueError] = ItemError) -> int | None:
-    """A service byte as written in input files, or None when absent.
+def service_byte(raw, where: str, error: type[ValueError] = ItemError) -> int:
+    """A service byte as written in input files.
 
     Both a JSON number and a hex string name one: ``39`` and ``"0x27"`` are
-    0x27. Anything else raises ``error``, naming the field ``where``.
+    0x27. Anything else, null included, raises ``error``, naming the field
+    ``where``; a field that may be absent is read as ``ServiceByte | None``.
     """
-    if raw is None:
-        return None
     if isinstance(raw, str) and _SERVICE_HEX_RE.fullmatch(raw):
         return int(raw, 16)
     if type(raw) is int and 0 <= raw <= 0xFF:
@@ -165,6 +164,13 @@ class Interface:
     kind: InterfaceKind
     exposure: Exposure
     address: tuple[tuple[str, str], ...] = ()
+
+    @property
+    def carries_protocol(self) -> bool:
+        """Whether the diagnostic protocol reaches the SUT through this
+        interface: its kind is ``canlike`` or ``diag``. The fingerprint
+        probes, and the vulnerability scan sweeps, the external ones."""
+        return self.kind in (InterfaceKind.CANLIKE, InterfaceKind.DIAG)
 
 
 @dataclass(frozen=True)
@@ -299,15 +305,18 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-# The text of a value of exactly these types; subclasses (str enums) and
-# containers go through ``_write``.
+# The text of a value of exactly these types; ``_write`` takes the rest:
+# containers, str enums and dataclasses.
 _SCALARS = {str: _quote, int: _int_text, float: _number, bool: {True: "true", False: "false"}.get,
             type(None): lambda _: "null"}
 
 
 def _write(value, out: list[str], newline: str) -> None:
     """Append ``value`` to ``out``; ``newline`` starts a line at its depth."""
-    if isinstance(value, dict):
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+    elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
@@ -337,18 +346,8 @@ def _write(value, out: list[str], newline: str) -> None:
                 out.append(opener + scalar(item))
             opener = "," + inner
         out.append(newline + "]")
-    elif isinstance(value, str):
+    elif isinstance(value, str):  # a str enum
         out.append(_quote(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(_int_text(value))
-    elif isinstance(value, float):
-        out.append(_number(value))
     else:
         _write(_fields(value), out, newline)
 

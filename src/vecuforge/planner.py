@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Annotated
 
 from .analysis import Risk, SecurityRequirement, VerificationHint
-from .item_model import Interface, Item, decode, load_json
+from .item_model import Exposure, Interface, Item, decode, load_json
 from .scenario_dsl import (
     EnvInterface,
     EnvSpec,
@@ -169,10 +169,13 @@ def _meta(
     return tuple(entries)
 
 
-def _env(iface: Interface) -> EnvSpec:
+def _env(bus: Interface, *others: Interface) -> EnvSpec:
+    """The primary bus as ``bus`` and the n-th other interface as ``bus<n>``,
+    each naming its item interface."""
     return EnvSpec(
-        interfaces=(
-            EnvInterface("bus", "canlike", (("item_ref", Value.string(iface.id)),)),
+        interfaces=tuple(
+            EnvInterface(f"bus{n or ''}", iface.kind.value, (("item_ref", Value.string(iface.id)),))
+            for n, iface in enumerate((bus, *others))
         ),
         preconditions=("sut_alive",),
     )
@@ -361,9 +364,12 @@ def gen_vulnscan_scenario(
     threat_refs: tuple[str, ...] = (),
     risk_ref: str | None = None,
 ) -> Scenario:
-    targets = sorted(i.id for i in item.interfaces if i.exposure.value == "external")
+    targets = sorted((i for i in item.interfaces
+                      if i.exposure is Exposure.EXTERNAL and i.carries_protocol),
+                     key=lambda i: i.id)
     if not targets:
         raise PlannerError(f"item {item.id!r} has no external interface to scan")
+    bus = _primary_bus(item)
     raw = Scenario(
         id=f"vulnscan-{item.id.lower()}",
         meta=_meta("vulnscan", requirement_refs, threat_refs, risk_ref)
@@ -371,9 +377,9 @@ def gen_vulnscan_scenario(
             ("scan_tool", Value.string("builtin-fingerprint-scanner")),
             ("followup", Value.string("emit follow-up tasks for each finding")),
         ),
-        env=_env(_primary_bus(item)),
+        env=_env(bus, *(i for i in targets if i is not bus)),
         steps=(
-            PatternStep("VULN_SCAN", (("targets", Value.string(",".join(targets))),)),
+            PatternStep("VULN_SCAN", (("targets", Value.string(",".join(i.id for i in targets))),)),
         ),
         oracle=OracleSpec("scan.clean", "scan.findings"),
     )

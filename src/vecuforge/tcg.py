@@ -34,7 +34,7 @@ from .scenario_dsl import (
 )
 from .script_registry import ScriptRegistry
 from .vocabulary import CONDITIONS, MATCHERS, PRECONDITIONS, SEEDKEY_ALGORITHMS
-from .vuln_scanner import ScanFinding
+from .vuln_scanner import ScanRecord
 
 
 class TcgError(ValueError):
@@ -465,17 +465,6 @@ def generate_cases(
 # -- test results ----------------------------------------------------------
 
 VERDICTS = ("pass", "fail", "error", "inconclusive")
-
-
-@dataclass
-class ScanRecord:
-    """One interface's scan in a vulnscan step's ``detail["scans"]``."""
-
-    target: str
-    session: str
-    fingerprint: dict[str, list[str]]
-    findings: list[ScanFinding]
-    followups: list[str]
 
 
 def _step_detail(value, where: str, error: type[ValueError]) -> dict:

@@ -76,14 +76,16 @@ class ScanFinding:
 
 
 @dataclass
-class ScanReport:
-    """The scan of one interface's fingerprint in one session: the entries
-    it matched and the follow-ups they name."""
+class ScanRecord:
+    """The scan of one interface's fingerprint in one session, as a vulnscan
+    step's ``detail["scans"]`` keeps it: the fingerprint's responding ids and
+    services, the entries it matched and the follow-ups they name."""
 
     target: str
     session: str
-    findings: list[ScanFinding] = field(default_factory=list)
-    followups: list[str] = field(default_factory=list)
+    fingerprint: dict[str, list[str]]
+    findings: list[ScanFinding]
+    followups: list[str]
 
 
 def _entry_matches(
@@ -120,23 +122,20 @@ def _entry_matches(
 
 def scan(
     fp: FingerprintReport, db: list[VulnDbEntry], *, session: str = "0x01"
-) -> ScanReport:
+) -> ScanRecord:
     """Pure predicate matching; the fingerprint is taken in the initial
     diagnostic session, so session predicates match against that."""
-    report = ScanReport(target=fp.probed_interface, session=session)
+    findings = []
     for entry in db:
         evidence = _entry_matches(entry, fp, session)
-        if evidence is None:
-            continue
-        report.findings.append(
-            ScanFinding(
-                entry_id=entry.id,
-                severity=entry.severity,
-                evidence=evidence,
-                followup_ref=entry.followup,
-                regulation_refs=entry.regulation_refs,
-            )
-        )
-        if entry.followup:
-            report.followups.append(entry.followup)
-    return report
+        if evidence is not None:
+            findings.append(ScanFinding(entry.id, entry.severity, evidence, entry.followup,
+                                        entry.regulation_refs))
+    doc = fp.to_dict()
+    return ScanRecord(
+        target=fp.probed_interface,
+        session=session,
+        fingerprint={key: doc[key] for key in ("responding_request_ids", "supported_services")},
+        findings=findings,
+        followups=[f.followup_ref for f in findings if f.followup_ref],
+    )

@@ -313,6 +313,19 @@ class TestStageOrdering:
         assert "predicate.requires_service" in capsys.readouterr().err
         assert not (run_dir / "results").exists()
 
+    def test_a_null_declared_service_is_a_usage_error(self, tmp_path, samples_dir, capsys):
+        """Null is a wildcard where a service byte is optional, and no service
+        where one is declared."""
+        doc = json.loads((samples_dir / "item.json").read_text())
+        doc["config_params"]["declared_services"].append(None)
+        item = tmp_path / "item.json"
+        item.write_text(json.dumps(doc))
+        run_dir = tmp_path / "run"
+        assert run_cli("item", "--run-dir", str(run_dir), "--item", str(item)) == EXIT_USAGE
+        assert "config_params.declared_services[5]: None is not a service byte" in (
+            capsys.readouterr().err)
+        assert not (run_dir / "item.json").exists()
+
     def test_tcg_rejects_a_bad_matcher_argument(self, tmp_path, capsys):
         for stage in OFFLINE_STAGES[:-1]:
             assert run_cli(stage, "--run-dir", str(tmp_path)) == EXIT_OK
@@ -1185,6 +1198,27 @@ class TestDemo:
         assert report["dashboard"]["fail"] == 4
         assert (tmp_path / "cleanup.json").exists()
         assert (tmp_path / "fingerprint.json").exists()
+
+    def test_fingerprint_and_scan_reach_the_same_interfaces(self, tmp_path, samples_dir):
+        """An external debug interface is neither probed nor scanned; every
+        external canlike and diag interface is both."""
+        doc = json.loads((samples_dir / "item.json").read_text())
+        debug = next(i for i in doc["interfaces"] if i["id"] == "IF-DEBUG")
+        debug.update(exposure="external", address={"bus": "jtag0"})
+        doc["interfaces"].append({"id": "IF-DIAG", "component_ref": "C-DIAG", "kind": "diag",
+                                  "exposure": "external", "address": {"bus": "doip0"}})
+        item = tmp_path / "item.json"
+        item.write_text(json.dumps(doc))
+        run_dir = tmp_path / "run"
+        assert run_cli("demo", "--run-dir", str(run_dir), "--item", str(item),
+                       "--budget", "400") == EXIT_FINDINGS
+        probed = json.loads((run_dir / "fingerprint.json").read_text())["fingerprints"]
+        assert sorted(probed) == ["IF-CAN", "IF-DIAG"]
+        result = json.loads(
+            (run_dir / "results" / "vulnscan-item-demo-ecu-000.result.json").read_text())["result"]
+        assert result["verdict"] == "fail", result["error"]
+        (step,) = result["step_log"]
+        assert [scan["target"] for scan in step["detail"]["scans"]] == ["IF-CAN", "IF-DIAG"]
 
     def test_bad_func_id_stops_before_the_first_stage(self, tmp_path, samples_dir, capsys):
         sutdb = sutdb_with_func_id(tmp_path, samples_dir, "zz")

@@ -5,7 +5,9 @@ are read with ``ast`` from ``src/vecuforge/*.py``; nothing is imported.
 The stages that only read and write records (report, plan, analysis and
 case generation) reach no wire execution, no fuzzing and no simulated
 ECU; only the executor and the CLI, which hosts the demo's ECU, import
-the simulator; and the item model reaches the wire codec alone.
+the simulator; the item model reaches the wire codec alone; and the
+vulnerability scanner, whose scan record the case results hold, reaches
+the item model and the wire codec alone.
 """
 
 from __future__ import annotations
@@ -61,3 +63,7 @@ def test_only_executor_and_cli_import_the_simulator():
 
 def test_item_model_reaches_only_frames():
     assert reach(direct_imports(), "item_model") == {"frames"}
+
+
+def test_vuln_scanner_reaches_only_item_model_and_frames():
+    assert reach(direct_imports(), "vuln_scanner") == {"item_model", "frames"}

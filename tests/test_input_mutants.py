@@ -1,9 +1,11 @@
 """Single-field mutants of every bundled input end in exit 0 or 2, never a traceback.
 
 Each key of an input, at every depth, is deleted or set to ``null``, ``7``,
-``"x"``, ``[]`` or ``{}`` (mutation-based input fuzzing; Zeller et al., *The
-Fuzzing Book*). Every mutant runs through the stages from the first one that
-reads the file up to ``tcg``. A vulnerability-database mutant runs through
+``"x"``, ``[]`` or ``{}``, and each list element is set to each of those
+values (mutation-based input fuzzing; Zeller et al., *The Fuzzing Book*).
+Every mutant runs through the stages from the first one that reads the file
+up to ``tcg``; an item mutant runs through ``fingerprint`` too, against an
+in-thread simulator. A vulnerability-database mutant runs through
 ``execute`` against an endpoint nobody listens on, so a database that reads
 cleanly ends there in exit 3.
 
@@ -30,7 +32,7 @@ UNREACHABLE = "127.0.0.1:1:1"
 
 # input file -> (its flag, the stages that read it or what it produces)
 INPUTS = {
-    "item.json": ("--item", ("item", "analyze", "concept", "plan", "tcg")),
+    "item.json": ("--item", ("item", "fingerprint", "analyze", "concept", "plan", "tcg")),
     "catalog.json": ("--catalog", ("analyze", "concept", "plan", "tcg")),
     "countermeasures.json": ("--countermeasures", ("concept", "plan", "tcg")),
     "attack_trees.json": ("--attack-trees", ("plan", "tcg")),
@@ -47,15 +49,16 @@ def mutants(doc):
     def walk(node, path):
         if isinstance(node, dict):
             for key, child in node.items():
-                paths.append(path + (key,))
+                paths.append((path + (key,), ("<deleted>",) + VALUES))
                 walk(child, path + (key,))
         elif isinstance(node, list):
             for ix, child in enumerate(node):
+                paths.append((path + (ix,), VALUES))
                 walk(child, path + (ix,))
 
     walk(doc, ())
-    for path in paths:
-        for value in ("<deleted>",) + VALUES:
+    for path, values in paths:
+        for value in values:
             mutant = copy.deepcopy(doc)
             parent = mutant
             for step in path[:-1]:
@@ -76,10 +79,14 @@ def base_run(tmp_path_factory) -> Path:
 
 
 @pytest.mark.parametrize("name", list(INPUTS))
-def test_no_mutant_escapes(name, samples_dir, base_run, tmp_path, capsys):
+def test_no_mutant_escapes(name, samples_dir, base_run, sim_factory, tmp_path, capsys):
     flag, stages = INPUTS[name]
     doc = json.loads((samples_dir / name).read_text())
     allowed = {EXIT_OK, EXIT_USAGE} | ({EXIT_INFRA} if "execute" in stages else set())
+    endpoint = UNREACHABLE
+    if "fingerprint" in stages:
+        server = sim_factory(SimConfig())
+        endpoint = f"127.0.0.1:{server.data_endpoint[1]}:{server.mgmt_endpoint[1]}"
     escapes = []
     count = 0
     for label, mutant in mutants(doc):
@@ -97,7 +104,7 @@ def test_no_mutant_escapes(name, samples_dir, base_run, tmp_path, capsys):
         for stage in stages:
             try:
                 code = main([stage, "--run-dir", str(run), flag, str(target),
-                             "--sim-endpoint", UNREACHABLE])
+                             "--sim-endpoint", endpoint])
             except Exception as exc:  # noqa: BLE001 - an escape is what the test counts
                 escapes.append(f"{label} at {stage}: {type(exc).__name__}: {exc}")
                 break
