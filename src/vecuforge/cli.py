@@ -31,7 +31,7 @@ import os
 import shutil
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TypeVar
@@ -264,21 +264,20 @@ def stage_fingerprint(store: RunStore, args) -> int:
     if not probed:
         raise UsageError("item declares no external protocol interfaces to probe")
     probe_cfg = ProbeConfig(id_range=item.config_params.fingerprint_id_range)
-    fingerprints: dict[str, dict] = {}
-    probed_at: dict[str, str] = {}
-    discrepancies: list[dict] = []
+    # The wire codec carries no bus field, so every probed interface is the
+    # same data port: one sweep is the fingerprint of each.
+    probed_at = datetime.now(timezone.utc).isoformat()
     channel = DataChannel(host, data_port)
     try:
-        for iface_id in probed:
-            probed_at[iface_id] = datetime.now(timezone.utc).isoformat()
-            fp = fingerprint_sut(iface_id, probe_cfg, channel=channel)
-            fingerprints[iface_id] = fp.to_dict()
-            discrepancies.extend(d.to_dict() for d in reconcile(item, fp))
+        swept = fingerprint_sut(probed[0], probe_cfg, channel=channel)
     finally:
         channel.close()
-    store.write_json("fingerprint.json", {"fingerprints": fingerprints})
-    store.write_json("discrepancies.json", {"discrepancies": discrepancies})
-    store.write_json("timing/fingerprint.json", {"probed_at": probed_at})
+    reports = [replace(swept, probed_interface=iface_id) for iface_id in probed]
+    store.write_json("fingerprint.json",
+                     {"fingerprints": {fp.probed_interface: fp.to_dict() for fp in reports}})
+    store.write_json("discrepancies.json",
+                     {"discrepancies": [d.to_dict() for fp in reports for d in reconcile(item, fp)]})
+    store.write_json("timing/fingerprint.json", {"probed_at": dict.fromkeys(probed, probed_at)})
     return EXIT_OK
 
 
@@ -315,7 +314,7 @@ def stage_concept(store: RunStore, args) -> int:
 
 def stage_plan(store: RunStore, args) -> int:
     item = _load_item_artifact(store)
-    threat_class_by_id = _load_threats(store).threat_class_by_id
+    analysis = _load_threats(store)
     risks = _load_risks(store)
     requirements = store.decode("requirements.json", "concept", RequirementsArtifact).requirements
     plan, scenarios = build_plan(
@@ -323,7 +322,8 @@ def stage_plan(store: RunStore, args) -> int:
         risks,
         requirements,
         trees=load_attack_trees(args.attack_trees),
-        threat_class_by_id=threat_class_by_id,
+        threat_class_by_id=analysis.threat_class_by_id,
+        threat_target_by_id={t.id: t.target for t in analysis.threats},
         seed=args.seed,
         fuzz_budget=args.budget,
     )

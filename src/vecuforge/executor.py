@@ -10,9 +10,10 @@ order; each pattern step renders its script command as a list of words
 and is routed by the first word to an internal tool handler (cansend,
 probe, seedkey, fuzz, vulnscan). The other words are the handler's
 arguments, one word each, checked once against its parameters. Every
-frame sent to the SUT goes through ``frames.DataChannel`` and ends on its
-own barrier, so the frames a stimulus drew are known once its barrier
-returns; expect steps examine exactly those and never wait. Verdicts
+frame (through ``frames.DataChannel``) and every management command sent
+to the SUT ends on its own barrier, so the frames a stimulus drew are
+known once its barrier returns, and a late reply is dropped, never read
+as the next one; expect steps examine exactly those and never wait. Verdicts
 partition into pass/fail/error/inconclusive; error is reserved for
 infrastructure faults and never encodes an oracle outcome. SUT database
 values arrive checked and typed (see ``tcg.SutDatabase``); a tool handler
@@ -30,7 +31,7 @@ writes to ``timing/execute.json``.
 
 import inspect
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from operator import attrgetter
 
@@ -43,9 +44,7 @@ from .script_registry import RegistryError, ScriptRegistry, render_command
 from .simulator import EcuState, handle_frame, load_state
 from .tcg import ResultMetadata, StepRecord, SutDatabase, TestCase, TestResult
 from .vocabulary import CONDITIONS, MATCHERS, SEEDKEY_ALGORITHMS
-from .vuln_scanner import ScanRecord, VulnDbEntry, scan
-
-MGMT_TIMEOUT = 2.0
+from .vuln_scanner import VulnDbEntry, scan
 
 _TESTER_PRESENT = bytes([0x01, 0x3E])
 
@@ -63,26 +62,19 @@ def _payload(frame: Frame) -> bytes:
 class MgmtChannel:
     """State management: dump and load opaque snapshots.
 
-    A command that times out may still be answered later, and that reply
-    would then be read as the answer to the next command. So a timeout
-    drops the connection, and the next command opens a new one.
+    Each command is one barrier exchange, as on the data port, so a reply
+    that arrives after its command gave up is dropped with that command's
+    barrier and is never read as the answer to the next command.
     """
 
     def __init__(self, host: str, port: int):
-        self.endpoint = (host, port)
-        self.client: LineClient | None = LineClient(host, port)
+        self.client = LineClient(host, port)
 
     def _command(self, line: str) -> str:
-        if self.client is None:
-            self.client = LineClient(*self.endpoint)
-        self.client.send_line(line)
-        reply = self.client.recv_line(MGMT_TIMEOUT)
-        if reply is None:
-            self.close()
-            raise ExecutorError(f"management channel timed out on {line.split()[0]}")
-        if not reply.startswith("OK"):
-            raise ExecutorError(f"management command failed: {reply}")
-        return reply[2:].strip()
+        (replies,) = self.client.exchange([line])
+        if len(replies) != 1 or not replies[0].startswith("OK"):
+            raise ExecutorError(f"management command failed: {'; '.join(replies) or 'no reply'}")
+        return replies[0][2:].strip()
 
     def dump(self) -> str:
         blob = self._command("DUMP")
@@ -94,9 +86,7 @@ class MgmtChannel:
         self._command("LOAD " + blob)
 
     def close(self) -> None:
-        if self.client is not None:
-            self.client.close()
-            self.client = None
+        self.client.close()
 
 
 # -- sessions ------------------------------------------------------------
@@ -418,21 +408,18 @@ class _CaseRun:
 
     def _tool_vulnscan(self, record: StepRecord, targets: str) -> None:
         names = [t for t in targets.split(",") if t]
-        scans: list[ScanRecord] = []
         for target in names:
             if target not in self.session.buses:
                 raise ExecutorError(f"vulnscan: no live endpoint for {target!r}")
-            # The item is not an input of execute, so the scan sweeps
-            # ProbeConfig's default ids, not the item's fingerprint_id_range,
-            # over the session's one data connection.
-            scans.append(scan(fingerprint_sut(target, channel=self.session.data),
-                              self.res.vulndb))
-            self.scan_ran = True
-            self.scan_findings += len(scans[-1].findings)
-        record.note = (
-            f"{sum(len(s.findings) for s in scans)} database match(es) "
-            f"over {len(names)} interface(s)"
-        )
+        # Every target is the session's one data connection, so one sweep is
+        # the fingerprint of each. The item is not an input of execute, so it
+        # sweeps ProbeConfig's default ids, not the item's fingerprint_id_range.
+        swept = fingerprint_sut(names[0], channel=self.session.data) if names else None
+        scans = [scan(replace(swept, probed_interface=target), self.res.vulndb) for target in names]
+        self.scan_ran = self.scan_ran or bool(scans)
+        found = sum(len(s.findings) for s in scans)
+        self.scan_findings += found
+        record.note = f"{found} database match(es) over {len(names)} interface(s)"
         record.detail = {"scans": [asdict(s) for s in scans]}
         self.last_rx = []
 

@@ -5,11 +5,12 @@ e.g. ``7df#02010d``. Ids are 11 bit, payloads are 0-8 bytes. The
 management channel uses the same newline framing for its commands, so
 every connection to the SUT goes through ``LineClient``.
 
-The data port also takes a barrier line, ``SYNC <n>``, which the SUT
-answers with ``SYNCED <n>`` once it has answered every line sent before
-it. An exchange sends each frame line followed by its own barrier, so
-the reply lines before a ``SYNCED`` are all the replies to the frame
-before the matching ``SYNC``: no exchange ends on a guessed idle gap.
+Both ports also take a barrier line, ``SYNC <n>``, which the SUT answers
+with ``SYNCED <n>`` once it has answered every line sent before it.
+``LineClient.exchange``, the one way to read replies, sends each line
+followed by its own barrier, so the reply lines before a ``SYNCED`` are
+all the replies to the line before the matching ``SYNC``: no exchange
+ends on a guessed idle gap, and a late reply is dropped with its barrier.
 ``DataChannel`` is the one frame exchange on the data port: the
 executor's steps and the fingerprint's sweeps both send through it, and
 it reads the reply lines as frames.
@@ -94,7 +95,7 @@ class ConnectionLost(ExecutorError):
 
 
 class LineClient:
-    """Newline-framed TCP client with per-read deadlines and barrier exchanges.
+    """Newline-framed TCP client whose every read ends on a barrier.
 
     Each received chunk is split into lines once: its whole lines are
     decoded together and queued, and the partial line after its last
@@ -116,13 +117,6 @@ class LineClient:
         self.lines: deque[str] = deque()
         self.token = 0
 
-    def send_line(self, line: str) -> None:
-        try:
-            self.sock.settimeout(2.0)
-            self.sock.sendall(line.encode() + b"\n")
-        except OSError as exc:
-            raise ConnectionLost(f"connection lost while sending: {exc}") from None
-
     def exchange(self, lines: list[str]) -> list[list[str]]:
         """Send each of ``lines`` (at least one) followed by its own barrier;
         the replies to each line.
@@ -137,17 +131,19 @@ class LineClient:
         """
         first = self.token + 1
         self.token += len(lines)
-        self.send_line("\n".join(f"{line}\nSYNC {first + i}" for i, line in enumerate(lines)))
+        try:
+            self.sock.settimeout(2.0)
+            self.sock.sendall("".join(f"{line}\nSYNC {first + i}\n"
+                                      for i, line in enumerate(lines)).encode())
+        except OSError as exc:
+            raise ConnectionLost(f"connection lost while sending: {exc}") from None
         replies: list[list[str]] = [[] for _ in lines]
         pending: list[str] = []
         queued = self.lines
         deadline = time.monotonic() + BARRIER_TIMEOUT
         while True:
-            if not queued and not self._receive(deadline):
-                raise ExecutorError(
-                    f"SUT did not answer the barrier SYNC {self.token} "
-                    f"within {BARRIER_TIMEOUT}s"
-                )
+            if not queued:
+                self._receive(deadline)
             line = queued.popleft()
             word, _, arg = line.partition(" ")
             if word != "SYNCED" or not arg.isdecimal():
@@ -161,20 +157,15 @@ class LineClient:
                 deadline = time.monotonic() + BARRIER_TIMEOUT
             pending = []
 
-    def recv_line(self, timeout: float) -> str | None:
-        """Next line within ``timeout``; zero sweeps already-delivered bytes."""
-        if not self.lines and not self._receive(time.monotonic() + timeout):
-            return None
-        return self.lines.popleft()
-
-    def _receive(self, deadline: float) -> bool:
-        """Receive until a whole line is queued; False when ``deadline`` passes first."""
+    def _receive(self, deadline: float) -> None:
+        """Receive until a whole line is queued; ``ExecutorError`` once ``deadline`` passes."""
         while not self.lines:
             try:
                 self.sock.settimeout(max(deadline - time.monotonic(), 0.0))
                 chunk = self.sock.recv(65536)
             except (BlockingIOError, socket.timeout):
-                return False
+                raise ExecutorError(f"SUT did not answer the barrier SYNC {self.token} "
+                                    f"within {BARRIER_TIMEOUT}s") from None
             except OSError as exc:
                 raise ConnectionLost(f"connection lost while reading: {exc}") from None
             if not chunk:
@@ -182,7 +173,6 @@ class LineClient:
             whole, newline, self.buf = (self.buf + chunk).rpartition(b"\n")
             if newline:
                 self.lines.extend(whole.decode(errors="replace").split("\n"))
-        return True
 
     def close(self) -> None:
         try:

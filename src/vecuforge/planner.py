@@ -193,11 +193,14 @@ def _finalize(raw: Scenario) -> Scenario:
     return scenario
 
 
-def _primary_bus(item: Item) -> Interface:
-    candidates = sorted(
-        (i for i in item.interfaces if i.kind.value == "canlike" and i.exposure.value == "external"),
-        key=lambda i: i.id,
-    )
+def _bus_for(item: Item, target: str | None = None) -> Interface:
+    """The interface a scenario runs on: the external protocol interface
+    ``target`` names, else the primary bus (the first external canlike
+    interface by id)."""
+    external = sorted((i for i in item.interfaces if i.exposure is Exposure.EXTERNAL),
+                      key=lambda i: i.id)
+    candidates = ([i for i in external if i.id == target and i.carries_protocol]
+                  + [i for i in external if i.kind.value == "canlike"])
     if not candidates:
         raise PlannerError(f"item {item.id!r} has no external canlike interface")
     return candidates[0]
@@ -210,10 +213,12 @@ def gen_penetration_scenarios(
     *,
     threat_refs: tuple[str, ...] = (),
     risk_ref: str | None = None,
+    target: str | None = None,
 ) -> list[Scenario]:
-    """One scenario per attack vector; the tree's fail condition is the
-    oracle's fail condition (the attack succeeding means the SUT failed)."""
-    bus = _primary_bus(item)
+    """One scenario per attack vector, on ``_bus_for(item, target)``; the
+    tree's fail condition is the oracle's fail condition (the attack
+    succeeding means the SUT failed)."""
+    bus = _bus_for(item, target)
     slug = req.id.lower()
     scenarios = []
     for ix, vector in enumerate(enumerate_attack_vectors(tree)):
@@ -241,8 +246,10 @@ def gen_functional_scenarios(
     *,
     threat_refs: tuple[str, ...] = (),
     risk_ref: str | None = None,
+    target: str | None = None,
 ) -> tuple[Scenario, Scenario]:
-    """Positive/negative pair around the protected function.
+    """Positive/negative pair around the protected function, on
+    ``_bus_for(item, target)``.
 
     Positive: legitimate session and credentials, expect success.
     Negative: no credentials, sweep sessions, expect refusal.
@@ -259,7 +266,7 @@ def gen_functional_scenarios(
         raise PlannerError(
             f"requirement {req.id!r} resolves to {goal.target_ref!r}, which is not a function"
         )
-    bus = _primary_bus(item)
+    bus = _bus_for(item, target)
     slug = req.id.lower()
 
     if function.kind == "diag_write":
@@ -369,7 +376,7 @@ def gen_vulnscan_scenario(
                      key=lambda i: i.id)
     if not targets:
         raise PlannerError(f"item {item.id!r} has no external interface to scan")
-    bus = _primary_bus(item)
+    bus = _bus_for(item)
     raw = Scenario(
         id=f"vulnscan-{item.id.lower()}",
         meta=_meta("vulnscan", requirement_refs, threat_refs, risk_ref)
@@ -463,10 +470,12 @@ def build_plan(
     *,
     trees: dict[str, AttackTree] | None = None,
     threat_class_by_id: dict[str, str] | None = None,
+    threat_target_by_id: dict[str, str] | None = None,
     seed: int = 1,
     fuzz_budget: int = 3000,
 ) -> tuple[TestPlan, list[Scenario]]:
-    """Route every unacceptable risk's requirement into >= 1 scenario.
+    """Route every unacceptable risk's requirement into >= 1 scenario, on
+    the interface its threat targets (``threat_target_by_id``, ``_bus_for``).
 
     Fuzz and vulnerability scans run once per plan against the item's
     external surface; their traceability merges all requirements that
@@ -474,6 +483,7 @@ def build_plan(
     """
     trees = trees or {}
     threat_class_by_id = threat_class_by_id or {}
+    threat_target_by_id = threat_target_by_id or {}
     by_threat: dict[str, list[SecurityRequirement]] = {}
     for req in requirements:
         for threat_id in req.derived_from:
@@ -506,7 +516,8 @@ def build_plan(
                         )
                         continue
                     generated = gen_penetration_scenarios(
-                        req, tree, item, threat_refs=(risk.threat_ref,), risk_ref=risk_ref
+                        req, tree, item, threat_refs=(risk.threat_ref,), risk_ref=risk_ref,
+                        target=threat_target_by_id.get(risk.threat_ref),
                     )
                     scenarios.extend(generated)
                     produced += len(generated)
@@ -514,7 +525,8 @@ def build_plan(
                 elif method == "functional":
                     try:
                         pos, neg = gen_functional_scenarios(
-                            req, item, threat_refs=(risk.threat_ref,), risk_ref=risk_ref
+                            req, item, threat_refs=(risk.threat_ref,), risk_ref=risk_ref,
+                            target=threat_target_by_id.get(risk.threat_ref),
                         )
                     except PlannerError as exc:
                         notes.append(f"functional method skipped for {req.id}: {exc}")
@@ -547,7 +559,7 @@ def build_plan(
         req_refs, threat_refs = merged_refs(fuzz_reqs, VerificationHint.FUZZ)
         scenarios.append(
             gen_fuzz_scenario(
-                _primary_bus(item),
+                _bus_for(item),
                 fuzz_budget,
                 FUZZ_CORPUS,
                 seed,
@@ -586,7 +598,7 @@ def build_plan(
         strategy=strategy,
         environment={
             "interfaces": [
-                {"logical": "bus", "kind": "canlike", "item_ref": _primary_bus(item).id}
+                {"logical": "bus", "kind": "canlike", "item_ref": _bus_for(item).id}
             ],
             "preconditions": ["sut_alive"],
         },

@@ -21,15 +21,16 @@ stops the ECU (alive=False, absorbing until RESET/LOAD) when toggle V3 is
 on, and draws ``03 7f 00 13`` when it is off.
 
 The data endpoint takes one frame line per request (``frames`` codec)
-and answers each with zero or more frame lines. It also answers a
-barrier line ``SYNC <n>`` with ``SYNCED <n>``, before any frame parsing,
-so a crashed ECU still answers it. Each connection's lines are handled
-in arrival order and their replies written in that order, so every
-reply to a frame goes out before the ``SYNCED`` of a later barrier.
+and answers each with zero or more frame lines. A management channel
+accepts line commands DUMP (base64 state), LOAD and RESET, each answered
+with one ``OK`` or ``ERR`` line. State dumps are canonical: loading a
+dump and dumping again yields identical bytes.
 
-A management channel accepts line commands DUMP (base64 state), LOAD
-and RESET. State dumps are canonical: loading a dump and dumping again
-yields identical bytes.
+Both endpoints answer a barrier line ``SYNC <n>`` with ``SYNCED <n>``,
+before any other parsing, so a crashed ECU still answers it. Each
+connection's lines are handled in arrival order and their replies
+written in that order, so every reply to a line goes out before the
+``SYNCED`` of a later barrier.
 """
 
 import argparse
@@ -370,6 +371,12 @@ def load_state(blob: str) -> EcuState:
     )
 
 
+def _synced(text: str) -> str:
+    """``SYNCED <n>`` for a barrier line ``SYNC <n>``, empty for any other line."""
+    word, _, token = text.partition(" ")
+    return f"SYNCED {token}\n" if word == "SYNC" else ""
+
+
 class SimServer:
     """Socket front-end around the pure state machine.
 
@@ -379,7 +386,7 @@ class SimServer:
     are handled under it together, so each connection's lines reach the
     state in arrival order. A handler that raises closes its own
     connection only. The data endpoint speaks the frame wire codec and the
-    SYNC barrier; the management endpoint speaks DUMP/LOAD/RESET lines.
+    management endpoint DUMP/LOAD/RESET lines; both answer the SYNC barrier.
     """
 
     def __init__(self, config: SimConfig | None = None, host: str = "127.0.0.1",
@@ -495,9 +502,8 @@ class SimServer:
         conn.sendall(data)
 
     def _handle_data_line(self, text: str) -> str:
-        word, _, token = text.partition(" ")
-        if word == "SYNC":
-            return f"SYNCED {token}\n"
+        if synced := _synced(text):
+            return synced
         try:
             frame = parse_line(text)
         except FrameError:
@@ -506,6 +512,8 @@ class SimServer:
         return "".join(r.to_line() + "\n" for r in responses)
 
     def _handle_mgmt_line(self, text: str) -> str:
+        if synced := _synced(text):
+            return synced
         parts = text.split(None, 1)
         cmd = parts[0].upper()
         arg = parts[1] if len(parts) > 1 else ""

@@ -86,6 +86,42 @@ class ScanStallServer(SimServer):
         return super()._handle_data_line(text)
 
 
+class ConnectionCountingServer(SimServer):
+    """A simulator that lists the port role of each connection it serves, in
+    the order their threads start.
+
+    A connection is listed before its thread reads, so before any reply the
+    client waits for.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.roles: list[str] = []
+
+    def _serve(self, conn, handle) -> None:
+        self.roles.append("data" if handle == self._handle_data_line else "mgmt")
+        super()._serve(conn, handle)
+
+    def opened_since(self, start: int) -> dict[str, int]:
+        """The connections listed after the first ``start``, by port role."""
+        new = self.roles[start:]
+        return {"data": new.count("data"), "mgmt": new.count("mgmt")}
+
+
+class FrameCountingServer(SimServer):
+    """A simulator that counts the frame lines its data port reads; barrier
+    lines are not counted."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.frames = 0
+
+    def _handle_data_line(self, text: str) -> str:
+        if not text.startswith("SYNC"):
+            self.frames += 1
+        return super()._handle_data_line(text)
+
+
 @pytest.fixture()
 def barrierless_sim(sim_factory, monkeypatch):
     """A started ``BarrierlessServer``; clients give up on a barrier after 0.2 s."""

@@ -8,6 +8,7 @@ import os
 import random
 import shutil
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -33,6 +34,8 @@ from vecuforge.cli import (
     main,
 )
 from vecuforge.simulator import SimConfig, SimServer
+
+from conftest import ConnectionCountingServer, FrameCountingServer
 
 OFFLINE_STAGES = ("item", "analyze", "concept", "plan", "tcg")
 
@@ -85,6 +88,19 @@ class DataDropServer(SimServer):
             conn.shutdown(socket.SHUT_RDWR)
 
 
+class DataResetServer(DataDropServer):
+    """A simulator that resets a data connection, in place of the replies to
+    the chunk that holds its 40th line."""
+
+    def _write(self, conn, data: bytes) -> None:
+        if conn.getsockname() == self.data_endpoint and self.data_lines >= 40:
+            # A zero linger time makes close send a reset, not a FIN.
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            conn.close()
+            return
+        super()._write(conn, data)
+
+
 class DriftingLoadServer(SimServer):
     """A simulator that loads each state blob with its seed counter moved on by
     one, so a re-dump after a LOAD never equals the blob loaded."""
@@ -96,26 +112,17 @@ class DriftingLoadServer(SimServer):
         return reply
 
 
-class ConnectionCountingServer(SimServer):
-    """A simulator that lists the port role of each connection it serves, in
-    the order their threads start.
-
-    A connection is listed before its thread reads, so before any reply the
-    client waits for.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.roles: list[str] = []
-
-    def _serve(self, conn, handle) -> None:
-        self.roles.append("data" if handle == self._handle_data_line else "mgmt")
-        super()._serve(conn, handle)
-
-    def opened_since(self, start: int) -> dict[str, int]:
-        """The connections listed after the first ``start``, by port role."""
-        new = self.roles[start:]
-        return {"data": new.count("data"), "mgmt": new.count("mgmt")}
+def two_interface_item(tmp_path: Path, samples_dir: Path) -> Path:
+    """The bundled item with a second external protocol interface, IF-DIAG,
+    and its debug interface made external."""
+    doc = json.loads((samples_dir / "item.json").read_text())
+    debug = next(i for i in doc["interfaces"] if i["id"] == "IF-DEBUG")
+    debug.update(exposure="external", address={"bus": "jtag0"})
+    doc["interfaces"].append({"id": "IF-DIAG", "component_ref": "C-DIAG", "kind": "diag",
+                              "exposure": "external", "address": {"bus": "doip0"}})
+    item = tmp_path / "item.json"
+    item.write_text(json.dumps(doc))
+    return item
 
 
 def closed_port() -> int:
@@ -792,6 +799,28 @@ class TestFingerprintStage:
         kinds = {(d["kind"], d["service"]) for d in disc["discrepancies"]}
         assert ("undeclared_service", "42") in kinds
 
+    def test_one_sweep_fingerprints_every_protocol_interface(self, tmp_path, samples_dir,
+                                                             sim_factory):
+        """Every interface is the one data port, so a second sweep would only
+        repeat the first."""
+        server = sim_factory(server_cls=FrameCountingServer)
+        item = two_interface_item(tmp_path, samples_dir)
+        run_dir = tmp_path / "run"
+        assert run_cli("item", "--run-dir", str(run_dir), "--item", str(item)) == EXIT_OK
+        assert run_cli("fingerprint", "--run-dir", str(run_dir),
+                       "--sim-endpoint", endpoint_of(server)) == EXIT_OK
+        # 48 ids in 0x7d0-0x7ff, then 128 services on each of the 2 that answer.
+        assert server.frames == 48 + 2 * 128
+        probed = json.loads((run_dir / "fingerprint.json").read_text())["fingerprints"]
+        assert list(probed) == ["IF-CAN", "IF-DIAG"]
+        assert probed["IF-DIAG"] == {**probed["IF-CAN"], "probed_interface": "IF-DIAG"}
+        assert probed["IF-CAN"]["responding_request_ids"] == ["7df", "7e0"]
+        disc = json.loads((run_dir / "discrepancies.json").read_text())["discrepancies"]
+        assert [d["detail"] for d in disc] == [
+            "service 0x42 answers on IF-CAN but is not declared",
+            "service 0x42 answers on IF-DIAG but is not declared",
+        ]
+
     @staticmethod
     def item_with_id_range(tmp_path: Path, samples_dir: Path, raw) -> Path:
         doc = json.loads((samples_dir / "item.json").read_text())
@@ -1014,6 +1043,23 @@ class TestExecuteAndReport:
         assert sorted(results) == sorted(Path(f"{c['case_ref']}.result.json") for c in cleanups)
         assert json.loads(results[Path(f"{last}.result.json")])["result"]["verdict"] == "error"
 
+    def test_reset_data_connection_is_lost_while_reading(self, tmp_path, sim_factory, capsys):
+        """A reset, unlike a close, fails the read itself."""
+        server = sim_factory(SimConfig().with_vulns(False), server_cls=DataResetServer)
+        offline_chain(tmp_path)
+        capsys.readouterr()
+        code = run_cli("execute", "--run-dir", str(tmp_path),
+                       "--sim-endpoint", endpoint_of(server))
+        err = capsys.readouterr().err
+        cleanups = json.loads((tmp_path / "cleanup.json").read_text())["cleanups"]
+        last = cleanups[-1]["case_ref"]
+        assert code == EXIT_INFRA
+        assert f"the SUT dropped the connection during case {last!r}" in err
+        assert "Traceback" not in err
+        result = json.loads(run_files(tmp_path / "results")[Path(f"{last}.result.json")])["result"]
+        assert result["verdict"] == "error"
+        assert result["error"].startswith("connection lost while reading: ")
+
     @pytest.mark.parametrize("refuse, cause", [
         ("dump", "SUT does not support state snapshots: SUT returned an empty state dump"),
         ("data", "SUT unreachable: cannot connect to 127.0.0.1:"),
@@ -1202,13 +1248,7 @@ class TestDemo:
     def test_fingerprint_and_scan_reach_the_same_interfaces(self, tmp_path, samples_dir):
         """An external debug interface is neither probed nor scanned; every
         external canlike and diag interface is both."""
-        doc = json.loads((samples_dir / "item.json").read_text())
-        debug = next(i for i in doc["interfaces"] if i["id"] == "IF-DEBUG")
-        debug.update(exposure="external", address={"bus": "jtag0"})
-        doc["interfaces"].append({"id": "IF-DIAG", "component_ref": "C-DIAG", "kind": "diag",
-                                  "exposure": "external", "address": {"bus": "doip0"}})
-        item = tmp_path / "item.json"
-        item.write_text(json.dumps(doc))
+        item = two_interface_item(tmp_path, samples_dir)
         run_dir = tmp_path / "run"
         assert run_cli("demo", "--run-dir", str(run_dir), "--item", str(item),
                        "--budget", "400") == EXIT_FINDINGS
@@ -1219,6 +1259,31 @@ class TestDemo:
         assert result["verdict"] == "fail", result["error"]
         (step,) = result["step_log"]
         assert [scan["target"] for scan in step["detail"]["scans"]] == ["IF-CAN", "IF-DIAG"]
+
+    def test_scenario_runs_on_the_interface_its_threat_targets(self, tmp_path, samples_dir):
+        """A requirement whose threat targets IF-DIAG is tested on IF-DIAG; the
+        fuzz campaign stays on the primary bus and the scan covers both."""
+        item = two_interface_item(tmp_path, samples_dir)
+        run_dir = tmp_path / "run"
+        assert run_cli("item", "--run-dir", str(run_dir), "--item", str(item)) == EXIT_OK
+        for stage in ("analyze", "concept", "plan"):
+            assert run_cli(stage, "--run-dir", str(run_dir)) == EXIT_OK
+        interfaces = {
+            path.stem: [line.split(None, 1)[1] for line in path.read_text().splitlines()
+                        if line.lstrip().startswith("interface ")]
+            for path in sorted((run_dir / "scenarios").glob("*.scn"))
+        }
+        can, diag = 'bus canlike item_ref="IF-CAN"', 'bus diag item_ref="IF-DIAG"'
+        assert interfaces == {
+            "func-neg-req-tc-sessbypass-if-can": [can],
+            "func-neg-req-tc-sessbypass-if-diag": [diag],
+            "func-pos-req-tc-sessbypass-if-can": [can],
+            "func-pos-req-tc-sessbypass-if-diag": [diag],
+            "fuzz-if-can": [can],
+            "pen-req-tc-weakkey-if-can-00": [can],
+            "pen-req-tc-weakkey-if-diag-00": [diag],
+            "vulnscan-item-demo-ecu": [can, 'bus1 diag item_ref="IF-DIAG"'],
+        }
 
     def test_bad_func_id_stops_before_the_first_stage(self, tmp_path, samples_dir, capsys):
         sutdb = sutdb_with_func_id(tmp_path, samples_dir, "zz")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import inspect
 import json
 import socket
@@ -11,7 +12,7 @@ from dataclasses import asdict, fields, replace
 
 import pytest
 
-from vecuforge import executor, vocabulary
+from vecuforge import executor, frames, vocabulary
 from vecuforge.executor import (
     CleanupReport,
     DataChannel,
@@ -45,6 +46,8 @@ from vecuforge.tcg import (
 from vecuforge.tcg import TestCase as Case
 from vecuforge.vocabulary import CONDITIONS, PATTERNS
 from vecuforge.vuln_scanner import load_vulndb
+
+from conftest import ConnectionCountingServer, FrameCountingServer
 
 
 @pytest.fixture(scope="module")
@@ -523,6 +526,29 @@ class TestExecuteVulnscan:
         assert entry_ids == ["VDB-HIDDEN-042"]
         assert "42" in scans[0]["fingerprint"]["supported_services"]
 
+    def test_one_sweep_scans_every_target(self, sim_factory, sutdb, resources, registry,
+                                          pipeline_cases):
+        """Both targets are the one data connection: one fingerprint sweep,
+        scanned once per target."""
+        server = sim_factory(server_cls=FrameCountingServer)
+        case = copy.deepcopy(pipeline_cases["vulnscan-item-demo-ecu"][0])
+        case.environmental_needs.interfaces.append(
+            CaseInterface("bus1", "diag", {"item_ref": "IF-DIAG"}))
+        case.activities[0].bound_args["targets"] = "IF-CAN,IF-DIAG"
+        session = make_session(server, sutdb, [case])
+        try:
+            result = execute_case(case, session, resources, registry)
+        finally:
+            session.close()
+        assert result.verdict == "fail"
+        # Liveness probes when the session opens, before the case and after
+        # it, and one sweep: 48 ids, then 128 services on each of the 2 that
+        # answer.
+        assert server.frames == 3 + 48 + 2 * 128
+        can, diag = result.step_log[0].detail["scans"]
+        assert diag == {**can, "target": "IF-DIAG"}
+        assert [f["entry_id"] for f in can["findings"]] == ["VDB-HIDDEN-042"]
+
     def test_patched_build_scans_clean(self, sim_factory, sutdb, resources,
                                        registry, pipeline_cases):
         server = sim_factory(SimConfig().with_vulns(False))
@@ -819,8 +845,8 @@ class TestRestore:
 
     def test_reply_after_a_timeout_is_not_read_as_the_next(self, sim_factory, sutdb,
                                                          monkeypatch):
-        monkeypatch.setattr(executor, "MGMT_TIMEOUT", 0.1)
-        server = sim_factory(server_cls=LateLoadServer)
+        monkeypatch.setattr(frames, "BARRIER_TIMEOUT", 0.1)
+        server = sim_factory(server_cls=CountingLateLoadServer)
         session = make_session(server, sutdb, [speed_read_case()])
         try:
             timed_out = restore(session)
@@ -830,9 +856,10 @@ class TestRestore:
             session.close()
         assert asdict(timed_out) == {
             "restored": False, "verified": False,
-            "detail": "management channel timed out on LOAD",
+            "detail": "SUT did not answer the barrier SYNC 2 within 0.1s",
         }
         assert asdict(after) == {"restored": True, "verified": True, "detail": ""}
+        assert server.roles.count("mgmt") == 1
 
 
 class LateLoadServer(SimServer):
@@ -848,6 +875,10 @@ class LateLoadServer(SimServer):
             time.sleep(0.3)
             self.answered_late.set()
         return out
+
+
+class CountingLateLoadServer(LateLoadServer, ConnectionCountingServer):
+    """Answers its first LOAD 0.3 s late, and lists the connections it serves."""
 
 
 # -- determinism and serialization ---------------------------------------

@@ -7,7 +7,9 @@ case generation) reach no wire execution, no fuzzing and no simulated
 ECU; only the executor and the CLI, which hosts the demo's ECU, import
 the simulator; the item model reaches the wire codec alone; and the
 vulnerability scanner, whose scan record the case results hold, reaches
-the item model and the wire codec alone.
+the item model and the wire codec alone. Only the wire codec, whose
+``LineClient`` is the one client, and the simulator, the one listener,
+import ``socket``.
 """
 
 from __future__ import annotations
@@ -67,3 +69,18 @@ def test_item_model_reaches_only_frames():
 
 def test_vuln_scanner_reaches_only_item_model_and_frames():
     assert reach(direct_imports(), "vuln_scanner") == {"item_model", "frames"}
+
+
+def test_only_frames_and_simulator_import_socket():
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "socket" for name in names):
+                importers.add(path.stem)
+    assert sorted(importers) == ["frames", "simulator"]

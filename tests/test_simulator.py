@@ -430,10 +430,6 @@ class TestHandWrittenConstructors:
             dataclasses.replace(Frame(0x7DF), **dict(zip(("id", "data"), args)))
 
 
-# Generous wait for a reply line; recv_line reads None when it passes.
-WAIT = 2.0
-
-
 def dump_with(path: str, value) -> str:
     """The JSON of a fresh ECU's dump with one field, dotted path, replaced."""
     doc = json.loads(base64.b64decode(dump_state(fresh())))
@@ -445,6 +441,19 @@ def dump_with(path: str, value) -> str:
     return json.dumps(doc)
 
 
+def read_lines(sock: socket.socket, count: int) -> list[str]:
+    """Read a plain socket until ``count`` whole lines have come; every line
+    read, a partial one included. A line that does not come within 2 s
+    fails the test."""
+    sock.settimeout(2.0)
+    buf = b""
+    while buf.count(b"\n") < count:
+        chunk = sock.recv(65536)
+        assert chunk, "the SUT closed the connection"
+        buf += chunk
+    return buf.decode().splitlines()
+
+
 @pytest.fixture()
 def server():
     srv = SimServer(SimConfig()).start()
@@ -454,12 +463,8 @@ def server():
 
 class TestSocketServer:
     def test_data_roundtrip(self, server):
-        c = frames.LineClient(*server.data_endpoint)
-        try:
-            c.send_line("7df#02010d")
-            assert c.recv_line(WAIT) == "7e8#03410d32"
-        finally:
-            c.close()
+        with closing(frames.LineClient(*server.data_endpoint)) as c:
+            assert c.exchange(["7df#02010d"]) == [["7e8#03410d32"]]
 
     def test_stop_does_not_wait_out_a_poll(self):
         # A few milliseconds after a reply the loop is back in its wait: stop
@@ -505,39 +510,33 @@ class TestSocketServer:
         data = frames.LineClient(*server.data_endpoint)
         mgmt = frames.LineClient(*server.mgmt_endpoint)
         try:
-            mgmt.send_line("DUMP")
-            before = mgmt.recv_line(WAIT)
+            ((before,),) = mgmt.exchange(["DUMP"])
             assert before.startswith("OK ")
 
-            data.send_line("7df#021003")
-            assert data.recv_line(WAIT) == "7e8#025003"
+            assert data.exchange(["7df#021003"]) == [["7e8#025003"]]
 
-            mgmt.send_line("DUMP")
-            after = mgmt.recv_line(WAIT)
+            ((after,),) = mgmt.exchange(["DUMP"])
             assert after != before
 
-            mgmt.send_line(f"LOAD {before.split(' ', 1)[1]}")
-            assert mgmt.recv_line(WAIT) == "OK"
-            mgmt.send_line("DUMP")
-            assert mgmt.recv_line(WAIT) == before
-
-            mgmt.send_line("RESET")
-            assert mgmt.recv_line(WAIT) == "OK"
-            mgmt.send_line("DUMP")
-            assert mgmt.recv_line(WAIT) == before
+            assert mgmt.exchange([f"LOAD {before.split(' ', 1)[1]}", "DUMP"]) == [
+                ["OK"], [before]]
+            assert mgmt.exchange(["RESET", "DUMP"]) == [["OK"], [before]]
         finally:
             data.close()
             mgmt.close()
 
     def test_mgmt_errors(self, server):
-        mgmt = frames.LineClient(*server.mgmt_endpoint)
-        try:
-            mgmt.send_line("FROB")
-            assert mgmt.recv_line(WAIT).startswith("ERR")
-            mgmt.send_line("LOAD notbase64!!")
-            assert mgmt.recv_line(WAIT).startswith("ERR")
-        finally:
-            mgmt.close()
+        with closing(frames.LineClient(*server.mgmt_endpoint)) as mgmt:
+            (unknown,), (bad_blob,) = mgmt.exchange(["FROB", "LOAD notbase64!!"])
+        assert unknown == "ERR unknown command"
+        assert bad_blob.startswith("ERR bad state blob")
+
+    def test_mgmt_answers_the_barrier(self, server):
+        """Each management command ends on its own barrier, as a frame does."""
+        with closing(frames.LineClient(*server.mgmt_endpoint)) as mgmt:
+            (dump,), reset = mgmt.exchange(["DUMP", "RESET"])
+        assert dump.startswith("OK ")
+        assert reset == ["OK"]
 
     @pytest.mark.parametrize(
         "doc",
@@ -588,10 +587,10 @@ class TestSocketServer:
         mgmt = frames.LineClient(*server.mgmt_endpoint)
         data = frames.LineClient(*server.data_endpoint)
         try:
-            mgmt.send_line("LOAD " + base64.b64encode(doc.encode()).decode())
-            assert mgmt.recv_line(WAIT).startswith("ERR bad state blob")
-            mgmt.send_line("DUMP")
-            assert mgmt.recv_line(WAIT).startswith("OK ")
+            (refused,), (dump,) = mgmt.exchange(
+                ["LOAD " + base64.b64encode(doc.encode()).decode(), "DUMP"])
+            assert refused.startswith("ERR bad state blob")
+            assert dump.startswith("OK ")
             ((reply,),) = data.exchange(["7df#022701"])
             assert reply.startswith("7e8#046701")
         finally:
@@ -602,13 +601,9 @@ class TestSocketServer:
         data = frames.LineClient(*server.data_endpoint)
         mgmt = frames.LineClient(*server.mgmt_endpoint)
         try:
-            data.send_line("7df#07013e")
-            data.send_line("7df#013e")
-            assert data.recv_line(0.3) is None
-            mgmt.send_line("RESET")
-            assert mgmt.recv_line(WAIT) == "OK"
-            data.send_line("7df#013e")
-            assert data.recv_line(WAIT) == "7e8#017e"
+            assert data.exchange(["7df#07013e", "7df#013e"]) == [[], []]
+            assert mgmt.exchange(["RESET"]) == [["OK"]]
+            assert data.exchange(["7df#013e"]) == [["7e8#017e"]]
         finally:
             data.close()
             mgmt.close()
@@ -635,8 +630,8 @@ class TestSocketServer:
             with pytest.raises(frames.ConnectionLost):
                 faulty.collect(Frame(0x7DF, b"\x01\x42"))
             assert time.monotonic() - started < frames.BARRIER_TIMEOUT / 4
-            mgmt.send_line("DUMP")
-            assert mgmt.recv_line(WAIT).startswith("OK ")
+            ((dump,),) = mgmt.exchange(["DUMP"])
+            assert dump.startswith("OK ")
             assert other.collect(present) == present_reply
             with closing(frames.DataChannel(*srv.data_endpoint)) as new:
                 assert new.collect(present) == present_reply
@@ -712,14 +707,18 @@ class SlowSpeedServer(SimServer):
 
 class TestBarrier:
     def test_sync_answered_after_the_replies_before_it(self, server):
-        c = frames.LineClient(*server.data_endpoint)
-        try:
-            c.send_line("7df#02010d\nSYNC 5\n7df#013e\nSYNC 6")
-            assert [c.recv_line(WAIT) for _ in range(4)] == [
+        with socket.create_connection(server.data_endpoint) as sock:
+            sock.sendall(b"7df#02010d\nSYNC 5\n7df#013e\nSYNC 6\n")
+            assert read_lines(sock, 4) == [
                 "7e8#03410d32", "SYNCED 5", "7e8#017e", "SYNCED 6",
             ]
-        finally:
-            c.close()
+
+    def test_mgmt_sync_answered_after_the_reply_before_it(self, server):
+        with socket.create_connection(server.mgmt_endpoint) as sock:
+            sock.sendall(b"RESET\nSYNC 5\nFROB\nSYNC 6\n")
+            assert read_lines(sock, 4) == [
+                "OK", "SYNCED 5", "ERR unknown command", "SYNCED 6",
+            ]
 
     def test_lines_split_across_writes_answered_in_order(self, server):
         probes = ["7df#02010d", "7df#013e", "7df#0142", "7df#021003", "7df#022701",
@@ -734,25 +733,16 @@ class TestBarrier:
                 sent.append(f"SYNC {n}")
                 expected.append(f"SYNCED {n}")
         wire = "".join(line + "\n" for line in sent).encode()
-        c = frames.LineClient(*server.data_endpoint)
-        try:
+        with socket.create_connection(server.data_endpoint) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             for at in range(0, len(wire), 7):
-                c.sock.sendall(wire[at:at + 7])
-            got = []
-            while len(got) < len(expected) and (line := c.recv_line(WAIT)) is not None:
-                got.append(line)
-            assert got == expected
-            assert c.recv_line(0) is None
-        finally:
-            c.close()
+                sock.sendall(wire[at:at + 7])
+            assert read_lines(sock, len(expected)) == expected
 
     def test_crashed_ecu_still_answers_the_barrier(self, server):
-        c = frames.LineClient(*server.data_endpoint)
-        try:
-            c.send_line("7df#07013e\n7df#013e\nSYNC 1")
-            assert c.recv_line(WAIT) == "SYNCED 1"
-        finally:
-            c.close()
+        with socket.create_connection(server.data_endpoint) as sock:
+            sock.sendall(b"7df#07013e\n7df#013e\nSYNC 1\n")
+            assert read_lines(sock, 1) == ["SYNCED 1"]
 
     def test_exchange_gives_each_line_its_own_replies(self, server):
         client = frames.LineClient(*server.data_endpoint)
@@ -800,6 +790,16 @@ class TestLineClient:
         assert done.stdout == "[]\n", done.stderr
 
 
+    def test_close_after_the_descriptor_was_closed_underneath(self):
+        """A session closes both of its clients; the first must not raise
+        and leave the second open."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = frames.LineClient(*listener.getsockname())
+            os.close(client.sock.fileno())
+            client.close()
+        assert client.sock.fileno() == -1
+
+
 class TestEntryPoint:
     def test_module_serves_both_endpoints_until_terminated(self):
         """``python -m vecuforge.simulator``, as perfbench and stage-by-stage use start it."""
@@ -817,11 +817,9 @@ class TestEntryPoint:
             data = frames.LineClient("127.0.0.1", int(match.group(1)))
             mgmt = frames.LineClient("127.0.0.1", int(match.group(2)))
             try:
-                data.send_line("SYNC 1")
-                assert data.recv_line(WAIT) == "SYNCED 1"
-                mgmt.send_line("DUMP")
-                reply = mgmt.recv_line(WAIT)
-                assert reply is not None and reply.startswith("OK ")
+                assert data.exchange(["7df#013e"]) == [["7e8#017e"]]
+                ((reply,),) = mgmt.exchange(["DUMP"])
+                assert reply.startswith("OK ")
                 assert load_state(reply.split(" ", 1)[1]).config == SimConfig().with_vulns(False)
             finally:
                 data.close()
