@@ -56,7 +56,6 @@ from .executor import (
 )
 from .frames import DataChannel
 from .item_model import (
-    Exposure,
     Item,
     ItemError,
     ProbeConfig,
@@ -259,8 +258,7 @@ def stage_item(store: RunStore, args) -> int:
 def stage_fingerprint(store: RunStore, args) -> int:
     item = _load_item_artifact(store)
     host, data_port, _ = _parse_endpoint(args.sim_endpoint, need_mgmt=False)
-    probed = [iface.id for iface in item.interfaces
-              if iface.exposure is Exposure.EXTERNAL and iface.carries_protocol]
+    probed = [iface.id for iface in item.protocol_interfaces()]
     if not probed:
         raise UsageError("item declares no external protocol interfaces to probe")
     probe_cfg = ProbeConfig(id_range=item.config_params.fingerprint_id_range)

@@ -1,15 +1,16 @@
 """Environment preparation, test-case execution and SUT state restore.
 
 A session is one data connection and one management connection to a SUT
-instance, plus a state snapshot taken before any test traffic. The bus
-names the cases use are checked against the SUT database, but they open
-no connections of their own: the wire codec has no bus field, so every
-bus, and the vulnscan tool's fingerprint sweep, is served by the one
-data connection. Cases run as their bound activity list, strictly in
-order; each pattern step renders its script command as a list of words
-and is routed by the first word to an internal tool handler (cansend,
-probe, seedkey, fuzz, vulnscan). The other words are the handler's
-arguments, one word each, checked once against its parameters. Every
+instance, plus a state snapshot taken before any test traffic. The wire
+codec has no bus field, so every item interface a case names, and the
+vulnscan tool's fingerprint sweep, is served by the one data connection,
+and a tool's bus word must be the SUT database's ``bus``. Cases run as
+their bound activity list, strictly in order; each pattern step renders
+its script command as a list of words and is routed by the first word to
+an internal tool handler (cansend, probe, seedkey, fuzz, vulnscan). The
+other words are the handler's arguments, one word each, checked once
+against its parameters. A case's result depends on the case and the SUT
+alone, not on the other cases of its session. Every
 frame (through ``frames.DataChannel``) and every management command sent
 to the SUT ends on its own barrier, so the frames a stimulus drew are
 known once its barrier returns, and a late reply is dropped, never read
@@ -107,25 +108,17 @@ class Session:
     """One data and one management connection plus the pre-attack snapshot,
     and the timing of each case run in it.
 
-    ``buses`` maps each item interface the cases name to its SUT
-    database bus. Bus names are checked, but every bus is served by
-    ``data``: the ``<id>#<hex>`` codec carries no bus field. ``lost`` says
-    why the SUT dropped a connection during a case, once it has: no later
-    case can run.
+    Every case sends on ``data``, whatever item interface it names: the
+    ``<id>#<hex>`` codec carries no bus field. ``lost`` says why the SUT
+    dropped a connection during a case, once it has: no later case can run.
     """
 
     data: DataChannel
     mgmt: MgmtChannel
-    buses: dict[str, str]
     pre_attack_snapshot: str
     func_id: int
     timing: list[CaseTiming] = field(default_factory=list)
     lost: str = ""
-
-    def channel(self, bus: str) -> DataChannel:
-        if bus not in self.buses.values():
-            raise ExecutorError(f"no interface module for bus {bus!r}")
-        return self.data
 
     def probe_alive(self) -> bool:
         return bool(self.data.collect(Frame(self.func_id, _TESTER_PRESENT)))
@@ -147,12 +140,6 @@ def open_session(
     case needs ``sut_alive``."""
     if not cases:
         raise ExecutorError("cannot open a session for zero cases")
-    buses: dict[str, str] = {}
-    for case in cases:
-        for iface in case.environmental_needs.interfaces:
-            endpoint = sutdb.endpoints.get(iface.item_ref, {})
-            buses.setdefault(iface.item_ref, endpoint.get("bus", iface.logical))
-
     mgmt = MgmtChannel(host, mgmt_port)
     try:
         snapshot = mgmt.dump()
@@ -165,7 +152,7 @@ def open_session(
         mgmt.close()
         raise
 
-    session = Session(data=data, mgmt=mgmt, buses=buses, pre_attack_snapshot=snapshot,
+    session = Session(data=data, mgmt=mgmt, pre_attack_snapshot=snapshot,
                       func_id=sutdb.func_id())
     try:
         if (any("sut_alive" in case.environmental_needs.preconditions for case in cases)
@@ -304,10 +291,17 @@ class _CaseRun:
         self.last_rx = rx
         return rx
 
+    def _channel(self, bus: str) -> DataChannel:
+        """The session's one data connection, for the SUT database's ``bus``
+        alone; a database without one accepts no bus word."""
+        if bus != self.res.sutdb.slot_values().get("bus"):
+            raise ExecutorError(f"no interface module for bus {bus!r}")
+        return self.session.data
+
     # -- tool handlers ---------------------------------------------------
 
     def _tool_cansend(self, record: StepRecord, bus: str, line: str) -> None:
-        channel = self.session.channel(bus)
+        channel = self._channel(bus)
         try:
             frame = parse_line(line)
         except FrameError as exc:
@@ -315,14 +309,14 @@ class _CaseRun:
         self._send(channel, frame, record)
 
     def _tool_probe(self, record: StepRecord, bus: str) -> None:
-        channel = self.session.channel(bus)
+        channel = self._channel(bus)
         frame = Frame(self.session.func_id, _TESTER_PRESENT)
         rx = self._send(channel, frame, record)
         record.note = "alive" if rx else "silent"
 
     def _tool_seedkey(self, record: StepRecord, bus: str, phys_hex: str, algorithm: str,
                       const_hex: str) -> None:
-        channel = self.session.channel(bus)
+        channel = self._channel(bus)
         phys, const = hex_in(phys_hex, MAX_FRAME_ID), hex_in(const_hex, 0xFF)
         derive = SEEDKEY_ALGORITHMS.get(algorithm)
         if phys is None or const is None or derive is None:
@@ -356,7 +350,7 @@ class _CaseRun:
 
     def _tool_fuzz(self, record: StepRecord, bus: str, *options: str) -> None:
         kv = _parse_kv(options, "fuzz")
-        channel = self.session.channel(bus)
+        channel = self._channel(bus)
         try:
             config = FuzzConfig(
                 seed=int(kv["seed"]),
@@ -408,9 +402,10 @@ class _CaseRun:
 
     def _tool_vulnscan(self, record: StepRecord, targets: str) -> None:
         names = [t for t in targets.split(",") if t]
+        declared = {iface.item_ref for iface in self.case.environmental_needs.interfaces}
         for target in names:
-            if target not in self.session.buses:
-                raise ExecutorError(f"vulnscan: no live endpoint for {target!r}")
+            if target not in declared:
+                raise ExecutorError(f"vulnscan: the case declares no interface {target!r}")
         # Every target is the session's one data connection, so one sweep is
         # the fingerprint of each. The item is not an input of execute, so it
         # sweeps ProbeConfig's default ids, not the item's fingerprint_id_range.
@@ -535,11 +530,6 @@ def execute_case(
             metadata=metadata,
             error=error,
         )
-
-    needed = {iface.item_ref for iface in case.environmental_needs.interfaces}
-    missing = sorted(needed - session.buses.keys())
-    if missing:
-        return finish("error", f"interface module missing for {missing}")
 
     try:
         if not session.probe_alive():

@@ -168,8 +168,7 @@ class Interface:
     @property
     def carries_protocol(self) -> bool:
         """Whether the diagnostic protocol reaches the SUT through this
-        interface: its kind is ``canlike`` or ``diag``. The fingerprint
-        probes, and the vulnerability scan sweeps, the external ones."""
+        interface: its kind is ``canlike`` or ``diag``."""
         return self.kind in (InterfaceKind.CANLIKE, InterfaceKind.DIAG)
 
 
@@ -220,6 +219,13 @@ class Item:
         for goal in self.security_goals:
             if goal.target_ref not in seen:
                 raise ItemError(f"goal {goal.id!r} targets unknown element {goal.target_ref!r}")
+
+    def protocol_interfaces(self) -> list[Interface]:
+        """The external interfaces that carry the protocol, by id: what the
+        fingerprint probes and the vulnerability scan sweeps."""
+        return sorted((i for i in self.interfaces
+                       if i.exposure is Exposure.EXTERNAL and i.carries_protocol),
+                      key=lambda i: i.id)
 
     def interface(self, iface_id: str) -> Interface:
         for iface in self.interfaces:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Annotated
 
 from .analysis import Risk, SecurityRequirement, VerificationHint
-from .item_model import Exposure, Interface, Item, decode, load_json
+from .item_model import Interface, Item, decode, load_json
 from .scenario_dsl import (
     EnvInterface,
     EnvSpec,
@@ -197,10 +197,9 @@ def _bus_for(item: Item, target: str | None = None) -> Interface:
     """The interface a scenario runs on: the external protocol interface
     ``target`` names, else the primary bus (the first external canlike
     interface by id)."""
-    external = sorted((i for i in item.interfaces if i.exposure is Exposure.EXTERNAL),
-                      key=lambda i: i.id)
-    candidates = ([i for i in external if i.id == target and i.carries_protocol]
-                  + [i for i in external if i.kind.value == "canlike"])
+    reached = item.protocol_interfaces()
+    candidates = ([i for i in reached if i.id == target]
+                  + [i for i in reached if i.kind.value == "canlike"])
     if not candidates:
         raise PlannerError(f"item {item.id!r} has no external canlike interface")
     return candidates[0]
@@ -371,9 +370,7 @@ def gen_vulnscan_scenario(
     threat_refs: tuple[str, ...] = (),
     risk_ref: str | None = None,
 ) -> Scenario:
-    targets = sorted((i for i in item.interfaces
-                      if i.exposure is Exposure.EXTERNAL and i.carries_protocol),
-                     key=lambda i: i.id)
+    targets = item.protocol_interfaces()
     if not targets:
         raise PlannerError(f"item {item.id!r} has no external interface to scan")
     bus = _bus_for(item)
@@ -447,10 +444,8 @@ class TestPlan:
     termination: dict
 
     def __post_init__(self) -> None:
-        for name in ("purpose", "sut_overview", "risk_ref"):
-            if not getattr(self, name):
-                raise PlannerError(f"test plan field {name!r} must be non-empty")
-        for name in ("scope", "strategy", "environment", "termination"):
+        for name in ("purpose", "sut_overview", "scope", "risk_ref", "strategy", "environment",
+                     "termination"):
             if not getattr(self, name):
                 raise PlannerError(f"test plan field {name!r} must be non-empty")
 
@@ -598,7 +593,11 @@ def build_plan(
         strategy=strategy,
         environment={
             "interfaces": [
-                {"logical": "bus", "kind": "canlike", "item_ref": _bus_for(item).id}
+                {"logical": logical, "kind": kind, "item_ref": item_ref}
+                for logical, kind, item_ref in sorted({
+                    (i.logical, i.kind, dict(i.params)["item_ref"].as_text())
+                    for scenario in scenarios for i in scenario.env.interfaces
+                })
             ],
             "preconditions": ["sut_alive"],
         },

@@ -201,11 +201,11 @@ class SutDatabase:
     """The SUT's data, checked and typed once, when it is built. ``func_id``
     and ``phys_id`` must be 11-bit hex ids, ``seedkey_const`` a hex byte,
     ``seedkey_algorithm`` a name in ``SEEDKEY_ALGORITHMS`` and each
-    list-valued dictionary a frame corpus (``corpora``), or TcgError."""
+    list-valued dictionary a frame corpus (``corpora``), or TcgError. The
+    ``bus`` dictionary entry is the one bus word the executor's tools accept."""
 
     sut_id: str
     description: str = ""
-    endpoints: dict[str, dict[str, str]] = field(default_factory=dict)
     dictionaries: dict[str, object] = field(default_factory=dict)
     domains: dict[str, object] = field(default_factory=dict)
     corpora: dict[str, tuple[Frame, ...]] = field(init=False, repr=False)

@@ -546,6 +546,14 @@ def _plan_without_purpose(doc: dict) -> None:
     doc["purpose"] = ""
 
 
+def _plan_without_scope(doc: dict) -> None:
+    doc["scope"] = []
+
+
+def _requirement_from_no_threat(doc: dict) -> None:
+    doc["requirements"][0]["derived_from"] = []
+
+
 class TestMalformedArtifacts:
     @pytest.mark.parametrize(
         "rel, edit, stage",
@@ -576,6 +584,22 @@ class TestMalformedArtifacts:
         capsys.readouterr()
         assert run_cli(stage, "--run-dir", str(tmp_path)) == EXIT_USAGE
         assert repr(rel) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rel, edit, stage, reason",
+        [("plan.json", _plan_without_scope, "tcg", "test plan field 'scope' must be non-empty"),
+         ("requirements.json", _requirement_from_no_threat, "plan", "derives from no threat")],
+        ids=["plan-without-scope", "requirement-from-no-threat"],
+    )
+    def test_usage_error_says_what_is_wrong(self, tmp_path, capsys, rel, edit, stage, reason):
+        offline_chain(tmp_path)
+        doc = json.loads((tmp_path / rel).read_text())
+        edit(doc)
+        (tmp_path / rel).write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(stage, "--run-dir", str(tmp_path)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert repr(rel) in err and reason in err, err
 
     @pytest.mark.parametrize("content", [b'{"trunc', b'{"id": "\xff"}'],
                              ids=["truncated", "not-utf-8"])
@@ -1285,6 +1309,48 @@ class TestDemo:
             "vulnscan-item-demo-ecu": [can, 'bus1 diag item_ref="IF-DIAG"'],
         }
 
+    def test_plan_environment_names_every_scenario_interface(self, tmp_path, samples_dir):
+        """The plan's environment lists each interface its scenarios declare,
+        not the primary bus alone."""
+        item = two_interface_item(tmp_path, samples_dir)
+        run_dir = tmp_path / "run"
+        assert run_cli("item", "--run-dir", str(run_dir), "--item", str(item)) == EXIT_OK
+        for stage in ("analyze", "concept", "plan"):
+            assert run_cli(stage, "--run-dir", str(run_dir)) == EXIT_OK
+        plan = json.loads((run_dir / "plan.json").read_text())
+        assert plan["environment"]["interfaces"] == [
+            {"logical": "bus", "kind": "canlike", "item_ref": "IF-CAN"},
+            {"logical": "bus", "kind": "diag", "item_ref": "IF-DIAG"},
+            {"logical": "bus1", "kind": "diag", "item_ref": "IF-DIAG"},
+        ]
+
+    @pytest.mark.parametrize("vulns", ["on", "off"])
+    @pytest.mark.parametrize("two_interfaces", [False, True], ids=["bundled", "two-interface"])
+    def test_a_result_does_not_depend_on_its_session(self, tmp_path, samples_dir,
+                                                     two_interfaces, vulns):
+        """Each case, run alone in a fresh session against a fresh simulator of
+        the same build, writes the same result file as inside the demo."""
+        item = (two_interface_item(tmp_path, samples_dir) if two_interfaces
+                else samples_dir / "item.json")
+        demo = tmp_path / "demo"
+        assert run_cli("demo", "--run-dir", str(demo), "--item", str(item), "--budget", "400",
+                       "--vulns", vulns) in (EXIT_OK, EXIT_FINDINGS)
+        case_files = sorted((demo / "cases").glob("*.case.json"))
+        assert len(case_files) == (12 if two_interfaces else 7)
+        for case_file in case_files:
+            alone = tmp_path / "alone" / case_file.name
+            (alone / "cases").mkdir(parents=True)
+            shutil.copy(case_file, alone / "cases")
+            server = SimServer(SimConfig().with_vulns(vulns == "on")).start()
+            try:
+                code = run_cli("execute", "--run-dir", str(alone),
+                               "--sim-endpoint", endpoint_of(server))
+            finally:
+                server.stop()
+            assert code in (EXIT_OK, EXIT_FINDINGS)
+            result = f"results/{case_file.name.replace('.case.json', '.result.json')}"
+            assert (alone / result).read_bytes() == (demo / result).read_bytes(), result
+
     def test_bad_func_id_stops_before_the_first_stage(self, tmp_path, samples_dir, capsys):
         sutdb = sutdb_with_func_id(tmp_path, samples_dir, "zz")
         run_dir = tmp_path / "run"
@@ -1293,6 +1359,17 @@ class TestDemo:
         assert "func_id 'zz'" in capsys.readouterr().err
         assert not (run_dir / "item.json").exists()
         assert not (run_dir / "fingerprint.json").exists()
+
+    def test_sutdb_with_endpoints_is_a_usage_error(self, tmp_path, samples_dir, capsys):
+        """Every interface is the one data connection, so a SUT database has
+        no per-interface endpoints."""
+        doc = json.loads((samples_dir / "sutdb.json").read_text())
+        doc["endpoints"] = {"IF-CAN": {"host": "127.0.0.1", "port": "0", "bus": "can0"}}
+        sutdb = tmp_path / "sutdb.json"
+        sutdb.write_text(json.dumps(doc))
+        code = run_cli("demo", "--run-dir", str(tmp_path / "run"), "--sutdb", str(sutdb))
+        assert code == EXIT_USAGE
+        assert "unknown field 'endpoints'" in capsys.readouterr().err
 
     def test_simulator_that_cannot_bind_is_an_infra_error(self, tmp_path, monkeypatch, capsys):
         def refuse(host, port):

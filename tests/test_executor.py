@@ -175,17 +175,22 @@ def raw_mgmt(server, line: str) -> str:
 
 
 class TestPrepareEnv:
-    def test_merges_case_needs(self, sim_factory, sutdb):
-        server = sim_factory(SimConfig())
-        diag = case_on("diag0", "IF-DIAG")
+    def test_merges_case_needs(self, sim_factory, sutdb, resources, registry):
+        """Cases on different item interfaces share one session; it probes
+        the SUT because one of them needs ``sut_alive``."""
+        server = sim_factory(server_cls=FrameCountingServer)
+        can = speed_read_case()
+        can.environmental_needs.preconditions = []
+        diag = case_on("can0", "IF-DIAG")
         diag.environmental_needs.preconditions = ["env_ready", "sut_alive"]
-        session = make_session(server, sutdb, [speed_read_case(), speed_read_case(), diag])
+        session = make_session(server, sutdb, [can, diag])
         try:
-            # IF-CAN's bus comes from the SUT database, IF-DIAG has no entry there
-            assert session.buses == {"IF-CAN": "can0", "IF-DIAG": "diag0"}
             assert session.func_id == 0x7DF
+            assert server.frames == 1, "one liveness probe"
+            results = [execute_case(case, session, resources, registry) for case in (can, diag)]
         finally:
             session.close()
+        assert [r.verdict for r in results] == ["pass", "pass"]
 
     # A case's needs check themselves, so no session ever sees these.
     def test_unknown_precondition_rejected(self):
@@ -252,19 +257,23 @@ class TestExecuteFunctional:
 
     def test_two_buses_share_one_data_connection(self, sim_factory, sutdb,
                                                  resources, registry):
+        """A case on a second item interface sends on the one data
+        connection, and only the SUT database's bus word names it."""
         server = sim_factory(SimConfig())
-        case = case_on("can1", "IF-CAN1")
-        session = make_session(server, sutdb, [speed_read_case(), case])
+        case = case_on("can0", "IF-CAN1")
+        other_bus = case_on("can1", "IF-CAN1")
+        session = make_session(server, sutdb, [case])
         try:
-            assert session.buses == {"IF-CAN": "can0", "IF-CAN1": "can1"}
-            assert session.channel("can0") is session.channel("can1") is session.data
             result = execute_case(case, session, resources, registry)
+            refused = execute_case(other_bus, session, resources, registry)
         finally:
             session.close()
         assert result.verdict == "pass"
         send = result.step_log[0]
-        assert send.command == "cansend can1 7df#02010d"
+        assert send.command == "cansend can0 7df#02010d"
         assert send.rx == ["7e8#03410d32"]
+        assert refused.verdict == "error"
+        assert refused.error == "no interface module for bus 'can1'"
 
     def test_positive_write_case_passes(self, sim_factory, sutdb, resources,
                                          registry, pipeline_cases):
@@ -582,20 +591,22 @@ class TestErrorVerdicts:
         assert result.step_log == []
         assert "sut_alive" in result.error
 
-    def test_missing_interface_module(self, sim_factory, sutdb, resources, registry):
+    def test_missing_interface_module(self, sim_factory, sutdb, resources, registry,
+                                      pipeline_cases):
+        """A scan target must be an interface of its own case, whatever the
+        other cases of the session declare."""
         server = sim_factory(SimConfig())
-        case = speed_read_case()
-        ghost = speed_read_case()
-        ghost.environmental_needs = EnvironmentalNeeds(
-            [CaseInterface("bus", "canlike", {"item_ref": "IF-GHOST"})], []
-        )
-        session = make_session(server, sutdb, [case])
+        ghost_env = case_on("can0", "IF-GHOST")
+        case = copy.deepcopy(pipeline_cases["vulnscan-item-demo-ecu"][0])
+        case.activities[0].bound_args["targets"] = "IF-CAN,IF-GHOST"
+        session = make_session(server, sutdb, [ghost_env, case])
         try:
-            result = execute_case(ghost, session, resources, registry)
+            result = execute_case(case, session, resources, registry)
         finally:
             session.close()
         assert result.verdict == "error"
-        assert "IF-GHOST" in result.error
+        assert result.error == "vulnscan: the case declares no interface 'IF-GHOST'"
+        assert result.step_log == []
 
     def test_unnamed_bus_is_infrastructure(self, sim_factory, sutdb, resources,
                                            registry):
@@ -609,6 +620,23 @@ class TestErrorVerdicts:
             session.close()
         assert result.verdict == "error"
         assert "no interface module for bus 'can9'" in result.error
+
+    def test_database_without_a_bus_accepts_no_bus_word(self, sim_factory, sutdb, registry):
+        """The SUT database's ``bus`` is the one bus word; a case that binds
+        the slot itself cannot name one the database lacks."""
+        no_bus = SutDatabase(sut_id=sutdb.sut_id, dictionaries={
+            k: v for k, v in sutdb.dictionaries.items() if k != "bus"})
+        server = sim_factory(SimConfig())
+        case = speed_read_case()
+        case.activities[0].bound_args["bus"] = "can0"
+        session = make_session(server, no_bus, [case])
+        try:
+            result = execute_case(case, session, Resources(sutdb=no_bus), registry)
+        finally:
+            session.close()
+        assert result.verdict == "error"
+        assert result.error == "no interface module for bus 'can0'"
+        assert result.step_log == []
 
     def test_unregistered_script_is_infrastructure(self, sim_factory, sutdb,
                                                    resources, registry):

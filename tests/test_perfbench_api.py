@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -83,3 +85,16 @@ def test_traced_control_campaign_builds_and_sends_every_frame():
     calls = traced_calls("off")
     assert calls["fuzz_engine.mutate"] == 800
     assert calls["fuzz_engine.transport_send"] == 1000
+
+
+@pytest.mark.parametrize("workload",
+                         ["demo-seeded", "demo-control", "fuzz-campaign", "covering-arrays"])
+def test_one_round_of_each_workload_has_no_failure(tmp_path, workload):
+    """A round whose operations fail, or whose outputs break the
+    benchmark's oracles, shows here before the benchmark runs."""
+    proc = run_python("perfbench/worker.py", "--workload", workload, "--seed", "1",
+                      "--trace", "0", "--out", str(tmp_path), "--t0", "0")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["failed"] == 0, report["failures"]
+    assert report["problems"] == []
